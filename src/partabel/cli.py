@@ -31,7 +31,8 @@ from .reptheory import (
     split_into_lines, tq_rewrite,
 )
 from .scalars import (
-    DegenerateSpecialization, FunctionField, PrimeField, QQ, random_prime,
+    DegenerateSpecialization, FunctionField, PrimeField, QQ, is_probable_prime,
+    random_prime,
 )
 
 SCHEMA = "partabel-report/1"
@@ -403,6 +404,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_ranges(cfg) -> None:
+    """Reject option values that would make a certificate vacuous or
+    meaningless: no points, degrees below 2, or primes small enough to
+    divide the constants of the pipeline."""
+    if cfg.count < 1:
+        raise ValueError(f"--count must be at least 1, got {cfg.count}")
+    if cfg.nmax < 2:
+        raise ValueError(f"--nmax must be at least 2, got {cfg.nmax}")
+    for p in cfg.primes or ():
+        if not (2**31 <= p < 2**62 and is_probable_prime(p)):
+            raise ValueError(f"--primes entry {p} is not a prime in [2^31, 2^62)")
+
+
 def main(argv=None) -> int:
     t0 = time.time()
     ap = build_parser()
@@ -411,6 +425,7 @@ def main(argv=None) -> int:
         cfg.point = _parse_fraction_tuple(cfg.point, 4) if cfg.point else None
         cfg.chart = _parse_fraction_tuple(cfg.chart, 3) if cfg.chart else None
         cfg.primes = [int(p) for p in cfg.primes.split(",")] if cfg.primes else None
+        _check_ranges(cfg)
     except SystemExit:
         raise
     except (ValueError, TypeError) as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 
@@ -1258,16 +1259,47 @@ class ExtensionField(Domain):
         return UniPoly.x(self.base) % self.modulus
 
     def add(self, a: UniPoly, b: UniPoly) -> UniPoly:
-        return a + b
+        base = self.base
+        return UniPoly(base, [base.add(x, y) for x, y in
+                              zip_longest(a.coeffs, b.coeffs, fillvalue=base.zero)])
 
     def sub(self, a: UniPoly, b: UniPoly) -> UniPoly:
-        return a - b
+        base = self.base
+        return UniPoly(base, [base.sub(x, y) for x, y in
+                              zip_longest(a.coeffs, b.coeffs, fillvalue=base.zero)])
 
     def neg(self, a: UniPoly) -> UniPoly:
         return -a
 
     def mul(self, a: UniPoly, b: UniPoly) -> UniPoly:
-        return (a * b) % self.modulus
+        """(a * b) % modulus on the coefficient lists.
+
+        A schoolbook product, then one reduction loop that uses
+        t^d = -(m_{d-1} t^{d-1} + ... + m_0) in base[t]/(m): from the top
+        down, a coefficient c at t^k (k >= d) is cleared by subtracting
+        c * t^(k-d) * m.  The constructor checks that m is monic, so no
+        division by its leading coefficient is needed, and the residue is
+        the one ``UniPoly.divmod`` gives, with no intermediate polynomials."""
+        base = self.base
+        add, mul, sub, is_zero = base.add, base.mul, base.sub, base.is_zero
+        xs, ys = a.coeffs, b.coeffs
+        if not xs or not ys:
+            return UniPoly(base, [])
+        cs = [base.zero] * (len(xs) + len(ys) - 1)
+        for i, x in enumerate(xs):
+            if is_zero(x):
+                continue
+            for j, y in enumerate(ys):
+                cs[i + j] = add(cs[i + j], mul(x, y))
+        m = self.modulus.coeffs
+        d = len(m) - 1
+        for k in range(len(cs) - 1, d - 1, -1):
+            c = cs[k]
+            if is_zero(c):
+                continue
+            for i in range(d):
+                cs[k - d + i] = sub(cs[k - d + i], mul(c, m[i]))
+        return UniPoly(base, cs[:d])
 
     def inv(self, a: UniPoly) -> UniPoly:
         if a.is_zero():

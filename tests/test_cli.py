@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from partabel.cli import main
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
@@ -129,3 +131,33 @@ def test_window_cap_flag(tmp_path):
                          "--window-cap", "8"], tmp_path)
     assert code == 0
     assert rep["results"]["window"] == 8
+
+
+def test_theorem_count_zero_exits_1(capsys):
+    # a claim over zero points is vacuous, not checked
+    assert main(["theorem", "--count", "0"]) == 1
+    out = capsys.readouterr()
+    assert "--count" in out.err
+    assert "PASS" not in out.out
+
+
+@pytest.mark.parametrize("command", ["bound", "scan", "wedderburn", "theorem"])
+@pytest.mark.parametrize("nmax", ["-3", "0", "1"])
+def test_nmax_below_2_exits_1(command, nmax, capsys):
+    assert main([command, "--chart", "2,3,7", "--nmax", nmax]) == 1
+    out = capsys.readouterr()
+    assert "--nmax" in out.err
+    assert "PASS" not in out.out
+
+
+@pytest.mark.parametrize("primes, bad", [
+    ("2,3", "2"),
+    ("1099511627791,3", "3"),
+    ("2147483647,2199023255579", "2147483647"),    # prime, below 2^31
+    ("1099511627791,1099511627793", "1099511627793"),  # composite
+])
+def test_unfit_primes_exit_1_naming_the_entry(primes, bad, capsys):
+    assert main(["theorem", "--count", "1", "--primes", primes]) == 1
+    out = capsys.readouterr()
+    assert f"--primes entry {bad} " in out.err
+    assert "Traceback" not in out.err

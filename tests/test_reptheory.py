@@ -348,3 +348,95 @@ def test_wedderburn_rank_constant_across_primes():
         rho = build_rho(ext, yext, (spec.z1, spec.z2))
         wm = wedderburn_verify(cert, spec, rho)
         assert wm.rank == 18 and wm.exact
+
+
+# --- the Wedderburn witnesses against their O(n^4) definitions ------------------
+
+def _trace_form_gram_oracle(cert):
+    """tr(L_{b_i} L_{b_j}) = sum_{a,b} c_ia^b c_jb^a, straight from the
+    definition: n^4 multiply-adds, no associativity assumed."""
+    f = cert.field
+    n = cert.dimension_bound
+    L = [[[cert.structure_constants[i][j].get(k, f.zero) for k in range(n)]
+          for j in range(n)] for i in range(n)]
+    gram = [[f.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            acc = f.zero
+            for a in range(n):
+                for b in range(n):
+                    acc = f.add(acc, f.mul(L[i][a][b], L[j][b][a]))
+            gram[i][j] = acc
+    return gram
+
+
+def _center_dimension_oracle(cert):
+    """Nullity of z -> [z, b_i] over every basis element: n^2 rows."""
+    from partabel.linalg import nullspace
+    f = cert.field
+    n = cert.dimension_bound
+    rows = []
+    for i in range(n):
+        for k in range(n):
+            rows.append([f.sub(cert.structure_constants[j][i].get(k, f.zero),
+                               cert.structure_constants[i][j].get(k, f.zero))
+                         for j in range(n)])
+    return len(nullspace(f, rows))
+
+
+def _criterion3_certificates():
+    """Closure certificates at the first criterion-3 sample points (the ones
+    re-certified over QQ there), over QQ and the two primes seed 302 draws."""
+    from partabel.pipeline import sample_generic_points
+    from partabel.quotient import canonical_point
+    rng = random.Random(302)
+    primes = []
+    while len(primes) < 2:
+        p = random_prime(rng)
+        if p not in primes:
+            primes.append(p)
+    fields = [QQ] + [PrimeField(p) for p in primes]
+    for x in sample_generic_points(301, 3):
+        for f in fields:
+            xf = tuple(f.from_fraction(c) if isinstance(f, PrimeField) else c
+                       for c in x)
+            cert, _ = closure_certificate(make_relation(f, point=canonical_point(f, xf)))
+            yield f, cert
+
+
+def test_trace_form_and_center_match_their_oracles():
+    from partabel.reptheory import (
+        _center_dimension, _trace_form_gram, _trace_form_rank,
+    )
+    from partabel.linalg import dense_rank
+    seen = 0
+    for f, cert in _criterion3_certificates():
+        assert cert.dimension_bound == 18
+        gram, oracle = _trace_form_gram(cert), _trace_form_gram_oracle(cert)
+        n = cert.dimension_bound
+        for i in range(n):
+            for j in range(n):
+                assert f.eq(gram[i][j], oracle[i][j]), (f, i, j)
+        assert _trace_form_rank(cert) == dense_rank(f, oracle) == 18
+        assert _center_dimension(cert) == _center_dimension_oracle(cert) == 10
+        seen += 1
+    assert seen == 9
+
+
+def test_rep_matrices_memoized_and_word_matrix_matches_letter_products():
+    from partabel.freeproduct import P, Q
+    from partabel.reptheory import mat_eq, mat_mul
+    rel = make_relation(QQ, chart=Y_SAMPLE)
+    cert, _ = closure_certificate(rel)
+    spec = intersect_conics(QQ, Y_SAMPLE)
+    ext = spec.ext
+    rho = build_rho(ext, tuple(ext.from_base(c) for c in Y_SAMPLE), (spec.z1, spec.z2))
+    assert rho.p1 is rho.p1 and rho.p2 is rho.p2
+    assert rho.letter_matrix((P, 3)) is rho.letter_matrix((P, 3))
+    assert rho.letter_matrix((Q, 3)) is rho.letter_matrix((Q, 3))
+    for w in cert.basis:
+        m = mat_identity(ext)
+        for letter in w:
+            m = mat_mul(ext, m, rho.letter_matrix(letter))
+        assert mat_eq(ext, rho.word_matrix(w), m)
+        assert rho.word_matrix(w) is rho.word_matrix(w)

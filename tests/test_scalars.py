@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partabel.scalars import (
     ExtensionElement, ExtensionField, FunctionField, PoleError,
@@ -241,3 +243,45 @@ def test_extension_field_rejects_reducible_cubic():
         ExtensionField(QQ, UniPoly.from_ints(QQ, [-1, 0, 0, 1]))  # t^3 - 1
     with pytest.raises(ValueError):
         ExtensionField(QQ, UniPoly.from_ints(QQ, [-2, 0, 0, 2]))  # not monic
+
+
+# --- extension arithmetic against the generic polynomial reference ------------
+
+def _irreducible_extension(base, degree):
+    """base[t]/(t^d + t + c) for the least c >= 1 that is irreducible."""
+    for c in range(1, 100):
+        cs = [base.from_int(c), base.one] + [base.zero] * (degree - 2) + [base.one]
+        try:
+            return ExtensionField(base, UniPoly(base, cs))
+        except ValueError:
+            continue
+    raise AssertionError("no irreducible trinomial found")
+
+
+EXTENSIONS = {
+    (name, d): _irreducible_extension(base, d)
+    for name, base in (("QQ", QQ), ("GF", PrimeField(random_prime(random.Random(5)))))
+    for d in (2, 3)
+}
+
+
+@st.composite
+def _ext_pairs(draw):
+    key = draw(st.sampled_from(sorted(EXTENSIONS)))
+    E = EXTENSIONS[key]
+    if key[0] == "QQ":
+        coeff = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+    else:
+        coeff = st.integers(0, E.base.p - 1)
+    elem = st.lists(coeff, max_size=E.degree).map(lambda cs: UniPoly(E.base, cs))
+    return E, draw(elem), draw(elem)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ext_pairs())
+def test_extension_list_arithmetic_matches_reference(case):
+    E, a, b = case
+    for got, ref in ((E.add(a, b), a + b), (E.sub(a, b), a - b),
+                     (E.mul(a, b), (a * b) % E.modulus)):
+        assert got.coeffs == ref.coeffs
+        assert len(got.coeffs) <= E.degree
