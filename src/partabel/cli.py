@@ -174,9 +174,15 @@ def cmd_scan(cfg, t0) -> int:
     if rep.certificate:
         results["certificate"] = rep.certificate.to_json()
     ok = True
-    summary = (f"stabilized at degree {rep.stabilized_at} with bound "
-               f"{rep.certificate.dimension_bound}" if rep.stabilized_at
-               else "no stabilization up to degree %d (growth evidence)" % cfg.nmax)
+    if rep.stabilized_at:
+        summary = (f"stabilized at degree {rep.stabilized_at} with bound "
+                   f"{rep.certificate.dimension_bound}")
+    elif rep.window < cfg.nmax + cfg.slack:
+        summary = (f"--window-cap {rep.window} ended the scan below window "
+                   f"{cfg.nmax + cfg.slack} (nmax + slack) without a closure; "
+                   f"span bounds only up to degree {cfg.nmax}")
+    else:
+        summary = "no stabilization up to degree %d (growth evidence)" % cfg.nmax
     return emit(cfg, "scan", results, ok, summary, t0)
 
 
@@ -406,12 +412,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_ranges(cfg) -> None:
     """Reject option values that would make a certificate vacuous or
-    meaningless: no points, degrees below 2, or primes small enough to
+    meaningless: no points, degrees below 2, a negative slack, a product
+    window capped below the first closure window, or primes small enough to
     divide the constants of the pipeline."""
     if cfg.count < 1:
         raise ValueError(f"--count must be at least 1, got {cfg.count}")
     if cfg.nmax < 2:
         raise ValueError(f"--nmax must be at least 2, got {cfg.nmax}")
+    if cfg.slack < 0:
+        raise ValueError(f"--slack must be at least 0, got {cfg.slack}")
+    if cfg.window_cap is not None and cfg.window_cap < 2:
+        raise ValueError(f"--window-cap must be at least 2, got {cfg.window_cap}")
     for p in cfg.primes or ():
         if not (2**31 <= p < 2**62 and is_probable_prime(p)):
             raise ValueError(f"--primes entry {p} is not a prime in [2^31, 2^62)")

@@ -16,11 +16,19 @@ with the highest word in the graded order eliminated first, and reads off:
 Degree drops are the whole point: a product of formal degree up to
 window+2 may collapse into low degree after elimination, which is how the
 degree-5 words fall into F^4 at generic points.
+
+Most products reduce to zero, so the span skips those it can prove
+redundant in advance: u*X*v with |u| >= 1 is fed only when its tail
+u[1:]*X*v gave a pivot one window earlier.  Since u*X*v = a*(u[1:]*X*v)
+for the first letter a of u, and a times a product from below the previous
+window is itself a product up to the previous window, the span is
+unchanged (proof in ``IdealSpan``).
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,6 +121,28 @@ class IdealSpan:
     up to window + 2 and the highest-order columns are eliminated first, so
     collapses into low degree are discovered and counted.  Deterministic:
     products are fed in graded lexicographic order.
+
+    At window s a product u * X_k * v with |u| >= 1 is fed only if
+    u[1:] * X_k * v gave a word pivot at window s - 1; every X_k * v is fed.
+    The span is the span of all products all the same:
+
+    * u is alternating, so u = a * u' with a a letter and
+      u * X_k * v = a * (u' * X_k * v);
+    * the pivot-giving products fed so far are a basis of the span of all
+      products up to window s - 1;
+    * for a basis product Q from a window below s - 1, a * Q lies at window
+      s - 1 or lower, so it is already in that span;
+    * hence the span at window s is the span at window s - 1, plus every
+      X_k * v with |v| = s, plus a * Q for each pivot-giving Q of window
+      s - 1 (a * Q is Q, zero, or a product of window s).  That last set is
+      exactly the products this rule feeds.
+
+    Pivot columns, counted ranks, bounds and normal forms are therefore
+    those of feeding every product; only the stored pivot rows differ.
+    This is the simplest case of Faugere's F5 idea of skipping rows known in
+    advance to reduce to zero.  A right-hand tail rule (u * X_k * v[:-1]) is
+    not applied on top of it: the two rules would justify each other's
+    skips in a circle.
     """
 
     def __init__(self, relations, track_provenance: bool = False):
@@ -131,6 +161,9 @@ class IdealSpan:
         self.pivot_deg_counts: dict[int, int] = {}
         self.track = track_provenance
         self.products: list[tuple[Word, AlgebraElement, Word]] = []
+        # which products of window self.window gave a word pivot; the next
+        # window feeds a*u*X_k*v only for these (layout in extend_to_window)
+        self._prev_gave_pivot: list[bytearray] = []
 
     def _ensure_columns(self, max_degree: int):
         if self.words and len(self.words[-1]) >= max_degree:
@@ -141,24 +174,49 @@ class IdealSpan:
             self.index[w] = len(self.words)
             self.words.append(w)
 
+    def _length_block(self, n: int) -> range:
+        """Column indices of the words of length n: a contiguous block of
+        the graded order, sorted lexicographically."""
+        return range(bisect_left(self.words, n, key=len),
+                     bisect_left(self.words, n + 1, key=len))
+
     def extend_to_window(self, window: int):
         if window <= self.window:
             return
         maxrel = max(r.degree() for r in self.relations)
         self._ensure_columns(window + maxrel)
-        from .freeproduct import words_of_length
+        nrel = len(self.relations)
         for s in range(self.window + 1, window + 1):
+            # gave_pivot[lu] holds a byte per product u * X_k * v with
+            # |u| = lu and |v| = s - lu, at (i * len(vs) + j) * nrel + k for
+            # u, v the i-th and j-th words of their lengths.  The tails
+            # u[1:] * X_k * v of window s - 1 pair the same vs with words of
+            # length lu - 1.  Bytes, not a set of keys, keep wide windows small.
+            gave_pivot: list[bytearray] = []
             for lu in range(s + 1):
-                lv = s - lu
-                us = sorted(words_of_length(self.sig, lu))
-                vs = sorted(words_of_length(self.sig, lv))
-                for u in us:
-                    for v in vs:
-                        for X in self.relations:
-                            self._feed(u, X, v)
+                us, vs = self._length_block(lu), self._length_block(s - lu)
+                row = len(vs) * nrel
+                flags = bytearray(len(us) * row)
+                if lu:
+                    tail_flags = self._prev_gave_pivot[lu - 1]
+                    tail_start = self._length_block(lu - 1).start
+                for i, iu in enumerate(us):
+                    u = self.words[iu]
+                    tail_at = (self.index[u[1:]] - tail_start) * row if lu else 0
+                    for j, iv in enumerate(vs):
+                        v = self.words[iv]
+                        for k, X in enumerate(self.relations):
+                            at = j * nrel + k
+                            if lu and not tail_flags[tail_at + at]:
+                                continue
+                            if self._feed(u, X, v):
+                                flags[i * row + at] = 1
+                gave_pivot.append(flags)
+            self._prev_gave_pivot = gave_pivot
         self.window = window
 
-    def _feed(self, u: Word, X: AlgebraElement, v: Word):
+    def _feed(self, u: Word, X: AlgebraElement, v: Word) -> bool:
+        """Reduce u * X * v into the echelon; True if it gave a word pivot."""
         f = self.field
         row: dict[int, object] = {}
         for w, c in X.terms.items():
@@ -175,15 +233,17 @@ class IdealSpan:
             else:
                 row[i] = s
         if not row:
-            return
+            return False
         if self.track:
             pid = len(self.products)
             self.products.append((u, X, v))
             row[-(pid + 1)] = f.one
         piv = self.ech.add_row(row)
-        if piv is not None and piv >= 0:
-            d = len(self.words[piv])
-            self.pivot_deg_counts[d] = self.pivot_deg_counts.get(d, 0) + 1
+        if piv is None or piv < 0:
+            return False
+        d = len(self.words[piv])
+        self.pivot_deg_counts[d] = self.pivot_deg_counts.get(d, 0) + 1
+        return True
 
     # -- bounds --------------------------------------------------------------
 

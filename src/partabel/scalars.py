@@ -145,19 +145,21 @@ class Domain:
         return self.parse(obj)
 
 
+# Fractions are immutable, so every caller can share these two.
+FRACTION_ZERO = Fraction(0)
+FRACTION_ONE = Fraction(1)
+
+
 class RationalField(Domain):
     """The rationals, realized by ``fractions.Fraction`` (already canonical:
     reduced, positive denominator, zero is 0/1)."""
 
     name = "rational"
+    zero = FRACTION_ZERO
+    one = FRACTION_ONE
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def is_zero(self, a) -> bool:
+        return not a
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)

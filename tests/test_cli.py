@@ -161,3 +161,30 @@ def test_unfit_primes_exit_1_naming_the_entry(primes, bad, capsys):
     out = capsys.readouterr()
     assert f"--primes entry {bad} " in out.err
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("args, option", [
+    (["scan", "--window-cap", "1"], "--window-cap"),
+    (["scan", "--window-cap", "-2"], "--window-cap"),
+    (["bound", "--nmax", "4", "--slack", "-5"], "--slack"),
+    (["scan", "--slack", "-1"], "--slack"),
+])
+def test_window_cap_below_2_and_negative_slack_exit_1(args, option, capsys):
+    # a cap below the first closure window, or a negative slack, reports
+    # growth evidence or bounds that were never computed
+    assert main(args + ["--chart", "2,3,7"]) == 1
+    out = capsys.readouterr()
+    assert option in out.err
+    assert "PASS" not in out.out
+
+
+def test_capped_scan_without_closure_says_the_cap_ended_it(tmp_path):
+    # closure at (1:2:3:7) needs window 4; a cap of 3 proves nothing about growth
+    code, rep = run_cli(["scan", "--chart", "2,3,7", "--window-cap", "3"], tmp_path)
+    assert code == 0
+    summary = rep["verdict"]["summary"]
+    assert "growth evidence" not in summary
+    assert "--window-cap 3" in summary and "span bounds" in summary
+    code, rep = run_cli(["scan", "--chart", "2,3,7", "--window-cap", "4"], tmp_path)
+    assert code == 0
+    assert rep["verdict"]["summary"] == "stabilized at degree 4 with bound 18"

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from partabel.freeproduct import P, Q, Signature, commutator, idempotent
+from partabel.classify import SubspacePresentation
+from partabel.freeproduct import P, Q, Signature, commutator, idempotent, words_of_length
 from partabel.quotient import (
     ClosureFailure, IdealSpan, chart_in_field, closure_certificate,
     make_relation, reduction_coefficients, sigma_check,
@@ -102,6 +104,91 @@ def test_provenance_rows_reexpand_exactly():
     span = IdealSpan(rel, track_provenance=True)
     span.extend_to_window(4)
     assert span.verify_provenance()
+
+
+def feed_every_product(span, window):
+    """Reference loop: feed every product u * X_k * v of each new window,
+    with no criterion; the span and its pivot columns must match the
+    engine's, only the stored pivot rows may differ."""
+    maxrel = max(r.degree() for r in span.relations)
+    span._ensure_columns(window + maxrel)
+    for s in range(span.window + 1, window + 1):
+        for lu in range(s + 1):
+            for u in sorted(words_of_length(span.sig, lu)):
+                for v in sorted(words_of_length(span.sig, s - lu)):
+                    for X in span.relations:
+                        span._feed(u, X, v)
+    span.window = window
+
+
+def multi_relation(sig, vecs):
+    V = SubspacePresentation(sig, QQ, tuple(tuple(Fraction(c) for c in v) for v in vecs))
+    return [commutator(a, b) for a, b in itertools.combinations(V.elements(), 2)]
+
+
+def _gf_relation(point):
+    gf = PrimeField(primes_pair(13)[0])
+    return make_relation(gf, point=tuple(gf.from_int(c) for c in point))
+
+
+@pytest.mark.parametrize("relations, top, nf_degree", [
+    (lambda: _gf_relation((1, 0, 0, -1)), 8, 6),
+    (lambda: make_relation(QQ, chart=GENERIC_CHART), 5, 6),
+    (lambda: _gf_relation((1, 2, 3, 7)), 6, 6),
+    (lambda: _gf_relation((1, 2, 2, 4)), 7, 6),
+    (lambda: multi_relation(Signature(3, 2), [(1, 2, 0), (1, 0, 1)]), 7, 6),
+    (lambda: multi_relation(Signature(4, 2), [(1, 1, 0, 0), (0, 0, 1, 1)]), 6, 5),
+    (lambda: multi_relation(Signature(4, 2), [(1, 1, 1, 0), (1, 0, 0, 1)]), 6, 5),
+    (lambda: multi_relation(Signature(4, 2), [(1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 1)]), 6, 5),
+    (lambda: [_gf_relation((1, 0, 0, -1)).element, _gf_relation((1, 2, 2, 4)).element], 6, 5),
+], ids=["infinite_gf", "generic_qq", "generic_gf", "quadric_gf", "sig32_tensor",
+        "sig42_mid2", "sig42_mid_infinity", "sig42_three_relations", "two_points_gf"])
+def test_tail_pivot_criterion_matches_feeding_every_product(relations, top, nf_degree):
+    rels = relations()
+    engine, oracle = IdealSpan(rels), IdealSpan(rels)
+    for window in range(top + 1):
+        engine.extend_to_window(window)
+        feed_every_product(oracle, window)
+        assert set(engine.ech.pivots) == set(oracle.ech.pivots), window
+        assert engine.pivot_deg_counts == oracle.pivot_deg_counts, window
+        d = min(nf_degree, window + 2)
+        assert engine.normal_forms(d) == oracle.normal_forms(d), window
+
+
+@pytest.mark.parametrize("relation", [
+    lambda: make_relation(QQ, chart=GENERIC_CHART),
+    lambda: _gf_relation((1, 2, 3, 7)),
+], ids=["generic_qq", "generic_gf"])
+def test_tail_pivot_criterion_keeps_provenance_exact(relation):
+    rel = relation()
+    engine = IdealSpan(rel, track_provenance=True)
+    oracle = IdealSpan(rel, track_provenance=True)
+    for window in range(5):
+        engine.extend_to_window(window)
+        feed_every_product(oracle, window)
+        assert engine.verify_provenance(), window
+        word_pivots = {c for c in engine.ech.pivots if c >= 0}
+        assert word_pivots == {c for c in oracle.ech.pivots if c >= 0}, window
+        assert engine.pivot_deg_counts == oracle.pivot_deg_counts, window
+        assert engine.normal_forms(window + 2) == oracle.normal_forms(window + 2), window
+    assert len(engine.products) < len(oracle.products)
+
+
+def test_tail_pivot_criterion_row_count_at_the_infinite_point():
+    # window 10 at (1:0:0:-1): 11,248 rows reach the echelon where feeding
+    # every product sends 31,744; the 8,184 new pivots are the same
+    span = IdealSpan(_gf_relation((1, 0, 0, -1)))
+    span.extend_to_window(9)
+    rank, rows, add_row = span.ech.rank, [0], span.ech.add_row
+
+    def counted(row):
+        rows[0] += 1
+        return add_row(row)
+
+    span.ech.add_row = counted
+    span.extend_to_window(10)
+    assert rows[0] == 11248
+    assert span.ech.rank - rank == 8184
 
 
 def test_closure_certificate_generic():
