@@ -31,8 +31,8 @@ from .pipeline import (
 )
 from .scalars import (
     DegenerateSpecialization, ExtensionField, FunctionField, PoleError,
-    Polynomial, PrimeField, PrimeFieldElement, QQ, RationalFunction, UniPoly,
-    gcd_univariate, is_probable_prime, random_prime, resultant, specialize,
+    Polynomial, PrimeField, QQ, RationalFunction, UniPoly, gcd_univariate,
+    is_probable_prime, random_prime,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .freeproduct import P, Q, AlgebraElement, Signature, idempotent
-from .linalg import dense_rank, solve_linear
+from .linalg import _rref, dense_rank, nullspace, solve_linear
 from .scalars import Domain
 
 Vector = tuple  # coordinates in (p_1..p_{a-1} | q_1..q_{b-1})
@@ -272,22 +272,10 @@ def _matrix_inverse(f: Domain, m: list[list]) -> list[list]:
     n = len(m)
     aug = [list(row) + [f.one if i == j else f.zero for j in range(n)]
            for i, row in enumerate(m)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not f.is_zero(aug[r][col]):
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("matrix not invertible")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = f.inv(aug[col][col])
-        aug[col] = [f.mul(x, inv) for x in aug[col]]
-        for r in range(n):
-            if r != col and not f.is_zero(aug[r][col]):
-                c = aug[r][col]
-                aug[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    a, pivots = _rref(f, aug, n)
+    if len(pivots) < n:
+        raise ValueError("matrix not invertible")
+    return [row[n:] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +321,6 @@ def intersect_with_a_bar(V: SubspacePresentation) -> list[list]:
         return []
     bcols = [V.b_block(v) for v in V.basis]
     matrix = [[bcols[r][c] for r in range(len(V.basis))] for c in range(V.sig.b - 1)]
-    from .linalg import nullspace
     combos = nullspace(f, matrix)
     out = []
     for combo in combos:

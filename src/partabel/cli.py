@@ -19,10 +19,11 @@ from fractions import Fraction
 from .classify import classify_p3
 from .freeproduct import Signature, central_element_check, filtration_dim
 from .pipeline import (
-    certify_point_multi, sample_generic_points, theorem_point_worker,
+    certify_point_multi, sample_generic_points, seeded_primes,
+    theorem_point_worker,
 )
 from .quotient import (
-    ClosureFailure, chart_in_field, make_relation, sigma_check,
+    ClosureFailure, IdealSpan, chart_in_field, make_relation, sigma_check,
     standard_generator_rank, stabilization_scan,
 )
 from .reptheory import (
@@ -32,7 +33,6 @@ from .reptheory import (
 )
 from .scalars import (
     DegenerateSpecialization, FunctionField, PrimeField, QQ, is_probable_prime,
-    random_prime,
 )
 
 SCHEMA = "partabel-report/1"
@@ -47,30 +47,10 @@ def _parse_fraction_tuple(s: str, n: int) -> tuple:
     return tuple(Fraction(p.strip()) for p in parts)
 
 
-def _seeded_primes(cfg) -> list[int]:
-    import random as _random
-    if cfg.primes:
-        return cfg.primes
-    rng = _random.Random(cfg.seed ^ 0x9E3779B97F4A7C15)
-    ps: list[int] = []
-    while len(ps) < 2:
-        p = random_prime(rng)
-        if p not in ps:
-            ps.append(p)
-    return ps
-
-
-def _field_for(cfg, prime: int | None = None):
+def _field_for(cfg):
     if cfg.mode == "rational":
         return QQ
-    if cfg.mode == "prime":
-        return PrimeField(prime if prime is not None else _seeded_primes(cfg)[0])
-    if cfg.mode == "symbolic":
-        raise ValueError(
-            "rank computations run over rational or prime domains "
-            "(symbolic elimination over the function field is prohibitive); "
-            "the symbolic identities live in the sigma and conics commands")
-    raise ValueError(f"mode {cfg.mode!r} not usable here")
+    return PrimeField(seeded_primes(cfg.seed, cfg.primes)[0])
 
 
 def emit(cfg, command: str, results: dict, ok: bool, summary: str,
@@ -144,7 +124,7 @@ def cmd_verify42(cfg, t0) -> int:
 
 def _verify_fields(cfg):
     out = [("rational", QQ)]
-    for p in _seeded_primes(cfg):
+    for p in seeded_primes(cfg.seed, cfg.primes):
         out.append((f"prime_{p}", PrimeField(p)))
     return out
 
@@ -153,15 +133,24 @@ def cmd_bound(cfg, t0) -> int:
     field = _field_for(cfg)
     x = _point_in(field, cfg)
     rel = make_relation(field, point=x)
-    from .quotient import IdealSpan
     span = IdealSpan(rel)
-    span.extend_to_window(cfg.nmax + cfg.slack)
+    window = cfg.nmax + cfg.slack
+    span.extend_to_window(window if cfg.window_cap is None
+                          else min(window, cfg.window_cap))
     per = {str(n): {"dim_ambient": filtration_dim(rel.sig, n),
                     "counted_rank": span.counted_rank(n),
                     "quotient_bound": span.bound(n)}
            for n in range(2, cfg.nmax + 1)}
+    summary = (_cap_summary(cfg, span.window, "") if span.window < window
+               else f"span bounds computed to degree {cfg.nmax}")
     return emit(cfg, "bound", {"per_degree": per, "window": span.window},
-                True, f"span bounds computed to degree {cfg.nmax}", t0)
+                True, summary, t0)
+
+
+def _cap_summary(cfg, window: int, closure: str) -> str:
+    return (f"--window-cap {window} ended the scan below window "
+            f"{cfg.nmax + cfg.slack} (nmax + slack){closure}; "
+            f"span bounds only up to degree {cfg.nmax}")
 
 
 def cmd_scan(cfg, t0) -> int:
@@ -178,9 +167,7 @@ def cmd_scan(cfg, t0) -> int:
         summary = (f"stabilized at degree {rep.stabilized_at} with bound "
                    f"{rep.certificate.dimension_bound}")
     elif rep.window < cfg.nmax + cfg.slack:
-        summary = (f"--window-cap {rep.window} ended the scan below window "
-                   f"{cfg.nmax + cfg.slack} (nmax + slack) without a closure; "
-                   f"span bounds only up to degree {cfg.nmax}")
+        summary = _cap_summary(cfg, rep.window, " without a closure")
     else:
         summary = "no stabilization up to degree %d (growth evidence)" % cfg.nmax
     return emit(cfg, "scan", results, ok, summary, t0)
@@ -349,19 +336,12 @@ def _pool_map(fn, jobs, workers):
 
 def _point_in(field, cfg):
     if cfg.point:
-        return tuple(_coerce(field, c) for c in cfg.point)
+        return tuple(field.from_fraction(c) for c in cfg.point)
     if cfg.chart:
         y = chart_in_field(field, cfg.chart)
         return (field.one,) + tuple(y)
     x = sample_generic_points(cfg.seed, 1)[0]
-    return tuple(_coerce(field, c) for c in x)
-
-
-def _coerce(field, c):
-    q = Fraction(c)
-    if isinstance(field, PrimeField):
-        return field.from_fraction(q)
-    return q
+    return tuple(field.from_fraction(c) for c in x)
 
 
 COMMANDS = {
@@ -388,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--point", help="homogeneous point x11,x12,x21,x22 (or with colons)")
     ap.add_argument("--chart", help="chart triple y1,y2,y3 meaning (1:y1:y2:y3)")
-    ap.add_argument("--mode", choices=["rational", "prime", "symbolic"],
+    ap.add_argument("--mode", choices=["rational", "prime"],
                     default="prime")
     ap.add_argument("--primes", help="comma-separated primes for prime mode")
     ap.add_argument("--seed", type=int,
@@ -396,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--nmax", type=int, default=8)
     ap.add_argument("--slack", type=int, default=4)
     ap.add_argument("--window-cap", type=int, default=None, dest="window_cap",
-                    help="cap the product window of scans (runtime control)")
+                    help="cap the product window of scan and bound (runtime control)")
     ap.add_argument("--tol", type=float, default=1e-9)
     ap.add_argument("--out", help="write the JSON report to this path")
     ap.add_argument("--workers", type=int, default=1)
@@ -437,7 +417,9 @@ def main(argv=None) -> int:
         cfg.chart = _parse_fraction_tuple(cfg.chart, 3) if cfg.chart else None
         cfg.primes = [int(p) for p in cfg.primes.split(",")] if cfg.primes else None
         _check_ranges(cfg)
-    except SystemExit:
+    except SystemExit as exc:
+        if exc.code:  # argparse has printed the usage error; exit 2 means a failed claim
+            return 1
         raise
     except (ValueError, TypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

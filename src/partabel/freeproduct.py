@@ -248,7 +248,9 @@ class AlgebraElement:
         return all(self.field.eq(c, other.terms[w]) for w, c in self.terms.items())
 
     def __hash__(self) -> int:
-        return hash((self.sig, frozenset((w, self.field.fmt(c)) for w, c in self.terms.items())))
+        # coefficients hash by value, and a RationalFunction hashes its
+        # reduced form, so elements that compare equal hash alike
+        return hash((self.sig, frozenset(self.terms.items())))
 
     def map_coefficients(self, fn, field: Domain | None = None) -> "AlgebraElement":
         f = field or self.field

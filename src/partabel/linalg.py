@@ -1,10 +1,12 @@
-"""Sparse exact Gaussian elimination over the scalar domains.
+"""Exact Gaussian elimination over the scalar domains.
 
-Rows are dicts mapping integer column indices to raw domain values.  The
-echelon keeps pivot rows normalized (pivot coefficient 1) and always pivots
-on a row's highest column index, so feeding a matrix whose columns are
-ordered low-to-high eliminates the high columns first.  A fast path handles
-prime fields with plain int arithmetic.
+Sparse rows are dicts mapping integer column indices to raw domain values.
+The echelon keeps pivot rows normalized (pivot coefficient 1) and always
+pivots on a row's highest column index, so feeding a matrix whose columns
+are ordered low-to-high eliminates the high columns first.  Prime fields
+take a reduction loop on plain int arithmetic; every other domain goes
+through its Domain operations.  Dense matrices go through one Gauss-Jordan
+routine, ``_rref``.
 """
 
 from __future__ import annotations
@@ -34,10 +36,23 @@ class SparseEchelon:
     def add_row(self, row: dict) -> int | None:
         """Reduce ``row`` (consumed) and return its pivot column, or None."""
         if self._modp is not None:
-            return self._add_row_modp(row)
-        return self._add_row_generic(row)
+            return self._eliminate_modp(row, None)
+        return self._eliminate_generic(row, None)
 
-    def _add_row_modp(self, row: dict) -> int | None:
+    def reduce(self, row: dict) -> dict:
+        """Fully reduce a row (not installed); returns the remainder."""
+        out: dict = {}
+        if self._modp is not None:
+            self._eliminate_modp(row, out)
+        else:
+            self._eliminate_generic(row, out)
+        return out
+
+    # Both loops walk the row's columns from the highest down.  A lead
+    # without a pivot is free: with ``out`` None it becomes a new pivot row
+    # (add_row), otherwise it moves into ``out`` and the walk goes on (reduce).
+
+    def _eliminate_modp(self, row: dict, out: dict | None) -> int | None:
         p = self._modp
         pivots = self.pivots
         row = {c: v % p for c, v in row.items() if v % p}
@@ -45,15 +60,17 @@ class SparseEchelon:
         heapq.heapify(heap)
         while heap:
             lead = -heapq.heappop(heap)
-            v = row.get(lead, 0)
+            v = row.pop(lead, 0)
             if not v:
                 continue
             piv = pivots.get(lead)
             if piv is None:
-                inv = pow(v, p - 2, p)
-                del row[lead]
-                pivots[lead] = {c: w * inv % p for c, w in row.items()}
-                return lead
+                if out is None:
+                    inv = pow(v, p - 2, p)
+                    pivots[lead] = {c: w * inv % p for c, w in row.items()}
+                    return lead
+                out[lead] = v
+                continue
             for c, w in piv.items():
                 nv = (row.get(c, 0) - v * w) % p
                 if nv:
@@ -62,10 +79,9 @@ class SparseEchelon:
                     row[c] = nv
                 else:
                     row.pop(c, None)
-            del row[lead]
         return None
 
-    def _add_row_generic(self, row: dict) -> int | None:
+    def _eliminate_generic(self, row: dict, out: dict | None) -> int | None:
         f = self.field
         pivots = self.pivots
         row = {c: v for c, v in row.items() if not f.is_zero(v)}
@@ -73,16 +89,17 @@ class SparseEchelon:
         heapq.heapify(heap)
         while heap:
             lead = -heapq.heappop(heap)
-            v = row.get(lead)
-            if v is None or f.is_zero(v):
-                row.pop(lead, None)
+            v = row.pop(lead, None)
+            if v is None:
                 continue
             piv = pivots.get(lead)
             if piv is None:
-                inv = f.inv(v)
-                del row[lead]
-                pivots[lead] = {c: f.mul(w, inv) for c, w in row.items()}
-                return lead
+                if out is None:
+                    inv = f.inv(v)
+                    pivots[lead] = {c: f.mul(w, inv) for c, w in row.items()}
+                    return lead
+                out[lead] = v
+                continue
             for c, w in piv.items():
                 nv = f.sub(row.get(c, f.zero), f.mul(v, w))
                 if f.is_zero(nv):
@@ -91,52 +108,7 @@ class SparseEchelon:
                     if c not in row:
                         heapq.heappush(heap, -c)
                     row[c] = nv
-            del row[lead]
         return None
-
-    def reduce(self, row: dict) -> dict:
-        """Fully reduce a row (not installed); returns the remainder."""
-        f = self.field
-        pivots = self.pivots
-        if self._modp is not None:
-            p = self._modp
-            row = {c: v % p for c, v in row.items() if v % p}
-        else:
-            row = {c: v for c, v in row.items() if not f.is_zero(v)}
-        heap = [-c for c in row]
-        heapq.heapify(heap)
-        out: dict = {}
-        while heap:
-            lead = -heapq.heappop(heap)
-            v = row.get(lead)
-            if v is None:
-                continue
-            piv = pivots.get(lead)
-            if piv is None:
-                out[lead] = v
-                del row[lead]
-                continue
-            del row[lead]
-            if self._modp is not None:
-                p = self._modp
-                for c, w in piv.items():
-                    nv = (row.get(c, 0) - v * w) % p
-                    if nv:
-                        if c not in row:
-                            heapq.heappush(heap, -c)
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-            else:
-                for c, w in piv.items():
-                    nv = f.sub(row.get(c, f.zero), f.mul(v, w))
-                    if f.is_zero(nv):
-                        row.pop(c, None)
-                    else:
-                        if c not in row:
-                            heapq.heappush(heap, -c)
-                        row[c] = nv
-        return out
 
 
 def rank_of_rows(field: Domain, rows) -> int:
@@ -146,47 +118,20 @@ def rank_of_rows(field: Domain, rows) -> int:
     return ech.rank
 
 
-def dense_rank(field: Domain, matrix: list[list]) -> int:
-    """Plain dense Gaussian elimination rank; independent of SparseEchelon,
-    used as an oracle in tests and for small dense problems."""
+def _rref(field: Domain, rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
+    """Dense Gauss-Jordan elimination of a copy of ``rows``, pivoting only
+    in the first ``ncols`` columns (later columns ride along, e.g. a
+    right-hand side).  Returns the reduced rows and the pivot columns: row
+    r has a 1 at ``pivots[r]`` and 0 at every other pivot column, and the
+    rows past ``len(pivots)`` vanish in the first ``ncols`` columns."""
     f = field
-    a = [list(r) for r in matrix]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(row, len(a)):
-            if not f.is_zero(a[i][col]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = f.inv(a[row][col])
-        a[row] = [f.mul(x, inv) for x in a[row]]
-        for i in range(len(a)):
-            if i != row and not f.is_zero(a[i][col]):
-                c = a[i][col]
-                a[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(a[i], a[row])]
-        row += 1
-        rank += 1
-        if row == len(a):
-            break
-    return rank
-
-
-def nullspace(field: Domain, matrix: list[list]) -> list[list]:
-    """Basis of the right kernel of a dense matrix over a field."""
-    f = field
-    a = [list(r) for r in matrix]
+    a = [list(r) for r in rows]
     nrows = len(a)
-    ncols = len(a[0]) if a else 0
     pivots: list[int] = []
-    row = 0
     for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
         piv = None
         for i in range(row, nrows):
             if not f.is_zero(a[i][col]):
@@ -202,12 +147,24 @@ def nullspace(field: Domain, matrix: list[list]) -> list[list]:
                 c = a[i][col]
                 a[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(a[i], a[row])]
         pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    return a, pivots
+
+
+def dense_rank(field: Domain, matrix: list[list]) -> int:
+    """Rank by dense elimination; independent of SparseEchelon, used as an
+    oracle in tests and for small dense problems."""
+    if not matrix:
+        return 0
+    return len(_rref(field, matrix, len(matrix[0]))[1])
+
+
+def nullspace(field: Domain, matrix: list[list]) -> list[list]:
+    """Basis of the right kernel of a dense matrix over a field."""
+    f = field
+    ncols = len(matrix[0]) if matrix else 0
+    a, pivots = _rref(f, matrix, ncols)
     basis = []
-    for fc in free:
+    for fc in [c for c in range(ncols) if c not in pivots]:
         v = [f.zero] * ncols
         v[fc] = f.one
         for r, pc in enumerate(pivots):
@@ -219,34 +176,11 @@ def nullspace(field: Domain, matrix: list[list]) -> list[list]:
 def solve_linear(field: Domain, matrix: list[list], rhs: list) -> list | None:
     """One solution of A x = b over a field, or None if inconsistent."""
     f = field
-    a = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    nrows = len(a)
     ncols = len(matrix[0]) if matrix else 0
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(row, nrows):
-            if not f.is_zero(a[i][col]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = f.inv(a[row][col])
-        a[row] = [f.mul(x, inv) for x in a[row]]
-        for i in range(nrows):
-            if i != row and not f.is_zero(a[i][col]):
-                c = a[i][col]
-                a[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(a[i], a[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    for i in range(row, nrows):
-        if not f.is_zero(a[i][ncols]):
-            return None
+    a, pivots = _rref(f, [list(r) + [b] for r, b in zip(matrix, rhs)], ncols)
+    if any(not f.is_zero(r[ncols]) for r in a[len(pivots):]):
+        return None
     x = [f.zero] * ncols
-    for r, c in pivots:
+    for r, c in enumerate(pivots):
         x[c] = a[r][ncols]
     return x

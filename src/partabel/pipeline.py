@@ -178,28 +178,35 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
     )
 
 
+def seeded_primes(seed: int, primes: list[int] | None = None) -> list[int]:
+    """The primes of prime mode, as a new list: the given ones, then
+    distinct primes drawn from ``Random(seed)`` until there are two.  Every
+    command that works over GF(p) takes its primes from here."""
+    rng = random.Random(seed)
+    ps = list(primes or [])
+    while len(ps) < 2:
+        p = random_prime(rng)
+        if p not in ps:
+            ps.append(p)
+    return ps
+
+
 def certify_point_multi(x_fractions: tuple, mode: str = "prime",
                         primes: list[int] | None = None, seed: int = 0,
                         n_max: int = 8, slack: int = 4, force: bool = False) -> dict:
     """Certify a rational point over the requested domains; prime mode runs
     two distinct primes and demands agreement, rational mode is a single
     exact run over the rationals."""
-    rng = random.Random(seed)
     runs = []
     if mode == "rational":
         fields: list[Domain] = [QQ]
     elif mode == "prime":
-        ps = primes or []
-        while len(ps) < 2:
-            p = random_prime(rng)
-            if p not in ps:
-                ps.append(p)
-        fields = [PrimeField(p) for p in ps]
+        fields = [PrimeField(p) for p in seeded_primes(seed, primes)]
     else:
         raise ValueError(f"unknown mode {mode!r} (use rational or prime)")
 
     for f in fields:
-        xs = tuple(_into(f, c) for c in x_fractions)
+        xs = tuple(f.from_fraction(Fraction(c)) for c in x_fractions)
         runs.append(certify_point(f, xs, n_max=n_max, slack=slack, force=force))
     dims = {r.exact_dimension for r in runs}
     agree = len(dims) == 1
@@ -212,13 +219,6 @@ def certify_point_multi(x_fractions: tuple, mode: str = "prime",
         "verdict_ok": ok,
         "verdict": runs[0].verdict()[1] if agree else "domains disagree",
     }
-
-
-def _into(field: Domain, c):
-    q = Fraction(c)
-    if isinstance(field, PrimeField):
-        return field.from_fraction(q)
-    return q
 
 
 def _cert_json(r: PointCertificate) -> dict:

@@ -34,12 +34,12 @@ from fractions import Fraction
 
 from .freeproduct import (
     EMPTY_WORD, P, Q, AlgebraElement, Signature, Word,
-    commutator, concat_words, filtration_dim, idempotent, word_str, words_up_to,
+    commutator, concat_words, filtration_dim, idempotent, word_order_index,
+    word_str, words_of_length,
 )
 from .linalg import SparseEchelon
 from .scalars import (
-    Domain, DegenerateSpecialization, FunctionField, PrimeField, QQ,
-    RationalFunction,
+    Domain, DegenerateSpecialization, FunctionField, RationalFunction,
 )
 
 GENERATORS: tuple[Word, ...] = (((P, 1),), ((P, 2),), ((Q, 1),), ((Q, 2),))
@@ -166,13 +166,12 @@ class IdealSpan:
         self._prev_gave_pivot: list[bytearray] = []
 
     def _ensure_columns(self, max_degree: int):
-        if self.words and len(self.words[-1]) >= max_degree:
-            return
-        full = words_up_to(self.sig, max_degree)
-        assert full[: len(self.words)] == self.words
-        for w in full[len(self.words):]:
-            self.index[w] = len(self.words)
-            self.words.append(w)
+        """Extend the columns to every word of length <= max_degree, one
+        sorted block per new length, as in ``words_up_to``."""
+        for n in range(len(self.words[-1]) + 1 if self.words else 0, max_degree + 1):
+            for w in sorted(words_of_length(self.sig, n)):
+                self.index[w] = len(self.words)
+                self.words.append(w)
 
     def _length_block(self, n: int) -> range:
         """Column indices of the words of length n: a contiguous block of
@@ -359,7 +358,7 @@ def standard_generator_rank(rel: CommutatorRelation,
         for i in (1, 2):
             extra += [p[i] * X * p[i], q[i] * X * q[i]]
 
-    words, index = _order_index(sig, 4)
+    words, index = word_order_index(sig, 4)
     ech = SparseEchelon(f)
     for e in elements:
         if e.degree() > 4:
@@ -379,11 +378,6 @@ def standard_generator_rank(rel: CommutatorRelation,
         "rank_with_diagonal_conjugates": rank if include_diagonal_conjugates else None,
         "degree4_bound": filtration_dim(sig, 4) - base_rank,
     }
-
-
-def _order_index(sig: Signature, max_degree: int):
-    words = words_up_to(sig, max_degree)
-    return words, {w: i for i, w in enumerate(words)}
 
 
 # ---------------------------------------------------------------------------
@@ -873,11 +867,7 @@ def sigma_check(field: FunctionField | None = None) -> dict:
 
 def chart_in_field(field: Domain, y: tuple[Fraction, Fraction, Fraction]) -> tuple:
     """Push a rational chart triple into the working field."""
-    if isinstance(field, PrimeField):
-        return tuple(field.from_fraction(Fraction(c)) for c in y)
-    if field is QQ or getattr(field, "name", "") == "rational":
-        return tuple(Fraction(c) for c in y)
-    raise TypeError(f"cannot specialize chart into {field!r}")
+    return tuple(field.from_fraction(Fraction(c)) for c in y)
 
 
 def random_offquadric_chart(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:

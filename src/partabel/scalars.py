@@ -103,6 +103,11 @@ class Domain:
     def from_int(self, n: int):
         raise NotImplementedError
 
+    def from_fraction(self, q: Fraction):
+        """The image of a rational number, for domains that contain QQ or
+        reduce it mod p."""
+        raise TypeError(f"cannot map a rational number into {self!r}")
+
     def add(self, a, b):
         return a + b
 
@@ -163,6 +168,9 @@ class RationalField(Domain):
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
+
+    def from_fraction(self, q: Fraction) -> Fraction:
+        return q
 
     def random(self, rng: random.Random) -> Fraction:
         return Fraction(rng.randint(-50, 50), rng.randint(1, 20))
@@ -246,71 +254,6 @@ class PrimeField(Domain):
 
     def __hash__(self) -> int:
         return hash(("GF", self.p))
-
-
-class PrimeFieldElement:
-    """Residue mod p with operator arithmetic; thin wrapper over PrimeField."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, value: int, field: PrimeField):
-        self.field = field
-        self.value = value % field.p
-
-    def _coerce(self, other) -> "PrimeFieldElement":
-        if isinstance(other, PrimeFieldElement):
-            if other.field.p != self.field.p:
-                raise TypeError("mixed prime fields")
-            return other
-        if isinstance(other, int):
-            return PrimeFieldElement(other, self.field)
-        if isinstance(other, Fraction):
-            return PrimeFieldElement(self.field.from_fraction(other), self.field)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return PrimeFieldElement(self.value + other.value, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return PrimeFieldElement(self.value - other.value, self.field)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return PrimeFieldElement(self.value * other.value, self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return PrimeFieldElement(self.value * self.field.inv(other.value), self.field)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.value, self.field)
-
-    def inverse(self) -> "PrimeFieldElement":
-        return PrimeFieldElement(self.field.inv(self.value), self.field)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return (self.value - other) % self.field.p == 0
-        return isinstance(other, PrimeFieldElement) and self.field.p == other.field.p \
-            and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.value))
-
-    def __repr__(self) -> str:
-        return f"{self.value}"
 
 
 # ---------------------------------------------------------------------------
@@ -762,12 +705,6 @@ class RationalFunction:
         return f"({self.num})/({self.den})"
 
 
-def specialize(rf: RationalFunction, point: Sequence):
-    """Evaluate a rational function at an exact point; raises PoleError on
-    vanishing denominator so callers can resample."""
-    return rf.evaluate(point)
-
-
 class FunctionField(Domain):
     """Field of rational functions in a fixed variable tuple over QQ."""
 
@@ -1173,11 +1110,6 @@ def bareiss_determinant(field: Domain, rows: list[list]):
     return det if sign == 1 else field.neg(det)
 
 
-def resultant(f: UniPoly, g: UniPoly):
-    """Public resultant entry point (Sylvester convention with f-rows first)."""
-    return sylvester_resultant(f, g)
-
-
 class PolyRingDomain(Domain):
     """Univariate polynomials over a field, viewed as an integral domain;
     used for resultants with polynomial entries (Bareiss needs exact_div)."""
@@ -1347,16 +1279,9 @@ class ExtensionField(Domain):
         coeffs = {}
         for (e,), c in rf.num.terms.items():
             coeffs[e] = c / den.constant_value()
-        cs = [self._base_from_fraction(coeffs.get(i, Fraction(0)))
+        cs = [self.base.from_fraction(coeffs.get(i, Fraction(0)))
               for i in range(max(coeffs, default=0) + 1)]
         return UniPoly(self.base, cs) % self.modulus
-
-    def _base_from_fraction(self, q: Fraction):
-        if isinstance(self.base, PrimeField):
-            return self.base.from_fraction(q)
-        if isinstance(self.base, RationalField):
-            return q
-        raise TypeError("cannot parse extension element over this base")
 
     def to_json(self, a: UniPoly):
         return [self.base.fmt(c) for c in a.coeffs]
@@ -1374,63 +1299,6 @@ def _has_root(base: Domain, f: UniPoly) -> bool:
     if isinstance(base, PrimeField):
         return len(prime_field_roots(base, f)) > 0
     return False
-
-
-class ExtensionElement:
-    """Operator-arithmetic wrapper over an ExtensionField residue."""
-
-    __slots__ = ("field", "residue")
-
-    def __init__(self, residue: UniPoly, field: ExtensionField):
-        self.field = field
-        self.residue = residue % field.modulus
-
-    def _coerce(self, other) -> "ExtensionElement":
-        if isinstance(other, ExtensionElement):
-            return other
-        if isinstance(other, int):
-            return ExtensionElement(self.field.from_int(other), self.field)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return ExtensionElement(self.field.add(self.residue, other.residue), self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return ExtensionElement(self.field.sub(self.residue, other.residue), self.field)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return ExtensionElement(self.field.mul(self.residue, other.residue), self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return ExtensionElement(self.field.div(self.residue, other.residue), self.field)
-
-    def __neg__(self):
-        return ExtensionElement(self.field.neg(self.residue), self.field)
-
-    def inverse(self) -> "ExtensionElement":
-        return ExtensionElement(self.field.inv(self.residue), self.field)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.residue == self.field.from_int(other)
-        return isinstance(other, ExtensionElement) and self.residue == other.residue
-
-    def __hash__(self) -> int:
-        return hash(self.field.fmt(self.residue))
-
-    def __repr__(self) -> str:
-        return self.field.fmt(self.residue)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from partabel import cli
 from partabel.cli import main
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
@@ -188,3 +189,50 @@ def test_capped_scan_without_closure_says_the_cap_ended_it(tmp_path):
     code, rep = run_cli(["scan", "--chart", "2,3,7", "--window-cap", "4"], tmp_path)
     assert code == 0
     assert rep["verdict"]["summary"] == "stabilized at degree 4 with bound 18"
+
+
+def test_config_echoes_exactly_the_given_primes(tmp_path):
+    # one given prime is topped up with a seeded one for the run; the
+    # report's config still shows only the prime the user gave
+    code, rep = run_cli(["wedderburn", "--chart", "2,3,7",
+                         "--primes", "2305843009213693951"], tmp_path)
+    assert code == 0
+    assert rep["config"]["primes"] == ["2305843009213693951"]
+    domains = [r["domain"] for r in rep["results"]["runs"]]
+    assert domains[0] == "prime(2305843009213693951)" and len(domains) == 2
+
+
+def test_prime_mode_bound_runs_on_the_first_prime_of_theorem(tmp_path, monkeypatch):
+    code, rep = run_cli(["theorem", "--chart", "2,3,7", "--seed", "3"], tmp_path)
+    assert code == 0
+    first = rep["results"]["points"][0]["runs"][0]["domain"]
+    used = []
+    real = cli.PrimeField
+    monkeypatch.setattr(cli, "PrimeField", lambda p: used.append(p) or real(p))
+    code, _ = run_cli(["bound", "--chart", "2,3,7", "--nmax", "3", "--seed", "3",
+                       "--mode", "prime"], tmp_path, "bound.json")
+    assert code == 0
+    assert used and first == f"prime({used[0]})"
+
+
+def test_bound_honours_window_cap(tmp_path):
+    code, rep = run_cli(["bound", "--chart", "2,3,7", "--nmax", "4",
+                         "--window-cap", "3"], tmp_path)
+    assert code == 0
+    assert rep["results"]["window"] == 3
+    assert rep["verdict"]["summary"] == (
+        "--window-cap 3 ended the scan below window 8 (nmax + slack); "
+        "span bounds only up to degree 4")
+    code, rep = run_cli(["bound", "--chart", "2,3,7", "--nmax", "4", "--slack", "1",
+                         "--window-cap", "9"], tmp_path)
+    assert code == 0
+    assert rep["results"]["window"] == 5
+    assert rep["verdict"]["summary"] == "span bounds computed to degree 4"
+
+
+@pytest.mark.parametrize("args", [["bound", "--mode", "symbolic"],
+                                  ["scan", "--nmax", "x"], ["nosuchcommand"]])
+def test_argument_errors_exit_1(args, capsys):
+    # argparse exits 2 on its own, which reads as "claim failed"
+    assert main(args) == 1
+    assert "usage" in capsys.readouterr().err

@@ -214,3 +214,16 @@ def test_no_silent_wraparound_with_large_rationals():
     e = idempotent(sig, QQ, P, 1).scale(big)
     prod = e * e
     assert prod.coeff(((P, 1),)) == big * big
+
+
+def test_equal_function_field_values_hash_alike():
+    # (y1^2 - y2^2)/(y1 - y2) and y1 + y2 are one rational function, stored
+    # unreduced and reduced; a set must keep one of them, bare or as the
+    # coefficient of an algebra element
+    F = FunctionField(("y1", "y2", "y3"))
+    y1, y2, _ = F.gens()
+    a, b = (y1 * y1 - y2 * y2) / (y1 - y2), y1 + y2
+    assert a == b and len({a, b}) == 1
+    sig, w = Signature(3, 3), ((P, 1),)
+    ea, eb = AlgebraElement(sig, F, {w: a}), AlgebraElement(sig, F, {w: b})
+    assert ea == eb and len({ea, eb}) == 1

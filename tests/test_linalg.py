@@ -1,8 +1,13 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from partabel.classify import _matrix_inverse
 from partabel.linalg import SparseEchelon, dense_rank, nullspace, rank_of_rows, solve_linear
-from partabel.scalars import PrimeField, QQ, random_prime
+from partabel.scalars import ExtensionField, PrimeField, QQ, UniPoly, random_prime
 
 
 def random_sparse_rows(rng, nrows, ncols, density=0.3):
@@ -84,3 +89,121 @@ def test_nullspace_and_solve():
 def test_solve_detects_inconsistency():
     m = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
     assert solve_linear(QQ, m, [Fraction(1), Fraction(2)]) is None
+
+
+# --- properties of the one dense and the two sparse eliminations ----------------
+# GF(7) makes rank drops mod p common; the cubic extension QQ(2^(1/3)) runs
+# the generic sparse loop on non-scalar values.
+
+FIELDS = {
+    "QQ": QQ,
+    "GF7": PrimeField(7),
+    "GFp": PrimeField(random_prime(random.Random(2))),
+    "EXT": ExtensionField(QQ, UniPoly.from_ints(QQ, [-2, 0, 0, 1])),
+}
+
+
+def _entry(f, cs):
+    if isinstance(f, ExtensionField):
+        return UniPoly(QQ, [Fraction(c) for c in cs])
+    return f.from_int(cs[0])
+
+
+@st.composite
+def matrices(draw, square=False):
+    """A field and a small dense matrix over it; when asked, the last row is
+    made a combination of the first two, so dependent rows are common."""
+    f = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if square else draw(st.integers(1, 5))
+    coeffs = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+    m = [[_entry(f, draw(coeffs)) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 3 and draw(st.booleans()):
+        c = _entry(f, draw(coeffs))
+        m[-1] = [f.add(a, f.mul(c, b)) for a, b in zip(m[0], m[1])]
+    return f, m
+
+
+def _sparse(f, row):
+    return {c: v for c, v in enumerate(row) if not f.is_zero(v)}
+
+
+def _sparse_rank(f, m):
+    return rank_of_rows(f, [_sparse(f, r) for r in m])
+
+
+def _dot(f, row, x):
+    acc = f.zero
+    for a, b in zip(row, x):
+        acc = f.add(acc, f.mul(a, b))
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_dense_rank_equals_sparse_rank(case):
+    f, m = case
+    assert dense_rank(f, m) == _sparse_rank(f, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_nullspace_has_full_size_and_is_killed(case):
+    f, m = case
+    basis = nullspace(f, m)
+    assert len(basis) == len(m[0]) - _sparse_rank(f, m)
+    for v in basis:
+        assert all(f.is_zero(_dot(f, row, v)) for row in m)
+    if basis:
+        assert _sparse_rank(f, basis) == len(basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.data())
+def test_solve_linear_solves_or_reports_inconsistency(case, data):
+    f, m = case
+    coeffs = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+    if data.draw(st.booleans()):  # a right-hand side in the column space
+        x = [_entry(f, data.draw(coeffs)) for _ in m[0]]
+        rhs = [_dot(f, row, x) for row in m]
+    else:
+        rhs = [_entry(f, data.draw(coeffs)) for _ in m]
+    sol = solve_linear(f, m, rhs)
+    consistent = _sparse_rank(f, [r + [b] for r, b in zip(m, rhs)]) == _sparse_rank(f, m)
+    assert (sol is not None) == consistent
+    if sol is not None:
+        assert all(f.eq(_dot(f, row, sol), b) for row, b in zip(m, rhs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(square=True))
+def test_matrix_inverse_is_a_left_inverse_or_raises(case):
+    f, m = case
+    n = len(m)
+    if _sparse_rank(f, m) < n:
+        with pytest.raises(ValueError):
+            _matrix_inverse(f, m)
+        return
+    inv = _matrix_inverse(f, m)
+    cols = [[m[k][j] for k in range(n)] for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            assert f.eq(_dot(f, inv[i], cols[j]), f.one if i == j else f.zero)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.integers(0, 5))
+def test_reduce_is_zero_exactly_when_add_row_finds_no_pivot(case, k):
+    f, m = case
+    ech = SparseEchelon(f)
+    for row in m[:k]:
+        ech.add_row(_sparse(f, row))
+    for row in m:
+        rem = ech.reduce(_sparse(f, row))
+        copy = SparseEchelon(f)
+        copy.pivots = {c: dict(r) for c, r in ech.pivots.items()}
+        lead = copy.add_row(_sparse(f, row))
+        assert (rem == {}) == (lead is None)
+        assert all(c not in ech.pivots for c in rem)
+        if lead is not None:
+            assert lead == max(rem)

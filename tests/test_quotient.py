@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from partabel.classify import SubspacePresentation
-from partabel.freeproduct import P, Q, Signature, commutator, idempotent, words_of_length
+from partabel.freeproduct import (
+    P, Q, Signature, commutator, idempotent, words_of_length, words_up_to,
+)
 from partabel.quotient import (
     ClosureFailure, IdealSpan, chart_in_field, closure_certificate,
     make_relation, reduction_coefficients, sigma_check,
@@ -104,6 +106,16 @@ def test_provenance_rows_reexpand_exactly():
     span = IdealSpan(rel, track_provenance=True)
     span.extend_to_window(4)
     assert span.verify_provenance()
+
+
+def test_columns_grow_by_the_new_lengths_only():
+    gf = PrimeField(primes_pair()[0])
+    span = IdealSpan(make_relation(gf, point=(1, 0, 0, gf.from_int(-1))))
+    maxrel = max(r.degree() for r in span.relations)
+    for window in range(2, 9):
+        span.extend_to_window(window)
+        assert span.words == words_up_to(span.sig, window + maxrel)
+        assert span.index == {w: i for i, w in enumerate(span.words)}
 
 
 def feed_every_product(span, window):
