@@ -8,7 +8,7 @@ from fractions import Fraction
 from partabel import QQ, build_rho, conics, determinantal_cubic, intersect_conics, irreducibility, tq_rewrite
 from partabel.reptheory import (
     commutator_conic_consistency, compare_rho_to_reference, mat_is_zero,
-    split_determinantal_cubic, split_into_lines,
+    split_determinantal_cubic,
 )
 from partabel.scalars import FunctionField
 
@@ -57,10 +57,15 @@ rhoK = build_rho(ext, yext, (spec.z1, spec.z2))
 print("rho(X) = 0 over the extension:", mat_is_zero(ext, rhoK.relation_matrix()))
 print("generated matrix algebra:", irreducibility(ext, rhoK))
 
-# the determinantal cubic of the net of conics is a union of three lines:
-# certified exactly over the extension and numerically
-cubic = determinantal_cubic(QQ, y, tri)
-exact = split_determinantal_cubic(QQ, cubic, spec, tri)
-numeric = split_into_lines(QQ, cubic)
-print("\nexact split over the extension:", exact.splits)
-print("numeric split:", numeric.splits, "-", numeric.detail)
+# the determinantal cubic of the net of conics is a union of three lines,
+# certified exactly: a line of the cubic through two conjugate base points
+# divides it, and the quadratic cofactor is degenerate.  At (2, 3, 5) the
+# line lives over the cubic extension; at (-1, 3, 1) the conics meet in a
+# rational point and a conjugate pair, and the line is defined over QQ
+for yc in (y, (Fraction(-1), Fraction(3), Fraction(1))):
+    tri_c = conics(QQ, yc)
+    spec_c = intersect_conics(QQ, yc)
+    split = split_determinantal_cubic(QQ, determinantal_cubic(QQ, yc, tri_c), spec_c, tri_c)
+    print(f"\nsplit at y={tuple(map(str, yc))} (factor degrees {spec_c.factor_degrees}):",
+          split.splits, f"[{split.mode}]")
+    print("  ", split.detail)

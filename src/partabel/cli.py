@@ -29,7 +29,7 @@ from .quotient import (
 from .reptheory import (
     build_rho, commutator_conic_consistency, conics, determinantal_cubic,
     intersect_conics, irreducibility, mat_is_zero, split_determinantal_cubic,
-    split_into_lines, tq_rewrite,
+    tq_rewrite,
 )
 from .scalars import (
     DegenerateSpecialization, FunctionField, PrimeField, QQ, is_probable_prime,
@@ -66,7 +66,6 @@ def emit(cfg, command: str, results: dict, ok: bool, summary: str,
             "seed": cfg.seed,
             "nmax": cfg.nmax,
             "slack": cfg.slack,
-            "tol": cfg.tol,
             "count": cfg.count,
             "workers": cfg.workers,
         },
@@ -229,23 +228,22 @@ def cmd_detcurve(cfg, t0) -> int:
     tri = conics(QQ, chart)
     cubic = determinantal_cubic(QQ, chart, tri)
     spec = intersect_conics(QQ, chart)
-    witness = split_determinantal_cubic(QQ, cubic, spec, tri) \
-        if spec.extension_degree == 3 else None
-    numeric = split_into_lines(QQ, cubic, tol=cfg.tol)
+    split = split_determinantal_cubic(QQ, cubic, spec, tri)
     results = {
         "chart": [str(c) for c in chart],
         "cubic": {f"a1^{e[0]}*a2^{e[1]}*a3^{e[2]}": str(c)
                   for e, c in sorted(cubic.items())},
         "extension_degree": spec.extension_degree,
-        "exact_split": None if witness is None else
-            {"splits": witness.splits, "detail": witness.detail},
-        "numeric_split": {"splits": numeric.splits, "mode": numeric.mode,
-                          "detail": numeric.detail},
+        "exact_split": {"splits": split.splits, "mode": split.mode,
+                        "detail": split.detail},
     }
-    ok = (witness.splits if witness is not None else False) or bool(numeric.splits)
-    return emit(cfg, "detcurve", results, ok,
-                "determinantal cubic splits into three lines" if ok
-                else "cubic did not split", t0)
+    if split.splits:
+        summary = "determinantal cubic splits into three lines"
+    elif split.splits is None:
+        summary = f"split undecided: {split.detail}"
+    else:
+        summary = f"cubic did not split: {split.detail}"
+    return emit(cfg, "detcurve", results, bool(split.splits), summary, t0)
 
 
 def cmd_rep(cfg, t0) -> int:
@@ -377,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--slack", type=int, default=4)
     ap.add_argument("--window-cap", type=int, default=None, dest="window_cap",
                     help="cap the product window of scan and bound (runtime control)")
-    ap.add_argument("--tol", type=float, default=1e-9)
     ap.add_argument("--out", help="write the JSON report to this path")
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--count", type=int, default=1,

@@ -111,13 +111,6 @@ class SparseEchelon:
         return None
 
 
-def rank_of_rows(field: Domain, rows) -> int:
-    ech = SparseEchelon(field)
-    for r in rows:
-        ech.add_row(dict(r))
-    return ech.rank
-
-
 def _rref(field: Domain, rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
     """Dense Gauss-Jordan elimination of a copy of ``rows``, pivoting only
     in the first ``ncols`` columns (later columns ride along, e.g. a

@@ -32,8 +32,8 @@ from .freeproduct import EMPTY_WORD, P, Q, AlgebraElement, Signature, idempotent
 from .linalg import dense_rank, solve_linear
 from .scalars import (
     DegenerateSpecialization, Domain, ExtensionField, FunctionField, PolyRingDomain,
-    PrimeField, RationalFunction, UniPoly, factor_cubic, gcd_univariate,
-    sylvester_resultant,
+    PrimeField, RationalFunction, UniPoly, bareiss_determinant, factor_cubic,
+    gcd_univariate, sylvester_resultant,
 )
 
 SIG33 = Signature(3, 3)
@@ -184,7 +184,7 @@ def tq_rewrite(field: Domain, y: tuple, compare_reference: bool = True) -> TQRew
 
     known_words = sorted({w for r in relations for w in r.terms} - set(UNKNOWN_WORDS))
     matrix = [[r.terms.get(u, f.zero) for u in UNKNOWN_WORDS] for r in relations]
-    det = _det4(f, matrix)
+    det = bareiss_determinant(f, matrix)
     rhs_cols = []
     for r in relations:
         rhs_cols.append([f.neg(r.terms.get(w, f.zero)) for w in known_words])
@@ -223,24 +223,6 @@ def tq_rewrite(field: Domain, y: tuple, compare_reference: bool = True) -> TQRew
                     "derived_minus_reference": repr(c),
                 })
     return TQRewrite(f, y, rules, det, verified, mismatches)
-
-
-def _det4(f: Domain, m) -> object:
-    """Direct 4x4 determinant by cofactor expansion (field entries)."""
-    def det3(a):
-        return f.sub(
-            f.add(f.add(f.mul(a[0][0], f.sub(f.mul(a[1][1], a[2][2]), f.mul(a[1][2], a[2][1]))),
-                        f.mul(a[0][2], f.sub(f.mul(a[1][0], a[2][1]), f.mul(a[1][1], a[2][0])))),
-                  f.mul(a[0][1], f.sub(f.mul(a[1][2], a[2][0]), f.mul(a[1][0], a[2][2])))),
-            f.zero)
-    total = f.zero
-    sign = 1
-    for j in range(4):
-        minor = [[m[i][k] for k in range(4) if k != j] for i in range(1, 4)]
-        term = f.mul(m[0][j], det3(minor))
-        total = f.add(total, term if sign > 0 else f.neg(term))
-        sign = -sign
-    return total
 
 
 def reference_tq_rules(F: FunctionField) -> dict[TQWord, TQElement]:
@@ -509,18 +491,22 @@ class ConicTriple:
 
     def matrices(self) -> list[list]:
         """Homogenized symmetric 3x3 coefficient matrices in (z0, z1, z2)."""
-        f = self.field
-        half = f.div(f.one, f.from_int(2))
-        out = []
-        for c in self.all():
-            g = lambda i, j: c.get((i, j), f.zero)
-            m = [
-                [g(0, 0), f.mul(g(1, 0), half), f.mul(g(0, 1), half)],
-                [f.mul(g(1, 0), half), g(2, 0), f.mul(g(1, 1), half)],
-                [f.mul(g(0, 1), half), f.mul(g(1, 1), half), g(0, 2)],
-            ]
-            out.append(m)
-        return out
+        return [_symmetric_matrix(self.field, {(2 - i - j, i, j): v for (i, j), v in c.items()})
+                for c in self.all()]
+
+
+def _symmetric_matrix(f: Domain, q: dict) -> list[list]:
+    """The symmetric 3x3 matrix of a ternary quadratic form, keyed by
+    exponent triples: squares on the diagonal, half the cross terms off it."""
+    half = f.div(f.one, f.from_int(2))
+
+    def entry(i, j):
+        e = [0, 0, 0]
+        e[i] += 1
+        e[j] += 1
+        c = q.get(tuple(e), f.zero)
+        return c if i == j else f.mul(c, half)
+    return [[entry(i, j) for j in range(3)] for i in range(3)]
 
 
 def biv_eval(f: Domain, poly: BivPoly, z1, z2):
@@ -853,7 +839,7 @@ def intersect_conics(field: Domain, y: tuple) -> ExtensionSpec:
             f"z2 recovery polynomial has degree {g.degree}, expected 1; resample")
     z2 = ext.neg(g.coeffs[0])
     for c in tri.all():
-        val = biv_eval(ext, _lift_biv(f, ext, c), z1, z2)
+        val = biv_eval(ext, _lift_form(f, ext, c), z1, z2)
         if not ext.is_zero(val):
             raise AssertionError("constructed point does not kill every conic")
     disc = cubic_discriminant(f, fpoly)
@@ -865,7 +851,8 @@ def intersect_conics(field: Domain, y: tuple) -> ExtensionSpec:
     )
 
 
-def _lift_biv(base: Domain, ext: Domain, c: BivPoly) -> BivPoly:
+def _lift_form(base: Domain, ext: Domain, c: dict) -> dict:
+    """A bivariate or ternary form with base coefficients, over ext."""
     if ext is base:
         return c
     return {e: ext.from_base(v) for e, v in c.items()}
@@ -884,36 +871,48 @@ class SplitReport:
 
 
 def _third_point_line(spec: ExtensionSpec, tri: ConicTriple):
-    """A line of the determinantal cubic, found exactly over the extension:
-    conics through all three base points that also vanish at a third point
-    of the line joining the two conjugate base points contain that whole
-    line; the vanishing condition is linear in (a1, a2, a3)."""
-    ext, f = spec.ext, spec.base
-    if spec.modulus is None or spec.modulus.degree != 3:
-        raise DegenerateSpecialization("needs the full degree-3 extension")
-    # z1-coordinates of the two conjugate points are the roots of
-    # f(z)/(z - t); z2 = G(z1) with G read off the z2-recovery.
-    quot, rem = _lift_poly(f, ext, spec.f_poly).divmod(
-        UniPoly(ext, [ext.neg(spec.z1), ext.one]))
-    assert rem.is_zero()
-    e1 = ext.neg(quot.coeffs[1])          # r2 + r3
-    e2 = quot.coeffs[0]                   # r2 * r3
-    G = _z2_as_polynomial_in_z1(spec, tri)
-    # line through (r2, G(r2)) and (r3, G(r3)): z2 = s*z1 + c with
-    # s = divided difference of G and c = symmetric combination.
-    s = _divided_difference(ext, G, e1, e2)
-    g_sum = _sym_eval_sum(ext, G, e1, e2)       # G(r2) + G(r3)
-    c = ext.div(ext.sub(g_sum, ext.mul(s, e1)), ext.from_int(2))
-    # third point on that line with z1 drawn from the base field
+    """A line of the determinantal cubic, found exactly: conics through all
+    three base points that also vanish at a third point of the line joining
+    two conjugate base points contain that whole line; the vanishing
+    condition is linear in (a1, a2, a3).  Returns the field of the line
+    and its coefficients.
+
+    Over a degree-3 extension the conjugate pair is the two roots of
+    f(z)/(z - t) other than t, and the line lives over the extension.
+    Over a degree-2 extension the pair is the two roots of the modulus, and
+    the joining line is defined over the base field."""
+    f = spec.base
+    if spec.extension_degree == 3:
+        field = spec.ext
+        pair, rem = _lift_poly(f, field, spec.f_poly).divmod(
+            UniPoly(field, [field.neg(spec.z1), field.one]))
+        assert rem.is_zero()
+        lift = field.from_base
+    elif spec.extension_degree == 2:
+        field, pair, lift = f, spec.modulus, (lambda v: v)
+    else:
+        raise DegenerateSpecialization("needs a conjugate pair of base points")
+    # the pair's z1-coordinates r2, r3 have r2 + r3 = e1, r2 * r3 = e2, and
+    # z2 = G(z1) at both, with G the residue of z2 in base[t]/(modulus):
+    # Galois equivariance makes one G recover every conjugate point
+    e1, e2 = field.neg(pair.coeffs[1]), pair.coeffs[0]
+    g = [lift(c) for c in spec.z2.coeffs] + [field.zero] * 3
+    # the joining line z2 = s*z1 + c: s is the divided difference of G,
+    # (G(r2) - G(r3)) / (r2 - r3) = g1 + g2*e1, and 2c = G(r2) + G(r3) - s*e1
+    s = field.add(g[1], field.mul(g[2], e1))
+    power2 = field.sub(field.mul(e1, e1), field.add(e2, e2))   # r2^2 + r3^2
+    g_sum = field.add(field.add(field.add(g[0], g[0]), field.mul(g[1], e1)),
+                      field.mul(g[2], power2))
+    c = field.div(field.sub(g_sum, field.mul(s, e1)), field.from_int(2))
+    # a third point on that line, with z1 drawn from the base field
     for z1c in (3, 5, 7, 11, 2):
-        z1v = ext.from_int(z1c)
-        # avoid hitting r2 or r3: their minimal polynomial is quot
-        if ext.is_zero(quot.evaluate(z1v)):
+        z1v = field.from_int(z1c)
+        if field.is_zero(pair.evaluate(z1v)):     # z1v is r2 or r3
             continue
-        z2v = ext.add(ext.mul(s, z1v), c)
-        coeffs = [biv_eval(ext, _lift_biv(f, ext, cc), z1v, z2v) for cc in tri.all()]
-        if not all(ext.is_zero(v) for v in coeffs):
-            return coeffs
+        z2v = field.add(field.mul(s, z1v), c)
+        coeffs = [biv_eval(field, _lift_form(f, field, cc), z1v, z2v) for cc in tri.all()]
+        if not all(field.is_zero(v) for v in coeffs):
+            return field, coeffs
     raise DegenerateSpecialization("could not place a third point on the joining line")
 
 
@@ -921,37 +920,6 @@ def _lift_poly(base: Domain, ext: Domain, p: UniPoly) -> UniPoly:
     if ext is base:
         return p
     return UniPoly(ext, [ext.from_base(c) for c in p.coeffs])
-
-
-def _z2_as_polynomial_in_z1(spec: ExtensionSpec, tri: ConicTriple) -> UniPoly:
-    """z2 = G(z1) with G over the base: the residue polynomial of z2 in
-    base[t]/(f) is exactly that G, and Galois equivariance makes the same G
-    recover the z2-coordinate at every conjugate root."""
-    if spec.modulus is None:
-        raise DegenerateSpecialization("trivial extension has no conjugate pair")
-    return UniPoly(spec.base, list(spec.z2.coeffs))
-
-
-def _divided_difference(ext: Domain, G: UniPoly, e1, e2):
-    """(G(r2) - G(r3)) / (r2 - r3) for r2 + r3 = e1, r2 r3 = e2 (symmetric,
-    so expressible through e1, e2): for G = g0 + g1 z + g2 z^2 it equals
-    g1 + g2 * e1."""
-    f = ext
-    g = [ext.from_base(c) if isinstance(ext, ExtensionField) else c for c in G.coeffs]
-    while len(g) < 3:
-        g.append(ext.zero)
-    return f.add(g[1], f.mul(g[2], e1))
-
-
-def _sym_eval_sum(ext: Domain, G: UniPoly, e1, e2):
-    """G(r2) + G(r3) through the power sums of the conjugate pair."""
-    f = ext
-    g = [ext.from_base(c) if isinstance(ext, ExtensionField) else c for c in G.coeffs]
-    while len(g) < 3:
-        g.append(ext.zero)
-    p1 = e1
-    p2 = f.sub(f.mul(e1, e1), f.add(e2, e2))
-    return f.add(f.add(f.mul(g[0], f.from_int(2)), f.mul(g[1], p1)), f.mul(g[2], p2))
 
 
 def _tern_divide_by_line(f: Domain, cubic: TernForm, line: list):
@@ -974,61 +942,57 @@ def _tern_divide_by_line(f: Domain, cubic: TernForm, line: list):
     return {m: c for m, c in zip(mons2, sol) if not f.is_zero(c)}
 
 
-def _quadric_det(f: Domain, q: TernForm):
-    half = f.div(f.one, f.from_int(2))
-    g = lambda e: q.get(e, f.zero)
-    m = [
-        [g((2, 0, 0)), f.mul(g((1, 1, 0)), half), f.mul(g((1, 0, 1)), half)],
-        [f.mul(g((1, 1, 0)), half), g((0, 2, 0)), f.mul(g((0, 1, 1)), half)],
-        [f.mul(g((1, 0, 1)), half), f.mul(g((0, 1, 1)), half), g((0, 0, 2))],
-    ]
-    det = f.zero
-    for s, (i, j, k) in (((1), (0, 1, 2)), ((1), (1, 2, 0)), ((1), (2, 0, 1))):
-        det = f.add(det, f.mul(m[0][i], f.mul(m[1][j], m[2][k])))
-    for (i, j, k) in ((2, 1, 0), (0, 2, 1), (1, 0, 2)):
-        det = f.sub(det, f.mul(m[0][i], f.mul(m[1][j], m[2][k])))
-    return det
-
-
 def split_determinantal_cubic(field: Domain, cubic: TernForm,
                               spec: ExtensionSpec, tri: ConicTriple) -> SplitReport:
-    """Exact split certificate for the pipeline's cubic: one line is found
-    over the extension from the conjugate-pair geometry, divided out, and
-    the quadratic cofactor is certified degenerate (det = 0), which means
-    the cubic is a product of three linear forms over the closure."""
-    f = field
-    ext = spec.ext
-    line = _third_point_line(spec, tri)
-    cubic_ext = {e: ext.from_base(c) if isinstance(ext, ExtensionField) else c
-                 for e, c in cubic.items()}
-    cofactor = _tern_divide_by_line(ext, cubic_ext, line)
+    """Exact split certificate for the pipeline's cubic, at every extension
+    degree that ``intersect_conics`` returns.
+
+    Over a degree-3 or a degree-2 extension one line of the cubic is found
+    from the conjugate-pair geometry (``_third_point_line``) and divided
+    out, and the quadratic cofactor is certified degenerate (det = 0): the
+    cubic is then a product of three linear forms over the closure.  When
+    the three base points are all over the base field, the singular-point
+    test of ``split_into_lines`` decides, or says why it cannot."""
+    if spec.extension_degree == 1:
+        return split_into_lines(field, cubic)
+    lfield, line = _third_point_line(spec, tri)
+    where, mode = (("degree-3 extension", "exact-extension") if lfield is spec.ext
+                   else ("base field", "exact-base"))
+    cofactor = _tern_divide_by_line(lfield, _lift_form(field, lfield, cubic), line)
     if cofactor is None:
-        return SplitReport(False, "exact-extension", [], None, [],
-                           "extension line does not divide the cubic")
-    qdet = _quadric_det(ext, cofactor)
-    splits = ext.is_zero(qdet)
+        return SplitReport(False, mode, [], None, [],
+                           f"line over the {where} does not divide the cubic")
+    splits = lfield.is_zero(bareiss_determinant(lfield, _symmetric_matrix(lfield, cofactor)))
     return SplitReport(
-        splits, "exact-extension", [line], None, [],
-        "line over the degree-3 extension divides the cubic; "
+        splits, mode, [line], None, [],
+        f"line over the {where} divides the cubic; "
         + ("cofactor quadric is degenerate (rank <= 2), so the cubic is a "
            "union of three lines over the closure" if splits
            else "cofactor quadric is nondegenerate"))
 
 
-def split_into_lines(field: Domain, cubic: TernForm, tol: float = 1e-9) -> SplitReport:
-    """Standalone splitting test via singular points.
+def split_into_lines(field: Domain, cubic: TernForm, tol=None) -> SplitReport:
+    """Standalone exact splitting test via rational singular points.
 
     A reduced union of three non-concurrent lines has exactly three singular
     points (the pairwise intersections) and the pairwise joins recover the
-    lines; a smooth cubic has none.  Rational singular points are found
-    exactly; when the locus cannot be resolved over the rationals a numeric
-    fallback reports within the tolerance."""
+    lines; a smooth cubic has none.  The rational singular points are found
+    exactly.  When they are not all rational, or are not three points whose
+    joins give the cubic, the test decides nothing: ``splits`` is None and
+    ``detail`` says why.  ``tol`` is ignored; it is still accepted because
+    the benchmark workloads (``bench/workloads.py``) pass it."""
     f = field
     if not any(not f.is_zero(c) for c in cubic.values()):
         raise ValueError("zero cubic")
+    if getattr(f, "name", "") != "rational":
+        return SplitReport(None, "exact-rational", [], None, [],
+                           "the singular-point test needs rational coefficients")
     parts = [tern_partial(f, cubic, v) for v in range(3)]
     pts, complete = _rational_singular_points(f, parts)
-    if pts is not None and len(pts) == 3:
+    if pts is None:
+        return SplitReport(None, "exact-rational", [], None, [],
+                           "the singular locus is not a finite set of points")
+    if len(pts) == 3:
         lines = []
         for i, j in ((0, 1), (0, 2), (1, 2)):
             lines.append(_join_line(f, pts[i], pts[j]))
@@ -1037,20 +1001,26 @@ def split_into_lines(field: Domain, cubic: TernForm, tol: float = 1e-9) -> Split
             prod = tern_mul(f, prod, {(1, 0, 0): ln[0], (0, 1, 0): ln[1], (0, 0, 1): ln[2]})
         lam = _proportionality(f, cubic, prod)
         if lam is not None:
-            return SplitReport(True, "exact-rational", lines, lam, pts)
-    if pts is not None and complete and len(pts) == 0:
+            return SplitReport(True, "exact-rational", lines, lam, pts,
+                               "the joins of three rational singular points "
+                               "multiply to the cubic")
+    if not complete:
+        return SplitReport(None, "exact-rational", [], None, pts,
+                           "not every singular point was found over the "
+                           "rationals (irrational or repeated resultant roots)")
+    if not pts:
         return SplitReport(False, "exact-rational", [], None, [],
                            "no singular points; smooth cubic does not split")
-    return _split_numeric(f, cubic, tol, pts)
+    return SplitReport(None, "exact-rational", [], None, pts,
+                       f"{len(pts)} rational singular points, not three whose "
+                       "joins give the cubic")
 
 
 def _rational_singular_points(f: Domain, parts: list[TernForm]):
     """Common projective zeros of the partials.  Returns (points, complete)
     where complete means every root extraction was resolved exactly over
     the rationals; (None, False) when the locus degenerates (shared
-    components and the like)."""
-    if getattr(f, "name", "") != "rational":
-        return None, False
+    components and the like).  Needs rational coefficients."""
     from .scalars import rational_roots
     pts = []
     complete = True
@@ -1168,92 +1138,6 @@ def _proportionality(f: Domain, a: TernForm, b: TernForm):
         if not f.eq(a.get(e, f.zero), f.mul(lam, b.get(e, f.zero))):
             return None
     return lam
-
-
-def _split_numeric(f: Domain, cubic: TernForm, tol: float, pts_exact):
-    """Numeric fallback: singular points from the resultant roots, then a
-    residual check of the product of the three joins; candidate tolerance is
-    relative, the final verdict uses the caller's tolerance."""
-    import numpy as np
-    if getattr(f, "name", "") != "rational":
-        return SplitReport(None, "numeric", [], None, [],
-                           "numeric fallback needs rational input coefficients")
-    def fl(v):
-        return float(Fraction(v))
-    parts = [tern_partial(f, cubic, v) for v in range(3)]
-    bivs = [_tern_to_biv(f, p, 2) for p in parts]
-    d1, d2 = bivs[0], bivs[1]
-    ring, u1 = _conic_as_z2poly(f, d1)
-    _, u2 = _conic_as_z2poly(f, d2)
-    if u1.is_zero() or u2.is_zero():
-        return SplitReport(None, "numeric", [], None, [], "degenerate partials")
-    res = sylvester_resultant(u1, u2)
-    if res.is_zero():
-        return SplitReport(None, "numeric", [], None, [],
-                           "partials share a component; non-reduced cubic")
-    coeffs = [fl(c) for c in res.coeffs][::-1]
-    roots = np.roots(coeffs) if len(coeffs) > 1 else np.array([])
-    scales = [max((abs(fl(c)) for c in b.values()), default=1.0) for b in bivs]
-    sing = []
-    for r in roots:
-        cands = []
-        for b in bivs:
-            dd = _biv_eval_poly_in_z2_numeric(f, b, complex(r))
-            while dd and abs(dd[-1]) < 1e-12 * max(1.0, max(abs(x) for x in dd)):
-                dd = dd[:-1]
-            if len(dd) > 1:
-                cands.extend(np.roots(dd[::-1]))
-        for s in cands:
-            size = max(1.0, abs(r), abs(s)) ** 2
-            ok = all(
-                abs(_biv_eval_numeric(f, b, complex(r), complex(s))) < 1e-6 * sc * size
-                for b, sc in zip(bivs, scales))
-            if ok:
-                sing.append((complex(r), complex(s)))
-    dedup = []
-    for pt in sing:
-        if not any(abs(pt[0] - q[0]) + abs(pt[1] - q[1]) < 1e-6 * max(1.0, abs(pt[0]), abs(pt[1]))
-                   for q in dedup):
-            dedup.append(pt)
-    if len(dedup) != 3:
-        return SplitReport(False if len(dedup) == 0 else None, "numeric", [], None,
-                           dedup, f"{len(dedup)} numeric singular points")
-    P3 = [np.array([p[0], p[1], 1.0]) for p in dedup]
-    lines = [np.cross(P3[i], P3[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
-    prod: dict = {(0, 0, 0): 1.0 + 0j}
-    for ln in lines:
-        newprod: dict = {}
-        for e, c in prod.items():
-            for v, le in zip(ln, ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-                key = (e[0] + le[0], e[1] + le[1], e[2] + le[2])
-                newprod[key] = newprod.get(key, 0j) + c * v
-        prod = newprod
-    lam = None
-    for e, c in cubic.items():
-        if e in prod and abs(prod[e]) > 1e-8:
-            lam = fl(c) / prod[e]
-            break
-    if lam is None:
-        return SplitReport(None, "numeric", [], None, dedup, "scale not found")
-    resid = 0.0
-    for e in set(prod) | set(cubic):
-        resid = max(resid, abs(fl(cubic.get(e, 0)) - lam * prod.get(e, 0j)))
-    scalemax = max(abs(fl(c)) for c in cubic.values())
-    ok = resid < tol * max(1.0, scalemax)
-    return SplitReport(bool(ok), "numeric", [list(map(complex, ln)) for ln in lines],
-                       lam, dedup, f"residual {resid:.3e}")
-
-
-def _biv_eval_poly_in_z2_numeric(f: Domain, p: BivPoly, z1: complex) -> list:
-    cols: dict[int, complex] = {}
-    for (i, j), c in p.items():
-        cols[j] = cols.get(j, 0j) + float(Fraction(c)) * (z1 ** i)
-    maxj = max(cols, default=0)
-    return [cols.get(j, 0j) for j in range(maxj + 1)]
-
-
-def _biv_eval_numeric(f: Domain, p: BivPoly, z1: complex, z2: complex) -> complex:
-    return sum(float(Fraction(c)) * (z1 ** i) * (z2 ** j) for (i, j), c in p.items())
 
 
 # ---------------------------------------------------------------------------

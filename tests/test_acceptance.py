@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
-the measured values.  Every tolerance is exact (integer or symbolic
-equality) except the numeric fallback of the cubic splitting, which is
-pinned at 1e-9.
+the measured values.  Every check is exact (integer or symbolic
+equality); the cubic splitting included, there is no floating-point
+tolerance.
 """
 
 import random
@@ -22,7 +22,7 @@ from partabel.quotient import (
 )
 from partabel.reptheory import (
     biv_eval, build_rho, conics, determinantal_cubic, intersect_conics,
-    irreducibility, mat_is_zero, split_determinantal_cubic, split_into_lines,
+    irreducibility, mat_is_zero, split_determinantal_cubic,
 )
 from partabel.scalars import PrimeField, QQ, random_prime
 
@@ -171,11 +171,8 @@ def test_criterion_08_conic_pipeline_five_specializations():
         for c in tri.all():
             assert ext.is_zero(biv_eval(ext, lift(c), spec.z1, spec.z2))
         cubic = determinantal_cubic(QQ, y, tri)
-        if spec.extension_degree == 3:
-            exact = split_determinantal_cubic(QQ, cubic, spec, tri)
-            assert exact.splits, (y, exact.detail)
-        numeric = split_into_lines(QQ, cubic, tol=1e-9)
-        assert numeric.splits, (y, numeric.detail)
+        exact = split_determinantal_cubic(QQ, cubic, spec, tri)
+        assert exact.splits is True, (y, spec.extension_degree, exact.detail)
         yext = tuple(ext.from_base(c) for c in y) if spec.extension_degree > 1 else y
         rho = build_rho(ext, yext, (spec.z1, spec.z2))
         assert rho.idempotent_identities_hold()

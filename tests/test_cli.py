@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -236,3 +237,48 @@ def test_argument_errors_exit_1(args, capsys):
     # argparse exits 2 on its own, which reads as "claim failed"
     assert main(args) == 1
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chart, degree", [
+    ("2,3,7", 3), ("-1,3,1", 2), ("3/4,-3/2,-1", 2), ("-1,5,3", 1),
+])
+def test_detcurve_certifies_the_split_exactly(chart, degree, tmp_path):
+    code, rep = run_cli(["detcurve", f"--chart={chart}"], tmp_path)
+    assert code == 0
+    assert rep["results"]["extension_degree"] == degree
+    split = rep["results"]["exact_split"]
+    assert split["splits"] is True, split
+    assert "numeric_split" not in rep["results"]
+
+
+def test_detcurve_names_the_reason_when_the_split_is_undecided(tmp_path):
+    # f has a repeated root at (1:-5:2:2) and two singular points of the
+    # cubic are conjugate, so the singular-point test cannot decide; the
+    # report says why instead of passing on a floating-point residual
+    code, rep = run_cli(["detcurve", "--chart=-5,2,2"], tmp_path)
+    assert code == 2
+    split = rep["results"]["exact_split"]
+    assert split["splits"] is None
+    assert split["detail"] and split["detail"] in rep["verdict"]["summary"]
+
+
+def test_detcurve_has_no_tolerance_option(capsys):
+    assert main(["detcurve", "--chart", "2,3,7", "--tol", "1e-9"]) == 1
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_package_runs_without_numpy(tmp_path):
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import partabel\n"
+        "from partabel.cli import main\n"
+        "assert main(['detcurve', '--chart', '2,3,7', '--out', sys.argv[1]]) == 0\n"
+        "assert main(['theorem', '--count', '1', '--out', sys.argv[2]]) == 0\n"
+        "assert sys.modules['numpy'] is None\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "d.json"), str(tmp_path / "t.json")],
+        capture_output=True, text=True, cwd=str(PKG_ROOT),
+        env={**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS detcurve" in proc.stdout and "PASS theorem" in proc.stdout

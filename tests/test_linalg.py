@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partabel.classify import _matrix_inverse
-from partabel.linalg import SparseEchelon, dense_rank, nullspace, rank_of_rows, solve_linear
-from partabel.scalars import ExtensionField, PrimeField, QQ, UniPoly, random_prime
+from partabel.linalg import SparseEchelon, dense_rank, nullspace, solve_linear
+from partabel.scalars import (
+    ExtensionField, PrimeField, QQ, UniPoly, bareiss_determinant, random_prime,
+)
 
 
 def random_sparse_rows(rng, nrows, ncols, density=0.3):
@@ -25,6 +28,13 @@ def random_sparse_rows(rng, nrows, ncols, density=0.3):
 
 def to_dense(rows, ncols):
     return [[r.get(c, Fraction(0)) for c in range(ncols)] for r in rows]
+
+
+def rank_of_rows(field, rows) -> int:
+    ech = SparseEchelon(field)
+    for r in rows:
+        ech.add_row(dict(r))
+    return ech.rank
 
 
 def test_sparse_rank_matches_dense_oracle():
@@ -207,3 +217,44 @@ def test_reduce_is_zero_exactly_when_add_row_finds_no_pivot(case, k):
         assert all(c not in ech.pivots for c in rem)
         if lead is not None:
             assert lead == max(rem)
+
+
+def _permutation_determinant(f, m):
+    """Oracle: the Leibniz sum over all permutations, signed by inversions."""
+    n = len(m)
+    total = f.zero
+    for perm in permutations(range(n)):
+        term = f.one
+        for i, j in enumerate(perm):
+            term = f.mul(term, m[i][j])
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total = f.sub(total, term) if inversions % 2 else f.add(total, term)
+    return total
+
+
+@st.composite
+def square_matrices(draw):
+    """A field and a 3x3 or 4x4 matrix over it, often singular: a row may
+    be a combination of two others, or a column may be zero."""
+    f = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    n = draw(st.sampled_from([3, 4]))
+    coeffs = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+    m = [[_entry(f, draw(coeffs)) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["any", "dependent_row", "zero_column"]))
+    if kind == "dependent_row":
+        c = _entry(f, draw(coeffs))
+        m[draw(st.integers(2, n - 1))] = [f.add(a, f.mul(c, b)) for a, b in zip(m[0], m[1])]
+    elif kind == "zero_column":
+        j = draw(st.integers(0, n - 1))
+        for row in m:
+            row[j] = f.zero
+    return f, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_bareiss_determinant_matches_the_permutation_expansion(case):
+    f, m = case
+    det = bareiss_determinant(f, m)
+    assert f.eq(det, _permutation_determinant(f, m))
+    assert f.is_zero(det) == (_sparse_rank(f, m) < len(m))

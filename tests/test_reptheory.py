@@ -6,12 +6,11 @@ import pytest
 
 from partabel.quotient import chart_in_field, closure_certificate, make_relation
 from partabel.reptheory import (
-    _biv_eval_numeric, _biv_eval_poly_in_z2_numeric, biv_eval, build_rho,
-    character_value, commutator_conic_consistency, compare_rho_to_reference,
-    conics, determinantal_cubic, generated_matrix_algebra_dim,
-    intersect_conics, irreducibility, mat_identity, mat_is_zero,
-    split_determinantal_cubic, split_into_lines, tern_mul, tq_rewrite,
-    wedderburn_verify,
+    _tern_divide_by_line, biv_eval, build_rho, character_value,
+    commutator_conic_consistency, compare_rho_to_reference, conics,
+    determinantal_cubic, generated_matrix_algebra_dim, intersect_conics,
+    irreducibility, mat_identity, mat_is_zero, split_determinantal_cubic,
+    split_into_lines, tern_mul, tq_rewrite, wedderburn_verify,
 )
 from partabel.scalars import (
     DegenerateSpecialization, FunctionField, PrimeField, QQ, random_prime,
@@ -25,6 +24,24 @@ F5 = FunctionField(("y1", "y2", "y3", "z1", "z2"))
 def five_random_charts(seed=55):
     from partabel.pipeline import sample_generic_points
     return [x[1:] for x in sample_generic_points(seed, 5)]
+
+
+def chart(text):
+    return tuple(Fraction(c) for c in text.split(","))
+
+
+# numeric oracles for the conic intersections (floating point, tests only)
+
+def _biv_eval_poly_in_z2_numeric(p, z1: complex) -> list:
+    cols: dict[int, complex] = {}
+    for (i, j), c in p.items():
+        cols[j] = cols.get(j, 0j) + float(Fraction(c)) * (z1 ** i)
+    maxj = max(cols, default=0)
+    return [cols.get(j, 0j) for j in range(maxj + 1)]
+
+
+def _biv_eval_numeric(p, z1: complex, z2: complex) -> complex:
+    return sum(float(Fraction(c)) * (z1 ** i) * (z2 ** j) for (i, j), c in p.items())
 
 
 # --- t*q rewriting -----------------------------------------------------------
@@ -185,16 +202,54 @@ def test_split_fermat_does_not_split():
     assert rep.singular_points == []
 
 
+def _exact_split(y):
+    tri = conics(QQ, y)
+    cubic = determinantal_cubic(QQ, y, tri)
+    spec = intersect_conics(QQ, y)
+    return spec, cubic, tri, split_determinantal_cubic(QQ, cubic, spec, tri)
+
+
 def test_split_pipeline_cubics_at_five_charts():
     for y in five_random_charts():
-        tri = conics(QQ, y)
-        cubic = determinantal_cubic(QQ, y, tri)
-        spec = intersect_conics(QQ, y)
-        numeric = split_into_lines(QQ, cubic, tol=1e-9)
-        assert numeric.splits, (y, numeric.detail)
-        if spec.extension_degree == 3:
-            exact = split_determinantal_cubic(QQ, cubic, spec, tri)
-            assert exact.splits, (y, exact.detail)
+        spec, _, _, exact = _exact_split(y)
+        assert exact.splits is True, (y, spec.extension_degree, exact.detail)
+
+
+# the (1,2) charts below exit 2 under a floating-point test of the split
+@pytest.mark.parametrize("y", ["-1,3,1", "3/4,-3/2,-1", "-8,-1/2,9/2", "-3,-7/3,-4/3"])
+def test_split_over_a_quadratic_extension_uses_a_base_field_line(y):
+    spec, cubic, tri, exact = _exact_split(chart(y))
+    assert spec.factor_degrees == [1, 2] and spec.extension_degree == 2
+    assert exact.splits is True and exact.mode == "exact-base", exact.detail
+    (line,) = exact.lines
+    assert all(isinstance(c, Fraction) for c in line)
+    # the line is a factor of the cubic over QQ
+    assert _tern_divide_by_line(QQ, cubic, line) is not None
+
+
+@pytest.mark.parametrize("y", ["2,3,7", "-1,3,1"])
+def test_split_certificate_rejects_a_perturbed_cubic(y):
+    spec, cubic, tri, _ = _exact_split(chart(y))
+    bent = dict(cubic)
+    bent[(1, 1, 1)] = bent.get((1, 1, 1), Fraction(0)) + 1
+    assert split_determinantal_cubic(QQ, bent, spec, tri).splits is False
+
+
+def test_split_over_the_base_field_uses_rational_singular_points():
+    spec, _, _, exact = _exact_split(chart("-1,5,3"))
+    assert spec.factor_degrees == [1, 1, 1]
+    assert exact.splits is True and exact.mode == "exact-rational"
+    assert len(exact.singular_points) == 3
+
+
+def test_split_over_the_base_field_says_why_it_is_undecided():
+    # f = (z - 1)(z + 2)^2 at (1:-5:2:2): the cubic is a rational line times
+    # a conic whose two lines are conjugate, so two singular points are not
+    # rational and the singular-point test cannot decide
+    spec, cubic, _, exact = _exact_split(chart("-5,2,2"))
+    assert spec.factor_degrees == [1, 1, 1] and spec.discriminant == 0
+    assert exact.splits is None and "rationals" in exact.detail
+    assert split_into_lines(QQ, cubic, tol=1e-3).splits is None  # tol is ignored
 
 
 # --- conic intersection over the extension ------------------------------------
@@ -234,13 +289,13 @@ def test_c1_c2_affine_intersections_and_membership_in_c3():
     roots = np.roots([float(c) for c in r12.coeffs][::-1])
     on_c3 = 0
     for r in roots:
-        c1z = _biv_eval_poly_in_z2_numeric(QQ, tri.c1, complex(r))
-        c2z = _biv_eval_poly_in_z2_numeric(QQ, tri.c2, complex(r))
+        c1z = _biv_eval_poly_in_z2_numeric(tri.c1, complex(r))
+        c2z = _biv_eval_poly_in_z2_numeric(tri.c2, complex(r))
         rs1 = np.roots(c1z[::-1])
         rs2 = np.roots(c2z[::-1])
         common = [z for z in rs1 if any(abs(z - w) < 1e-6 for w in rs2)]
         assert common, "resultant root without a matching z2"
-        if abs(_biv_eval_numeric(QQ, tri.c3, complex(r), complex(common[0]))) < 1e-6:
+        if abs(_biv_eval_numeric(tri.c3, complex(r), complex(common[0]))) < 1e-6:
             on_c3 += 1
     assert on_c3 == 3
 
