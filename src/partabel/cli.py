@@ -253,7 +253,8 @@ def cmd_rep(cfg, t0) -> int:
     spec = intersect_conics(field, y)
     ext = spec.ext
     yext = tuple(ext.from_base(c) for c in y) if spec.extension_degree > 1 else y
-    rho = build_rho(ext, yext, (spec.z1, spec.z2))
+    rho = build_rho(ext, yext, (spec.z1, spec.z2),
+                    rewrite=tq_rewrite(field, y, compare_reference=False))
     irr = irreducibility(ext, rho)
     rw = tq_rewrite(FunctionField(("y1", "y2", "y3")),
                     FunctionField(("y1", "y2", "y3")).gens())

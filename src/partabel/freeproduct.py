@@ -252,10 +252,6 @@ class AlgebraElement:
         # reduced form, so elements that compare equal hash alike
         return hash((self.sig, frozenset(self.terms.items())))
 
-    def map_coefficients(self, fn, field: Domain | None = None) -> "AlgebraElement":
-        f = field or self.field
-        return AlgebraElement(self.sig, f, {w: fn(c) for w, c in self.terms.items()})
-
     def substitute_letters(self, images: dict[Letter, "AlgebraElement"],
                            coeff_map=None) -> "AlgebraElement":
         """Apply the algebra endomorphism sending each letter to its image

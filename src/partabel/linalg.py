@@ -5,8 +5,10 @@ The echelon keeps pivot rows normalized (pivot coefficient 1) and always
 pivots on a row's highest column index, so feeding a matrix whose columns
 are ordered low-to-high eliminates the high columns first.  Prime fields
 take a reduction loop on plain int arithmetic; every other domain goes
-through its Domain operations.  Dense matrices go through one Gauss-Jordan
-routine, ``_rref``.
+through its Domain operations.  Every rank, ``dense_rank`` included, comes
+from SparseEchelon.  Dense solves (``nullspace``, ``solve_linear``, the
+classifier's matrix inverse and the t*q rewrite) go through the one dense
+Gauss-Jordan routine, ``_rref``.
 """
 
 from __future__ import annotations
@@ -144,11 +146,16 @@ def _rref(field: Domain, rows: list[list], ncols: int) -> tuple[list[list], list
 
 
 def dense_rank(field: Domain, matrix: list[list]) -> int:
-    """Rank by dense elimination; independent of SparseEchelon, used as an
-    oracle in tests and for small dense problems."""
+    """Rank of a dense matrix through SparseEchelon.  Column j enters at
+    index ``ncols - 1 - j``, so the leftmost column is eliminated first, as
+    in ``_rref``; the reduction loops drop the zero entries."""
     if not matrix:
         return 0
-    return len(_rref(field, matrix, len(matrix[0]))[1])
+    last = len(matrix[0]) - 1
+    ech = SparseEchelon(field)
+    for row in matrix:
+        ech.add_row({last - j: v for j, v in enumerate(row)})
+    return ech.rank
 
 
 def nullspace(field: Domain, matrix: list[list]) -> list[list]:

@@ -14,7 +14,8 @@ from .quotient import (
     random_offquadric_chart, spanning_monomials_rank,
 )
 from .reptheory import (
-    build_rho, intersect_conics, irreducibility, mat_is_zero, wedderburn_verify,
+    build_rho, intersect_conics, irreducibility, mat_is_zero, tq_rewrite,
+    wedderburn_verify,
 )
 from .scalars import (
     DegenerateSpecialization, Domain, PrimeField, QQ, random_prime,
@@ -133,7 +134,8 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
         yext = tuple(ext.from_base(c) for c in y)
     else:
         yext = y
-    rho = build_rho(ext, yext, (spec.z1, spec.z2))
+    rho = build_rho(ext, yext, (spec.z1, spec.z2),
+                    rewrite=tq_rewrite(f, y, compare_reference=False))
     idem = rho.idempotent_identities_hold()
     rho_kills = mat_is_zero(ext, rho.relation_matrix())
     irr = irreducibility(ext, rho)

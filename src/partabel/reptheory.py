@@ -29,7 +29,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .freeproduct import EMPTY_WORD, P, Q, AlgebraElement, Signature, idempotent
-from .linalg import dense_rank, solve_linear
+from .linalg import _rref, dense_rank, solve_linear
 from .scalars import (
     DegenerateSpecialization, Domain, ExtensionField, FunctionField, PolyRingDomain,
     PrimeField, RationalFunction, UniPoly, bareiss_determinant, factor_cubic,
@@ -185,18 +185,14 @@ def tq_rewrite(field: Domain, y: tuple, compare_reference: bool = True) -> TQRew
     known_words = sorted({w for r in relations for w in r.terms} - set(UNKNOWN_WORDS))
     matrix = [[r.terms.get(u, f.zero) for u in UNKNOWN_WORDS] for r in relations]
     det = bareiss_determinant(f, matrix)
-    rhs_cols = []
-    for r in relations:
-        rhs_cols.append([f.neg(r.terms.get(w, f.zero)) for w in known_words])
-    # solve M * unknowns = rhs, one known-word column at a time
-    rules: dict[TQWord, TQElement] = {u: TQElement.zero(f) for u in UNKNOWN_WORDS}
-    for col, w in enumerate(known_words):
-        b = [rhs_cols[k][col] for k in range(4)]
-        x = solve_linear(f, matrix, b)
-        if x is None:
-            raise DegenerateSpecialization("t*q system is singular at this point")
-        for u, c in zip(UNKNOWN_WORDS, x):
-            rules[u] = rules[u] + TQElement.word(f, w, c)
+    # solve M * unknowns = rhs for every known-word column in one elimination
+    rows = [m + [f.neg(r.terms.get(w, f.zero)) for w in known_words]
+            for m, r in zip(matrix, relations)]
+    solved, pivots = _rref(f, rows, 4)
+    if len(pivots) < 4:
+        raise DegenerateSpecialization("t*q system is singular at this point")
+    rules = {u: TQElement(f, dict(zip(known_words, solved[k][4:])))
+             for k, u in enumerate(UNKNOWN_WORDS)}
 
     images = _tq_in_free_product(f, y)
     verified = True
@@ -374,7 +370,12 @@ class RepMatrices:
         return mat_sub(f, mat_mul(f, self.t1, self.t2), mat_mul(f, self.t2, self.t1))
 
     def relation_matrix(self) -> list:
-        """Matrix of X = [p1,q1] + y1[p1,q2] + y2[p2,q1] + y3[p2,q2]."""
+        """Matrix of X = [p1,q1] + y1[p1,q2] + y2[p2,q1] + y3[p2,q2]; built
+        once, the returned matrix is shared, not copied."""
+        return self._relation
+
+    @cached_property
+    def _relation(self) -> list:
         f, (y1, y2, y3) = self.field, self.y
         def comm(a, b):
             return mat_sub(f, mat_mul(f, a, b), mat_mul(f, b, a))
@@ -391,16 +392,23 @@ def build_rho(field: Domain, y: tuple, z: tuple,
 
     The columns are the images of the basis vectors 1, q1, q2: a word acts
     through the rewrite rules and the character sends every trailing t-word
-    to the corresponding product of z's."""
+    to the corresponding product of z's.
+
+    ``rewrite`` may be solved over the base field k of an extension
+    ``field``; its coefficients are lifted as they are read.  That is the
+    same rewrite: the 4x4 system and its right-hand sides have entries in k
+    and a nonzero determinant off the quadric, so the unique solution over
+    the extension is the lift of the one over k."""
     f = field
     z1, z2 = z
     rw = rewrite or tq_rewrite(f, y, compare_reference=False)
+    lift = (lambda c: c) if rw.field == f else f.from_base
     zval = {T1: z1, T2: z2}
 
     def vec_of(elem: TQElement) -> list:
         v = [f.zero, f.zero, f.zero]
         for w, c in elem.terms.items():
-            coeff = c
+            coeff = lift(c)
             pos = 0
             rest = w
             if rest and rest[0].startswith("q"):
@@ -659,20 +667,6 @@ def tern_scale(f: Domain, a: TernForm, c) -> TernForm:
     if f.is_zero(c):
         return {}
     return {e: f.mul(v, c) for e, v in a.items()}
-
-
-def tern_eval(f: Domain, a: TernForm, pt) -> object:
-    acc = f.zero
-    for (i, j, k), c in a.items():
-        term = c
-        for _ in range(i):
-            term = f.mul(term, pt[0])
-        for _ in range(j):
-            term = f.mul(term, pt[1])
-        for _ in range(k):
-            term = f.mul(term, pt[2])
-        acc = f.add(acc, term)
-    return acc
 
 
 def tern_partial(f: Domain, a: TernForm, var: int) -> TernForm:

@@ -305,9 +305,6 @@ class Polynomial:
         z = (0,) * len(self.vars)
         return self.terms.get(z, Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]
@@ -413,11 +410,6 @@ class Polynomial:
             den = den * c.denominator // gcd(den, c.denominator)
         cont = Fraction(num, den)
         return cont, self * (1 / cont)
-
-    def divides_exactly(self, other: "Polynomial") -> "Polynomial | None":
-        """Return other / self if the division is exact, else None."""
-        q = _poly_divmod(other, self)
-        return q
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -594,6 +586,8 @@ class RationalFunction:
                 if not g.is_constant():
                     num = _poly_divmod(num, g)
                     den = _poly_divmod(den, g)
+                    if num is None or den is None:
+                        raise ArithmeticError("gcd does not divide the fraction exactly")
             _, lc = den.leading()
             if lc != 1:
                 num = num * (1 / lc)
@@ -995,10 +989,6 @@ class UniPoly:
             acc = f.add(f.mul(acc, x), c)
         return acc
 
-    def derivative(self) -> "UniPoly":
-        f = self.field
-        return UniPoly(f, [f.mul(c, f.from_int(i)) for i, c in enumerate(self.coeffs)][1:])
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
@@ -1349,7 +1339,7 @@ def prime_field_roots(field: PrimeField, f: UniPoly) -> list[int]:
         raise ValueError("zero polynomial")
     if f.degree == 0:
         return []
-    # z^p mod f by square-and-multiply
+    f = f.monic()  # the same roots; _poly_powmod reduces by a monic modulus
     xp = _powmod_x(field, p, f)
     lin = gcd_univariate(xp - UniPoly.x(field), f)
     roots: list[int] = []
@@ -1379,12 +1369,16 @@ def _powmod_x(field: Domain, e: int, mod: UniPoly) -> UniPoly:
 
 
 def _poly_powmod(field: Domain, base: UniPoly, e: int, mod: UniPoly) -> UniPoly:
+    """base^e % mod by square-and-multiply for a monic ``mod``; each product
+    goes through ``ExtensionField.mul``, the monic reduction loop on
+    coefficient lists (no irreducibility is assumed or checked)."""
+    mul = ExtensionField(field, mod, check_irreducible=False).mul
     out = UniPoly(field, [field.one])
     b = base % mod
     while e:
         if e & 1:
-            out = (out * b) % mod
-        b = (b * b) % mod
+            out = mul(out, b)
+        b = mul(b, b)
         e >>= 1
     return out
 

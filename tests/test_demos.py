@@ -1,0 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+PKG_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", ["demo_05_conics_and_cubic.py", "demo_06_theorem.py"])
+def test_demo_runs(demo):
+    proc = subprocess.run(
+        [sys.executable, str(PKG_ROOT / "demos" / demo)],
+        capture_output=True, text=True, cwd=str(PKG_ROOT),
+        env={**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -15,6 +15,7 @@ from partabel.reptheory import (
 from partabel.scalars import (
     DegenerateSpecialization, FunctionField, PrimeField, QQ, random_prime,
 )
+from tests_helpers import irreducible_extension
 
 Y_SAMPLE = (Fraction(2), Fraction(3), Fraction(7))
 F3 = FunctionField(("y1", "y2", "y3"))
@@ -87,6 +88,23 @@ def test_tq_rewrite_specialized_matches_symbolic():
             sym = rw_sym.rules[key]
             for w, c in rule.terms.items():
                 assert sym.terms[w].evaluate(y) == c
+
+
+@pytest.mark.parametrize("base", [QQ, PrimeField(random_prime(random.Random(11)))],
+                         ids=["QQ", "GF"])
+@pytest.mark.parametrize("degree", [2, 3])
+def test_rewrite_over_k_lifts_to_the_rewrite_over_the_extension(base, degree):
+    E = irreducible_extension(base, degree)
+    z = (E.gen(), E.add(E.mul(E.gen(), E.gen()), E.from_int(3)))
+    for y in (chart_in_field(base, Y_SAMPLE), chart_in_field(base, chart("3/2,-2,5"))):
+        yE = tuple(E.from_base(c) for c in y)
+        over_k = tq_rewrite(base, y, compare_reference=False)
+        over_E = tq_rewrite(E, yE, compare_reference=False)
+        for u, rule in over_E.rules.items():
+            assert rule.terms == {w: E.from_base(c) for w, c in over_k.rules[u].terms.items()}
+        via_k = build_rho(E, yE, z, rewrite=over_k)
+        via_E = build_rho(E, yE, z)
+        assert (via_k.t1, via_k.t2) == (via_E.t1, via_E.t2)
 
 
 # --- representation matrices -------------------------------------------------

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from partabel.scalars import (
     ExtensionField, FunctionField, PoleError, PolyRingDomain, Polynomial,
-    PrimeField, QQ, UniPoly, factor_cubic, gcd_univariate, is_probable_prime,
-    poly_gcd, prime_field_roots, random_prime, rational_roots,
-    sylvester_resultant, xgcd,
+    PrimeField, QQ, RationalFunction, UniPoly, _poly_powmod, factor_cubic,
+    gcd_univariate, is_probable_prime, poly_gcd, prime_field_roots,
+    random_prime, rational_roots, sylvester_resultant, xgcd,
 )
+from tests_helpers import irreducible_extension
 
 
 def test_xgcd():
@@ -132,6 +133,19 @@ def test_rational_function_normalization_and_equality():
         y1 / (y2 - y2)
 
 
+def test_full_reduction_raises_when_the_gcd_does_not_divide(monkeypatch):
+    # a gcd that divides the denominator but not the numerator must not
+    # leave a None numerator behind
+    import partabel.scalars as scalars
+    v = ("y1", "y2", "y3")
+    y1 = Polynomial.variable(v, "y1")
+    y2 = Polynomial.variable(v, "y2")
+    one = Polynomial.constant(v, 1)
+    monkeypatch.setattr(scalars, "poly_gcd", lambda p, q: y1 + one)
+    with pytest.raises(ArithmeticError):
+        RationalFunction(y2, y1 + one, full=True)
+
+
 def test_poly_gcd_multivariate():
     v = ("y1", "y2", "y3")
     y1 = Polynomial.variable(v, "y1")
@@ -216,6 +230,7 @@ def test_rational_and_prime_roots():
     gf = PrimeField(10**9 + 7)
     g = UniPoly(gf, [gf.from_int(-6), gf.from_int(11), gf.from_int(-6), gf.one])
     assert prime_field_roots(gf, g) == [1, 2, 3]
+    assert prime_field_roots(gf, g.scale(gf.from_int(3))) == [1, 2, 3]  # not monic
     factors = factor_cubic(gf, g)
     assert sorted(h.degree for h in factors) == [1, 1, 1]
     irr = UniPoly(gf, [gf.from_int(5), gf.from_int(3), gf.zero, gf.one])
@@ -232,19 +247,8 @@ def test_extension_field_rejects_reducible_cubic():
 
 # --- extension arithmetic against the generic polynomial reference ------------
 
-def _irreducible_extension(base, degree):
-    """base[t]/(t^d + t + c) for the least c >= 1 that is irreducible."""
-    for c in range(1, 100):
-        cs = [base.from_int(c), base.one] + [base.zero] * (degree - 2) + [base.one]
-        try:
-            return ExtensionField(base, UniPoly(base, cs))
-        except ValueError:
-            continue
-    raise AssertionError("no irreducible trinomial found")
-
-
 EXTENSIONS = {
-    (name, d): _irreducible_extension(base, d)
+    (name, d): irreducible_extension(base, d)
     for name, base in (("QQ", QQ), ("GF", PrimeField(random_prime(random.Random(5)))))
     for d in (2, 3)
 }
@@ -270,3 +274,37 @@ def test_extension_list_arithmetic_matches_reference(case):
                      (E.mul(a, b), (a * b) % E.modulus)):
         assert got.coeffs == ref.coeffs
         assert len(got.coeffs) <= E.degree
+
+
+# --- x^p and friends by the monic reduction loop ------------------------------
+
+def _powmod_by_unipoly_mod(field, base, e, mod):
+    """The square-and-multiply on ``UniPoly %`` that ``_poly_powmod`` ran
+    before it multiplied through ``ExtensionField.mul``; kept as the oracle."""
+    out = UniPoly(field, [field.one])
+    b = base % mod
+    while e:
+        if e & 1:
+            out = (out * b) % mod
+        b = (b * b) % mod
+        e >>= 1
+    return out
+
+
+POWMOD_FIELDS = (PrimeField(5), PrimeField(random_prime(random.Random(13))))
+
+
+@st.composite
+def _powmod_cases(draw):
+    f = draw(st.sampled_from(POWMOD_FIELDS))
+    coeff = st.integers(0, f.p - 1)
+    mod = UniPoly(f, draw(st.lists(coeff, min_size=1, max_size=3)) + [f.one])
+    base = UniPoly(f, draw(st.lists(coeff, max_size=5)))
+    return f, base, draw(st.integers(0, 2**64)), mod
+
+
+@settings(max_examples=300, deadline=None)
+@given(_powmod_cases())
+def test_poly_powmod_matches_unipoly_square_and_multiply(case):
+    f, base, e, mod = case
+    assert _poly_powmod(f, base, e, mod).coeffs == _powmod_by_unipoly_mod(f, base, e, mod).coeffs

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 from partabel.freeproduct import P, Q, AlgebraElement
+from partabel.scalars import ExtensionField, UniPoly
 
 
 def random_element(sig, field, rng, max_deg=4, terms=4):
@@ -14,3 +15,14 @@ def random_element(sig, field, rng, max_deg=4, terms=4):
             tag = 1 - tag
         t[tuple(w)] = field.from_int(rng.randint(-5, 5))
     return AlgebraElement(sig, field, t)
+
+
+def irreducible_extension(base, degree):
+    """base[t]/(t^d + t + c) for the least c >= 1 that is irreducible."""
+    for c in range(1, 100):
+        cs = [base.from_int(c), base.one] + [base.zero] * (degree - 2) + [base.one]
+        try:
+            return ExtensionField(base, UniPoly(base, cs))
+        except ValueError:
+            continue
+    raise AssertionError("no irreducible trinomial found")
