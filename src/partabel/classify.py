@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .freeproduct import P, Q, AlgebraElement, Signature, idempotent
 from .linalg import _rref, dense_rank, nullspace, solve_linear
-from .scalars import Domain
+from .scalars import Domain, add_term
 
 Vector = tuple  # coordinates in (p_1..p_{a-1} | q_1..q_{b-1})
 
@@ -189,12 +189,7 @@ def rewrite_left_module(elem: AlgebraElement, V: SubspacePresentation,
         for j in range(nb + 1):
             if f.is_zero(bvec[j]):
                 continue
-            key = (vword, j)
-            s = f.add(result.get(key, f.zero), f.mul(coeff, bvec[j]))
-            if f.is_zero(s):
-                result.pop(key, None)
-            else:
-                result[key] = s
+            add_term(f, result, (vword, j), f.mul(coeff, bvec[j]))
 
     # markers: ("v", i) or ("B", bvec); p-letters expand as v_i - b_i
     work = deque()

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .classify import classify_p3
 from .freeproduct import Signature, central_element_check, filtration_dim
 from .pipeline import (
-    certify_point_multi, sample_generic_points, seeded_primes,
+    certify_point_multi, degeneracy_forms, sample_generic_points, seeded_primes,
     theorem_point_worker,
 )
 from .quotient import (
@@ -241,6 +241,8 @@ def cmd_detcurve(cfg, t0) -> int:
         summary = "determinantal cubic splits into three lines"
     elif split.splits is None:
         summary = f"split undecided: {split.detail}"
+        if any(QQ.is_zero(v) for v in degeneracy_forms(QQ, (Fraction(1),) + chart)):
+            summary += "; the chart lies on a degeneracy plane"
     else:
         summary = f"cubic did not split: {split.detail}"
     return emit(cfg, "detcurve", results, bool(split.splits), summary, t0)
@@ -253,8 +255,7 @@ def cmd_rep(cfg, t0) -> int:
     spec = intersect_conics(field, y)
     ext = spec.ext
     yext = tuple(ext.from_base(c) for c in y) if spec.extension_degree > 1 else y
-    rho = build_rho(ext, yext, (spec.z1, spec.z2),
-                    rewrite=tq_rewrite(field, y, compare_reference=False))
+    rho = build_rho(ext, yext, (spec.z1, spec.z2), rewrite=tq_rewrite(field, y))
     irr = irreducibility(ext, rho)
     rw = tq_rewrite(FunctionField(("y1", "y2", "y3")),
                     FunctionField(("y1", "y2", "y3")).gens())

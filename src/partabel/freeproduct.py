@@ -11,17 +11,22 @@ Words are tuples of letters; a letter is (tag, index) with tag P=0, Q=1.
 The graded word order (length first, then the letter tuple lexicographically
 with P < Q and smaller index first) fixes every echelon computation
 downstream.
+
+A signature may also carry free letters t_1..t_free (tag T=2, after Q in the
+order): no relation holds at a seam next to one.  The representation stage
+writes its t/q words this way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Iterator
 
-from .scalars import Domain, QQ
+from .scalars import Domain, QQ, add_term
 
 P = 0
 Q = 1
+T = 2
 
 Letter = tuple[int, int]
 Word = tuple[Letter, ...]
@@ -31,10 +36,13 @@ EMPTY_WORD: Word = ()
 
 @dataclass(frozen=True)
 class Signature:
-    """Numbers of primitive idempotents (a, b) of the two factors; both >= 2."""
+    """Numbers of primitive idempotents (a, b) of the two factors, both
+    >= 2, and the number of free letters.  ``free`` stays out of the hash,
+    so Signature(a, b) hashes as it did before free letters existed."""
 
     a: int
     b: int
+    free: int = dataclass_field(default=0, hash=False)
 
     def __post_init__(self):
         if self.a < 2 or self.b < 2:
@@ -42,27 +50,31 @@ class Signature:
 
     def letters(self, tag: int) -> range:
         """Reduced index range for a tag."""
+        if tag == T:
+            return range(1, self.free + 1)
         return range(1, (self.a if tag == P else self.b))
 
     def validate_word(self, w: Word) -> None:
+        """Reject bad tags, out-of-range indices and two idempotent letters
+        of one factor side by side; a free letter may stand next to any."""
         prev = None
         for tag, idx in w:
-            if tag not in (P, Q):
+            if tag not in (P, Q, T):
                 raise ValueError(f"bad tag in {w}")
             if idx not in self.letters(tag):
                 raise ValueError(f"letter index out of reduced range in {w}")
-            if prev == tag:
+            if prev == tag != T:
                 raise ValueError(f"word {w} is not alternating")
             prev = tag
 
     def __repr__(self) -> str:
-        return f"({self.a},{self.b})"
+        return f"({self.a},{self.b},{self.free})" if self.free else f"({self.a},{self.b})"
 
 
 def word_str(w: Word) -> str:
     if not w:
         return "1"
-    return ".".join(("p" if tag == P else "q") + str(idx) for tag, idx in w)
+    return ".".join("pqt"[tag] + str(idx) for tag, idx in w)
 
 
 def word_from_str(s: str) -> Word:
@@ -72,18 +84,18 @@ def word_from_str(s: str) -> Word:
     letters = []
     for part in s.split("."):
         part = part.strip()
-        tag = P if part[0] == "p" else Q if part[0] == "q" else None
-        if tag is None:
+        if not part or part[0] not in "pqt":
             raise ValueError(f"bad letter {part!r}")
-        letters.append((tag, int(part[1:])))
+        letters.append(("pqt".index(part[0]), int(part[1:])))
     return tuple(letters)
 
 
 def concat_words(u: Word, v: Word) -> Word | None:
     """Product of two reduced words: concatenation with boundary reduction.
 
-    Same tag at the seam merges equal indices (idempotency) and kills
-    different ones (orthogonality); returns None for the zero product.
+    The same idempotent tag at the seam merges equal indices (idempotency)
+    and kills different ones (orthogonality); returns None for the zero
+    product.  A seam next to a free letter is never reduced.
     """
     if not u:
         return v
@@ -91,7 +103,7 @@ def concat_words(u: Word, v: Word) -> Word | None:
         return u
     lt, li = u[-1]
     rt, ri = v[0]
-    if lt != rt:
+    if lt != rt or lt == T:
         return u + v
     if li != ri:
         return None
@@ -100,6 +112,8 @@ def concat_words(u: Word, v: Word) -> Word | None:
 
 def words_of_length(sig: Signature, n: int) -> Iterator[Word]:
     """All reduced alternating words of exact length n, in graded-lex order."""
+    if sig.free:
+        raise ValueError("word enumeration covers idempotent letters only")
     if n == 0:
         yield EMPTY_WORD
         return
@@ -198,11 +212,7 @@ class AlgebraElement:
         f = self.field
         t = dict(self.terms)
         for w, c in other.terms.items():
-            s = f.add(t.get(w, f.zero), c)
-            if f.is_zero(s):
-                t.pop(w, None)
-            else:
-                t[w] = s
+            add_term(f, t, w, c)
         return AlgebraElement(self.sig, f, t)
 
     def __neg__(self) -> "AlgebraElement":
@@ -225,13 +235,8 @@ class AlgebraElement:
         for u, cu in self.terms.items():
             for v, cv in other.terms.items():
                 w = concat_words(u, v)
-                if w is None:
-                    continue
-                s = f.add(t.get(w, f.zero), f.mul(cu, cv))
-                if f.is_zero(s):
-                    t.pop(w, None)
-                else:
-                    t[w] = s
+                if w is not None:
+                    add_term(f, t, w, f.mul(cu, cv))
         return AlgebraElement(self.sig, f, t)
 
     def __pow__(self, n: int) -> "AlgebraElement":
@@ -290,6 +295,8 @@ class AlgebraElement:
 
     @classmethod
     def from_text(cls, sig: Signature, field: Domain, s: str) -> "AlgebraElement":
+        """Inverse of ``to_text``; kept for demo_01 and the round-trip
+        tests, which parse what ``to_text`` prints."""
         s = s.strip()
         if s == "0":
             return cls.zero(sig, field)
@@ -299,16 +306,12 @@ class AlgebraElement:
             coeff_s = coeff_s.strip()
             if coeff_s.startswith("(") and coeff_s.endswith(")"):
                 coeff_s = coeff_s[1:-1]
-            w = word_from_str(word_s)
-            c = field.parse(coeff_s)
-            if w in terms:
-                c = field.add(terms[w], c)
-            terms[w] = c
+            add_term(field, terms, word_from_str(word_s), field.parse(coeff_s))
         return cls(sig, field, terms)
 
     def to_json(self) -> dict:
         return {
-            "signature": [self.sig.a, self.sig.b],
+            "signature": [self.sig.a, self.sig.b] + ([self.sig.free] if self.sig.free else []),
             "terms": [
                 {"word": word_str(w), "coeff": self.field.to_json(c)}
                 for w, c in sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))

@@ -115,10 +115,15 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
 
     Points on the quadric or the nine degeneracy planes are rejected up
     front (the span bounds provably fail to stabilize there); ``force``
-    attempts the computation anyway and lets it fail honestly."""
+    attempts the computation anyway and lets it fail honestly.
+
+    Every stage runs at the chart point (1 : y1 : y2 : y3) of
+    ``chart_of_point``.  That is x itself when the swap is the identity, and
+    otherwise its image under an automorphism, so the bounds transfer."""
     f = field
     x = canonical_point(f, x)
-    rel = make_relation(f, point=x)
+    y, swap = chart_of_point(f, x)
+    rel = make_relation(f, chart=y)
     if rel.on_quadric():
         raise DegenerateSpecialization("point lies on the quadric; no chart pipeline")
     if not force and suspected_nongeneric(f, x):
@@ -126,7 +131,6 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
             "point lies on a degeneracy plane (a coefficient-matrix entry "
             "vanishes in some elimination chart); expected non-generic")
     cert, span = closure_certificate(rel, n_max=n_max, slack=slack)
-    y, swap = chart_of_point(f, x)
 
     spec = intersect_conics(f, y)
     ext = spec.ext
@@ -134,27 +138,12 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
         yext = tuple(ext.from_base(c) for c in y)
     else:
         yext = y
-    rho = build_rho(ext, yext, (spec.z1, spec.z2),
-                    rewrite=tq_rewrite(f, y, compare_reference=False))
+    rho = build_rho(ext, yext, (spec.z1, spec.z2), rewrite=tq_rewrite(f, y))
     idem = rho.idempotent_identities_hold()
     rho_kills = mat_is_zero(ext, rho.relation_matrix())
     irr = irreducibility(ext, rho)
-
-    # the certificate and the representation live at swap-equivalent points;
-    # the swap is an automorphism, so the evaluation rank transfers, but we
-    # evaluate on the swapped certificate directly to keep everything at one
-    # point of the orbit
-    if swap == "id":
-        cert_for_eval, span_for_eval = cert, span
-    else:
-        rel_chart = make_relation(f, chart=y)
-        cert_for_eval, span_for_eval = closure_certificate(
-            rel_chart, n_max=n_max, slack=slack)
-    wm = wedderburn_verify(cert_for_eval, spec, rho)
-
-    exact = None
-    if wm.rank == cert.dimension_bound == cert_for_eval.dimension_bound:
-        exact = wm.rank
+    wm = wedderburn_verify(cert, spec, rho)
+    exact = wm.rank if wm.rank == cert.dimension_bound else None
     return PointCertificate(
         domain=getattr(f, "name", "?") + (f"({f.p})" if isinstance(f, PrimeField) else ""),
         point=x,
@@ -174,8 +163,8 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
         idempotent_identities=idem,
         center_dim=wm.center_dim,
         trace_form_rank=wm.trace_form_rank,
-        split_dims=cert_for_eval.idempotent_split_dims(),
-        spanning_list=spanning_monomials_rank(cert_for_eval, span_for_eval),
+        split_dims=cert.idempotent_split_dims(),
+        spanning_list=spanning_monomials_rank(cert, span),
         exact_dimension=exact,
     )
 

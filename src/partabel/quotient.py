@@ -39,7 +39,7 @@ from .freeproduct import (
 )
 from .linalg import SparseEchelon
 from .scalars import (
-    Domain, DegenerateSpecialization, FunctionField, RationalFunction,
+    Domain, DegenerateSpecialization, FunctionField, RationalFunction, add_term,
 )
 
 GENERATORS: tuple[Word, ...] = (((P, 1),), ((P, 2),), ((Q, 1),), ((Q, 2),))
@@ -223,14 +223,8 @@ class IdealSpan:
             if w1 is None:
                 continue
             w2 = concat_words(w1, v)
-            if w2 is None:
-                continue
-            i = self.index[w2]
-            s = f.add(row.get(i, f.zero), c)
-            if f.is_zero(s):
-                row.pop(i, None)
-            else:
-                row[i] = s
+            if w2 is not None:
+                add_term(f, row, self.index[w2], c)
         if not row:
             return False
         if self.track:
@@ -271,12 +265,9 @@ class IdealSpan:
             for u, cu in row.items():
                 if u < 0:
                     continue
+                minus_cu = f.neg(cu)
                 for b, cb in nf[u].items():
-                    s = f.sub(acc.get(b, f.zero), f.mul(cu, cb))
-                    if f.is_zero(s):
-                        acc.pop(b, None)
-                    else:
-                        acc[b] = s
+                    add_term(f, acc, b, f.mul(minus_cu, cb))
             nf[i] = acc
         return nf
 
@@ -303,14 +294,8 @@ class IdealSpan:
                     if w1 is None:
                         continue
                     w2 = concat_words(w1, v)
-                    if w2 is None:
-                        continue
-                    i = self.index[w2]
-                    s = f.add(expanded.get(i, f.zero), f.mul(coeff, c))
-                    if f.is_zero(s):
-                        expanded.pop(i, None)
-                    else:
-                        expanded[i] = s
+                    if w2 is not None:
+                        add_term(f, expanded, self.index[w2], f.mul(coeff, c))
             stored = {lead: f.one}
             for c, v in row.items():
                 if c >= 0:
@@ -437,11 +422,7 @@ class ClosureCertificate:
         for i, ci in vec1.items():
             for j, cj in vec2.items():
                 for k, ck in self.structure_constants[i][j].items():
-                    s = f.add(out.get(k, f.zero), f.mul(f.mul(ci, cj), ck))
-                    if f.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                    add_term(f, out, k, f.mul(f.mul(ci, cj), ck))
         return out
 
     def is_commutative(self) -> bool:
@@ -565,11 +546,7 @@ def _structure_constants(span: IdealSpan, basis_idx, pos, letter_action):
         cols = letter_action[g]
         for k, c in vec.items():
             for m, cm in cols[k].items():
-                s = f.add(out.get(m, f.zero), f.mul(c, cm))
-                if f.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+                add_term(f, out, m, f.mul(c, cm))
         return out
 
     table: list[list[dict[int, object]]] = []

@@ -6,12 +6,17 @@ quotient).  This module:
 
 * solves the four idempotent identities for the products t_i q_j, turning
   every word into a combination of q-prefixed t-words (valid whenever
-  d = y3 - y1*y2 is nonzero, i.e. off the quadric);
+  d = y3 - y1*y2 is nonzero, i.e. off the quadric); the t/q words are
+  ``AlgebraElement`` words over ``SIG_TQ``, where t1, t2 are free letters;
 * induces the 3-dimensional module on the span of 1, q1, q2 from the
   character t1 -> z1, t2 -> z2, producing explicit matrices;
 * extracts the three conics in (z1, z2) forced by commutativity, the
   determinantal cubic of the net, and the degree-3 extension over which the
   conics meet in three points;
+* certifies that the cubic splits into three lines by dividing out the line
+  of one join of base points (``split_determinantal_cubic``); the older
+  singular-point test ``split_into_lines`` is called only by
+  ``bench/workloads.py`` and the tests;
 * certifies irreducibility (Burnside span) and assembles the evaluation map
   onto nine characters plus the nine matrix coordinates, whose rank is the
   dimension lower bound that meets the closure certificate's upper bound.
@@ -28,109 +33,29 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .freeproduct import EMPTY_WORD, P, Q, AlgebraElement, Signature, idempotent
+from .freeproduct import (
+    EMPTY_WORD, P, Q, T, AlgebraElement, Signature, Word, idempotent, word_str,
+)
 from .linalg import _rref, dense_rank, solve_linear
 from .scalars import (
     DegenerateSpecialization, Domain, ExtensionField, FunctionField, PolyRingDomain,
-    PrimeField, RationalFunction, UniPoly, bareiss_determinant, factor_cubic,
-    gcd_univariate, sylvester_resultant,
+    PrimeField, RationalFunction, UniPoly, add_term, bareiss_determinant,
+    factor_cubic, gcd_univariate, sylvester_resultant,
 )
 
 SIG33 = Signature(3, 3)
 
-T1, T2, Q1, Q2 = "t1", "t2", "q1", "q2"
-TQWord = tuple[str, ...]
+# Words in t1, t2, q1, q2: the t-letters are free, the q-letters are the
+# reduced idempotents of the second factor (no p-letter occurs)
+SIG_TQ = Signature(3, 3, free=2)
+T1, T2, Q1, Q2 = (T, 1), (T, 2), (Q, 1), (Q, 2)
+
+UNKNOWN_WORDS: tuple[Word, ...] = ((T1, Q1), (T1, Q2), (T2, Q1), (T2, Q2))
 
 
-# ---------------------------------------------------------------------------
-# Words in t1, t2, q1, q2 subject only to the q-idempotent relations
-# ---------------------------------------------------------------------------
-
-def _tq_concat(u: TQWord, v: TQWord):
-    """Concatenate, reducing q_i q_j seams (merge equal, kill different)."""
-    if not u:
-        return v
-    if not v:
-        return u
-    a, b = u[-1], v[0]
-    if a.startswith("q") and b.startswith("q"):
-        if a == b:
-            return u + v[1:]
-        return None
-    return u + v
-
-
-class TQElement:
-    """Sparse combination of words in {t1, t2, q1, q2} over a Domain; the
-    t-letters are free, the q-letters are orthogonal idempotents."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field: Domain, terms: dict[TQWord, object] | None = None):
-        self.field = field
-        self.terms = {w: c for w, c in (terms or {}).items() if not field.is_zero(c)}
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field, {})
-
-    @classmethod
-    def word(cls, field, w: TQWord, coeff=None):
-        return cls(field, {w: field.one if coeff is None else coeff})
-
-    def __add__(self, other):
-        f = self.field
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            s = f.add(t.get(w, f.zero), c)
-            if f.is_zero(s):
-                t.pop(w, None)
-            else:
-                t[w] = s
-        return TQElement(f, t)
-
-    def __neg__(self):
-        f = self.field
-        return TQElement(f, {w: f.neg(c) for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        f = self.field
-        return TQElement(f, {w: f.mul(v, c) for w, v in self.terms.items()})
-
-    def __mul__(self, other):
-        f = self.field
-        t: dict[TQWord, object] = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                w = _tq_concat(u, v)
-                if w is None:
-                    continue
-                s = f.add(t.get(w, f.zero), f.mul(cu, cv))
-                if f.is_zero(s):
-                    t.pop(w, None)
-                else:
-                    t[w] = s
-        return TQElement(f, t)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"({self.field.fmt(c)})*{'.'.join(w) if w else '1'}"
-            for w, c in sorted(self.terms.items()))
-
-
-UNKNOWN_WORDS: tuple[TQWord, ...] = ((T1, Q1), (T1, Q2), (T2, Q1), (T2, Q2))
-
-
-def _tq_in_free_product(field: Domain, y: tuple) -> dict[str, AlgebraElement]:
-    """Images of t1, t2, q1, q2 inside the free product for a chart triple."""
+def _tq_in_free_product(field: Domain, y: tuple) -> dict:
+    """Images of the letters t1, t2, q1, q2 in the free product for a chart
+    triple."""
     y1, y2, y3 = y
     p1 = idempotent(SIG33, field, P, 1)
     p2 = idempotent(SIG33, field, P, 2)
@@ -150,18 +75,46 @@ def chart_degeneracy(field: Domain, y: tuple):
 
 @dataclass
 class TQRewrite:
-    """Solved rewrites t_i q_j -> span{1, t_a, q_a, t_a t_b, q_a t_b} plus
-    the solve determinant and verification / reference-comparison reports."""
+    """Solved rewrites t_i q_j -> span{1, t_a, q_a, t_a t_b, q_a t_b} and
+    the solve determinant.  The self-checks are computed when first read, so
+    a caller that only uses the rules does not pay for them."""
 
     field: Domain
     y: tuple
-    rules: dict[TQWord, TQElement]
+    rules: dict[Word, AlgebraElement]
     determinant: object
-    verified_in_free_product: bool
-    reference_mismatches: list[dict]
+
+    @cached_property
+    def verified_in_free_product(self) -> bool:
+        """Every rule holds for the images of its letters in k^3 * k^3."""
+        f = self.field
+        images = _tq_in_free_product(f, self.y)
+        for u in UNKNOWN_WORDS:
+            rhs = AlgebraElement.zero(SIG33, f)
+            for w, c in self.rules[u].terms.items():
+                acc = AlgebraElement.unit(SIG33, f)
+                for letter in w:
+                    acc = acc * images[letter]
+                rhs = rhs + acc.scale(c)
+            if not (images[u[0]] * images[u[1]] - rhs).is_zero():
+                return False
+        return True
+
+    @cached_property
+    def reference_mismatches(self) -> list[dict]:
+        """Differences from ``reference_tq_rules``; empty unless the field
+        is symbolic in (y1, y2, y3)."""
+        f = self.field
+        if not (isinstance(f, FunctionField) and f.vars[:3] == ("y1", "y2", "y3")):
+            return []
+        ref = reference_tq_rules(f)
+        return [{"rule": word_str(u), "word": word_str(w),
+                 "derived_minus_reference": repr(c)}
+                for u in UNKNOWN_WORDS
+                for w, c in sorted((self.rules[u] - ref[u]).terms.items())]
 
 
-def tq_rewrite(field: Domain, y: tuple, compare_reference: bool = True) -> TQRewrite:
+def tq_rewrite(field: Domain, y: tuple) -> TQRewrite:
     """Derive the four t_i q_j rewrites from the idempotent laws of p1, p2.
 
     The laws p1^2 = p1, p2^2 = p2, p1 p2 = p2 p1 = 0, rewritten through
@@ -173,11 +126,7 @@ def tq_rewrite(field: Domain, y: tuple, compare_reference: bool = True) -> TQRew
     d = chart_degeneracy(f, y)
     if f.is_zero(d):
         raise DegenerateSpecialization("chart point lies on the quadric (d = 0)")
-    one = TQElement.word(f, ())
-    t1 = TQElement.word(f, (T1,))
-    t2 = TQElement.word(f, (T2,))
-    q1 = TQElement.word(f, (Q1,))
-    q2 = TQElement.word(f, (Q2,))
+    t1, t2, q1, q2 = (AlgebraElement.from_word(SIG_TQ, f, (g,)) for g in (T1, T2, Q1, Q2))
     p1 = t1 + q1.scale(y2) + q2.scale(y3)
     p2 = t2 - q1 - q2.scale(y1)
     relations = [p1 * p1 - p1, p2 * p2 - p2, p1 * p2, p2 * p1]
@@ -191,44 +140,19 @@ def tq_rewrite(field: Domain, y: tuple, compare_reference: bool = True) -> TQRew
     solved, pivots = _rref(f, rows, 4)
     if len(pivots) < 4:
         raise DegenerateSpecialization("t*q system is singular at this point")
-    rules = {u: TQElement(f, dict(zip(known_words, solved[k][4:])))
+    rules = {u: AlgebraElement(SIG_TQ, f, dict(zip(known_words, solved[k][4:])))
              for k, u in enumerate(UNKNOWN_WORDS)}
-
-    images = _tq_in_free_product(f, y)
-    verified = True
-    for u in UNKNOWN_WORDS:
-        lhs = images[u[0]] * images[u[1]]
-        rhs = AlgebraElement.zero(SIG33, f)
-        for w, c in rules[u].terms.items():
-            acc = AlgebraElement.unit(SIG33, f)
-            for letter in w:
-                acc = acc * images[letter]
-            rhs = rhs + acc.scale(c)
-        if not (lhs - rhs).is_zero():
-            verified = False
-
-    mismatches: list[dict] = []
-    if compare_reference and isinstance(f, FunctionField) and f.vars[:3] == ("y1", "y2", "y3"):
-        ref = reference_tq_rules(f)
-        for u in UNKNOWN_WORDS:
-            diff = rules[u] - ref[u]
-            for w, c in sorted(diff.terms.items()):
-                mismatches.append({
-                    "rule": ".".join(u),
-                    "word": ".".join(w) if w else "1",
-                    "derived_minus_reference": repr(c),
-                })
-    return TQRewrite(f, y, rules, det, verified, mismatches)
+    return TQRewrite(f, y, rules, det)
 
 
-def reference_tq_rules(F: FunctionField) -> dict[TQWord, TQElement]:
+def reference_tq_rules(F: FunctionField) -> dict[Word, AlgebraElement]:
     """The previously tabulated closed forms of the four rewrites, encoded
     verbatim (including their suspected misprints) for comparison."""
     y1, y2, y3 = (F.gen(v) for v in ("y1", "y2", "y3"))
     d = y3 - y1 * y2
 
-    def elem(table: dict[TQWord, RationalFunction]) -> TQElement:
-        return TQElement(F, table)
+    def elem(table: dict[Word, RationalFunction]) -> AlgebraElement:
+        return AlgebraElement(SIG_TQ, F, table)
 
     rules = {
         (T1, Q1): elem({
@@ -401,22 +325,22 @@ def build_rho(field: Domain, y: tuple, z: tuple,
     the extension is the lift of the one over k."""
     f = field
     z1, z2 = z
-    rw = rewrite or tq_rewrite(f, y, compare_reference=False)
+    rw = rewrite or tq_rewrite(f, y)
     lift = (lambda c: c) if rw.field == f else f.from_base
     zval = {T1: z1, T2: z2}
 
-    def vec_of(elem: TQElement) -> list:
+    def vec_of(elem: AlgebraElement) -> list:
         v = [f.zero, f.zero, f.zero]
         for w, c in elem.terms.items():
             coeff = lift(c)
             pos = 0
             rest = w
-            if rest and rest[0].startswith("q"):
-                pos = 1 if rest[0] == Q1 else 2
+            if rest and rest[0][0] == Q:
+                pos = rest[0][1]        # the basis vector q1 or q2
                 rest = rest[1:]
             for letter in rest:
-                if letter.startswith("q"):
-                    raise AssertionError(f"unreduced word {w} in rewrite output")
+                if letter[0] == Q:
+                    raise AssertionError(f"unreduced word {word_str(w)} in rewrite output")
                 coeff = f.mul(coeff, zval[letter])
             v[pos] = f.add(v[pos], coeff)
         return v
@@ -460,7 +384,8 @@ def reference_rho(F: FunctionField) -> tuple[list, list]:
 
 def compare_rho_to_reference(rho: RepMatrices) -> list[dict]:
     """Entrywise comparison of derived matrices against the tabulated ones;
-    only meaningful over the 5-variable symbolic field."""
+    only meaningful over the 5-variable symbolic field.  No command calls
+    it: demo_05 and the tests read the comparison."""
     F = rho.field
     if not (isinstance(F, FunctionField) and F.vars == ("y1", "y2", "y3", "z1", "z2")):
         raise TypeError("reference comparison needs the symbolic (y, z) field")
@@ -642,11 +567,7 @@ def _as_biv_over_y(rf: RationalFunction) -> BivPoly:
 def tern_add(f: Domain, a: TernForm, b: TernForm) -> TernForm:
     out = dict(a)
     for e, c in b.items():
-        s = f.add(out.get(e, f.zero), c)
-        if f.is_zero(s):
-            out.pop(e, None)
-        else:
-            out[e] = s
+        add_term(f, out, e, c)
     return out
 
 
@@ -655,11 +576,7 @@ def tern_mul(f: Domain, a: TernForm, b: TernForm) -> TernForm:
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-            s = f.add(out.get(e, f.zero), f.mul(c1, c2))
-            if f.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
+            add_term(f, out, e, f.mul(c1, c2))
     return out
 
 
@@ -864,28 +781,41 @@ class SplitReport:
     detail: str = ""
 
 
-def _third_point_line(spec: ExtensionSpec, tri: ConicTriple):
-    """A line of the determinantal cubic, found exactly: conics through all
-    three base points that also vanish at a third point of the line joining
-    two conjugate base points contain that whole line; the vanishing
-    condition is linear in (a1, a2, a3).  Returns the field of the line
-    and its coefficients.
+def _base_point_join(spec: ExtensionSpec, tri: ConicTriple):
+    """Two distinct base points whose join is defined over a field at hand:
+    returns (field, start, step), the join being start + t*step in
+    (z1, z2), or None when there is no such pair.
 
-    Over a degree-3 extension the conjugate pair is the two roots of
-    f(z)/(z - t) other than t, and the line lives over the extension.
-    Over a degree-2 extension the pair is the two roots of the modulus, and
-    the joining line is defined over the base field."""
+    Over a degree-3 extension the pair is the two roots of f(z)/(z - t)
+    other than t, and the join lives over the extension.  Over a degree-2
+    extension the pair is the two roots of the modulus, and the join is
+    defined over the base field.  When every root of f is in the base field
+    the pair is either the two base points above a root r whose conic gcd
+    has degree 2, joined by the line z1 = r even when they are conjugate,
+    or two base points above distinct roots.  With f = (z - r)^3 and a
+    single base point above r there is none."""
     f = spec.base
+    if spec.extension_degree == 1:
+        points = []
+        for r in dict.fromkeys(f.neg(g.coeffs[0]) for g in factor_cubic(f, spec.f_poly)):
+            c1z, c2z, c3z = (_conic_at_z1(f, c, f, r) for c in tri.all())
+            above = gcd_univariate(gcd_univariate(c1z, c2z), c3z)
+            if above.degree == 2:
+                return f, (r, f.zero), (f.zero, f.one)
+            if above.degree == 1:
+                points.append((r, f.neg(above.coeffs[0])))
+        if len(points) < 2:
+            return None
+        (r1, s1), (r2, s2) = points[:2]
+        return f, (r1, s1), (f.sub(r2, r1), f.sub(s2, s1))
     if spec.extension_degree == 3:
         field = spec.ext
         pair, rem = _lift_poly(f, field, spec.f_poly).divmod(
             UniPoly(field, [field.neg(spec.z1), field.one]))
         assert rem.is_zero()
         lift = field.from_base
-    elif spec.extension_degree == 2:
-        field, pair, lift = f, spec.modulus, (lambda v: v)
     else:
-        raise DegenerateSpecialization("needs a conjugate pair of base points")
+        field, pair, lift = f, spec.modulus, (lambda v: v)
     # the pair's z1-coordinates r2, r3 have r2 + r3 = e1, r2 * r3 = e2, and
     # z2 = G(z1) at both, with G the residue of z2 in base[t]/(modulus):
     # Galois equivariance makes one G recover every conjugate point
@@ -898,13 +828,26 @@ def _third_point_line(spec: ExtensionSpec, tri: ConicTriple):
     g_sum = field.add(field.add(field.add(g[0], g[0]), field.mul(g[1], e1)),
                       field.mul(g[2], power2))
     c = field.div(field.sub(g_sum, field.mul(s, e1)), field.from_int(2))
-    # a third point on that line, with z1 drawn from the base field
-    for z1c in (3, 5, 7, 11, 2):
-        z1v = field.from_int(z1c)
-        if field.is_zero(pair.evaluate(z1v)):     # z1v is r2 or r3
-            continue
-        z2v = field.add(field.mul(s, z1v), c)
-        coeffs = [biv_eval(field, _lift_form(f, field, cc), z1v, z2v) for cc in tri.all()]
+    return field, (field.zero, c), (field.one, s)
+
+
+def _third_point_line(spec: ExtensionSpec, tri: ConicTriple):
+    """A line of the determinantal cubic, found exactly: the restriction of
+    every conic of the net to a join of two base points vanishes at both, so
+    the conics that also vanish at a third point of the join contain it;
+    that condition is linear in (a1, a2, a3).  Returns the field of the line
+    and its coefficients, or None when ``_base_point_join`` finds no join.
+    The third point is not a base point, because the conics do not all
+    vanish there."""
+    join = _base_point_join(spec, tri)
+    if join is None:
+        return None
+    field, (z1s, z2s), (z1d, z2d) = join
+    for t in (3, 5, 7, 11, 2):
+        tv = field.from_int(t)
+        z1v, z2v = field.add(z1s, field.mul(tv, z1d)), field.add(z2s, field.mul(tv, z2d))
+        coeffs = [biv_eval(field, _lift_form(spec.base, field, cc), z1v, z2v)
+                  for cc in tri.all()]
         if not all(field.is_zero(v) for v in coeffs):
             return field, coeffs
     raise DegenerateSpecialization("could not place a third point on the joining line")
@@ -941,16 +884,19 @@ def split_determinantal_cubic(field: Domain, cubic: TernForm,
     """Exact split certificate for the pipeline's cubic, at every extension
     degree that ``intersect_conics`` returns.
 
-    Over a degree-3 or a degree-2 extension one line of the cubic is found
-    from the conjugate-pair geometry (``_third_point_line``) and divided
-    out, and the quadratic cofactor is certified degenerate (det = 0): the
-    cubic is then a product of three linear forms over the closure.  When
-    the three base points are all over the base field, the singular-point
-    test of ``split_into_lines`` decides, or says why it cannot."""
-    if spec.extension_degree == 1:
-        return split_into_lines(field, cubic)
-    lfield, line = _third_point_line(spec, tri)
-    where, mode = (("degree-3 extension", "exact-extension") if lfield is spec.ext
+    One line of the cubic is found from a join of two base points
+    (``_third_point_line``) and divided out, and the quadratic cofactor is
+    certified degenerate (det = 0): the cubic is then a product of three
+    linear forms over the closure.  The line lives over the degree-3
+    extension, or over the base field at degrees 2 and 1.  When no two base
+    points can be joined the split is undecided, and ``detail`` says why."""
+    found = _third_point_line(spec, tri)
+    if found is None:
+        return SplitReport(None, "exact-base", [], None, [],
+                           "f has a triple root with a single base point above "
+                           "it, so no two base points give a line to divide by")
+    lfield, line = found
+    where, mode = (("degree-3 extension", "exact-extension") if spec.extension_degree == 3
                    else ("base field", "exact-base"))
     cofactor = _tern_divide_by_line(lfield, _lift_form(field, lfield, cubic), line)
     if cofactor is None:
@@ -966,7 +912,10 @@ def split_determinantal_cubic(field: Domain, cubic: TernForm,
 
 
 def split_into_lines(field: Domain, cubic: TernForm, tol=None) -> SplitReport:
-    """Standalone exact splitting test via rational singular points.
+    """Standalone exact splitting test via rational singular points.  No
+    command calls it: only the benchmark workloads (``bench/workloads.py``)
+    and the tests do, since ``split_determinantal_cubic`` certifies every
+    extension degree.
 
     A reduced union of three non-concurrent lines has exactly three singular
     points (the pairwise intersections) and the pairwise joins recover the
@@ -974,7 +923,7 @@ def split_into_lines(field: Domain, cubic: TernForm, tol=None) -> SplitReport:
     exactly.  When they are not all rational, or are not three points whose
     joins give the cubic, the test decides nothing: ``splits`` is None and
     ``detail`` says why.  ``tol`` is ignored; it is still accepted because
-    the benchmark workloads (``bench/workloads.py``) pass it."""
+    the benchmark workloads pass it."""
     f = field
     if not any(not f.is_zero(c) for c in cubic.values()):
         raise ValueError("zero cubic")
@@ -1094,9 +1043,8 @@ def _tern_to_biv(f: Domain, form: TernForm, set_one: int) -> BivPoly:
     out: BivPoly = {}
     keep = [v for v in range(3) if v != set_one]
     for e, c in form.items():
-        key = (e[keep[0]], e[keep[1]])
-        out[key] = f.add(out.get(key, f.zero), c)
-    return {k: v for k, v in out.items() if not f.is_zero(v)}
+        add_term(f, out, (e[keep[0]], e[keep[1]]), c)
+    return out
 
 
 def _biv_eval_poly_in_z2(f: Domain, p: BivPoly, a1) -> UniPoly:

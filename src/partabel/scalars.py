@@ -24,21 +24,6 @@ class DegenerateSpecialization(RuntimeError):
     """A random specialization hit a degeneracy locus; caller should resample."""
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
@@ -148,6 +133,17 @@ class Domain:
 
     def from_json(self, obj):
         return self.parse(obj)
+
+
+def add_term(field: Domain, terms: dict, key, c) -> None:
+    """``terms[key] += c`` in place, dropping the key when the sum is zero:
+    the one sparse accumulate, so no coefficient table stores a zero."""
+    if key in terms:
+        c = field.add(terms[key], c)
+    if field.is_zero(c):
+        terms.pop(key, None)
+    else:
+        terms[key] = c
 
 
 # Fractions are immutable, so every caller can share these two.
@@ -888,6 +884,8 @@ class UniPoly:
 
     @classmethod
     def from_ints(cls, field: Domain, ints: Iterable[int]) -> "UniPoly":
+        """Polynomial from integer coefficients, constant term first; kept
+        for the tests, which write their moduli and cubics this way."""
         return cls(field, [field.from_int(n) for n in ints])
 
     @classmethod

@@ -241,6 +241,10 @@ def test_argument_errors_exit_1(args, capsys):
 
 @pytest.mark.parametrize("chart, degree", [
     ("2,3,7", 3), ("-1,3,1", 2), ("3/4,-3/2,-1", 2), ("-1,5,3", 1),
+    # f has a double root: at (1:-5:2:2) two base points lie above it and span
+    # the line z1 = -2; at (1:-3:2:-2) a single one does, and the line joins
+    # it to the base point above the other root
+    ("-5,2,2", 1), ("-3,2,-2", 1),
 ])
 def test_detcurve_certifies_the_split_exactly(chart, degree, tmp_path):
     code, rep = run_cli(["detcurve", f"--chart={chart}"], tmp_path)
@@ -252,14 +256,14 @@ def test_detcurve_certifies_the_split_exactly(chart, degree, tmp_path):
 
 
 def test_detcurve_names_the_reason_when_the_split_is_undecided(tmp_path):
-    # f has a repeated root at (1:-5:2:2) and two singular points of the
-    # cubic are conjugate, so the singular-point test cannot decide; the
-    # report says why instead of passing on a floating-point residual
-    code, rep = run_cli(["detcurve", "--chart=-5,2,2"], tmp_path)
+    # f = z^3 at (1:1:-1:2): one base point over QQ, so no two to join; the
+    # report says why, and that the point lies on a degeneracy plane
+    code, rep = run_cli(["detcurve", "--chart=1,-1,2"], tmp_path)
     assert code == 2
     split = rep["results"]["exact_split"]
     assert split["splits"] is None
     assert split["detail"] and split["detail"] in rep["verdict"]["summary"]
+    assert "degeneracy plane" in rep["verdict"]["summary"]
 
 
 def test_detcurve_has_no_tolerance_option(capsys):

@@ -8,7 +8,7 @@ import pytest
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["demo_05_conics_and_cubic.py", "demo_06_theorem.py"])
+@pytest.mark.parametrize("demo", sorted(p.name for p in (PKG_ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
     proc = subprocess.run(
         [sys.executable, str(PKG_ROOT / "demos" / demo)],

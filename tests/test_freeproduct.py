@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from partabel.freeproduct import (
-    EMPTY_WORD, P, Q, AlgebraElement, Signature, central_element_check,
-    commutator, filtration_dim, idempotent, word_from_str, words_up_to,
+    EMPTY_WORD, P, Q, T, AlgebraElement, Signature, central_element_check,
+    commutator, concat_words, filtration_dim, idempotent, word_from_str,
+    word_str, words_up_to,
 )
 from partabel.scalars import (
     ExtensionField, FunctionField, PrimeField, QQ, UniPoly, random_prime,
@@ -34,6 +35,30 @@ def test_signature_validation():
         sig.validate_word(((P, 1), (P, 2)))
     with pytest.raises(ValueError):
         sig.validate_word(((P, 3),))
+
+
+def test_free_letters_are_never_reduced_and_are_range_checked():
+    sig = Signature(3, 3, free=2)
+    t1, t2, q1, q2 = (T, 1), (T, 2), (Q, 1), (Q, 2)
+    assert concat_words((t1,), (t1,)) == (t1, t1)
+    assert concat_words((q1, t2), (t2, q1)) == (q1, t2, t2, q1)
+    # idempotent seams still merge or vanish between free letters
+    assert concat_words((t1, q1), (q1, t2)) == (t1, q1, t2)
+    assert concat_words((t1, q1), (q2, t2)) is None
+    sig.validate_word((t1, t1, q1, t2, (P, 2), t2))
+    for bad in (((T, 3),), ((T, 0),), (t1, q1, q2)):
+        with pytest.raises(ValueError):
+            sig.validate_word(bad)
+    with pytest.raises(ValueError):
+        Signature(3, 3).validate_word((t1,))
+    with pytest.raises(ValueError):
+        words_up_to(sig, 2)
+    assert word_str((q1, t2, t1)) == "q1.t2.t1" and word_from_str("q1.t2.t1") == (q1, t2, t1)
+    x = AlgebraElement(sig, QQ, {(t1, q2): Fraction(3, 2), (q1,): Fraction(-1)})
+    assert AlgebraElement.from_json(QQ, json.loads(json.dumps(x.to_json()))) == x
+    # the free count leaves Signature(3, 3) as it was
+    assert Signature(3, 3) == Signature(3, 3, 0) != sig
+    assert hash(Signature(3, 3)) == hash((3, 3)) and repr(Signature(3, 3)) == "(3,3)"
 
 
 def test_idempotent_examples():

@@ -109,3 +109,16 @@ def test_quadric_certification():
     assert repp["exact_dimension"] == 9
     with pytest.raises(ValueError):
         certify_quadric_point(QQ, tuple(F(c) for c in (1, 2, 3, 7)))
+
+
+def test_certify_point_skips_the_rewrite_self_checks(monkeypatch):
+    # certify_point reads only the rewrite rules; the free-product check is
+    # for the conics and rep reports and must not run here
+    from partabel import reptheory
+
+    def fail(*args):
+        raise AssertionError("free-product self-check ran")
+    monkeypatch.setattr(reptheory, "_tq_in_free_product", fail)
+    f = PrimeField(random_prime(random.Random(3)))
+    x = tuple(f.from_fraction(c) for c in sample_generic_points(0, 1)[0])
+    assert certify_point(f, x).exact_dimension == 18

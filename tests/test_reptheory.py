@@ -6,7 +6,7 @@ import pytest
 
 from partabel.quotient import chart_in_field, closure_certificate, make_relation
 from partabel.reptheory import (
-    _tern_divide_by_line, biv_eval, build_rho, character_value,
+    _base_point_join, _tern_divide_by_line, biv_eval, build_rho, character_value,
     commutator_conic_consistency, compare_rho_to_reference, conics,
     determinantal_cubic, generated_matrix_algebra_dim, intersect_conics,
     irreducibility, mat_identity, mat_is_zero, split_determinantal_cubic,
@@ -98,8 +98,8 @@ def test_rewrite_over_k_lifts_to_the_rewrite_over_the_extension(base, degree):
     z = (E.gen(), E.add(E.mul(E.gen(), E.gen()), E.from_int(3)))
     for y in (chart_in_field(base, Y_SAMPLE), chart_in_field(base, chart("3/2,-2,5"))):
         yE = tuple(E.from_base(c) for c in y)
-        over_k = tq_rewrite(base, y, compare_reference=False)
-        over_E = tq_rewrite(E, yE, compare_reference=False)
+        over_k = tq_rewrite(base, y)
+        over_E = tq_rewrite(E, yE)
         for u, rule in over_E.rules.items():
             assert rule.terms == {w: E.from_base(c) for w, c in over_k.rules[u].terms.items()}
         via_k = build_rho(E, yE, z, rewrite=over_k)
@@ -253,21 +253,30 @@ def test_split_certificate_rejects_a_perturbed_cubic(y):
     assert split_determinantal_cubic(QQ, bent, spec, tri).splits is False
 
 
-def test_split_over_the_base_field_uses_rational_singular_points():
-    spec, _, _, exact = _exact_split(chart("-1,5,3"))
+# three distinct roots of f; f = (z - 1)(z + 2)^2 with two conjugate base
+# points above -2, so the line is z1 = -2; a double root with one base point
+@pytest.mark.parametrize("y, vertical", [("-1,5,3", False), ("-5,2,2", True),
+                                         ("-3,2,-2", False)])
+def test_split_over_the_base_field_uses_a_join_of_base_points(y, vertical):
+    spec, cubic, tri, exact = _exact_split(chart(y))
     assert spec.factor_degrees == [1, 1, 1]
-    assert exact.splits is True and exact.mode == "exact-rational"
-    assert len(exact.singular_points) == 3
+    assert exact.splits is True and exact.mode == "exact-base", exact.detail
+    (line,) = exact.lines
+    assert _tern_divide_by_line(QQ, cubic, line) is not None
+    field, _, (z1_step, _) = _base_point_join(spec, tri)
+    assert field is QQ and (z1_step == 0) == vertical
 
 
 def test_split_over_the_base_field_says_why_it_is_undecided():
-    # f = (z - 1)(z + 2)^2 at (1:-5:2:2): the cubic is a rational line times
-    # a conic whose two lines are conjugate, so two singular points are not
-    # rational and the singular-point test cannot decide
-    spec, cubic, _, exact = _exact_split(chart("-5,2,2"))
-    assert spec.factor_degrees == [1, 1, 1] and spec.discriminant == 0
-    assert exact.splits is None and "rationals" in exact.detail
+    # f = z^3 at (1:1:-1:2) with one base point above 0: no two to join
+    spec, cubic, _, exact = _exact_split(chart("1,-1,2"))
+    assert spec.factor_degrees == [1, 1, 1] and spec.f_poly.coeffs == [0, 0, 0, 1]
+    assert exact.splits is None and "triple root" in exact.detail
+    # the singular-point test, which only the benchmark still calls, cannot
+    # decide at (1:-5:2:2): two singular points of the cubic are conjugate
+    cubic = _exact_split(chart("-5,2,2"))[1]
     assert split_into_lines(QQ, cubic, tol=1e-3).splits is None  # tol is ignored
+    assert split_into_lines(QQ, _exact_split(chart("-1,5,3"))[1]).splits is True
 
 
 # --- conic intersection over the extension ------------------------------------

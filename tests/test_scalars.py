@@ -7,22 +7,11 @@ from hypothesis import strategies as st
 
 from partabel.scalars import (
     ExtensionField, FunctionField, PoleError, PolyRingDomain, Polynomial,
-    PrimeField, QQ, RationalFunction, UniPoly, _poly_powmod, factor_cubic,
-    gcd_univariate, is_probable_prime, poly_gcd, prime_field_roots,
-    random_prime, rational_roots, sylvester_resultant, xgcd,
+    PrimeField, QQ, RationalFunction, UniPoly, _poly_powmod, add_term,
+    factor_cubic, gcd_univariate, is_probable_prime, poly_gcd,
+    prime_field_roots, random_prime, rational_roots, sylvester_resultant,
 )
 from tests_helpers import irreducible_extension
-
-
-def test_xgcd():
-    rng = random.Random(0)
-    for _ in range(200):
-        a, b = rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9)
-        g, s, t = xgcd(a, b)
-        assert s * a + t * b == g
-        assert g >= 0
-        if a or b:
-            assert a % g == 0 and b % g == 0
 
 
 def test_probable_prime_and_generation():
@@ -308,3 +297,33 @@ def _powmod_cases(draw):
 def test_poly_powmod_matches_unipoly_square_and_multiply(case):
     f, base, e, mod = case
     assert _poly_powmod(f, base, e, mod).coeffs == _powmod_by_unipoly_mod(f, base, e, mod).coeffs
+
+
+# --- the one sparse accumulate ------------------------------------------------
+
+ACCUMULATE_FIELDS = {"QQ": QQ, "GF": PrimeField(2**61 - 1), "EXT": EXTENSIONS[("QQ", 3)]}
+
+
+@st.composite
+def _accumulate_cases(draw):
+    name = draw(st.sampled_from(sorted(ACCUMULATE_FIELDS)))
+    f = ACCUMULATE_FIELDS[name]
+    small = st.integers(-2, 2)       # small values, so sums often cancel
+    if name == "EXT":
+        coeff = st.lists(small, max_size=3).map(lambda cs: UniPoly(QQ, [Fraction(c) for c in cs]))
+    else:
+        coeff = small.map(f.from_int)
+    return f, draw(st.lists(st.tuples(st.integers(0, 3), coeff), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_accumulate_cases())
+def test_add_term_is_a_dict_sum_that_stores_no_zero(case):
+    f, pairs = case
+    terms, plain = {}, {}
+    for key, c in pairs:
+        add_term(f, terms, key, c)
+        plain[key] = f.add(plain.get(key, f.zero), c)
+        assert not any(f.is_zero(v) for v in terms.values())
+    assert set(terms) == {k for k, v in plain.items() if not f.is_zero(v)}
+    assert all(f.eq(terms[k], plain[k]) for k in terms)
