@@ -5,15 +5,18 @@ The echelon keeps pivot rows normalized (pivot coefficient 1) and always
 pivots on a row's highest column index, so feeding a matrix whose columns
 are ordered low-to-high eliminates the high columns first.  Prime fields
 take a reduction loop on plain int arithmetic; every other domain goes
-through its Domain operations.  Every rank, ``dense_rank`` included, comes
+through its Domain operations.  Both loops keep the row as a dict of its
+nonzero entries and take the next lead as ``max(row)``, with no heap: a
+pivot row holds only columns below its own lead, so subtracting it adds no
+column above the lead being cleared, and a cancelled column is popped from
+the row at once.  The leads therefore come out in the same descending order
+a priority queue would give.  Every rank, ``dense_rank`` included, comes
 from SparseEchelon.  Dense solves (``nullspace``, ``solve_linear``, the
 classifier's matrix inverse and the t*q rewrite) go through the one dense
 Gauss-Jordan routine, ``_rref``.
 """
 
 from __future__ import annotations
-
-import heapq
 
 from .scalars import Domain, PrimeField
 
@@ -50,25 +53,23 @@ class SparseEchelon:
             self._eliminate_generic(row, out)
         return out
 
-    # Both loops walk the row's columns from the highest down.  A lead
-    # without a pivot is free: with ``out`` None it becomes a new pivot row
-    # (add_row), otherwise it moves into ``out`` and the walk goes on (reduce).
+    # Both loops walk the row's columns from the highest down, each lead
+    # being max(row) of the nonzero entries left (no heap: a pivot row adds
+    # only columns below its lead).  A lead without a pivot is free: with
+    # ``out`` None it becomes a new pivot row (add_row), otherwise it moves
+    # into ``out`` and the walk goes on (reduce).
 
     def _eliminate_modp(self, row: dict, out: dict | None) -> int | None:
         p = self._modp
         pivots = self.pivots
         row = {c: v % p for c, v in row.items() if v % p}
-        heap = [-c for c in row]
-        heapq.heapify(heap)
-        while heap:
-            lead = -heapq.heappop(heap)
-            v = row.pop(lead, 0)
-            if not v:
-                continue
+        while row:
+            lead = max(row)
+            v = row.pop(lead)
             piv = pivots.get(lead)
             if piv is None:
                 if out is None:
-                    inv = pow(v, p - 2, p)
+                    inv = pow(v, -1, p)
                     pivots[lead] = {c: w * inv % p for c, w in row.items()}
                     return lead
                 out[lead] = v
@@ -76,8 +77,6 @@ class SparseEchelon:
             for c, w in piv.items():
                 nv = (row.get(c, 0) - v * w) % p
                 if nv:
-                    if c not in row:
-                        heapq.heappush(heap, -c)
                     row[c] = nv
                 else:
                     row.pop(c, None)
@@ -87,13 +86,9 @@ class SparseEchelon:
         f = self.field
         pivots = self.pivots
         row = {c: v for c, v in row.items() if not f.is_zero(v)}
-        heap = [-c for c in row]
-        heapq.heapify(heap)
-        while heap:
-            lead = -heapq.heappop(heap)
-            v = row.pop(lead, None)
-            if v is None:
-                continue
+        while row:
+            lead = max(row)
+            v = row.pop(lead)
             piv = pivots.get(lead)
             if piv is None:
                 if out is None:
@@ -107,8 +102,6 @@ class SparseEchelon:
                 if f.is_zero(nv):
                     row.pop(c, None)
                 else:
-                    if c not in row:
-                        heapq.heappush(heap, -c)
                     row[c] = nv
         return None
 

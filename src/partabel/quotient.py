@@ -164,6 +164,8 @@ class IdealSpan:
         # which products of window self.window gave a word pivot; the next
         # window feeds a*u*X_k*v only for these (layout in extend_to_window)
         self._prev_gave_pivot: list[bytearray] = []
+        # (window, max_degree, forms) of the last normal_forms computation
+        self._nf_memo: tuple[int, int, dict] = (-1, -1, {})
 
     def _ensure_columns(self, max_degree: int):
         """Extend the columns to every word of length <= max_degree, one
@@ -202,26 +204,27 @@ class IdealSpan:
                 for i, iu in enumerate(us):
                     u = self.words[iu]
                     tail_at = (self.index[u[1:]] - tail_start) * row if lu else 0
+                    uXs = [[(w1, c) for w, c in X.terms.items()
+                            if (w1 := concat_words(u, w)) is not None]
+                           for X in self.relations]
                     for j, iv in enumerate(vs):
                         v = self.words[iv]
                         for k, X in enumerate(self.relations):
                             at = j * nrel + k
                             if lu and not tail_flags[tail_at + at]:
                                 continue
-                            if self._feed(u, X, v):
+                            if self._feed(uXs[k], v, (u, X, v)):
                                 flags[i * row + at] = 1
                 gave_pivot.append(flags)
             self._prev_gave_pivot = gave_pivot
         self.window = window
 
-    def _feed(self, u: Word, X: AlgebraElement, v: Word) -> bool:
-        """Reduce u * X * v into the echelon; True if it gave a word pivot."""
+    def _feed(self, uX: list, v: Word, product: tuple) -> bool:
+        """Reduce u * X * v, the ``product`` (u, X, v), into the echelon from
+        the nonzero terms (u * w, c) of u * X; True if it gave a word pivot."""
         f = self.field
         row: dict[int, object] = {}
-        for w, c in X.terms.items():
-            w1 = concat_words(u, w)
-            if w1 is None:
-                continue
+        for w1, c in uX:
             w2 = concat_words(w1, v)
             if w2 is not None:
                 add_term(f, row, self.index[w2], c)
@@ -229,7 +232,7 @@ class IdealSpan:
             return False
         if self.track:
             pid = len(self.products)
-            self.products.append((u, X, v))
+            self.products.append(product)
             row[-(pid + 1)] = f.one
         piv = self.ech.add_row(row)
         if piv is None or piv < 0:
@@ -244,19 +247,28 @@ class IdealSpan:
         return sum(c for d, c in self.pivot_deg_counts.items() if d <= n)
 
     def bound(self, n: int) -> int:
-        return filtration_dim(self.sig, n) - self.counted_rank(n)
+        """dim F^n R minus the counted rank; the words of length <= n are
+        the columns below the end of the length-n block."""
+        self._ensure_columns(n)
+        return self._length_block(n).stop - self.counted_rank(n)
 
     # -- normal forms ----------------------------------------------------------
 
     def normal_forms(self, max_degree: int) -> dict[int, dict[int, object]]:
         """Normal form of every word of degree <= max_degree: a vector over
-        non-pivot word indices, computed bottom-up in the word order."""
-        f = self.field
+        non-pivot word indices, computed bottom-up in the word order.
+
+        The forms of the current window are kept, so a later call at the
+        same window and a degree up to the kept one reads them instead of
+        recomputing; the vectors are shared and must not be mutated."""
         self._ensure_columns(max_degree)
-        nf: dict[int, dict[int, object]] = {}
-        for i, w in enumerate(self.words):
-            if len(w) > max_degree:
-                break
+        stop = self._length_block(max_degree).stop
+        window, degree, nf = self._nf_memo
+        if window == self.window and degree >= max_degree:
+            return nf if degree == max_degree else {i: nf[i] for i in range(stop)}
+        f = self.field
+        nf = {}
+        for i in range(stop):
             row = self.ech.pivots.get(i)
             if row is None:
                 nf[i] = {i: f.one}
@@ -269,6 +281,7 @@ class IdealSpan:
                 for b, cb in nf[u].items():
                     add_term(f, acc, b, f.mul(minus_cu, cb))
             nf[i] = acc
+        self._nf_memo = (self.window, max_degree, nf)
         return nf
 
     def reduce_element(self, elem: AlgebraElement) -> dict[int, object]:

@@ -717,8 +717,14 @@ def intersect_conics(field: Domain, y: tuple) -> ExtensionSpec:
     """Eliminate z2 by resultants, extract the degree-3 factor of common
     z1-roots, and produce one exact intersection point of the three conics
     over the induced extension.  Degenerate degree patterns raise a
-    resample signal rather than guessing."""
+    resample signal rather than guessing; a chart on the quadric is refused
+    before any resultant.  When f splits into linear factors, z2 is
+    recovered above each distinct root, the last factor's first, until one
+    has a single base point above it."""
     f = field
+    if f.is_zero(chart_degeneracy(f, y)):
+        raise DegenerateSpecialization(
+            "chart lies on the quadric y3 = y1*y2, where the conics degenerate")
     tri = conics(f, y)
     ring, p1 = _conic_as_z2poly(f, tri.c1)
     _, p2 = _conic_as_z2poly(f, tri.c2)
@@ -737,15 +743,17 @@ def intersect_conics(field: Domain, y: tuple) -> ExtensionSpec:
     modulus = None
     if factors[-1].degree == 1:
         ext: Domain = f
-        z1 = f.neg(factors[-1].coeffs[0])
+        candidates = list(dict.fromkeys(f.neg(g.coeffs[0]) for g in reversed(factors)))
     else:
         modulus = factors[-1]
         ext = ExtensionField(f, modulus, check_irreducible=False)
-        z1 = ext.gen()
-    c1z = _conic_at_z1(f, tri.c1, ext, z1)
-    c2z = _conic_at_z1(f, tri.c2, ext, z1)
-    g = gcd_univariate(c1z, c2z)
-    if g.degree != 1:
+        candidates = [ext.gen()]
+    for z1 in candidates:
+        g = gcd_univariate(_conic_at_z1(f, tri.c1, ext, z1),
+                           _conic_at_z1(f, tri.c2, ext, z1))
+        if g.degree == 1:
+            break
+    else:
         raise DegenerateSpecialization(
             f"z2 recovery polynomial has degree {g.degree}, expected 1; resample")
     z2 = ext.neg(g.coeffs[0])

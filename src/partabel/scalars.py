@@ -206,9 +206,9 @@ class PrimeField(Domain):
 
     def from_fraction(self, q: Fraction) -> int:
         den = q.denominator % self.p
-        if den == 0:
+        if den == 0:  # pow(0, -1, p) would raise ValueError
             raise ZeroDivisionError("denominator vanishes mod p")
-        return q.numerator * pow(den, self.p - 2, self.p) % self.p
+        return q.numerator * pow(den, -1, self.p) % self.p
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -223,9 +223,9 @@ class PrimeField(Domain):
         return -a % self.p
 
     def inv(self, a: int) -> int:
-        if a % self.p == 0:
+        if a % self.p == 0:  # pow(0, -1, p) would raise ValueError
             raise ZeroDivisionError(f"inverse of 0 in GF({self.p})")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -1012,25 +1012,6 @@ def gcd_univariate(f: UniPoly, g: UniPoly) -> UniPoly:
     return a.monic() if not a.is_zero() else a
 
 
-def poly_xgcd(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """Extended Euclid for univariate polynomials: (d, s, t), s*f + t*g = d monic."""
-    field = f.field
-    zero = UniPoly(field, [])
-    one = UniPoly(field, [field.one])
-    old_r, r = f, g
-    old_s, s = one, zero
-    old_t, t = zero, one
-    while not r.is_zero():
-        q, rem = old_r.divmod(r)
-        old_r, r = r, rem
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r.is_zero():
-        return old_r, old_s, old_t
-    inv = field.inv(old_r.leading())
-    return old_r.scale(inv), old_s.scale(inv), old_t.scale(inv)
-
-
 def sylvester_resultant(f: UniPoly, g: UniPoly):
     """Resultant via the Sylvester matrix with the f-rows placed first.
 
@@ -1224,12 +1205,23 @@ class ExtensionField(Domain):
         return UniPoly(base, cs[:d])
 
     def inv(self, a: UniPoly) -> UniPoly:
+        """Solve a * x = 1 as the d x d base-field system whose column j is
+        a * t^j, by the one dense elimination; a singular system means a is
+        a zero divisor (the modulus is reducible)."""
+        from .linalg import _rref  # linalg imports this module
         if a.is_zero():
             raise ZeroDivisionError("inverse of zero in extension field")
-        d, s, _ = poly_xgcd(a, self.modulus)
-        if d.degree != 0:
+        base, d, t = self.base, self.degree, self.gen()
+        cols = [a]
+        for _ in range(1, d):
+            cols.append(self.mul(cols[-1], t))
+        zero = base.zero
+        rows = [[c.coeffs[i] if i < len(c.coeffs) else zero for c in cols]
+                + [base.one if i == 0 else zero] for i in range(d)]
+        solved, pivots = _rref(base, rows, d)
+        if len(pivots) < d:
             raise ZeroDivisionError("element not invertible (modulus not irreducible?)")
-        return s.scale(self.base.inv(d.coeffs[0])) % self.modulus
+        return UniPoly(base, [r[d] for r in solved])
 
     def div(self, a: UniPoly, b: UniPoly) -> UniPoly:
         return self.mul(a, self.inv(b))

@@ -266,6 +266,16 @@ def test_detcurve_names_the_reason_when_the_split_is_undecided(tmp_path):
     assert "degeneracy plane" in rep["verdict"]["summary"]
 
 
+@pytest.mark.parametrize("command", ["detcurve", "rep"])
+@pytest.mark.parametrize("chart", ["0,-5,0", "-5,-1,5"])
+def test_quadric_chart_exits_2_naming_the_quadric(command, chart, capsys):
+    # both charts satisfy y3 = y1*y2; the conics degenerate there (the first
+    # gave a zero resultant, the second a common-root polynomial of degree 0)
+    assert main([command, f"--chart={chart}"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"FAIL {command}:") and "quadric y3 = y1*y2" in out
+
+
 def test_detcurve_has_no_tolerance_option(capsys):
     assert main(["detcurve", "--chart", "2,3,7", "--tol", "1e-9"]) == 1
     assert "--tol" in capsys.readouterr().err

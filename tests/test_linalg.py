@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -11,6 +12,7 @@ from partabel.linalg import SparseEchelon, _rref, dense_rank, nullspace, solve_l
 from partabel.scalars import (
     ExtensionField, PrimeField, QQ, UniPoly, bareiss_determinant, random_prime,
 )
+from tests_helpers import irreducible_extension
 
 
 def random_sparse_rows(rng, nrows, ncols, density=0.3):
@@ -257,3 +259,105 @@ def test_bareiss_determinant_matches_the_permutation_expansion(case):
     det = bareiss_determinant(f, m)
     assert f.eq(det, _permutation_determinant(f, m))
     assert f.is_zero(det) == (_sparse_rank(f, m) < len(m))
+
+
+# --- the heap-free reduction loops against the heap loop they replaced --------
+
+class HeapEchelon:
+    """The reduction loop SparseEchelon ran before it took each lead as
+    max(row): the columns wait in a heap of negated indices, and a popped
+    column that was cancelled in the meantime is skipped.  Kept as the
+    oracle.  It runs on Domain operations only; on GF(p) they give the same
+    residues as the int loop."""
+
+    def __init__(self, field):
+        self.field = field
+        self.pivots = {}
+
+    def add_row(self, row):
+        return self._eliminate(row, None)
+
+    def reduce(self, row):
+        out = {}
+        self._eliminate(row, out)
+        return out
+
+    def _eliminate(self, row, out):
+        f = self.field
+        row = {c: v for c, v in row.items() if not f.is_zero(v)}
+        heap = [-c for c in row]
+        heapq.heapify(heap)
+        while heap:
+            lead = -heapq.heappop(heap)
+            v = row.pop(lead, None)
+            if v is None:
+                continue
+            piv = self.pivots.get(lead)
+            if piv is None:
+                if out is None:
+                    inv = f.inv(v)
+                    self.pivots[lead] = {c: f.mul(w, inv) for c, w in row.items()}
+                    return lead
+                out[lead] = v
+                continue
+            for c, w in piv.items():
+                nv = f.sub(row.get(c, f.zero), f.mul(v, w))
+                if f.is_zero(nv):
+                    row.pop(c, None)
+                else:
+                    if c not in row:
+                        heapq.heappush(heap, -c)
+                    row[c] = nv
+        return None
+
+
+HEAP_FIELDS = {
+    "GF5": PrimeField(5),
+    "GF61": PrimeField(2**61 - 1),
+    "QQ": QQ,
+    "EXT": irreducible_extension(PrimeField(random_prime(random.Random(17))), 3),
+}
+
+
+@st.composite
+def row_sequences(draw):
+    """A field, rows to install and rows to reduce, over 8 columns; a row
+    may be a combination of two earlier ones, so cancellations are common."""
+    f = HEAP_FIELDS[draw(st.sampled_from(sorted(HEAP_FIELDS)))]
+    small = st.integers(-2, 2)
+    if isinstance(f, ExtensionField):
+        coeff = st.lists(small, max_size=3).map(
+            lambda cs: UniPoly(f.base, [f.base.from_int(c) for c in cs]))
+    else:
+        coeff = small.map(f.from_int)
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        if len(rows) >= 2 and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(coeff)
+            row = dict(a)
+            for k, w in b.items():
+                row[k] = f.add(row.get(k, f.zero), f.mul(c, w))
+        else:
+            row = draw(st.dictionaries(st.integers(0, 7), coeff, max_size=6))
+        rows.append(row)
+    probes = draw(st.lists(st.dictionaries(st.integers(0, 7), coeff, max_size=6),
+                           max_size=4))
+    return f, rows, probes
+
+
+def _same_row(f, a, b):
+    return set(a) == set(b) and all(f.eq(a[c], b[c]) for c in a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_sequences())
+def test_echelon_without_a_heap_matches_the_heap_loop(case):
+    f, rows, probes = case
+    ech, oracle = SparseEchelon(f), HeapEchelon(f)
+    for row in rows:
+        assert ech.add_row(dict(row)) == oracle.add_row(dict(row))
+        assert list(ech.pivots) == list(oracle.pivots)
+        assert all(_same_row(f, ech.pivots[c], oracle.pivots[c]) for c in ech.pivots)
+    for row in rows + probes:
+        assert _same_row(f, ech.reduce(dict(row)), oracle.reduce(dict(row)))

@@ -6,7 +6,8 @@ import pytest
 
 from partabel.classify import SubspacePresentation
 from partabel.freeproduct import (
-    P, Q, Signature, commutator, idempotent, words_of_length, words_up_to,
+    P, Q, Signature, commutator, concat_words, filtration_dim, idempotent,
+    words_of_length, words_up_to,
 )
 from partabel.quotient import (
     ClosureFailure, IdealSpan, chart_in_field, closure_certificate,
@@ -129,7 +130,9 @@ def feed_every_product(span, window):
             for u in sorted(words_of_length(span.sig, lu)):
                 for v in sorted(words_of_length(span.sig, s - lu)):
                     for X in span.relations:
-                        span._feed(u, X, v)
+                        uX = [(concat_words(u, w), c) for w, c in X.terms.items()
+                              if concat_words(u, w) is not None]
+                        span._feed(uX, v, (u, X, v))
     span.window = window
 
 
@@ -201,6 +204,26 @@ def test_tail_pivot_criterion_row_count_at_the_infinite_point():
     span.extend_to_window(10)
     assert rows[0] == 11248
     assert span.ech.rank - rank == 8184
+
+
+@pytest.mark.parametrize("point", [(1, 0, 0, -1), (1, 2, 3, 7), (1, 2, 2, 4)])
+def test_bound_counts_the_ambient_words_from_the_columns(point):
+    span = IdealSpan(_gf_relation(point))
+    for window in range(2, 7):
+        span.extend_to_window(window)
+        for n in range(window + 5):  # past the columns too
+            assert span.bound(n) == filtration_dim(SIG, n) - span.counted_rank(n), (window, n)
+
+
+def test_normal_forms_are_kept_per_window_and_served_at_lower_degrees():
+    rel = _gf_relation((1, 2, 3, 7))
+    span = IdealSpan(rel)
+    for window in range(2, 6):
+        span.extend_to_window(window)
+        for d in (5, 4, 3, 5, 6):
+            fresh = IdealSpan(rel)
+            fresh.extend_to_window(window)
+            assert span.normal_forms(d) == fresh.normal_forms(d), (window, d)
 
 
 def test_closure_certificate_generic():

@@ -13,7 +13,7 @@ from partabel.reptheory import (
     split_into_lines, tern_mul, tq_rewrite, wedderburn_verify,
 )
 from partabel.scalars import (
-    DegenerateSpecialization, FunctionField, PrimeField, QQ, random_prime,
+    DegenerateSpecialization, FunctionField, PrimeField, QQ, factor_cubic, random_prime,
 )
 from tests_helpers import irreducible_extension
 
@@ -291,6 +291,23 @@ def test_intersect_conics_degree3_at_five_charts():
             lifted = {e: ext.from_base(v) for e, v in c.items()} \
                 if spec.extension_degree > 1 else c
             assert ext.is_zero(biv_eval(ext, lifted, spec.z1, spec.z2))
+
+
+@pytest.mark.parametrize("y, roots, z1", [
+    # f = (z - 1)(z - 4)^2: two base points lie above the last root 4, so z2
+    # is recovered above the root 1 instead
+    ("-5,-4,-4", ["1", "4", "4"], "1"),
+    # one base point above each root: the last factor's root is kept
+    ("-1,5,3", ["-9/2", "-5/2", "0"], "0"),
+])
+def test_intersect_conics_recovers_z2_above_a_root_with_one_base_point(y, roots, z1):
+    y = chart(y)
+    spec = intersect_conics(QQ, y)
+    assert spec.factor_degrees == [1, 1, 1]
+    assert sorted(-g.coeffs[0] for g in factor_cubic(QQ, spec.f_poly)) == \
+        [Fraction(r) for r in roots]
+    assert spec.z1 == Fraction(z1)
+    assert all(biv_eval(QQ, c, spec.z1, spec.z2) == 0 for c in conics(QQ, y).all())
 
 
 def test_interssection_points_match_resultant_roots():

@@ -36,6 +36,15 @@ def test_prime_field_basics():
     assert gf.from_fraction(Fraction(1, 3)) == 5
     with pytest.raises(ZeroDivisionError):
         gf.from_fraction(Fraction(1, 14))
+    big = PrimeField(2**61 - 1)
+    for f in (gf, big):
+        for zero in (0, f.p, -2 * f.p):
+            with pytest.raises(ZeroDivisionError):
+                f.inv(zero)
+        with pytest.raises(ZeroDivisionError):
+            f.from_fraction(Fraction(2, f.p))
+        assert f.mul(f.inv(f.p - 3), f.p - 3) == 1
+        assert f.mul(f.from_fraction(Fraction(5, 3)), 3) == 5
 
 
 FIELDS = {}
@@ -327,3 +336,66 @@ def test_add_term_is_a_dict_sum_that_stores_no_zero(case):
         assert not any(f.is_zero(v) for v in terms.values())
     assert set(terms) == {k for k, v in plain.items() if not f.is_zero(v)}
     assert all(f.eq(terms[k], plain[k]) for k in terms)
+
+
+# --- extension inverses by the base-field solve ---------------------------------
+
+INVERSE_BASES = {"QQ": QQ, "GF5": PrimeField(5),
+                 "GFp": PrimeField(random_prime(random.Random(19), 2**60, 2**62))}
+
+
+def _inverse_extension(name, d):
+    base = INVERSE_BASES[name]
+    if d == 1:
+        return ExtensionField(base, UniPoly(base, [base.from_int(3), base.one]))
+    return irreducible_extension(base, d)
+
+
+INVERSE_EXTENSIONS = {(name, d): _inverse_extension(name, d)
+                      for name in INVERSE_BASES for d in (1, 2, 3)}
+
+
+def _base_coeffs(base):
+    if base is QQ:
+        return st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 100))
+    return st.integers(0, base.p - 1)
+
+
+@st.composite
+def _ext_elements(draw):
+    E = INVERSE_EXTENSIONS[draw(st.sampled_from(sorted(INVERSE_EXTENSIONS)))]
+    cs = draw(st.lists(_base_coeffs(E.base), max_size=E.degree))
+    return E, UniPoly(E.base, cs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ext_elements())
+def test_extension_inverse_is_a_two_sided_inverse_or_raises_on_zero(case):
+    E, a = case
+    if E.is_zero(a):
+        with pytest.raises(ZeroDivisionError):
+            E.inv(a)
+        return
+    inv = E.inv(a)
+    assert len(inv.coeffs) <= E.degree
+    assert E.mul(a, inv) == E.one and E.mul(inv, a) == E.one
+
+
+@st.composite
+def _zero_divisors(draw):
+    """A reducible monic modulus g*h with g linear, and a multiple of g."""
+    base = INVERSE_BASES[draw(st.sampled_from(sorted(INVERSE_BASES)))]
+    coeff = _base_coeffs(base)
+    g = UniPoly(base, [draw(coeff), base.one])
+    h = UniPoly(base, draw(st.lists(coeff, max_size=2)) + [base.one])
+    E = ExtensionField(base, g * h, check_irreducible=False)
+    r = UniPoly(base, draw(st.lists(coeff, max_size=E.degree)))
+    return E, (g * r) % E.modulus
+
+
+@settings(max_examples=200, deadline=None)
+@given(_zero_divisors())
+def test_extension_inverse_of_a_zero_divisor_raises(case):
+    E, a = case
+    with pytest.raises(ZeroDivisionError):
+        E.inv(a)
