@@ -44,7 +44,10 @@ def _parse_fraction_tuple(s: str, n: int) -> tuple:
     parts = [p for p in s.replace(":", ",").split(",") if p.strip()]
     if len(parts) != n:
         raise ValueError(f"expected {n} coordinates, got {len(parts)}")
-    return tuple(Fraction(p.strip()) for p in parts)
+    try:
+        return tuple(Fraction(p.strip()) for p in parts)
+    except ZeroDivisionError:
+        raise ValueError(f"coordinate with a zero denominator in {s!r}") from None
 
 
 def _field_for(cfg):
@@ -393,7 +396,8 @@ def _check_ranges(cfg) -> None:
     """Reject option values that would make a certificate vacuous or
     meaningless: no points, degrees below 2, a negative slack, a product
     window capped below the first closure window, or primes small enough to
-    divide the constants of the pipeline."""
+    divide the constants of the pipeline, or repeated (two runs over one
+    prime would agree trivially)."""
     if cfg.count < 1:
         raise ValueError(f"--count must be at least 1, got {cfg.count}")
     if cfg.nmax < 2:
@@ -405,6 +409,8 @@ def _check_ranges(cfg) -> None:
     for p in cfg.primes or ():
         if not (2**31 <= p < 2**62 and is_probable_prime(p)):
             raise ValueError(f"--primes entry {p} is not a prime in [2^31, 2^62)")
+    if cfg.primes and len(set(cfg.primes)) < len(cfg.primes):
+        raise ValueError(f"--primes repeats an entry: {cfg.primes}")
 
 
 def main(argv=None) -> int:

@@ -4,13 +4,16 @@ Sparse rows are dicts mapping integer column indices to raw domain values.
 The echelon keeps pivot rows normalized (pivot coefficient 1) and always
 pivots on a row's highest column index, so feeding a matrix whose columns
 are ordered low-to-high eliminates the high columns first.  Prime fields
-take a reduction loop on plain int arithmetic; every other domain goes
-through its Domain operations.  Both loops keep the row as a dict of its
-nonzero entries and take the next lead as ``max(row)``, with no heap: a
-pivot row holds only columns below its own lead, so subtracting it adds no
-column above the lead being cleared, and a cancelled column is popped from
-the row at once.  The leads therefore come out in the same descending order
-a priority queue would give.  Every rank, ``dense_rank`` included, comes
+take a reduction loop on plain int arithmetic, and so does QQ: its rows are
+reduced fraction-free on integers (Bareiss 1968), each divided by its
+content after every step, which spares the two normalizing gcds of every
+``Fraction`` update.  Every other domain goes through its Domain
+operations.  All three loops keep the row as a dict of its nonzero
+entries and take the next lead as ``max(row)``, with no heap: a pivot row
+holds only columns below its own lead, so subtracting it adds no column
+above the lead being cleared, and a cancelled column is popped from the row
+at once.  The leads therefore come out in the same descending order a
+priority queue would give.  Every rank, ``dense_rank`` included, comes
 from SparseEchelon.  Dense solves (``nullspace``, ``solve_linear``, the
 classifier's matrix inverse and the t*q rewrite) go through the one dense
 Gauss-Jordan routine, ``_rref``.
@@ -18,7 +21,10 @@ Gauss-Jordan routine, ``_rref``.
 
 from __future__ import annotations
 
-from .scalars import Domain, PrimeField
+from fractions import Fraction
+from math import gcd, lcm
+
+from .scalars import Domain, PrimeField, RationalField
 
 
 class SparseEchelon:
@@ -27,12 +33,18 @@ class SparseEchelon:
     ``add_row`` reduces an incoming row against the current pivots and, if
     anything survives, installs it as a new pivot row keyed by its highest
     remaining column.  Deterministic: depends only on the row sequence.
+    ``pivots`` is read by callers, never written: over QQ the loop reduces
+    against integer copies of its rows.
     """
 
     def __init__(self, field: Domain):
         self.field = field
         self.pivots: dict[int, dict] = {}
         self._modp = field.p if isinstance(field, PrimeField) else None
+        self._qq = isinstance(field, RationalField)
+        # over QQ: lead -> (L, N), pivots[lead] times L as a primitive
+        # integer row, L > 0
+        self._int_pivots: dict[int, tuple[int, dict]] = {}
 
     @property
     def rank(self) -> int:
@@ -42,6 +54,8 @@ class SparseEchelon:
         """Reduce ``row`` (consumed) and return its pivot column, or None."""
         if self._modp is not None:
             return self._eliminate_modp(row, None)
+        if self._qq:
+            return self._eliminate_qq(row, None)
         return self._eliminate_generic(row, None)
 
     def reduce(self, row: dict) -> dict:
@@ -49,15 +63,25 @@ class SparseEchelon:
         out: dict = {}
         if self._modp is not None:
             self._eliminate_modp(row, out)
+        elif self._qq:
+            self._eliminate_qq(row, out)
         else:
             self._eliminate_generic(row, out)
         return out
 
-    # Both loops walk the row's columns from the highest down, each lead
-    # being max(row) of the nonzero entries left (no heap: a pivot row adds
-    # only columns below its lead).  A lead without a pivot is free: with
-    # ``out`` None it becomes a new pivot row (add_row), otherwise it moves
-    # into ``out`` and the walk goes on (reduce).
+    # All three loops walk the row's columns from the highest down, each
+    # lead being max(row) of the nonzero entries left (no heap: a pivot row
+    # adds only columns below its lead).  A lead without a pivot is free:
+    # with ``out`` None it becomes a new pivot row (add_row), otherwise it
+    # moves into ``out`` and the walk goes on (reduce).
+    #
+    # The QQ loop works on an integer multiple of the row.  Each step
+    # scales it by a nonzero rational (the lead's elimination and the
+    # division by its content), so an entry is zero exactly when it is zero
+    # in the generic loop: the leads, the order in which columns enter and
+    # leave the dict, and hence the normalized pivot rows, keys in order,
+    # are the generic loop's.  reduce tracks the scale to return true
+    # remainders.
 
     def _eliminate_modp(self, row: dict, out: dict | None) -> int | None:
         p = self._modp
@@ -80,6 +104,51 @@ class SparseEchelon:
                     row[c] = nv
                 else:
                     row.pop(c, None)
+        return None
+
+    def _eliminate_qq(self, row: dict, out: dict | None) -> int | None:
+        int_pivots = self._int_pivots
+        row = {c: v for c, v in row.items() if v}
+        den = lcm(*[v.denominator for v in row.values()])
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+        # the true row is scale * row (tracked for reduce only)
+        scale = Fraction(1, den) if out is not None else None
+        while row:
+            lead = max(row)
+            v = row.pop(lead)
+            piv = int_pivots.get(lead)
+            if piv is None:
+                if out is None:
+                    d = gcd(v, *row.values())
+                    L = abs(v) // d
+                    if v < 0:
+                        d = -d
+                    N = {c: w // d for c, w in row.items()}
+                    int_pivots[lead] = (L, N)
+                    self.pivots[lead] = {c: Fraction(w, L) for c, w in N.items()}
+                    return lead
+                out[lead] = scale * v
+                continue
+            # scale*row - (scale*v) * N/L  =  (scale/a) * (a*row - b*N)
+            L, N = piv
+            g = gcd(L, v)
+            a, b = L // g, v // g
+            if a != 1:
+                row = {c: a * w for c, w in row.items()}
+                if out is not None:
+                    scale /= a
+            for c, w in N.items():
+                nv = row.get(c, 0) - b * w
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+            if row:
+                d = gcd(*row.values())
+                if d != 1:
+                    row = {c: w // d for c, w in row.items()}
+                    if out is not None:
+                        scale *= d
         return None
 
     def _eliminate_generic(self, row: dict, out: dict | None) -> int | None:

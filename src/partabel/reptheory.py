@@ -40,7 +40,7 @@ from .linalg import _rref, dense_rank, solve_linear
 from .scalars import (
     DegenerateSpecialization, Domain, ExtensionField, FunctionField, PolyRingDomain,
     PrimeField, RationalFunction, UniPoly, add_term, bareiss_determinant,
-    factor_cubic, gcd_univariate, sylvester_resultant,
+    base_field_roots, factor_cubic, gcd_univariate, sylvester_resultant,
 )
 
 SIG33 = Signature(3, 3)
@@ -720,7 +720,9 @@ def intersect_conics(field: Domain, y: tuple) -> ExtensionSpec:
     resample signal rather than guessing; a chart on the quadric is refused
     before any resultant.  When f splits into linear factors, z2 is
     recovered above each distinct root, the last factor's first, until one
-    has a single base point above it."""
+    has a single base point above it.  If none has, z2 is the least
+    base-field root of the gcd of all three conics above the first root
+    where that gcd has one."""
     f = field
     if f.is_zero(chart_degeneracy(f, y)):
         raise DegenerateSpecialization(
@@ -752,11 +754,19 @@ def intersect_conics(field: Domain, y: tuple) -> ExtensionSpec:
         g = gcd_univariate(_conic_at_z1(f, tri.c1, ext, z1),
                            _conic_at_z1(f, tri.c2, ext, z1))
         if g.degree == 1:
+            z2 = ext.neg(g.coeffs[0])
             break
     else:
-        raise DegenerateSpecialization(
-            f"z2 recovery polynomial has degree {g.degree}, expected 1; resample")
-    z2 = ext.neg(g.coeffs[0])
+        z2 = None
+        for z1 in candidates if ext is f else ():
+            above = _conics_above(f, tri, z1)
+            roots = base_field_roots(f, above) if above.degree > 0 else []
+            if roots:
+                z2 = roots[0]
+                break
+        if z2 is None:
+            raise DegenerateSpecialization(
+                f"z2 recovery polynomial has degree {g.degree}, expected 1; resample")
     for c in tri.all():
         val = biv_eval(ext, _lift_form(f, ext, c), z1, z2)
         if not ext.is_zero(val):
@@ -768,6 +778,13 @@ def intersect_conics(field: Domain, y: tuple) -> ExtensionSpec:
         discriminant=disc, disc_is_square=_is_square(f, disc),
         resultant_12=r12, resultant_13=r13,
     )
+
+
+def _conics_above(f: Domain, tri: ConicTriple, r) -> UniPoly:
+    """The gcd of the three conics at z1 = r, a polynomial in z2 over f:
+    its roots are the z2 of the base points above r."""
+    c1z, c2z, c3z = (_conic_at_z1(f, c, f, r) for c in tri.all())
+    return gcd_univariate(gcd_univariate(c1z, c2z), c3z)
 
 
 def _lift_form(base: Domain, ext: Domain, c: dict) -> dict:
@@ -806,8 +823,7 @@ def _base_point_join(spec: ExtensionSpec, tri: ConicTriple):
     if spec.extension_degree == 1:
         points = []
         for r in dict.fromkeys(f.neg(g.coeffs[0]) for g in factor_cubic(f, spec.f_poly)):
-            c1z, c2z, c3z = (_conic_at_z1(f, c, f, r) for c in tri.all())
-            above = gcd_univariate(gcd_univariate(c1z, c2z), c3z)
+            above = _conics_above(f, tri, r)
             if above.degree == 2:
                 return f, (r, f.zero), (f.zero, f.one)
             if above.degree == 1:

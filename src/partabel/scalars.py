@@ -1135,7 +1135,7 @@ class ExtensionField(Domain):
         if modulus.degree < 1:
             raise ValueError("modulus must have positive degree")
         if check_irreducible and modulus.degree in (2, 3):
-            if _has_root(base, modulus):
+            if base_field_roots(base, modulus):
                 raise ValueError("modulus has a root in the base field; not irreducible")
         self.base = base
         self.modulus = modulus
@@ -1273,12 +1273,14 @@ class ExtensionField(Domain):
         return f"{self.base!r}[t]/({self.modulus!r})"
 
 
-def _has_root(base: Domain, f: UniPoly) -> bool:
+def base_field_roots(base: Domain, f: UniPoly) -> list:
+    """The roots of f in the base field, sorted: over QQ and GF(p), the
+    domains with a root finder; [] over any other domain."""
     if isinstance(base, RationalField):
-        return rational_roots(f) != []
+        return rational_roots(f)
     if isinstance(base, PrimeField):
-        return len(prime_field_roots(base, f)) > 0
-    return False
+        return prime_field_roots(base, f)
+    return []
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,33 @@ def test_unfit_primes_exit_1_naming_the_entry(primes, bad, capsys):
     assert "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("args", [
+    ["wedderburn", "--chart", "2,3,7"],
+    ["theorem", "--count", "1"],
+])
+def test_repeated_primes_exit_1(args, capsys):
+    # two runs over one prime agree trivially: the two-prime check would be
+    # vacuous
+    p = "4611686018427387847"
+    assert main(args + ["--primes", f"{p},{p}"]) == 1
+    out = capsys.readouterr()
+    assert "--primes" in out.err and "repeat" in out.err
+    assert "PASS" not in out.out
+
+
+@pytest.mark.parametrize("args", [
+    ["wedderburn", "--chart", "1/0,2,3"],
+    ["wedderburn", "--chart", "1,2,-3/0"],
+    ["classify", "--point", "1,2,0/0,4"],
+    ["theorem", "--point", "1/0,1,2,3"],
+])
+def test_zero_denominator_is_a_usage_error(args, capsys):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "denominator" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("args, option", [
     (["scan", "--window-cap", "1"], "--window-cap"),
     (["scan", "--window-cap", "-2"], "--window-cap"),
@@ -253,6 +280,18 @@ def test_detcurve_certifies_the_split_exactly(chart, degree, tmp_path):
     split = rep["results"]["exact_split"]
     assert split["splits"] is True, split
     assert "numeric_split" not in rep["results"]
+
+
+@pytest.mark.parametrize("y1", ["2", "-5"])
+def test_detcurve_splits_when_two_base_points_lie_above_a_triple_root(y1, tmp_path):
+    # f = (z - 1)^3 at (1:y1:-1:-1): the three conics meet above z1 = 1 in
+    # the two rational base points z2 = 0 and z2 = 4, and the line z1 = 1
+    # through them certifies the split
+    code, rep = run_cli(["detcurve", f"--chart={y1},-1,-1"], tmp_path)
+    assert code == 0
+    assert rep["results"]["extension_degree"] == 1
+    split = rep["results"]["exact_split"]
+    assert split["splits"] is True and split["mode"] == "exact-base"
 
 
 def test_detcurve_names_the_reason_when_the_split_is_undecided(tmp_path):

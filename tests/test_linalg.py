@@ -12,7 +12,7 @@ from partabel.linalg import SparseEchelon, _rref, dense_rank, nullspace, solve_l
 from partabel.scalars import (
     ExtensionField, PrimeField, QQ, UniPoly, bareiss_determinant, random_prime,
 )
-from tests_helpers import irreducible_extension
+from tests_helpers import GenericEchelon, irreducible_extension
 
 
 def random_sparse_rows(rng, nrows, ncols, density=0.3):
@@ -211,8 +211,9 @@ def test_reduce_is_zero_exactly_when_add_row_finds_no_pivot(case, k):
         ech.add_row(_sparse(f, row))
     for row in m:
         rem = ech.reduce(_sparse(f, row))
-        copy = SparseEchelon(f)
-        copy.pivots = {c: dict(r) for c, r in ech.pivots.items()}
+        copy = SparseEchelon(f)  # the same pivots: the echelon is deterministic
+        for r in m[:k]:
+            copy.add_row(_sparse(f, r))
         lead = copy.add_row(_sparse(f, row))
         assert (rem == {}) == (lead is None)
         assert all(c not in ech.pivots for c in rem)
@@ -361,3 +362,93 @@ def test_echelon_without_a_heap_matches_the_heap_loop(case):
         assert all(_same_row(f, ech.pivots[c], oracle.pivots[c]) for c in ech.pivots)
     for row in rows + probes:
         assert _same_row(f, ech.reduce(dict(row)), oracle.reduce(dict(row)))
+
+
+# --- the fraction-free QQ loop against the generic loop -----------------------
+
+_big = st.integers(-10**30, 10**30)
+_rational = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, _big, st.integers(1, 10**20)),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 10**25)),
+    st.integers(-5, 5),   # plain ints are rationals too
+)
+
+
+@st.composite
+def rational_rows(draw):
+    """Rows to install and rows to reduce over the columns -3..7; the
+    negative columns stand for provenance markers.  A row may repeat an
+    earlier one, or be a combination of two, so duplicates and rows that
+    reduce to zero are common; zero entries come in as well."""
+    cols = st.integers(-3, 7)
+    rows: list[dict] = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["new", "repeat", "combination"]))
+        if kind == "repeat" and rows:
+            row = dict(draw(st.sampled_from(rows)))
+        elif kind == "combination" and len(rows) >= 2:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(_rational)
+            row = dict(a)
+            for k, w in b.items():
+                row[k] = row.get(k, 0) + c * w
+        else:
+            row = draw(st.dictionaries(cols, _rational, max_size=6))
+        rows.append(row)
+    probes = draw(st.lists(st.dictionaries(cols, _rational, max_size=6), max_size=4))
+    return rows, probes
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_rows())
+def test_fraction_free_loop_matches_the_generic_loop_over_qq(case):
+    rows, probes = case
+    ech, oracle = SparseEchelon(QQ), GenericEchelon(QQ)
+    for row in rows:
+        assert ech.add_row(dict(row)) == oracle.add_row(dict(row))
+        assert list(ech.pivots) == list(oracle.pivots)
+        # equal values and the same key order in every pivot row
+        assert all(list(ech.pivots[c].items()) == list(oracle.pivots[c].items())
+                   for c in ech.pivots)
+    for row in rows + probes:
+        assert list(ech.reduce(dict(row)).items()) == list(oracle.reduce(dict(row)).items())
+
+
+def test_fraction_free_loop_installs_normalized_fraction_rows():
+    ech = SparseEchelon(QQ)
+    assert ech.add_row({4: Fraction(-6, 7), 2: Fraction(3, 7), 0: Fraction(9, 14), -1: 1}) == 4
+    assert ech.pivots[4] == {2: Fraction(-1, 2), 0: Fraction(-3, 4), -1: Fraction(-7, 6)}
+    assert all(type(v) is Fraction for v in ech.pivots[4].values())
+    # 3/5 times that row plus 2 at columns 2 and 0: the true remainder is
+    # the added part, whatever integer multiple the loop worked on
+    probe = {4: Fraction(-18, 35), 2: Fraction(9, 35) + 2, 0: Fraction(27, 70) + 2,
+             -1: Fraction(3, 5)}
+    assert ech.reduce(dict(probe)) == {2: Fraction(2), 0: Fraction(2)}
+    assert ech.add_row(dict(probe)) == 2
+    assert ech.pivots[2] == {0: Fraction(1)}
+
+
+def test_fraction_free_loop_keeps_its_integers_within_the_hadamard_bound(monkeypatch):
+    # Every reduced row, divided by its content, is a primitive vector of
+    # (k+1)-minors of the input rows, so its entries, and those of the
+    # primitive pivot rows, are below the Hadamard bound H.  An update
+    # a * row - b * N then stays below 2 H^2.  Without the content division
+    # the row would be multiplied by every lead it meets.
+    import partabel.linalg as linalg
+    widest = [0]
+    real_gcd = linalg.gcd
+
+    def spy(*args):
+        widest[0] = max([widest[0]] + [abs(x).bit_length() for x in args])
+        return real_gcd(*args)
+
+    monkeypatch.setattr(linalg, "gcd", spy)
+    rng = random.Random(1)
+    n, top = 20, 9
+    ech = SparseEchelon(QQ)
+    for _ in range(n):
+        ech.add_row({c: Fraction(rng.randint(-top, top)) for c in range(n)})
+    assert ech.rank == n
+    hadamard = (top * top * n) ** (n // 2)   # n even: (top * sqrt(n))^n
+    assert widest[0] <= 2 * hadamard.bit_length() + 1

@@ -1,7 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partabel.pipeline import (
     certify_point, certify_point_multi, certify_quadric_point, chart_of_point,
@@ -122,3 +125,26 @@ def test_certify_point_skips_the_rewrite_self_checks(monkeypatch):
     f = PrimeField(random_prime(random.Random(3)))
     x = tuple(f.from_fraction(c) for c in sample_generic_points(0, 1)[0])
     assert certify_point(f, x).exact_dimension == 18
+
+
+# --- properties of the point certificate (few examples: each runs the pipeline)
+
+GENERIC_POINTS = sample_generic_points(11, 6)
+GF_P = PrimeField(4611686018427387847)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from(GENERIC_POINTS), st.integers(1, GF_P.p - 1))
+def test_certify_point_is_invariant_under_scaling_the_point(x, scalar):
+    f = GF_P
+    xs = tuple(f.from_fraction(c) for c in x)
+    scaled = tuple(f.mul(scalar, c) for c in xs)
+    assert certify_point(f, scaled) == certify_point(f, xs)
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.sampled_from(GENERIC_POINTS), st.sampled_from(["prime", "rational"]),
+       st.integers(0, 2**32))
+def test_point_reports_survive_a_json_round_trip(x, mode, seed):
+    report = certify_point_multi(x, mode=mode, seed=seed)
+    assert json.loads(json.dumps(report)) == report

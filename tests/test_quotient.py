@@ -16,6 +16,7 @@ from partabel.quotient import (
     verify_reduction_identity,
 )
 from partabel.scalars import FunctionField, PrimeField, QQ, random_prime
+from tests_helpers import GenericEchelon
 
 SIG = Signature(3, 3)
 GENERIC_CHART = (Fraction(2), Fraction(3), Fraction(7))
@@ -107,6 +108,20 @@ def test_provenance_rows_reexpand_exactly():
     span = IdealSpan(rel, track_provenance=True)
     span.extend_to_window(4)
     assert span.verify_provenance()
+
+
+@pytest.mark.parametrize("chart", [GENERIC_CHART, (Fraction(-7, 3), Fraction(5, 2), Fraction(11))])
+def test_fraction_free_echelon_keeps_the_generic_pivot_rows_and_provenance(chart):
+    rel = make_relation(QQ, chart=chart)
+    span, oracle = IdealSpan(rel, track_provenance=True), IdealSpan(rel, track_provenance=True)
+    oracle.ech = GenericEchelon(QQ)
+    for window in range(5):   # window by window: a wrong row fails early
+        span.extend_to_window(window)
+        oracle.extend_to_window(window)
+        assert list(span.ech.pivots) == list(oracle.ech.pivots), window
+        assert all(list(row.items()) == list(oracle.ech.pivots[c].items())
+                   for c, row in span.ech.pivots.items()), window
+    assert span.verify_provenance() and oracle.verify_provenance()
 
 
 def test_columns_grow_by_the_new_lengths_only():

@@ -310,6 +310,21 @@ def test_intersect_conics_recovers_z2_above_a_root_with_one_base_point(y, roots,
     assert all(biv_eval(QQ, c, spec.z1, spec.z2) == 0 for c in conics(QQ, y).all())
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(4611686018427387847)])
+def test_intersect_conics_takes_a_base_point_when_no_root_has_one(field):
+    # f = (z - 1)^3 at (1:2:-1:-1), and the gcd of the three conics above
+    # z1 = 1 is z2^2 - 4 z2: z2 is its least root in the base field, and the
+    # degree-1 split certificate joins both base points by the line z1 = 1
+    y = chart_in_field(field, chart("2,-1,-1"))
+    spec = intersect_conics(field, y)
+    assert spec.factor_degrees == [1, 1, 1]
+    assert (spec.z1, spec.z2) == (field.one, field.zero)
+    tri = conics(field, y)
+    assert all(field.is_zero(biv_eval(field, c, spec.z1, spec.z2)) for c in tri.all())
+    assert _base_point_join(spec, tri) == (field, (field.one, field.zero),
+                                           (field.zero, field.one))
+
+
 def test_interssection_points_match_resultant_roots():
     spec = intersect_conics(QQ, Y_SAMPLE)
     # all three z1-coordinates are the roots of f: sum and product match

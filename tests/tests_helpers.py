@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 from partabel.freeproduct import P, Q, AlgebraElement
+from partabel.linalg import SparseEchelon
 from partabel.scalars import ExtensionField, UniPoly
 
 
@@ -26,3 +27,16 @@ def irreducible_extension(base, degree):
         except ValueError:
             continue
     raise AssertionError("no irreducible trinomial found")
+
+
+class GenericEchelon(SparseEchelon):
+    """An echelon whose rows go through the generic Domain loop whatever
+    the field: over QQ, the oracle for the fraction-free loop."""
+
+    def add_row(self, row):
+        return self._eliminate_generic(row, None)
+
+    def reduce(self, row):
+        out = {}
+        self._eliminate_generic(row, out)
+        return out
