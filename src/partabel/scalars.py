@@ -1,18 +1,20 @@
 """Exact scalar domains: rationals, prime fields, rational function fields,
-and univariate extensions, all behind one small field contract.
+and extensions of QQ and GF(p), all behind one small field contract.
 
 Every element type here is immutable and self-contained, so values can be
-shared freely across threads and memoized without copying.  The companion
-domain objects (``QQ``, ``PrimeField``, ``FunctionField``, ``ExtensionField``)
-provide construction, parsing, serialization and random sampling; the hot
-linear-algebra kernels work on the raw payloads through these domains.
+shared freely across threads and memoized without copying.  The domain
+objects (``QQ``, ``PrimeField``, ``FunctionField``, ``ExtensionField``)
+provide construction, parsing, serialization and sampling.  Extensions
+compute on integer coordinates; rational roots come from Hensel lifting.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import zip_longest
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -398,7 +400,6 @@ class Polynomial:
         """Positive rational content; primitive part has integer coprime coeffs."""
         if not self.terms:
             return Fraction(0), self
-        from math import gcd
         num = 0
         den = 1
         for c in self.terms.values():
@@ -1122,12 +1123,18 @@ class PolyRingDomain(Domain):
 # ---------------------------------------------------------------------------
 
 class ExtensionField(Domain):
-    """base[t]/(f) for a monic irreducible f; raw values are UniPoly residues
-    of degree < deg f over the base domain."""
+    """base[t]/(m) for a monic irreducible m over QQ or GF(p), the bases
+    with a root finder (any other raises TypeError).  Raw values are UniPoly
+    residues of degree < deg m with no trailing zeros: Fractions over QQ,
+    ints in [0, p) over GF(p).  Arithmetic runs on integer coordinates:
+    over QQ each operand is cleared to integers over the lcm of its
+    denominators, and m is pre-scaled once to integers D m the same way."""
 
     name = "extension"
 
     def __init__(self, base: Domain, modulus: UniPoly, check_irreducible: bool = True):
+        if not isinstance(base, (RationalField, PrimeField)):
+            raise TypeError(f"extension fields are built over QQ or GF(p), not {base!r}")
         if modulus.field is not base and modulus.field != base:
             raise TypeError("modulus must live over the base domain")
         if not modulus.is_monic():
@@ -1139,6 +1146,9 @@ class ExtensionField(Domain):
                 raise ValueError("modulus has a root in the base field; not irreducible")
         self.base = base
         self.modulus = modulus
+        self._p = base.p if isinstance(base, PrimeField) else None
+        # D m on integers and D; over GF(p) the residues themselves and 1
+        self._int_modulus, self._scale = _clear_denominators(modulus.coeffs)
 
     @property
     def degree(self) -> int:
@@ -1162,47 +1172,51 @@ class ExtensionField(Domain):
         return UniPoly.x(self.base) % self.modulus
 
     def add(self, a: UniPoly, b: UniPoly) -> UniPoly:
-        base = self.base
-        return UniPoly(base, [base.add(x, y) for x, y in
-                              zip_longest(a.coeffs, b.coeffs, fillvalue=base.zero)])
+        cs = [x + y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)]
+        return UniPoly(self.base, cs if self._p is None else [v % self._p for v in cs])
 
     def sub(self, a: UniPoly, b: UniPoly) -> UniPoly:
-        base = self.base
-        return UniPoly(base, [base.sub(x, y) for x, y in
-                              zip_longest(a.coeffs, b.coeffs, fillvalue=base.zero)])
+        cs = [x - y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)]
+        return UniPoly(self.base, cs if self._p is None else [v % self._p for v in cs])
 
     def neg(self, a: UniPoly) -> UniPoly:
         return -a
 
     def mul(self, a: UniPoly, b: UniPoly) -> UniPoly:
-        """(a * b) % modulus on the coefficient lists.
-
-        A schoolbook product, then one reduction loop that uses
-        t^d = -(m_{d-1} t^{d-1} + ... + m_0) in base[t]/(m): from the top
-        down, a coefficient c at t^k (k >= d) is cleared by subtracting
-        c * t^(k-d) * m.  The constructor checks that m is monic, so no
-        division by its leading coefficient is needed, and the residue is
-        the one ``UniPoly.divmod`` gives, with no intermediate polynomials."""
-        base = self.base
-        add, mul, sub, is_zero = base.add, base.mul, base.sub, base.is_zero
+        """(a * b) % modulus on integer coordinates: a schoolbook product,
+        then the reduction from the top down, where the coefficient c at
+        t^k (k >= d) is cleared by scaling the row by D and subtracting
+        c t^(k-d) D m, each step multiplying the denominator by D.  The
+        residue is the one ``UniPoly.divmod`` gives, after one ``% p`` or
+        one ``Fraction(v, den)`` per kept coefficient."""
+        p, base = self._p, self.base
         xs, ys = a.coeffs, b.coeffs
         if not xs or not ys:
             return UniPoly(base, [])
-        cs = [base.zero] * (len(xs) + len(ys) - 1)
+        den = 1
+        if p is None:
+            xs, da = _clear_denominators(xs)
+            ys, db = _clear_denominators(ys)
+            den = da * db
+        cs = [0] * (len(xs) + len(ys) - 1)
         for i, x in enumerate(xs):
-            if is_zero(x):
-                continue
-            for j, y in enumerate(ys):
-                cs[i + j] = add(cs[i + j], mul(x, y))
-        m = self.modulus.coeffs
+            if x:
+                for j, y in enumerate(ys):
+                    cs[i + j] += x * y
+        m, scale = self._int_modulus, self._scale
         d = len(m) - 1
-        for k in range(len(cs) - 1, d - 1, -1):
-            c = cs[k]
-            if is_zero(c):
-                continue
-            for i in range(d):
-                cs[k - d + i] = sub(cs[k - d + i], mul(c, m[i]))
-        return UniPoly(base, cs[:d])
+        while len(cs) > d:
+            c = cs.pop()
+            if c:
+                if scale != 1:
+                    cs = [v * scale for v in cs]
+                    den *= scale
+                k = len(cs) - d
+                for i in range(d):
+                    cs[k + i] -= c * m[i]
+        if p is not None:
+            return UniPoly(base, [v % p for v in cs])
+        return UniPoly(base, [Fraction(v, den) for v in cs])
 
     def inv(self, a: UniPoly) -> UniPoly:
         """Solve a * x = 1 as the d x d base-field system whose column j is
@@ -1273,54 +1287,87 @@ class ExtensionField(Domain):
         return f"{self.base!r}[t]/({self.modulus!r})"
 
 
+def _clear_denominators(cs) -> tuple[list[int], int]:
+    """(ns, D) with D the lcm of the denominators of the rationals cs and
+    cs[i] = ns[i] / D."""
+    den = lcm(*[c.denominator for c in cs])
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
 def base_field_roots(base: Domain, f: UniPoly) -> list:
-    """The roots of f in the base field, sorted: over QQ and GF(p), the
-    domains with a root finder; [] over any other domain."""
+    """The distinct roots of f in the base field QQ or GF(p), sorted."""
     if isinstance(base, RationalField):
         return rational_roots(f)
     if isinstance(base, PrimeField):
         return prime_field_roots(base, f)
-    return []
+    raise TypeError(f"roots are found over QQ and GF(p) only, not {base!r}")
 
 
 # ---------------------------------------------------------------------------
 # Root finding over QQ and GF(p)
 # ---------------------------------------------------------------------------
 
+# 2^61 + 15, the least prime above 2^61: it and (it - 1) / 2, the exponents
+# of prime_field_roots' square-and-multiply, have few one bits
+_HENSEL_FIELD = PrimeField(2**61 + 15)
+
+
 def rational_roots(f: UniPoly) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial over QQ (rational root test)."""
+    """The distinct rational roots of a nonzero polynomial over QQ, sorted.
+
+    A root n/q in lowest terms of an integer polynomial a_k z^k + ... + a_0,
+    a_0 != 0, has |n| <= |a_0| and q <= |a_k|.  The squarefree part is
+    cleared to integers and divided by z (0 is a root when z divides it).
+    Its roots mod the first prime l >= 2^61 + 15 that keeps it squarefree
+    with a_k a unit are Hensel-lifted to l^j > 2 |a_0 a_k|, where rational
+    reconstruction (Wang 1981) gives back every rational root; a candidate
+    is kept when the integer polynomial vanishes at it.  Polynomial in the
+    bit length, and the result does not depend on l."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    coeffs = [Fraction(c) for c in f.coeffs]
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // __import__("math").gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    while ints and ints[0] == 0:
-        ints = ints[1:]  # factor out z; z=0 handled below
-    roots = []
-    if f.coeffs and f.field.is_zero(f.evaluate(Fraction(0))):
-        roots.append(Fraction(0))
-    if not ints:
-        return roots
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(n: int) -> list[int]:
-        ds = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                ds.append(d)
-                ds.append(n // d)
-            d += 1
-        return sorted(set(ds))
-
-    for p in divisors(a0) if a0 else [0]:
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and f.evaluate(cand) == 0:
-                    roots.append(cand)
+    f = UniPoly(QQ, [Fraction(c) for c in f.coeffs])
+    if f.degree < 1:
+        return []
+    derivative = UniPoly(QQ, [i * c for i, c in enumerate(f.coeffs)][1:])
+    a, _ = _clear_denominators(f.divmod(gcd_univariate(f, derivative))[0].coeffs)
+    roots = [FRACTION_ZERO] if a[0] == 0 else []
+    a = a[len(roots):]  # squarefree, so z divides it at most once
+    da = [i * c for i, c in enumerate(a)][1:]
+    field, ell = _HENSEL_FIELD, _HENSEL_FIELD.p
+    while True:
+        fl = UniPoly(field, [c % ell for c in a])
+        if a[-1] % ell and gcd_univariate(fl, UniPoly(field, [c % ell for c in da])).degree == 0:
+            break
+        ell += 2
+        while not is_probable_prime(ell):
+            ell += 2
+        field = PrimeField(ell)
+    bound = 2 * abs(a[0] * a[-1])
+    for r in prime_field_roots(field, fl):
+        m = ell
+        while m <= bound:  # Newton's iteration doubles the precision
+            m *= m
+            r = (r - _horner(a, r) * pow(_horner(da, r), -1, m)) % m
+        x = _rational_reconstruction(r, m, abs(a[0]))
+        if _horner(a, x) == 0:
+            roots.append(x)
     return sorted(roots)
+
+
+def _horner(cs: list[int], x):
+    """sum(cs[i] * x**i) for an int or a Fraction x."""
+    return reduce(lambda v, c: v * x + c, reversed(cs), 0)
+
+
+def _rational_reconstruction(r: int, m: int, bound: int) -> Fraction:
+    """The n/q = r (mod m) with |n| <= bound and 0 < q <= m / (bound + 1),
+    when there is one: extended Euclid on (m, r), stopped at the first
+    remainder <= bound (von zur Gathen and Gerhard, Thm 5.26)."""
+    r0, r1, t0, t1 = m, r, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    return Fraction(r1, t1)
 
 
 def prime_field_roots(field: PrimeField, f: UniPoly) -> list[int]:
@@ -1361,9 +1408,9 @@ def _powmod_x(field: Domain, e: int, mod: UniPoly) -> UniPoly:
 
 
 def _poly_powmod(field: Domain, base: UniPoly, e: int, mod: UniPoly) -> UniPoly:
-    """base^e % mod by square-and-multiply for a monic ``mod``; each product
-    goes through ``ExtensionField.mul``, the monic reduction loop on
-    coefficient lists (no irreducibility is assumed or checked)."""
+    """base^e % mod by square-and-multiply for a monic ``mod`` over QQ or
+    GF(p); each product goes through ``ExtensionField.mul``, the integer
+    kernel (no irreducibility is assumed or checked)."""
     mul = ExtensionField(field, mod, check_irreducible=False).mul
     out = UniPoly(field, [field.one])
     b = base % mod
@@ -1380,17 +1427,10 @@ def factor_cubic(field: Domain, f: UniPoly) -> list[UniPoly]:
     QQ or GF(p), with multiplicity."""
     if not f.is_monic() or f.degree > 3:
         raise ValueError("expects a monic polynomial of degree <= 3")
-    if isinstance(field, RationalField):
-        roots = rational_roots(f)
-    elif isinstance(field, PrimeField):
-        roots = prime_field_roots(field, f)
-    else:
-        raise TypeError("factorization supported over QQ and GF(p) only")
     factors: list[UniPoly] = []
     rest = f
-    for r in roots:
-        lin = UniPoly(field, [field.neg(field.from_int(0) + r), field.one]) \
-            if isinstance(field, PrimeField) else UniPoly(field, [-r, Fraction(1)])
+    for r in base_field_roots(field, f):
+        lin = UniPoly(field, [field.neg(r), field.one])
         while True:
             q, rem = rest.divmod(lin)
             if rem.is_zero():

@@ -294,6 +294,18 @@ def test_detcurve_splits_when_two_base_points_lie_above_a_triple_root(y1, tmp_pa
     assert split["splits"] is True and split["mode"] == "exact-base"
 
 
+def test_detcurve_with_four_digit_coordinates_finishes(tmp_path):
+    """The conic intersection finds the cubic's rational roots in time
+    polynomial in their bit length: by divisor enumeration this chart ran
+    for more than 100 s on a 2-core x86-64 VM."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "partabel", "detcurve", "--chart", "5003,4999,7",
+         "--out", str(tmp_path / "d.json")],
+        capture_output=True, text=True, cwd=str(PKG_ROOT), timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_detcurve_names_the_reason_when_the_split_is_undecided(tmp_path):
     # f = z^3 at (1:1:-1:2): one base point over QQ, so no two to join; the
     # report says why, and that the point lies on a degeneracy plane

@@ -11,7 +11,7 @@ from partabel.scalars import (
     factor_cubic, gcd_univariate, is_probable_prime, poly_gcd,
     prime_field_roots, random_prime, rational_roots, sylvester_resultant,
 )
-from tests_helpers import irreducible_extension
+from tests_helpers import divisor_rational_roots, irreducible_extension
 
 
 def test_probable_prime_and_generation():
@@ -236,6 +236,59 @@ def test_rational_and_prime_roots():
     assert sum(h.degree for h in pieces) == 3
 
 
+@st.composite
+def _rational_root_polys(draw):
+    """Degree 1 to 9 over QQ, not monic: linear factors at small rational
+    roots, zero and repeated ones among them, and quadratics with small
+    coefficients, so the divisor oracle stays fast."""
+    degree = draw(st.integers(1, 9))
+    lead = Fraction(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 5)))
+    f = UniPoly(QQ, [lead])
+    while f.degree < degree:
+        if degree - f.degree == 1 or draw(st.booleans()):
+            r = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+            g = UniPoly(QQ, [-r, Fraction(1)])
+        else:
+            g = UniPoly(QQ, [Fraction(draw(st.integers(-3, 3))),
+                             Fraction(draw(st.integers(-3, 3))),
+                             Fraction(draw(st.integers(1, 2)))])
+        f = f * g
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_root_polys())
+def test_rational_roots_match_the_divisor_oracle(f):
+    assert rational_roots(f) == divisor_rational_roots(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2**29, 2**32), st.integers(2**29, 2**32), st.integers(-3, 3))
+def test_rational_roots_near_the_first_lifting_step(n, q, c):
+    """|n| * q about the Hensel prime 2^61 + 15, where the root needs the
+    modulus squared exactly when 2 |a_0 a_k| reaches it."""
+    x = Fraction(n, q)
+    f = UniPoly(QQ, [-x, Fraction(1)]) * UniPoly(QQ, [Fraction(c), Fraction(1), Fraction(2)])
+    assert x in rational_roots(f)
+
+
+def test_rational_roots_move_past_a_prime_that_divides_the_discriminant_or_lead():
+    ell = 2**61 + 15  # the first prime rational_roots tries
+    z = UniPoly(QQ, [Fraction(0), Fraction(1)])
+    three = UniPoly(QQ, [Fraction(-3), Fraction(1)])
+    assert rational_roots(three * (z * z - UniPoly(QQ, [Fraction(ell)]))) == [3]
+    assert rational_roots(UniPoly(QQ, [Fraction(-1), Fraction(ell)]) * three) == [Fraction(1, ell), 3]
+
+
+def test_rational_roots_of_a_cubic_with_twelve_digit_roots():
+    roots = [Fraction(-987654321098, 13), Fraction(123456789012, 7), Fraction(555555555555)]
+    f = UniPoly(QQ, [Fraction(-2, 3)])
+    for r in roots:
+        f = f * UniPoly(QQ, [-r, Fraction(1)])
+    assert rational_roots(f) == sorted(roots)
+    assert rational_roots(f * UniPoly(QQ, [Fraction(1), Fraction(0), Fraction(1)])) == sorted(roots)
+
+
 def test_extension_field_rejects_reducible_cubic():
     with pytest.raises(ValueError):
         ExtensionField(QQ, UniPoly.from_ints(QQ, [-1, 0, 0, 1]))  # t^3 - 1
@@ -243,35 +296,74 @@ def test_extension_field_rejects_reducible_cubic():
         ExtensionField(QQ, UniPoly.from_ints(QQ, [-2, 0, 0, 2]))  # not monic
 
 
-# --- extension arithmetic against the generic polynomial reference ------------
+# --- extension arithmetic: the integer kernel against the UniPoly reference ---
 
-EXTENSIONS = {
-    (name, d): irreducible_extension(base, d)
-    for name, base in (("QQ", QQ), ("GF", PrimeField(random_prime(random.Random(5)))))
-    for d in (2, 3)
-}
+EXTENSION_BASES = {"QQ": QQ, "GF5": PrimeField(5),
+                   "GFp": PrimeField(random_prime(random.Random(19), 2**60, 2**62))}
+
+
+def _extension(name, d):
+    base = EXTENSION_BASES[name]
+    if d == 1:
+        return ExtensionField(base, UniPoly(base, [base.from_int(3), base.one]))
+    return irreducible_extension(base, d)
+
+
+def _qq_poly(*cs):
+    return UniPoly(QQ, [Fraction(c) for c in cs])
+
+
+EXTENSIONS = {(name, d): _extension(name, d) for name in EXTENSION_BASES for d in (1, 2, 3)}
+# moduli with non-integral coefficients, which the kernel pre-scales to integers
+EXTENSIONS.update({
+    ("QQ-frac", 1): ExtensionField(QQ, _qq_poly("2/3", 1)),
+    ("QQ-frac", 2): ExtensionField(QQ, _qq_poly("7/5", "1/3", 1)),
+    ("QQ-frac", 3): ExtensionField(QQ, _qq_poly("5/3", "-1/2", 0, 1)),  # t^3 - t/2 + 5/3
+})
+
+
+def _base_coeffs(base, size=10**4):
+    if base is QQ:
+        return st.builds(Fraction, st.integers(-size, size), st.integers(1, size))
+    return st.integers(0, base.p - 1)
 
 
 @st.composite
 def _ext_pairs(draw):
-    key = draw(st.sampled_from(sorted(EXTENSIONS)))
-    E = EXTENSIONS[key]
-    if key[0] == "QQ":
-        coeff = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+    E = EXTENSIONS[draw(st.sampled_from(sorted(EXTENSIONS)))]
+    elem = st.lists(_base_coeffs(E.base, 10**6), max_size=E.degree)
+    return E, UniPoly(E.base, draw(elem)), UniPoly(E.base, draw(elem))
+
+
+def _assert_raw_residue(E, v):
+    """A residue of degree < d with no trailing zero, holding Fractions over
+    QQ and ints in [0, p) over GF(p)."""
+    assert len(v.coeffs) <= E.degree
+    assert not v.coeffs or not E.base.is_zero(v.coeffs[-1])
+    if E.base is QQ:
+        assert all(type(c) is Fraction for c in v.coeffs)
     else:
-        coeff = st.integers(0, E.base.p - 1)
-    elem = st.lists(coeff, max_size=E.degree).map(lambda cs: UniPoly(E.base, cs))
-    return E, draw(elem), draw(elem)
+        assert all(type(c) is int and 0 <= c < E.base.p for c in v.coeffs)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(_ext_pairs())
 def test_extension_list_arithmetic_matches_reference(case):
     E, a, b = case
     for got, ref in ((E.add(a, b), a + b), (E.sub(a, b), a - b),
                      (E.mul(a, b), (a * b) % E.modulus)):
         assert got.coeffs == ref.coeffs
-        assert len(got.coeffs) <= E.degree
+        _assert_raw_residue(E, got)
+    if not a.is_zero():
+        inv = E.inv(a)
+        assert ((a * inv) % E.modulus).coeffs == [E.base.one]
+        _assert_raw_residue(E, inv)
+
+
+def test_extension_field_needs_a_qq_or_prime_field_base():
+    F = FunctionField(("y",))
+    with pytest.raises(TypeError):
+        ExtensionField(F, UniPoly(F, [F.one, F.zero, F.one]))
 
 
 # --- x^p and friends by the monic reduction loop ------------------------------
@@ -340,30 +432,9 @@ def test_add_term_is_a_dict_sum_that_stores_no_zero(case):
 
 # --- extension inverses by the base-field solve ---------------------------------
 
-INVERSE_BASES = {"QQ": QQ, "GF5": PrimeField(5),
-                 "GFp": PrimeField(random_prime(random.Random(19), 2**60, 2**62))}
-
-
-def _inverse_extension(name, d):
-    base = INVERSE_BASES[name]
-    if d == 1:
-        return ExtensionField(base, UniPoly(base, [base.from_int(3), base.one]))
-    return irreducible_extension(base, d)
-
-
-INVERSE_EXTENSIONS = {(name, d): _inverse_extension(name, d)
-                      for name in INVERSE_BASES for d in (1, 2, 3)}
-
-
-def _base_coeffs(base):
-    if base is QQ:
-        return st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 100))
-    return st.integers(0, base.p - 1)
-
-
 @st.composite
 def _ext_elements(draw):
-    E = INVERSE_EXTENSIONS[draw(st.sampled_from(sorted(INVERSE_EXTENSIONS)))]
+    E = EXTENSIONS[draw(st.sampled_from(sorted(EXTENSIONS)))]
     cs = draw(st.lists(_base_coeffs(E.base), max_size=E.degree))
     return E, UniPoly(E.base, cs)
 
@@ -384,7 +455,7 @@ def test_extension_inverse_is_a_two_sided_inverse_or_raises_on_zero(case):
 @st.composite
 def _zero_divisors(draw):
     """A reducible monic modulus g*h with g linear, and a multiple of g."""
-    base = INVERSE_BASES[draw(st.sampled_from(sorted(INVERSE_BASES)))]
+    base = EXTENSION_BASES[draw(st.sampled_from(sorted(EXTENSION_BASES)))]
     coeff = _base_coeffs(base)
     g = UniPoly(base, [draw(coeff), base.one])
     h = UniPoly(base, draw(st.lists(coeff, max_size=2)) + [base.one])

@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+from fractions import Fraction
+from math import isqrt, lcm
+
 from partabel.freeproduct import P, Q, AlgebraElement
 from partabel.linalg import SparseEchelon
 from partabel.scalars import ExtensionField, UniPoly
@@ -40,3 +43,29 @@ class GenericEchelon(SparseEchelon):
         out = {}
         self._eliminate_generic(row, out)
         return out
+
+
+def divisor_rational_roots(f):
+    """The distinct rational roots of a nonzero polynomial over QQ, sorted,
+    by the rational root test: every n/q with n | a_0 and q | a_k, the
+    divisors found by trial division up to the square root.  Exponential
+    in the bit length; the oracle for ``scalars.rational_roots``."""
+    coeffs = [Fraction(c) for c in f.coeffs]
+    den = lcm(*[c.denominator for c in coeffs])
+    ints = [int(c * den) for c in coeffs]
+    roots = []
+    if ints[0] == 0:
+        roots.append(Fraction(0))
+        while ints[0] == 0:
+            ints = ints[1:]
+
+    def divisors(n):
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return sorted(set(small + [n // d for d in small]))
+
+    for n in divisors(abs(ints[0])):
+        for q in divisors(abs(ints[-1])):
+            for cand in (Fraction(n, q), Fraction(-n, q)):
+                if cand not in roots and f.evaluate(cand) == 0:
+                    roots.append(cand)
+    return sorted(roots)
