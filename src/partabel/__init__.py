@@ -12,9 +12,10 @@ from .freeproduct import (
     filtration_dim, idempotent, words_up_to,
 )
 from .quotient import (
-    ClosureCertificate, ClosureFailure, CommutatorRelation, FiltrationReport,
-    IdealSpan, closure_certificate, make_relation, reduction_coefficients,
-    sigma_check, stabilization_scan, standard_generator_rank,
+    ClosureCertificate, ClosureFailure, ClosureTrace, CommutatorRelation,
+    FiltrationReport, IdealSpan, closure_certificate, make_relation,
+    reduction_coefficients, sigma_check, stabilization_scan,
+    standard_generator_rank,
 )
 from .classify import (
     ClassificationVerdict, SubspacePresentation, classify_l2, classify_p3,

@@ -6,12 +6,12 @@ plus the evaluation map onto characters and the induced representation
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .quotient import (
-    ClosureFailure, canonical_point, closure_certificate, make_relation,
-    random_offquadric_chart, spanning_monomials_rank,
+    ClosureFailure, ClosureTrace, canonical_point, closure_certificate,
+    make_relation, random_offquadric_chart, spanning_monomials_rank,
 )
 from .reptheory import (
     build_rho, intersect_conics, irreducibility, mat_is_zero, tq_rewrite,
@@ -101,6 +101,9 @@ class PointCertificate:
     split_dims: tuple | None
     spanning_list: dict
     exact_dimension: int | None
+    # the closure's pivot-giving products, for a replay at another field
+    closure_trace: ClosureTrace | None = dataclass_field(default=None, compare=False,
+                                                        repr=False)
 
     def verdict(self) -> tuple[bool, str]:
         if self.exact_dimension == 18:
@@ -110,7 +113,7 @@ class PointCertificate:
 
 
 def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
-                  force: bool = False) -> PointCertificate:
+                  force: bool = False, trace: ClosureTrace | None = None) -> PointCertificate:
     """Run the full pipeline at one off-quadric point over one exact field.
 
     Points on the quadric or the nine degeneracy planes are rejected up
@@ -119,7 +122,10 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
 
     Every stage runs at the chart point (1 : y1 : y2 : y3) of
     ``chart_of_point``.  That is x itself when the swap is the identity, and
-    otherwise its image under an automorphism, so the bounds transfer."""
+    otherwise its image under an automorphism, so the bounds transfer.
+
+    ``trace`` is handed to ``closure_certificate`` to replay; the closure's
+    own trace is returned as ``closure_trace``."""
     f = field
     x = canonical_point(f, x)
     y, swap = chart_of_point(f, x)
@@ -130,7 +136,7 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
         raise DegenerateSpecialization(
             "point lies on a degeneracy plane (a coefficient-matrix entry "
             "vanishes in some elimination chart); expected non-generic")
-    cert, span = closure_certificate(rel, n_max=n_max, slack=slack)
+    cert, span = closure_certificate(rel, n_max=n_max, slack=slack, trace=trace)
 
     spec = intersect_conics(f, y)
     ext = spec.ext
@@ -166,6 +172,7 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
         split_dims=cert.idempotent_split_dims(),
         spanning_list=spanning_monomials_rank(cert, span),
         exact_dimension=exact,
+        closure_trace=ClosureTrace.of(cert, span),
     )
 
 
@@ -187,8 +194,18 @@ def certify_point_multi(x_fractions: tuple, mode: str = "prime",
                         n_max: int = 8, slack: int = 4, force: bool = False) -> dict:
     """Certify a rational point over the requested domains; prime mode runs
     two distinct primes and demands agreement, rational mode is a single
-    exact run over the rationals."""
+    exact run over the rationals.
+
+    Each prime after the first replays the previous prime's closure trace
+    (see ``closure_certificate``).  That is still independent evidence:
+    the first prime only chooses which ideal elements to feed, and the
+    closure test and the lower bound at the later prime are computed in
+    full mod that prime; a replay that fails there falls back to the full
+    window growth.  The reports are those of full growth unless the later
+    prime would have closed at a smaller window or degree, which needs a
+    rank drop mod a prime of about 2^61."""
     runs = []
+    trace = None
     if mode == "rational":
         fields: list[Domain] = [QQ]
     elif mode == "prime":
@@ -198,7 +215,9 @@ def certify_point_multi(x_fractions: tuple, mode: str = "prime",
 
     for f in fields:
         xs = tuple(f.from_fraction(Fraction(c)) for c in x_fractions)
-        runs.append(certify_point(f, xs, n_max=n_max, slack=slack, force=force))
+        runs.append(certify_point(f, xs, n_max=n_max, slack=slack, force=force,
+                                  trace=trace))
+        trace = runs[-1].closure_trace
     dims = {r.exact_dimension for r in runs}
     agree = len(dims) == 1
     ok = agree and runs[0].exact_dimension == 18

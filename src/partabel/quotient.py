@@ -28,6 +28,7 @@ unchanged (proof in ``IdealSpan``).
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,6 +144,15 @@ class IdealSpan:
     advance to reduce to zero.  A right-hand tail rule (u * X_k * v[:-1]) is
     not applied on top of it: the two rules would justify each other's
     skips in a circle.
+
+    ``trace`` lists each fed product that gave a word pivot, in feed order,
+    packed as ((iu << 32 | iv) * nrel + k) for u, v the words of columns
+    iu, iv.  ``replay`` feeds exactly such a list into a fresh span, as
+    Traverso's Groebner trace algorithms (1988) replay the useful rows
+    learned at one prime.  A replayed span is sound whatever the list:
+    every row is a product u * X_k * v, an element of the ideal, so counted
+    ranks stay lower bounds and normal forms stay congruences modulo the
+    ideal.  It can only fall short of the full span, never claim more.
     """
 
     def __init__(self, relations, track_provenance: bool = False):
@@ -161,9 +171,12 @@ class IdealSpan:
         self.pivot_deg_counts: dict[int, int] = {}
         self.track = track_provenance
         self.products: list[tuple[Word, AlgebraElement, Word]] = []
-        # which products of window self.window gave a word pivot; the next
-        # window feeds a*u*X_k*v only for these (layout in extend_to_window)
-        self._prev_gave_pivot: list[bytearray] = []
+        # _gave_pivot[s]: which products of window s gave a word pivot
+        # (layout in extend_to_window); window s + 1 feeds a*u*X_k*v only
+        # for these, and ``trace`` reads them all.  None after a replay,
+        # which leaves nothing to grow from and keeps its trace instead.
+        self._gave_pivot: list[list[bytearray]] | None = []
+        self._replayed_trace = array("q")
         # (window, max_degree, forms) of the last normal_forms computation
         self._nf_memo: tuple[int, int, dict] = (-1, -1, {})
 
@@ -184,8 +197,9 @@ class IdealSpan:
     def extend_to_window(self, window: int):
         if window <= self.window:
             return
-        maxrel = max(r.degree() for r in self.relations)
-        self._ensure_columns(window + maxrel)
+        if self._gave_pivot is None:
+            raise ValueError("a replayed span cannot grow to a wider window")
+        self._ensure_columns(window + self._max_relation_degree())
         nrel = len(self.relations)
         for s in range(self.window + 1, window + 1):
             # gave_pivot[lu] holds a byte per product u * X_k * v with
@@ -199,14 +213,12 @@ class IdealSpan:
                 row = len(vs) * nrel
                 flags = bytearray(len(us) * row)
                 if lu:
-                    tail_flags = self._prev_gave_pivot[lu - 1]
+                    tail_flags = self._gave_pivot[s - 1][lu - 1]
                     tail_start = self._length_block(lu - 1).start
                 for i, iu in enumerate(us):
                     u = self.words[iu]
                     tail_at = (self.index[u[1:]] - tail_start) * row if lu else 0
-                    uXs = [[(w1, c) for w, c in X.terms.items()
-                            if (w1 := concat_words(u, w)) is not None]
-                           for X in self.relations]
+                    uXs = self._left_products(u)
                     for j, iv in enumerate(vs):
                         v = self.words[iv]
                         for k, X in enumerate(self.relations):
@@ -216,8 +228,59 @@ class IdealSpan:
                             if self._feed(uXs[k], v, (u, X, v)):
                                 flags[i * row + at] = 1
                 gave_pivot.append(flags)
-            self._prev_gave_pivot = gave_pivot
+            self._gave_pivot.append(gave_pivot)
         self.window = window
+
+    @property
+    def trace(self) -> array:
+        """A new ``array`` of the fed products that gave a word pivot, in
+        feed order, packed as in the class doc.  A grown span reads them off
+        its pivot flags, which the flag layout already keeps in feed order,
+        so growing records nothing per pivot."""
+        if self._gave_pivot is None:
+            return self._replayed_trace[:]
+        nrel = len(self.relations)
+        out = array("q")
+        for s, gave_pivot in enumerate(self._gave_pivot):
+            for lu, flags in enumerate(gave_pivot):
+                us, vs = self._length_block(lu), self._length_block(s - lu)
+                row = len(vs) * nrel
+                at = flags.find(1)
+                while at >= 0:
+                    i, jk = divmod(at, row)  # jk = j * nrel + k, iv = vs[j]
+                    out.append(((us[i] << 32) + vs.start) * nrel + jk)
+                    at = flags.find(1, at + 1)
+        return out
+
+    def replay(self, products, window: int):
+        """Feed exactly the packed ``products`` (another span's ``trace``,
+        same signature and relations) into this fresh span, then stand at
+        ``window``; the products that give a word pivot here are traced."""
+        if self.window >= 0:
+            raise ValueError("replay needs a fresh span")
+        self._ensure_columns(window + self._max_relation_degree())
+        nrel = len(self.relations)
+        last_iu = -1
+        for packed in products:
+            pair, k = divmod(packed, nrel)
+            iu, iv = pair >> 32, pair & 0xFFFFFFFF
+            if iu != last_iu:  # products come grouped by u in feed order
+                last_iu, u = iu, self.words[iu]
+                uXs = self._left_products(u)
+            v = self.words[iv]
+            if self._feed(uXs[k], v, (u, self.relations[k], v)):
+                self._replayed_trace.append(packed)
+        self.window = window
+        self._gave_pivot = None
+
+    def _max_relation_degree(self) -> int:
+        return max(r.degree() for r in self.relations)
+
+    def _left_products(self, u: Word) -> list[list]:
+        """The nonzero terms (u * w, c) of u * X_k, one list per relation."""
+        return [[(w1, c) for w, c in X.terms.items()
+                 if (w1 := concat_words(u, w)) is not None]
+                for X in self.relations]
 
     def _feed(self, uX: list, v: Word, product: tuple) -> bool:
         """Reduce u * X * v, the ``product`` (u, X, v), into the echelon from
@@ -550,6 +613,10 @@ def _try_closure(span: IdealSpan, n: int):
 
 
 def _structure_constants(span: IdealSpan, basis_idx, pos, letter_action):
+    """table[i][j] = e_i * b_j in the basis.  For b_j = w * g with w a basis
+    word, it is (e_i * w) * g, one letter on an entry already built: the
+    basis comes in graded order, so w precedes b_j.  Otherwise the letters
+    of b_j are folded one by one from e_i."""
     f = span.field
     n = len(basis_idx)
     unit_pos = pos[span.index[EMPTY_WORD]]
@@ -562,31 +629,81 @@ def _structure_constants(span: IdealSpan, basis_idx, pos, letter_action):
                 add_term(f, out, m, f.mul(c, cm))
         return out
 
-    table: list[list[dict[int, object]]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            vec = {i: f.one}
-            for letter in span.words[basis_idx[j]]:
+    table: list[list] = [[None] * n for _ in range(n)]
+    for j, bj in enumerate(basis_idx):
+        w = span.words[bj]
+        prefix = pos.get(span.index[w[:-1]]) if w else None
+        letters = w if prefix is None else w[-1:]
+        for i in range(n):
+            vec = {i: f.one} if prefix is None else table[i][prefix]
+            for letter in letters:
                 vec = right_mul_letter(vec, (letter,))
-            row.append(vec)
-        table.append(row)
+            table[i][j] = vec
     assert all(table[i][unit_pos] == {i: f.one} for i in range(n))
     return table
 
 
+@dataclass(frozen=True)
+class ClosureTrace:
+    """What a closure learned at one point: the span's ``trace`` (its
+    pivot-giving products, packed, in feed order) and the degree and window
+    at which the certificate closed."""
+
+    products: array
+    degree: int
+    window: int
+
+    @classmethod
+    def of(cls, cert: "ClosureCertificate", span: IdealSpan) -> "ClosureTrace":
+        return cls(span.trace, cert.degree, cert.window)
+
+
+def _certificate(rel: CommutatorRelation, span: IdealSpan, n: int, closed) -> ClosureCertificate:
+    basis_idx, pos, letter_action = closed
+    return ClosureCertificate(
+        basis=[span.words[i] for i in basis_idx],
+        degree=n,
+        window=span.window,
+        letter_action=letter_action,
+        structure_constants=_structure_constants(span, basis_idx, pos, letter_action),
+        field=span.field,
+        point=rel.point,
+    )
+
+
 def closure_certificate(rel: CommutatorRelation, n_max: int = 8, slack: int = 4,
                         span: IdealSpan | None = None,
-                        window_cap: int | None = None) -> tuple[ClosureCertificate, IdealSpan]:
+                        window_cap: int | None = None,
+                        trace: ClosureTrace | None = None) -> tuple[ClosureCertificate, IdealSpan]:
     """Grow the product window until two consecutive quotient bounds agree
     and the non-pivot words close under right multiplication by the
     generators; the certificate is returned at the smallest window that
-    works, together with the span that proves it."""
-    span = span or IdealSpan(rel)
-    last_leaks = None
+    works, together with the span that proves it.
+
+    With a ``trace``, a fresh span is first fed exactly the traced
+    products, and the same bound check and closure test run at the traced
+    degree and window.  If they fail, or the trace lies beyond n_max or
+    the window limit, that span is dropped and the growth runs as without
+    a trace.  The replay can only fail, never overclaim: its rows lie in
+    the ideal and the closure test is computed in full over this field.
+    When |basis| meets a lower bound, the basis is independent in S_x, so
+    the letter action, the structure constants and the normal forms in it
+    are unique: the certificate is the growth's own, unless the growth
+    here would have closed at a smaller window or degree."""
     top_window = n_max + slack
     if window_cap is not None:
         top_window = min(top_window, window_cap)
+    if (trace is not None and 2 <= trace.degree <= min(n_max, trace.window)
+            and trace.window <= top_window):
+        replayed = IdealSpan(rel)
+        replayed.replay(trace.products, trace.window)
+        n = trace.degree
+        if replayed.bound(n) == replayed.bound(n + 1):
+            got, _ = _try_closure(replayed, n)
+            if got is not None:
+                return _certificate(rel, replayed, n, got), replayed
+    span = span or IdealSpan(rel)
+    last_leaks = None
     for window in range(2, top_window + 1):
         span.extend_to_window(window)
         for n in range(2, min(n_max, window) + 1):
@@ -596,18 +713,7 @@ def closure_certificate(rel: CommutatorRelation, n_max: int = 8, slack: int = 4,
             if got is None:
                 last_leaks = leaks
                 continue
-            basis_idx, pos, letter_action = got
-            table = _structure_constants(span, basis_idx, pos, letter_action)
-            cert = ClosureCertificate(
-                basis=[span.words[i] for i in basis_idx],
-                degree=n,
-                window=span.window,
-                letter_action=letter_action,
-                structure_constants=table,
-                field=span.field,
-                point=rel.point,
-            )
-            return cert, span
+            return _certificate(rel, span, n, got), span
     raise ClosureFailure(
         f"no multiplication-closed basis up to degree {n_max}; "
         "increase n_max or slack", last_leaks)

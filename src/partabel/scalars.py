@@ -1370,14 +1370,22 @@ def _rational_reconstruction(r: int, m: int, bound: int) -> Fraction:
     return Fraction(r1, t1)
 
 
+# below this p the roots are found by evaluating f at every element; the
+# equal-degree split needs an odd p (over GF(2) its exponent (p - 1) / 2 is 0)
+_ENUMERATE_ROOTS_BELOW = 64
+
+
 def prime_field_roots(field: PrimeField, f: UniPoly) -> list[int]:
     """All roots of f in GF(p) via gcd with z^p - z and Cantor-Zassenhaus
-    splitting; fine for the small degrees used here."""
+    splitting, or by evaluation at every element for small p; fine for the
+    small degrees used here."""
     p = field.p
     if f.is_zero():
         raise ValueError("zero polynomial")
     if f.degree == 0:
         return []
+    if p < _ENUMERATE_ROOTS_BELOW:
+        return [r for r in range(p) if f.evaluate(r) == 0]
     f = f.monic()  # the same roots; _poly_powmod reduces by a monic modulus
     xp = _powmod_x(field, p, f)
     lin = gcd_univariate(xp - UniPoly.x(field), f)

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partabel.linalg import SparseEchelon
 from partabel.pipeline import (
-    certify_point, certify_point_multi, certify_quadric_point, chart_of_point,
-    degeneracy_forms, sample_generic_points, suspected_nongeneric,
-    theorem_point_worker,
+    _cert_json, certify_point, certify_point_multi, certify_quadric_point,
+    chart_of_point, degeneracy_forms, sample_generic_points, seeded_primes,
+    suspected_nongeneric, theorem_point_worker,
 )
-from partabel.quotient import ClosureFailure
+from partabel.quotient import (
+    ClosureFailure, ClosureTrace, IdealSpan, closure_certificate, make_relation,
+    spanning_monomials_rank,
+)
 from partabel.scalars import DegenerateSpecialization, PrimeField, QQ, random_prime
 
 F = Fraction
@@ -148,3 +152,48 @@ def test_certify_point_is_invariant_under_scaling_the_point(x, scalar):
 def test_point_reports_survive_a_json_round_trip(x, mode, seed):
     report = certify_point_multi(x, mode=mode, seed=seed)
     assert json.loads(json.dumps(report)) == report
+
+
+def _in(field, x):
+    return tuple(field.from_fraction(F(c)) for c in x)
+
+
+def test_replayed_closure_matches_full_growth_over_two_primes_and_qq(monkeypatch):
+    fed = []
+    add_row = SparseEchelon.add_row
+    monkeypatch.setattr(SparseEchelon, "add_row",
+                        lambda self, row: fed.append(1) or add_row(self, row))
+    gf1, gf2 = (PrimeField(p) for p in seeded_primes(11))
+    for x in sample_generic_points(5, 8):
+        learned = {}
+        for f in (gf1, gf2):
+            cert, span = closure_certificate(make_relation(f, point=_in(f, x)))
+            learned[f] = ClosureTrace.of(cert, span)
+        for f, trace in ((gf1, learned[gf2]), (gf2, learned[gf1]), (QQ, learned[gf1])):
+            rel = make_relation(f, point=_in(f, x))
+            full, full_span = closure_certificate(rel)
+            fed.clear()
+            got, got_span = closure_certificate(rel, trace=trace)
+            assert len(fed) == len(trace.products)  # the replay path, no fallback
+            assert (got.basis, got.degree, got.window) == (full.basis, full.degree, full.window)
+            assert got.structure_digest() == full.structure_digest()
+            assert (spanning_monomials_rank(got, got_span)
+                    == spanning_monomials_rank(full, full_span))
+            assert (_cert_json(certify_point(f, _in(f, x), trace=trace))
+                    == _cert_json(certify_point(f, _in(f, x))))
+
+
+def test_prime_mode_hands_the_first_prime_trace_to_the_second(monkeypatch):
+    seen = []
+    replay = IdealSpan.replay
+    monkeypatch.setattr(IdealSpan, "replay",
+                        lambda self, products, window: seen.append(len(products))
+                        or replay(self, products, window))
+    x = (F(1), F(2), F(3), F(7))
+    assert certify_point_multi(x, mode="prime", seed=3)["verdict_ok"]
+    gf1 = PrimeField(seeded_primes(3)[0])
+    first = certify_point(gf1, _in(gf1, x)).closure_trace
+    assert seen == [len(first.products)]
+    seen.clear()
+    assert certify_point_multi(x, mode="rational")["verdict_ok"]
+    assert seen == []

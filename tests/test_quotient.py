@@ -10,12 +10,12 @@ from partabel.freeproduct import (
     words_of_length, words_up_to,
 )
 from partabel.quotient import (
-    ClosureFailure, IdealSpan, chart_in_field, closure_certificate,
+    ClosureFailure, ClosureTrace, IdealSpan, chart_in_field, closure_certificate,
     make_relation, reduction_coefficients, sigma_check,
     spanning_monomials_rank, stabilization_scan, standard_generator_rank,
     verify_reduction_identity,
 )
-from partabel.scalars import FunctionField, PrimeField, QQ, random_prime
+from partabel.scalars import FunctionField, PrimeField, QQ, add_term, random_prime
 from tests_helpers import GenericEchelon
 
 SIG = Signature(3, 3)
@@ -345,3 +345,124 @@ def test_closure_failure_signals_instead_of_crashing():
     with pytest.raises(ClosureFailure) as err:
         closure_certificate(rel, n_max=5, slack=1)
     assert "increase" in str(err.value)
+
+
+# --- replaying a closure trace; full window growth is the oracle ---
+
+def _generic_trace(field):
+    rel = make_relation(field, chart=chart_in_field(field, GENERIC_CHART))
+    cert, span = closure_certificate(rel)
+    return ClosureTrace.of(cert, span)
+
+
+def _same_certificate(a, b):
+    return ((a.basis, a.degree, a.window, a.structure_digest())
+            == (b.basis, b.degree, b.window, b.structure_digest()))
+
+
+def test_replay_at_a_quadric_point_falls_back_to_the_9_dimensional_certificate():
+    for field in (QQ, PrimeField(primes_pair(17)[0])):
+        rel = make_relation(field, point=tuple(field.from_int(c) for c in (1, 2, 3, 6)))
+        assert rel.on_quadric()
+        full, _ = closure_certificate(rel)
+        got, _ = closure_certificate(rel, trace=_generic_trace(field))
+        assert got.dimension_bound == 9
+        assert _same_certificate(got, full)
+
+
+def test_replay_at_the_infinite_point_still_raises():
+    gf = PrimeField(primes_pair(13)[0])
+    rel = make_relation(gf, point=(gf.one, gf.zero, gf.zero, gf.neg(gf.one)))
+    with pytest.raises(ClosureFailure):
+        closure_certificate(rel, n_max=5, slack=1, trace=_generic_trace(gf))
+
+
+def test_a_truncated_trace_falls_back_to_full_growth():
+    gf = PrimeField(primes_pair(19)[0])
+    trace = _generic_trace(gf)
+    half = ClosureTrace(trace.products[:len(trace.products) // 2], trace.degree, trace.window)
+    rel = make_relation(gf, chart=chart_in_field(gf, (Fraction(-1, 2), Fraction(5), Fraction(3, 4))))
+    full, _ = closure_certificate(rel)
+    got, span = closure_certificate(rel, trace=half)
+    assert _same_certificate(got, full)
+    assert span.window == full.window and len(span.trace) > len(half.products)
+    with pytest.raises(ValueError):
+        span.replay(half.products, half.window)  # a grown span is not fresh
+
+
+class PivotRecordingSpan(IdealSpan):
+    """Records every product that gave a word pivot as it is fed: the
+    oracle for ``trace``, which reads them off the pivot flags."""
+
+    def __init__(self, relations):
+        super().__init__(relations)
+        self.pivot_products = []
+
+    def _feed(self, uX, v, product):
+        gave = super()._feed(uX, v, product)
+        if gave:
+            self.pivot_products.append(product)
+        return gave
+
+
+@pytest.mark.parametrize("relations, top", [
+    (lambda: make_relation(QQ, chart=GENERIC_CHART), 4),
+    (lambda: _gf_relation((1, 0, 0, -1)), 7),
+    (lambda: multi_relation(Signature(4, 2), [(1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 1)]), 5),
+], ids=["generic_qq", "infinite_gf", "sig42_three_relations"])
+def test_trace_lists_the_pivot_giving_products_in_feed_order(relations, top):
+    span = PivotRecordingSpan(relations())
+    span.extend_to_window(top)
+    nrel = len(span.relations)
+    decoded = []
+    for packed in span.trace:
+        pair, k = divmod(packed, nrel)
+        decoded.append((span.words[pair >> 32], span.relations[k],
+                        span.words[pair & 0xFFFFFFFF]))
+    assert decoded == span.pivot_products
+    fresh = PivotRecordingSpan(span.relations)
+    fresh.replay(span.trace, top)
+    assert fresh.pivot_products == span.pivot_products
+    assert fresh.trace == span.trace
+    assert set(fresh.ech.pivots) == set(span.ech.pivots)
+
+
+def test_a_replayed_span_cannot_grow():
+    gf = PrimeField(primes_pair(19)[0])
+    trace = _generic_trace(gf)
+    span = IdealSpan(make_relation(gf, chart=chart_in_field(gf, GENERIC_CHART)))
+    span.replay(trace.products, trace.window)
+    assert span.window == trace.window and span.trace == trace.products
+    with pytest.raises(ValueError):
+        span.extend_to_window(trace.window + 1)
+
+
+def _folded_table(cert):
+    """e_i * b_j by folding the letters of b_j one by one from e_i."""
+    f, n = cert.field, len(cert.basis)
+    table = []
+    for i in range(n):
+        row = []
+        for w in cert.basis:
+            vec = {i: f.one}
+            for letter in w:
+                out = {}
+                for k, c in vec.items():
+                    for m, cm in cert.letter_action[(letter,)][k].items():
+                        add_term(f, out, m, f.mul(c, cm))
+                vec = out
+            row.append(vec)
+        table.append(row)
+    return table
+
+
+@pytest.mark.parametrize("field, point", [
+    (PrimeField(primes_pair(23)[0]), (1, 2, 3, 7)),
+    (QQ, (1, 2, 3, 7)),
+    (QQ, (1, 2, 3, 6)),
+])
+def test_prefix_built_table_equals_the_letter_fold(field, point):
+    rel = make_relation(field, point=tuple(field.from_int(c) for c in point))
+    cert, _ = closure_certificate(rel)
+    assert all(w[:-1] in cert.basis for w in cert.basis if w)  # prefix-closed
+    assert cert.structure_constants == _folded_table(cert)

@@ -1,4 +1,7 @@
+import itertools
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -294,6 +297,38 @@ def test_extension_field_rejects_reducible_cubic():
         ExtensionField(QQ, UniPoly.from_ints(QQ, [-1, 0, 0, 1]))  # t^3 - 1
     with pytest.raises(ValueError):
         ExtensionField(QQ, UniPoly.from_ints(QQ, [-2, 0, 0, 2]))  # not monic
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after ``seconds`` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_roots_over_tiny_prime_fields_return():
+    gf2 = PrimeField(2)
+    z2_plus_z = UniPoly.from_ints(gf2, [0, 1, 1])  # z (z + 1): both elements
+    with time_limit(5):
+        assert prime_field_roots(gf2, z2_plus_z) == [0, 1]
+        assert prime_field_roots(gf2, UniPoly.from_ints(gf2, [1, 1, 1])) == []
+        with pytest.raises(ValueError):
+            ExtensionField(gf2, z2_plus_z)
+        assert ExtensionField(gf2, UniPoly.from_ints(gf2, [1, 1, 1])).degree == 2
+    for p in (2, 3, 5, 7):
+        F = PrimeField(p)
+        for cs in itertools.product(range(p), repeat=3):
+            f = UniPoly.from_ints(F, list(cs) + [1])  # every monic cubic
+            with time_limit(5):
+                got = prime_field_roots(F, f)
+            assert got == [r for r in range(p) if f.evaluate(r) == 0]
 
 
 # --- extension arithmetic: the integer kernel against the UniPoly reference ---
