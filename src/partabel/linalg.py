@@ -13,16 +13,19 @@ entries and take the next lead as ``max(row)``, with no heap: a pivot row
 holds only columns below its own lead, so subtracting it adds no column
 above the lead being cleared, and a cancelled column is popped from the row
 at once.  The leads therefore come out in the same descending order a
-priority queue would give.  Every rank, ``dense_rank`` included, comes
-from SparseEchelon.  Dense solves (``nullspace``, ``solve_linear``, the
-classifier's matrix inverse and the t*q rewrite) go through the one dense
-Gauss-Jordan routine, ``_rref``.
+priority queue would give.  Every rank comes from SparseEchelon:
+``dense_rank`` over QQ and its extensions first eliminates the matrix's
+image mod a prime l near 2^61, and eliminates the exact rows only when
+that image falls short of full rank.  Dense solves (``nullspace``,
+``solve_linear``, the classifier's matrix inverse and the t*q rewrite) go
+through the one dense Gauss-Jordan routine, ``_rref``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Callable
 
 from .scalars import Domain, PrimeField, RationalField
 
@@ -208,6 +211,36 @@ def _rref(field: Domain, rows: list[list], ncols: int) -> tuple[list[list], list
 
 
 def dense_rank(field: Domain, matrix: list[list]) -> int:
+    """Rank of a dense matrix.  Over QQ and its extensions the rank is first
+    taken of the matrix's image over GF(l) (``Domain.modular_image``).  A
+    rank can only drop under a ring map, so an image of full rank
+    min(rows, cols) is the rank.  A shortfall, or an entry that is not
+    l-integral, leaves it to the exact elimination ``_echelon_rank``, which
+    callers expecting a deficient rank use directly."""
+    if not matrix:
+        return 0
+    full = min(len(matrix), len(matrix[0]))
+    image = modular_image(field, lambda h: [[h(v) for v in row] for row in matrix])
+    if image is not None and _echelon_rank(*image) == full:
+        return full
+    return _echelon_rank(field, matrix)
+
+
+def modular_image(field: Domain, build: Callable) -> tuple[PrimeField, object] | None:
+    """(GF(l), build(h)) for the field's map h onto GF(l)
+    (``Domain.modular_image``), or None when the field has no image or
+    ``build`` meets a value that is not l-integral."""
+    image = field.modular_image()
+    if image is None:
+        return None
+    gf, h = image
+    try:
+        return gf, build(h)
+    except ZeroDivisionError:
+        return None
+
+
+def _echelon_rank(field: Domain, matrix: list[list]) -> int:
     """Rank of a dense matrix through SparseEchelon.  Column j enters at
     index ``ncols - 1 - j``, so the leftmost column is eliminated first, as
     in ``_rref``; the reduction loops drop the zero entries."""

@@ -36,7 +36,9 @@ from fractions import Fraction
 from .freeproduct import (
     EMPTY_WORD, P, Q, T, AlgebraElement, Signature, Word, idempotent, word_str,
 )
-from .linalg import _rref, dense_rank, solve_linear
+from .linalg import (
+    SparseEchelon, _echelon_rank, _rref, dense_rank, modular_image, solve_linear,
+)
 from .scalars import (
     DegenerateSpecialization, Domain, ExtensionField, FunctionField, PolyRingDomain,
     PrimeField, RationalFunction, UniPoly, add_term, bareiss_determinant,
@@ -1112,9 +1114,24 @@ def _proportionality(f: Domain, a: TernForm, b: TernForm):
 
 def generated_matrix_algebra_dim(field: Domain, mats: list, max_length: int = 4) -> int:
     """Dimension of the span of all words of length <= max_length in the
-    given 3x3 matrices and the identity (Burnside: irreducible iff 9)."""
+    given 3x3 matrices and the identity (Burnside: irreducible iff 9).
+
+    Over QQ and its extensions the span is first grown from the matrices'
+    image over GF(l) (``Domain.modular_image``).  The image of a word is the
+    word in the images, so that span is the image of the true one and its
+    dimension is at most the true dimension; when it reaches 9, the most
+    there is, 9 is the answer.  Otherwise the exact span runs."""
+    image = modular_image(field, lambda h: [[[h(v) for v in row] for row in m] for m in mats])
+    if image is not None and _burnside_span(*image, max_length) == 9:
+        return 9
+    return _burnside_span(field, mats, max_length)
+
+
+def _burnside_span(field: Domain, mats: list, max_length: int) -> int:
+    """``generated_matrix_algebra_dim`` over ``field`` itself: a word that
+    gives no pivot is not extended, since its products lie in the span of
+    words already fed."""
     f = field
-    from .linalg import SparseEchelon
     ech = SparseEchelon(f)
 
     def flat(m):
@@ -1240,15 +1257,15 @@ def _center_dimension(cert) -> int:
                         left = f.add(left, f.mul(gj, c))
                 row.append(f.sub(right[i].get(k, f.zero), left))
             rows.append(row)
-    return n - dense_rank(f, rows)
+    # rank 8 of 18 at generic points: a GF(l) image could never prove it
+    return n - _echelon_rank(f, rows)
 
 
-def _trace_form_gram(cert) -> list:
-    """Gram matrix of the trace form in the certified basis, built as
-    ``_trace_form_rank`` explains."""
-    f = cert.field
-    n = cert.dimension_bound
-    table = cert.structure_constants
+def _trace_form_gram(f: Domain, table: list) -> list:
+    """Gram matrix of the trace form over ``f`` from the structure constants
+    ``table`` of the certified basis, built as ``_trace_form_rank``
+    explains."""
+    n = len(table)
     trace = []
     for k in range(n):
         acc = f.zero
@@ -1284,5 +1301,15 @@ def _trace_form_rank(cert) -> int:
     structure constants a valid associative table.  The evaluation rank
     certifies it wherever a point is reported exact: rank n means the basis
     is independent in the quotient, so the letter action is the quotient's
-    own.  The definition's O(n^4) form is kept in the tests as the oracle."""
-    return dense_rank(cert.field, _trace_form_gram(cert))
+    own.  The definition's O(n^4) form is kept in the tests as the oracle.
+
+    Over QQ the Gram matrix is first built from the image of the table over
+    GF(l) (``Domain.modular_image``); its entries are polynomials in the
+    structure constants, so it is the image of the true Gram matrix, and
+    rank n there is rank n over QQ.  Only a shortfall builds it over QQ."""
+    f, table, n = cert.field, cert.structure_constants, cert.dimension_bound
+    image = modular_image(
+        f, lambda h: [[{k: h(c) for k, c in e.items()} for e in row] for row in table])
+    if image is not None and _echelon_rank(image[0], _trace_form_gram(*image)) == n:
+        return n
+    return _echelon_rank(f, _trace_form_gram(f, table))

@@ -6,16 +6,18 @@ shared freely across threads and memoized without copying.  The domain
 objects (``QQ``, ``PrimeField``, ``FunctionField``, ``ExtensionField``)
 provide construction, parsing, serialization and sampling.  Extensions
 compute on integer coordinates; rational roots come from Hensel lifting.
+QQ and its extensions map onto GF(l) for l near 2^61
+(``Domain.modular_image``), where full-rank checks run first.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, partial, reduce
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class PoleError(ZeroDivisionError):
@@ -136,6 +138,14 @@ class Domain:
     def from_json(self, obj):
         return self.parse(obj)
 
+    def modular_image(self) -> tuple[PrimeField, Callable] | None:
+        """(GF(l), h): a ring homomorphism h from the l-integral elements
+        onto GF(l), for the domains whose full-rank checks run on an image
+        (QQ and extensions of QQ); None for the others.  h raises
+        ZeroDivisionError on an element that is not l-integral.  A rank can
+        only drop under h, so an image of full rank proves full rank."""
+        return None
+
 
 def add_term(field: Domain, terms: dict, key, c) -> None:
     """``terms[key] += c`` in place, dropping the key when the sum is zero:
@@ -175,6 +185,10 @@ class RationalField(Domain):
 
     def parse(self, s: str) -> Fraction:
         return Fraction(s.strip())
+
+    def modular_image(self) -> tuple[PrimeField, Callable]:
+        """n/d -> n d^-1 mod l = 2^61 + 15."""
+        return _MODULAR_FIELD, _MODULAR_FIELD.from_fraction
 
     def __repr__(self) -> str:
         return "QQ"
@@ -1283,6 +1297,29 @@ class ExtensionField(Domain):
     def from_json(self, obj) -> UniPoly:
         return UniPoly(self.base, [self.base.parse(c) for c in obj])
 
+    def modular_image(self) -> tuple[PrimeField, Callable] | None:
+        return self._image
+
+    @cached_property
+    def _image(self) -> tuple[PrimeField, Callable] | None:
+        """Over QQ: a(t) -> a(r) mod l, with l the first prime >= 2^61 + 15
+        that divides no denominator of m and r the least root of m mod l.
+        It is a ring homomorphism because m is monic and l-integral and
+        m(r) = 0 mod l.  The walk tries ``_IMAGE_PRIMES`` primes and then
+        gives up (no image).  Over GF(p) there is none."""
+        if self._p is not None:
+            return None
+        ms, den = self._int_modulus, self._scale
+        field = _MODULAR_FIELD
+        for _ in range(_IMAGE_PRIMES):
+            ell = field.p
+            if den % ell:  # m mod l is D m mod l over the unit D
+                roots = prime_field_roots(field, UniPoly(field, [c % ell for c in ms]))
+                if roots:
+                    return field, partial(_residue_image, ell, roots[0])
+            field = PrimeField(_next_prime(ell))
+        return None
+
     def __repr__(self) -> str:
         return f"{self.base!r}[t]/({self.modulus!r})"
 
@@ -1292,6 +1329,15 @@ def _clear_denominators(cs) -> tuple[list[int], int]:
     cs[i] = ns[i] / D."""
     den = lcm(*[c.denominator for c in cs])
     return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _residue_image(ell: int, r: int, a: UniPoly) -> int:
+    """a(r) mod l for a residue a over QQ; ZeroDivisionError when l divides
+    a denominator."""
+    ns, den = _clear_denominators(a.coeffs)
+    if den % ell == 0:
+        raise ZeroDivisionError("denominator vanishes mod l")
+    return _horner(ns, r) * pow(den, -1, ell) % ell
 
 
 def base_field_roots(base: Domain, f: UniPoly) -> list:
@@ -1307,9 +1353,23 @@ def base_field_roots(base: Domain, f: UniPoly) -> list:
 # Root finding over QQ and GF(p)
 # ---------------------------------------------------------------------------
 
-# 2^61 + 15, the least prime above 2^61: it and (it - 1) / 2, the exponents
-# of prime_field_roots' square-and-multiply, have few one bits
-_HENSEL_FIELD = PrimeField(2**61 + 15)
+# 2^61 + 15, the least prime above 2^61, where the two prime walks start:
+# rational_roots' Hensel prime and the modular image of QQ and of its
+# extensions (``Domain.modular_image``).  It and (it - 1) / 2, the exponents
+# of prime_field_roots' square-and-multiply, have few one bits.
+_MODULAR_FIELD = PrimeField(2**61 + 15)
+
+# primes an extension of QQ tries for a root of its modulus; an irreducible
+# cubic has one mod at least a third of all primes (Chebotarev)
+_IMAGE_PRIMES = 16
+
+
+def _next_prime(n: int) -> int:
+    """The least prime above the odd number n."""
+    n += 2
+    while not is_probable_prime(n):
+        n += 2
+    return n
 
 
 def rational_roots(f: UniPoly) -> list[Fraction]:
@@ -1333,14 +1393,12 @@ def rational_roots(f: UniPoly) -> list[Fraction]:
     roots = [FRACTION_ZERO] if a[0] == 0 else []
     a = a[len(roots):]  # squarefree, so z divides it at most once
     da = [i * c for i, c in enumerate(a)][1:]
-    field, ell = _HENSEL_FIELD, _HENSEL_FIELD.p
+    field, ell = _MODULAR_FIELD, _MODULAR_FIELD.p
     while True:
         fl = UniPoly(field, [c % ell for c in a])
         if a[-1] % ell and gcd_univariate(fl, UniPoly(field, [c % ell for c in da])).degree == 0:
             break
-        ell += 2
-        while not is_probable_prime(ell):
-            ell += 2
+        ell = _next_prime(ell)
         field = PrimeField(ell)
     bound = 2 * abs(a[0] * a[-1])
     for r in prime_field_roots(field, fl):

@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partabel.classify import _matrix_inverse
-from partabel.linalg import SparseEchelon, _rref, dense_rank, nullspace, solve_linear
+from partabel.linalg import (
+    SparseEchelon, _echelon_rank, _rref, dense_rank, nullspace, solve_linear,
+)
 from partabel.scalars import (
-    ExtensionField, PrimeField, QQ, UniPoly, bareiss_determinant, random_prime,
+    ExtensionField, PrimeField, QQ, UniPoly, bareiss_determinant, prime_field_roots,
+    random_prime,
 )
 from tests_helpers import GenericEchelon, irreducible_extension
 
@@ -452,3 +455,109 @@ def test_fraction_free_loop_keeps_its_integers_within_the_hadamard_bound(monkeyp
     assert ech.rank == n
     hadamard = (top * top * n) ** (n // 2)   # n even: (top * sqrt(n))^n
     assert widest[0] <= 2 * hadamard.bit_length() + 1
+
+
+# --- full-rank checks on a GF(l) image ------------------------------------------
+# dense_rank over QQ and its extensions returns the rank of the matrix's image
+# mod l when that image has full rank, and the exact rank otherwise.  These
+# moduli make the image take each of its paths: one with a root mod
+# l0 = 2^61 + 15, one without (the walk goes on to the next primes), and one
+# with the coefficient 1/l0, not l0-integral (the walk skips l0).
+
+L0 = 2**61 + 15
+MODULI = {
+    "root at l0": [2, 0, 0, 1],
+    "no root at l0": [5, 1, 0, 1],
+    "denominator l0": [1, Fraction(1, L0), 0, 1],
+}
+EXTENSIONS = {name: ExtensionField(QQ, UniPoly(QQ, [Fraction(c) for c in cs]))
+              for name, cs in MODULI.items()}
+
+
+def test_the_image_of_an_extension_sends_theta_to_a_root_mod_a_good_prime():
+    gf0 = PrimeField(L0)
+    assert prime_field_roots(gf0, UniPoly(gf0, [5, 1, 0, 1])) == []
+    for name, ext in EXTENSIONS.items():
+        gf, h = ext.modular_image()
+        ell = gf.p
+        assert (ell == L0) == (name == "root at l0"), name
+        r = h(ext.gen())
+        m = [c.numerator * pow(c.denominator, -1, ell) % ell for c in ext.modulus.coeffs]
+        assert sum(c * pow(r, i, ell) for i, c in enumerate(m)) % ell == 0, name
+    assert QQ.modular_image()[0].p == L0
+    gfp = PrimeField(random_prime(random.Random(4)))
+    assert gfp.modular_image() is None
+    assert irreducible_extension(gfp, 3).modular_image() is None
+
+
+def test_theta_times_theta_squared_stays_rank_one():
+    # rows (t, 1) and (t * t^2, t^2) are dependent only because m(t) = 0:
+    # an image sending t to a non-root s of m gives determinant m(s) != 0
+    for name, ext in EXTENSIONS.items():
+        t = ext.gen()
+        t2 = ext.mul(t, t)
+        m = [[t, ext.one], [ext.mul(t, t2), t2]]
+        assert dense_rank(ext, m) == 1, name
+
+
+def test_a_rank_drop_mod_l_falls_back_to_the_exact_rank():
+    m = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(L0)]]
+    gf, h = QQ.modular_image()
+    assert _echelon_rank(gf, [[h(v) for v in row] for row in m]) == 1
+    assert dense_rank(QQ, m) == 2
+    for ext in EXTENSIONS.values():
+        ell = ext.from_int(ext.modular_image()[0].p)
+        assert dense_rank(ext, [[ext.one, ext.zero], [ext.zero, ell]]) == 2
+    # not l0-integral: no image at all
+    assert dense_rank(QQ, [[Fraction(1, L0), Fraction(1)], [Fraction(1), Fraction(1)]]) == 2
+
+
+_integral_entry = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6)),
+    st.sampled_from([Fraction(L0), Fraction(-2 * L0)]),
+)
+_any_entry = st.one_of(
+    _integral_entry,
+    st.builds(Fraction, st.integers(-3, 3), st.sampled_from([L0, 3 * L0])),
+)
+
+
+@st.composite
+def deficient_matrices(draw):
+    """A domain (QQ or one of the extensions) and a product A B with inner
+    dimension k, so of rank at most k; entries may be multiples of l0 or
+    have l0 in their denominators, and a row may be scaled by the prime of
+    the domain's image, which drops the image's rank but not the true one."""
+    name = draw(st.sampled_from(["QQ"] + sorted(EXTENSIONS)))
+    f = QQ if name == "QQ" else EXTENSIONS[name]
+    nrows, ncols, k = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    entries = draw(st.sampled_from([_integral_entry, _any_entry]))
+
+    def entry():
+        if f is QQ:
+            return draw(entries)
+        return UniPoly(QQ, [draw(entries) for _ in range(3)])
+
+    a = [[entry() for _ in range(k)] for _ in range(nrows)]
+    b = [[entry() for _ in range(ncols)] for _ in range(k)]
+    m = []
+    for row in a:
+        out = []
+        for j in range(ncols):
+            acc = f.zero
+            for i, v in enumerate(row):
+                acc = f.add(acc, f.mul(v, b[i][j]))
+            out.append(acc)
+        m.append(out)
+    if draw(st.booleans()):
+        i, c = draw(st.integers(0, nrows - 1)), f.from_int(f.modular_image()[0].p)
+        m[i] = [f.mul(c, v) for v in m[i]]
+    return f, m
+
+
+@settings(max_examples=100, deadline=None)
+@given(deficient_matrices())
+def test_dense_rank_matches_the_exact_rank_over_qq_and_its_extensions(case):
+    f, m = case
+    assert dense_rank(f, m) == _echelon_rank(f, m)

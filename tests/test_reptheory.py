@@ -526,7 +526,8 @@ def test_trace_form_and_center_match_their_oracles():
     seen = 0
     for f, cert in _criterion3_certificates():
         assert cert.dimension_bound == 18
-        gram, oracle = _trace_form_gram(cert), _trace_form_gram_oracle(cert)
+        gram = _trace_form_gram(f, cert.structure_constants)
+        oracle = _trace_form_gram_oracle(cert)
         n = cert.dimension_bound
         for i in range(n):
             for j in range(n):
@@ -554,3 +555,68 @@ def test_rep_matrices_memoized_and_word_matrix_matches_letter_products():
             m = mat_mul(ext, m, rho.letter_matrix(letter))
         assert mat_eq(ext, rho.word_matrix(w), m)
         assert rho.word_matrix(w) is rho.word_matrix(w)
+
+
+# --- the Burnside span and the trace form on a GF(l) image -----------------------
+
+def _rational_point_data(seed, count):
+    """(ext, letter matrices, closure certificate) over QQ at sample charts."""
+    from partabel.pipeline import sample_generic_points
+    for x in sample_generic_points(seed, count):
+        y = x[1:]
+        cert, _ = closure_certificate(make_relation(QQ, chart=y))
+        spec = intersect_conics(QQ, y)
+        ext = spec.ext
+        rho = build_rho(ext, tuple(ext.from_base(c) for c in y), (spec.z1, spec.z2),
+                        rewrite=tq_rewrite(QQ, y))
+        yield ext, [rho.p1, rho.p2, rho.q1, rho.q2], cert
+
+
+def test_burnside_span_and_trace_form_images_give_the_exact_values():
+    from partabel.linalg import _echelon_rank
+    from partabel.reptheory import _burnside_span, _trace_form_gram, _trace_form_rank
+    for ext, mats, cert in _rational_point_data(17, 8):
+        gf, h = ext.modular_image()
+        images = [[[h(v) for v in row] for row in m] for m in mats]
+        assert _burnside_span(gf, images, 4) == 9   # the image path answers
+        assert generated_matrix_algebra_dim(ext, mats) == _burnside_span(ext, mats, 4) == 9
+        table = cert.structure_constants
+        assert _trace_form_rank(cert) == _echelon_rank(QQ, _trace_form_gram(QQ, table)) == 18
+
+
+def test_a_forced_fallback_returns_the_exact_values(monkeypatch):
+    # an image map that sends everything to 0 falls short of every ceiling
+    from partabel.reptheory import _trace_form_rank
+    from partabel.scalars import ExtensionField, RationalField
+    ext, mats, cert = next(_rational_point_data(23, 1))
+    gf = QQ.modular_image()[0]
+    seen = []
+
+    def zero_image(self):
+        return gf, lambda v: seen.append(v) or 0
+
+    monkeypatch.setattr(RationalField, "modular_image", zero_image)
+    monkeypatch.setattr(ExtensionField, "modular_image", zero_image)
+    assert generated_matrix_algebra_dim(ext, mats) == 9
+    assert _trace_form_rank(cert) == 18
+    assert seen
+
+
+def test_prime_mode_never_builds_an_image(monkeypatch):
+    from partabel.pipeline import certify_point, sample_generic_points
+    from partabel.scalars import Domain, ExtensionField, RationalField
+    calls = []
+    for cls in (Domain, RationalField, ExtensionField):
+        real = cls.modular_image
+
+        def spy(self, real=real):
+            out = real(self)
+            calls.append((self, out))
+            return out
+        monkeypatch.setattr(cls, "modular_image", spy)
+    gf = PrimeField(random_prime(random.Random(29)))
+    x = tuple(gf.from_fraction(c) for c in sample_generic_points(31, 1)[0])
+    pc = certify_point(gf, x)
+    assert pc.exact_dimension == 18
+    assert calls and all(out is None for _, out in calls)
+    assert any(isinstance(f, ExtensionField) for f, _ in calls)
