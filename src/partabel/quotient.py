@@ -177,8 +177,8 @@ class IdealSpan:
         # which leaves nothing to grow from and keeps its trace instead.
         self._gave_pivot: list[list[bytearray]] | None = []
         self._replayed_trace = array("q")
-        # (window, max_degree, forms) of the last normal_forms computation
-        self._nf_memo: tuple[int, int, dict] = (-1, -1, {})
+        # (window, forms) of the normal forms computed at that window
+        self._nf_memo: tuple[int, dict] = (-1, {})
 
     def _ensure_columns(self, max_degree: int):
         """Extend the columns to every word of length <= max_degree, one
@@ -317,22 +317,40 @@ class IdealSpan:
 
     # -- normal forms ----------------------------------------------------------
 
-    def normal_forms(self, max_degree: int) -> dict[int, dict[int, object]]:
-        """Normal form of every word of degree <= max_degree: a vector over
-        non-pivot word indices, computed bottom-up in the word order.
+    def normal_forms(self, max_degree: int, indices=None) -> dict[int, dict[int, object]]:
+        """Normal forms over non-pivot word indices: of the words at
+        ``indices``, or of every word of degree <= max_degree when no
+        indices are given; columns are ensured up to max_degree.
 
-        The forms of the current window are kept, so a later call at the
-        same window and a degree up to the kept one reads them instead of
-        recomputing; the vectors are shared and must not be mutated."""
+        A word's form is its own index if it leads no pivot row, and
+        otherwise minus the sum of the forms of its pivot row's tail, which
+        holds only lower indices.  The words the requested forms reach
+        through those tails are collected first, with an explicit stack;
+        they are then filled bottom-up in index order, by the same sum as
+        for the full map, so each form is the one the full map holds.
+        Forms are kept for the current window only, since a wider window
+        adds pivots, and a later call reads the kept ones; the vectors are
+        shared and must not be mutated."""
         self._ensure_columns(max_degree)
-        stop = self._length_block(max_degree).stop
-        window, degree, nf = self._nf_memo
-        if window == self.window and degree >= max_degree:
-            return nf if degree == max_degree else {i: nf[i] for i in range(stop)}
+        if indices is None:
+            indices = range(self._length_block(max_degree).stop)
+        window, nf = self._nf_memo
+        if window != self.window:
+            nf = {}
+            self._nf_memo = (self.window, nf)
+        pivots = self.ech.pivots
+        todo, stack = set(), [i for i in indices if i not in nf]
+        while stack:
+            i = stack.pop()
+            if i in todo:
+                continue
+            todo.add(i)
+            row = pivots.get(i)
+            if row is not None:
+                stack.extend(u for u in row if u >= 0 and u not in nf and u not in todo)
         f = self.field
-        nf = {}
-        for i in range(stop):
-            row = self.ech.pivots.get(i)
+        for i in sorted(todo):
+            row = pivots.get(i)
             if row is None:
                 nf[i] = {i: f.one}
                 continue
@@ -344,8 +362,7 @@ class IdealSpan:
                 for b, cb in nf[u].items():
                     add_term(f, acc, b, f.mul(minus_cu, cb))
             nf[i] = acc
-        self._nf_memo = (self.window, max_degree, nf)
-        return nf
+        return {i: nf[i] for i in indices}
 
     def reduce_element(self, elem: AlgebraElement) -> dict[int, object]:
         """Remainder of an element after reduction by the echelon rows."""
@@ -578,23 +595,28 @@ class ClosureCertificate:
 
 
 def _try_closure(span: IdealSpan, n: int):
-    """Attempt the closure certificate at degree n; returns (basis, nf,
-    letter_action) or a list of leaking words."""
-    f = span.field
-    nf = span.normal_forms(n + 1)
+    """Attempt the closure certificate at degree n; returns ((basis_idx,
+    pos, letter_action), None) or (None, leaks).  Only the normal forms of
+    the products w * g, for w a basis word and g a generator, are asked for."""
+    span._ensure_columns(n + 1)
     basis_idx = [i for i, w in enumerate(span.words)
                  if len(w) <= n and i not in span.ech.pivots]
     pos = {i: k for k, i in enumerate(basis_idx)}
+    # times[g][k]: the column of (basis word k) * g, or None when that is 0
+    times = {g: [None if (w := concat_words(span.words[i], g)) is None
+                 else span.index[w] for i in basis_idx]
+             for g in GENERATORS}
+    nf = span.normal_forms(n + 1, [iw for col in times.values()
+                                   for iw in col if iw is not None])
     leaks = []
     letter_action: dict[Word, list[dict[int, object]]] = {}
     for g in GENERATORS:
         cols: list[dict[int, object]] = []
-        for i in basis_idx:
-            w = concat_words(span.words[i], g)
-            if w is None:
+        for i, iw in zip(basis_idx, times[g]):
+            if iw is None:
                 cols.append({})
                 continue
-            vec = nf[span.index[w]]
+            vec = nf[iw]
             out: dict[int, object] = {}
             ok = True
             for j, c in vec.items():
@@ -809,7 +831,7 @@ def reduction_coefficients(rel: CommutatorRelation, n_max: int = 6,
     reference monomials have nonzero image in it."""
     cert, span = closure_certificate(rel, n_max=n_max, slack=slack)
     f = rel.field
-    nf = span.normal_forms(4)
+    nf = span.normal_forms(4, span._length_block(4))  # the words read below
     deg4 = [i for i, w in enumerate(cert.basis) if len(w) == 4]
     if len(deg4) != 1:
         raise DegenerateSpecialization(
@@ -983,12 +1005,12 @@ def spanning_monomials_rank(cert: ClosureCertificate, span: IdealSpan) -> dict:
     from .freeproduct import word_from_str
     from .linalg import dense_rank
     f = cert.field
-    nf = span.normal_forms(4)
+    listed = [span.index[word_from_str(s)] for s in SPANNING_MONOMIALS_DEGREE4]
+    nf = span.normal_forms(4, listed)
     pos = {span.index[w]: k for k, w in enumerate(cert.basis)}
     rows = []
-    for s in SPANNING_MONOMIALS_DEGREE4:
-        w = word_from_str(s)
-        vec = nf[span.index[w]]
+    for i in listed:
+        vec = nf[i]
         row = [f.zero] * len(cert.basis)
         for j, c in vec.items():
             row[pos[j]] = c

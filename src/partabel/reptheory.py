@@ -37,7 +37,7 @@ from .freeproduct import (
     EMPTY_WORD, P, Q, T, AlgebraElement, Signature, Word, idempotent, word_str,
 )
 from .linalg import (
-    SparseEchelon, _echelon_rank, _rref, dense_rank, modular_image, solve_linear,
+    SparseEchelon, _echelon_rank, _rref, dense_rank, modular_image,
 )
 from .scalars import (
     DegenerateSpecialization, Domain, ExtensionField, FunctionField, PolyRingDomain,
@@ -885,24 +885,40 @@ def _lift_poly(base: Domain, ext: Domain, p: UniPoly) -> UniPoly:
     return UniPoly(ext, [ext.from_base(c) for c in p.coeffs])
 
 
+_QUADRATIC_MONOMIALS = tuple((i, j, 2 - i - j) for i in range(3) for j in range(3 - i))
+
+
 def _tern_divide_by_line(f: Domain, cubic: TernForm, line: list):
-    """Exact division of a ternary cubic by a linear form, or None: solved
-    as a linear system for the quadratic cofactor."""
-    mons2 = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)
-             if i + j + k == 2]
-    mons3 = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)
-             if i + j + k == 3]
-    lform: TernForm = {(1, 0, 0): line[0], (0, 1, 0): line[1], (0, 0, 1): line[2]}
-    cols = []
-    for m in mons2:
-        prod = tern_mul(f, {m: f.one}, lform)
-        cols.append([prod.get(mm, f.zero) for mm in mons3])
-    matrix = [[cols[c][r] for c in range(len(mons2))] for r in range(len(mons3))]
-    rhs = [cubic.get(mm, f.zero) for mm in mons3]
-    sol = solve_linear(f, matrix, rhs)
-    if sol is None:
+    """Exact division of a ternary cubic by a nonzero linear form, or None
+    when the remainder is nonzero.
+
+    The cubic is divided as a polynomial in the first variable whose line
+    coefficient is nonzero, highest power first, each step cancelling every
+    term of that power.  Multiplying quadratics by a nonzero linear form is
+    injective, so when the line divides the cubic the quadratic cofactor is
+    unique: it is also the one solution of the 10 x 6 linear system for its
+    coefficients, which the tests keep as the oracle.  The cofactor's keys
+    come in the order of ``_QUADRATIC_MONOMIALS``."""
+    v = next((i for i, c in enumerate(line) if not f.is_zero(c)), None)
+    if v is None:
+        raise ValueError("cannot divide by the zero linear form")
+    inv = f.inv(line[v])
+    others = [(w, c) for w, c in enumerate(line) if w != v and not f.is_zero(c)]
+    rest: TernForm = {}
+    for e, c in cubic.items():
+        add_term(f, rest, e, c)
+    quotient: TernForm = {}
+    for d in (3, 2, 1):
+        for e in [e for e in rest if e[v] == d]:
+            q = f.mul(rest.pop(e), inv)
+            qe = tuple(x - (i == v) for i, x in enumerate(e))
+            quotient[qe] = q
+            for w, c in others:
+                add_term(f, rest, tuple(x + (i == w) for i, x in enumerate(qe)),
+                         f.neg(f.mul(q, c)))
+    if rest:
         return None
-    return {m: c for m, c in zip(mons2, sol) if not f.is_zero(c)}
+    return {m: quotient[m] for m in _QUADRATIC_MONOMIALS if m in quotient}
 
 
 def split_determinantal_cubic(field: Domain, cubic: TernForm,

@@ -1030,9 +1030,16 @@ def gcd_univariate(f: UniPoly, g: UniPoly) -> UniPoly:
 def sylvester_resultant(f: UniPoly, g: UniPoly):
     """Resultant via the Sylvester matrix with the f-rows placed first.
 
-    Works over any integral domain via fraction-free (Bareiss) elimination,
-    so it also serves polynomial-coefficient elimination.  Convention is
-    fixed: Res(z - a, z - b) = a - b.
+    Works over any integral domain, so it also serves polynomial-coefficient
+    elimination.  Convention is fixed: Res(z - a, z - b) = a - b.
+
+    Two quadratics, the case of every pair of conics, take the closed form
+    (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1): it is the expansion
+    of the 4 x 4 Sylvester determinant, a polynomial identity in the six
+    coefficients, so it returns the value Bareiss returns, with ring
+    operations only and no exact division.  Other degrees go through
+    fraction-free (Bareiss) elimination: their determinants have no
+    expansion short enough to be worth writing out, and they are rare.
     """
     if f.is_zero() and g.is_zero():
         raise ValueError("resultant of two zero polynomials is undefined")
@@ -1048,6 +1055,12 @@ def sylvester_resultant(f: UniPoly, g: UniPoly):
         return _ring_pow(field, f.coeffs[0], n)
     if n == 0:
         return _ring_pow(field, g.coeffs[0], m)
+    if m == n == 2:
+        (a0, a1, a2), (b0, b1, b2) = f.coeffs, g.coeffs
+        mul, sub = field.mul, field.sub
+        c20 = sub(mul(a2, b0), mul(a0, b2))
+        return sub(mul(c20, c20), mul(sub(mul(a2, b1), mul(a1, b2)),
+                                      sub(mul(a1, b0), mul(a0, b1))))
     size = m + n
     rows = []
     fc = list(reversed(f.coeffs))

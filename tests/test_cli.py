@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -347,3 +348,42 @@ def test_package_runs_without_numpy(tmp_path):
         env={**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     assert "PASS detcurve" in proc.stdout and "PASS theorem" in proc.stdout
+
+
+# sha256 of each --out report, recorded at the commit before the closed-form
+# conic resultants, the direct line division and the on-demand normal forms;
+# a change that moves one of these digests says which and why in CHANGES.md
+PINNED_REPORTS = {
+    "detcurve --chart 2,3,7":
+        "6b550f83244316a5b9430c5047196777cd6c37daaa8a9e4984fd723d31cef652",
+    "detcurve --chart=-5,-4,-4":  # degree-1 split
+        "ed5b3d80e41e6fb97cb2c6479da001090e24254ae381311abb1c5654be542a4f",
+    "classify --point 1,2,2,4":
+        "8e188bc9539daf2b44526043210dde9265de78de459162f0d0efd6ac9b6e1e2f",
+    "rep --chart 2,3,7":
+        "cc4a1098182fbd8fedee84297cb930a9bfc4be28f19235ac2f66b6c2049b6d12",
+    "wedderburn --chart 2,3,7 --mode rational":
+        "532a029aaf8abb5074df0d2ac7f734aa5ae9f7d62e2fd15b1cc367fd1340f321",
+    "theorem --count 2 --seed 7":
+        "4176a30a2c4d1abfa7ffdce7936ec364677eec60245d11cac412350329d08eae",
+    "theorem --count 2 --seed 7 --mode rational":
+        "5f07b4c4e1d35c4af20d54a26f746ce1e2ca7eaad64c21a8f3bc7d60ab54041b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_REPORTS))
+def test_pinned_report_bytes(command, tmp_path, monkeypatch):
+    monkeypatch.delenv("PARTABEL_SEED", raising=False)
+    out = tmp_path / "report.json"
+    assert main(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[command]
+
+
+def test_pinned_detcurve_at_a_linear_conic_chart_writes_no_report(tmp_path, capsys):
+    # y3 = 0: the one (1, 2) resultant goes through Bareiss, f has degree 2
+    out = tmp_path / "report.json"
+    assert main(["detcurve", "--chart=-5,-5,0", "--out", str(out)]) == 2
+    assert capsys.readouterr().out == (
+        "FAIL detcurve: common-root polynomial has degree 2, expected 3; "
+        "resample the specialization\n")
+    assert not out.exists()

@@ -1,7 +1,6 @@
 import heapq
 import random
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,7 @@ from partabel.scalars import (
     ExtensionField, PrimeField, QQ, UniPoly, bareiss_determinant, prime_field_roots,
     random_prime,
 )
-from tests_helpers import GenericEchelon, irreducible_extension
+from tests_helpers import GenericEchelon, irreducible_extension, permutation_determinant
 
 
 def random_sparse_rows(rng, nrows, ncols, density=0.3):
@@ -224,19 +223,6 @@ def test_reduce_is_zero_exactly_when_add_row_finds_no_pivot(case, k):
             assert lead == max(rem)
 
 
-def _permutation_determinant(f, m):
-    """Oracle: the Leibniz sum over all permutations, signed by inversions."""
-    n = len(m)
-    total = f.zero
-    for perm in permutations(range(n)):
-        term = f.one
-        for i, j in enumerate(perm):
-            term = f.mul(term, m[i][j])
-        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
-        total = f.sub(total, term) if inversions % 2 else f.add(total, term)
-    return total
-
-
 @st.composite
 def square_matrices(draw):
     """A field and a 3x3 or 4x4 matrix over it, often singular: a row may
@@ -261,7 +247,7 @@ def square_matrices(draw):
 def test_bareiss_determinant_matches_the_permutation_expansion(case):
     f, m = case
     det = bareiss_determinant(f, m)
-    assert f.eq(det, _permutation_determinant(f, m))
+    assert f.eq(det, permutation_determinant(f, m))
     assert f.is_zero(det) == (_sparse_rank(f, m) < len(m))
 
 

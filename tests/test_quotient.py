@@ -16,7 +16,7 @@ from partabel.quotient import (
     verify_reduction_identity,
 )
 from partabel.scalars import FunctionField, PrimeField, QQ, add_term, random_prime
-from tests_helpers import GenericEchelon
+from tests_helpers import GenericEchelon, bottom_up_normal_forms
 
 SIG = Signature(3, 3)
 GENERIC_CHART = (Fraction(2), Fraction(3), Fraction(7))
@@ -239,6 +239,52 @@ def test_normal_forms_are_kept_per_window_and_served_at_lower_degrees():
             fresh = IdealSpan(rel)
             fresh.extend_to_window(window)
             assert span.normal_forms(d) == fresh.normal_forms(d), (window, d)
+
+
+def _as_items(forms):
+    """Forms as nested item lists, so their key order is compared too."""
+    return [(i, list(v.items())) for i, v in forms.items()]
+
+
+def _relation_in(field, point):
+    return make_relation(field, point=tuple(field.from_int(c) for c in point))
+
+
+@pytest.mark.parametrize("point", [(1, 2, 3, 7), (1, 2, 2, 4), (1, 0, 0, -1)],
+                         ids=["generic", "quadric", "infinite"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(primes_pair(19)[0])], ids=["QQ", "GF"])
+def test_normal_forms_on_demand_match_the_bottom_up_forms(field, point):
+    span = IdealSpan(_relation_in(field, point))
+    rng = random.Random(str(point))
+    for window in range(2, 6):
+        span.extend_to_window(window)
+        # one degree past the products, whose words get pivots only at the
+        # next window: a memo kept across the growth would keep them plain
+        d = window + 3
+        oracle = bottom_up_normal_forms(span, d)
+        for size in (1, 20, 60):
+            asked = rng.sample(range(len(oracle) - 1), size) + [len(oracle) - 1]
+            got = span.normal_forms(d, asked)
+            assert list(got) == asked, window
+            assert _as_items(got) == _as_items({i: oracle[i] for i in asked}), window
+        assert _as_items(span.normal_forms(d)) == _as_items(oracle), window
+        lower = bottom_up_normal_forms(span, d - 1)
+        assert _as_items(span.normal_forms(d - 1)) == _as_items(lower), window
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(primes_pair(23)[0])], ids=["QQ", "GF"])
+def test_normal_forms_on_demand_on_a_replayed_span(field):
+    rel = _relation_in(field, (1, 2, 3, 7))
+    cert, grown = closure_certificate(rel)
+    replayed = IdealSpan(rel)
+    replayed.replay(grown.trace, cert.window)
+    d = cert.degree + 1
+    oracle = bottom_up_normal_forms(replayed, d)
+    assert _as_items(oracle) == _as_items(bottom_up_normal_forms(grown, d))
+    asked = list(range(0, len(oracle), 3))
+    assert _as_items(replayed.normal_forms(d, asked)) == \
+        _as_items({i: oracle[i] for i in asked})
+    assert _as_items(replayed.normal_forms(d)) == _as_items(oracle)
 
 
 def test_closure_certificate_generic():

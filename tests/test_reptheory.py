@@ -4,18 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from partabel import scalars
 from partabel.quotient import chart_in_field, closure_certificate, make_relation
 from partabel.reptheory import (
-    _base_point_join, _tern_divide_by_line, biv_eval, build_rho, character_value,
-    commutator_conic_consistency, compare_rho_to_reference, conics,
+    _QUADRATIC_MONOMIALS, _base_point_join, _tern_divide_by_line, biv_eval, build_rho,
+    character_value, commutator_conic_consistency, compare_rho_to_reference, conics,
     determinantal_cubic, generated_matrix_algebra_dim, intersect_conics,
     irreducibility, mat_identity, mat_is_zero, split_determinantal_cubic,
     split_into_lines, tern_mul, tq_rewrite, wedderburn_verify,
 )
 from partabel.scalars import (
-    DegenerateSpecialization, FunctionField, PrimeField, QQ, factor_cubic, random_prime,
+    DegenerateSpecialization, ExtensionField, FunctionField, PrimeField, QQ, factor_cubic,
+    random_prime,
 )
-from tests_helpers import irreducible_extension
+from tests_helpers import irreducible_extension, solve_divide_by_line
 
 Y_SAMPLE = (Fraction(2), Fraction(3), Fraction(7))
 F3 = FunctionField(("y1", "y2", "y3"))
@@ -279,6 +281,51 @@ def test_split_over_the_base_field_says_why_it_is_undecided():
     assert split_into_lines(QQ, _exact_split(chart("-1,5,3"))[1]).splits is True
 
 
+# --- line division against the 10 x 6 linear solve it replaced ----------------
+
+DIVISION_FIELDS = {"QQ": QQ, "GF(p)": PrimeField(4611686018427387847),
+                   "QQ(theta)": irreducible_extension(QQ, 3)}
+CUBIC_MONOMIALS = [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)]
+
+
+def _division_element(f, rng, nonzero=False):
+    while True:
+        v = f.from_int(rng.randint(-3, 3))
+        if isinstance(f, ExtensionField):
+            v = f.add(v, f.mul(f.from_int(rng.randint(-2, 2)), f.gen()))
+        if not (nonzero and f.is_zero(v)):
+            return v
+
+
+@pytest.mark.parametrize("name", sorted(DIVISION_FIELDS))
+def test_line_division_matches_the_linear_solve(name):
+    f = DIVISION_FIELDS[name]
+    rng = random.Random(name)
+    for zeros in [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
+        for _ in range(4):
+            line = [f.zero if v in zeros else _division_element(f, rng, nonzero=True)
+                    for v in range(3)]
+            quad = {m: _division_element(f, rng) for m in _QUADRATIC_MONOMIALS}
+            product = tern_mul(f, quad, {(1, 0, 0): line[0], (0, 1, 0): line[1],
+                                         (0, 0, 1): line[2]})
+            # the line is not a multiple of x_w, so it does not divide x_w^3
+            w = next(w for w in range(3)
+                     if any(not f.is_zero(line[v]) for v in range(3) if v != w))
+            e = tuple(3 * (v == w) for v in range(3))
+            bent = dict(product)
+            bent[e] = f.add(bent.get(e, f.zero), _division_element(f, rng, nonzero=True))
+            loose = {m: _division_element(f, rng) for m in CUBIC_MONOMIALS}
+            for cubic, divisible in ((product, True), (bent, False), (loose, None)):
+                got = _tern_divide_by_line(f, cubic, line)
+                want = solve_divide_by_line(f, cubic, line)
+                assert (got is None) == (want is None), (line, cubic)
+                if want is not None:
+                    assert list(got) == list(want)
+                    assert all(f.eq(got[m], want[m]) for m in want)
+                if divisible is not None:
+                    assert (got is not None) == divisible, (line, cubic)
+
+
 # --- conic intersection over the extension ------------------------------------
 
 def test_intersect_conics_degree3_at_five_charts():
@@ -323,6 +370,24 @@ def test_intersect_conics_takes_a_base_point_when_no_root_has_one(field):
     assert all(field.is_zero(biv_eval(field, c, spec.z1, spec.z2)) for c in tri.all())
     assert _base_point_join(spec, tri) == (field, (field.one, field.zero),
                                            (field.zero, field.one))
+
+
+def test_intersect_conics_keeps_sylvester_bareiss_for_a_linear_conic(monkeypatch):
+    # at y3 = 0 the first conic is linear in z2; at (-5, -5, 0) the second
+    # is quadratic and the third constant in z2, so Res(c1, c2) is the one
+    # (1, 2) pair, a 3 x 3 Sylvester determinant by Bareiss, and Res(c1, c3)
+    # a power; f then has degree 2
+    sizes = []
+    bareiss = scalars.bareiss_determinant
+
+    def spy(field, rows):
+        sizes.append(len(rows))
+        return bareiss(field, rows)
+
+    monkeypatch.setattr(scalars, "bareiss_determinant", spy)
+    with pytest.raises(DegenerateSpecialization, match="degree 2, expected 3"):
+        intersect_conics(QQ, chart("-5,-5,0"))
+    assert sizes == [3]
 
 
 def test_interssection_points_match_resultant_roots():

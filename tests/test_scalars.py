@@ -14,7 +14,10 @@ from partabel.scalars import (
     factor_cubic, gcd_univariate, is_probable_prime, poly_gcd,
     prime_field_roots, random_prime, rational_roots, sylvester_resultant,
 )
-from tests_helpers import divisor_rational_roots, irreducible_extension
+from tests_helpers import (
+    divisor_rational_roots, irreducible_extension, permutation_determinant,
+    sylvester_bareiss, sylvester_matrix,
+)
 
 
 def test_probable_prime_and_generation():
@@ -223,6 +226,75 @@ def test_resultant_over_polynomial_ring():
     res = sylvester_resultant(f, g)
     # Res_z2(z2^2 - z1, z2 - z1) = z1^2 - z1
     assert res == z1 * z1 - z1
+
+
+# --- the closed-form resultant of two quadratics against Sylvester-Bareiss ----
+
+RESULTANT_RING = PolyRingDomain(QQ)
+RESULTANT_FIELDS = {"QQ": QQ, "GF(p)": PrimeField(2**61 - 1), "QQ[z1]": RESULTANT_RING}
+
+
+def _ring_coeff(field, ints):
+    """A coefficient of the drawn field: the last integer, or over QQ[z1]
+    the polynomial with these integer coefficients."""
+    if field is RESULTANT_RING:
+        return UniPoly(QQ, [Fraction(c) for c in ints])
+    return field.from_int(ints[-1])
+
+
+@st.composite
+def _quadratic_pairs(draw):
+    """Two quadratics over QQ, GF(p) or QQ[z1], often with a zero middle or
+    constant coefficient, or a common root r: then each is (z - r)(a z + b)."""
+    name = draw(st.sampled_from(sorted(RESULTANT_FIELDS)))
+    field = RESULTANT_FIELDS[name]
+    any_c = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+    nonzero = any_c.filter(lambda ints: ints[-1] != 0)
+    common = draw(st.booleans())
+    r = _ring_coeff(field, draw(any_c))
+    polys = []
+    for _ in range(2):
+        if common:
+            a, b = _ring_coeff(field, draw(nonzero)), _ring_coeff(field, draw(any_c))
+            # (z - r)(a z + b) = a z^2 + (b - a r) z - b r
+            cs = [field.neg(field.mul(b, r)), field.sub(b, field.mul(a, r)), a]
+        else:
+            cs = [_ring_coeff(field, draw(any_c)), _ring_coeff(field, draw(any_c)),
+                  _ring_coeff(field, draw(nonzero))]
+            for k in draw(st.sets(st.sampled_from([0, 1]))):
+                cs[k] = field.zero
+        polys.append(UniPoly(field, cs))
+    return name, common, polys[0], polys[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quadratic_pairs())
+def test_closed_form_quadratic_resultant_matches_sylvester_bareiss(case):
+    name, common, f, g = case
+    field = RESULTANT_FIELDS[name]
+    assert f.degree == g.degree == 2
+    res = sylvester_resultant(f, g)
+    assert field.eq(res, sylvester_bareiss(f, g)), (name, f, g)
+    if common:
+        assert field.is_zero(res)
+
+
+@pytest.mark.parametrize("degrees", [(1, 2), (2, 1), (2, 3), (3, 3)],
+                         ids=["1_2", "2_1", "2_3", "3_3"])
+def test_other_degrees_keep_the_sylvester_determinant(degrees):
+    # the Bareiss path, which no (2, 2) pair takes any more, against the
+    # Leibniz expansion of the same Sylvester matrix over QQ[z1]
+    rng = random.Random(sum(degrees) * 31 + degrees[0])
+    for _ in range(4):
+        f, g = (UniPoly(RESULTANT_RING,
+                        [_ring_coeff(RESULTANT_RING, [rng.randint(-3, 3) for _ in range(3)])
+                         for _ in range(d)]
+                        + [_ring_coeff(RESULTANT_RING, [rng.randint(1, 3), rng.randint(-3, 3)])])
+                for d in degrees)
+        assert (f.degree, g.degree) == degrees
+        res = sylvester_resultant(f, g)
+        assert res == permutation_determinant(RESULTANT_RING, sylvester_matrix(f, g))
+        assert res == sylvester_bareiss(f, g)
 
 
 def test_rational_and_prime_roots():

@@ -1,11 +1,13 @@
 """Shared helpers for the test suite."""
 
 from fractions import Fraction
+from itertools import permutations
 from math import isqrt, lcm
 
 from partabel.freeproduct import P, Q, AlgebraElement
-from partabel.linalg import SparseEchelon
-from partabel.scalars import ExtensionField, UniPoly
+from partabel.linalg import SparseEchelon, solve_linear
+from partabel.reptheory import tern_mul
+from partabel.scalars import ExtensionField, UniPoly, add_term, bareiss_determinant
 
 
 def random_element(sig, field, rng, max_deg=4, terms=4):
@@ -69,3 +71,77 @@ def divisor_rational_roots(f):
                 if cand not in roots and f.evaluate(cand) == 0:
                     roots.append(cand)
     return sorted(roots)
+
+
+def permutation_determinant(f, m):
+    """Oracle: the Leibniz sum over all permutations, signed by inversions."""
+    n = len(m)
+    total = f.zero
+    for perm in permutations(range(n)):
+        term = f.one
+        for i, j in enumerate(perm):
+            term = f.mul(term, m[i][j])
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total = f.sub(total, term) if inversions % 2 else f.add(total, term)
+    return total
+
+
+def sylvester_matrix(f, g):
+    """The Sylvester matrix of f and g of positive degrees, f-rows first."""
+    field, m, n = f.field, f.degree, g.degree
+    fc, gc = list(reversed(f.coeffs)), list(reversed(g.coeffs))
+    return ([[field.zero] * i + fc + [field.zero] * (n - 1 - i) for i in range(n)]
+            + [[field.zero] * i + gc + [field.zero] * (m - 1 - i) for i in range(m)])
+
+
+def sylvester_bareiss(f, g):
+    """The resultant as ``sylvester_resultant`` computed it for every pair of
+    positive degrees before two quadratics took the closed form: the
+    Sylvester determinant by fraction-free elimination.  The oracle for that
+    closed form."""
+    return bareiss_determinant(f.field, sylvester_matrix(f, g))
+
+
+def solve_divide_by_line(f, cubic, line):
+    """Exact division of a ternary cubic by a linear form, or None, solved
+    as a 10 x 6 linear system for the quadratic cofactor: what
+    ``reptheory._tern_divide_by_line`` ran before it divided directly, kept
+    as its oracle."""
+    mons2 = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)
+             if i + j + k == 2]
+    mons3 = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)
+             if i + j + k == 3]
+    lform = {(1, 0, 0): line[0], (0, 1, 0): line[1], (0, 0, 1): line[2]}
+    cols = []
+    for m in mons2:
+        prod = tern_mul(f, {m: f.one}, lform)
+        cols.append([prod.get(mm, f.zero) for mm in mons3])
+    matrix = [[cols[c][r] for c in range(len(mons2))] for r in range(len(mons3))]
+    rhs = [cubic.get(mm, f.zero) for mm in mons3]
+    sol = solve_linear(f, matrix, rhs)
+    if sol is None:
+        return None
+    return {m: c for m, c in zip(mons2, sol) if not f.is_zero(c)}
+
+
+def bottom_up_normal_forms(span, max_degree):
+    """The normal form of every word of degree <= max_degree, filled
+    bottom-up in the word order from the span's pivot rows: the loop
+    ``IdealSpan.normal_forms`` ran before it computed only the forms it was
+    asked for, kept as its oracle.  No memo."""
+    span._ensure_columns(max_degree)
+    f = span.field
+    nf = {}
+    for i in range(span._length_block(max_degree).stop):
+        row = span.ech.pivots.get(i)
+        if row is None:
+            nf[i] = {i: f.one}
+            continue
+        acc = {}
+        for u, cu in row.items():
+            if u < 0:
+                continue
+            for b, cb in nf[u].items():
+                add_term(f, acc, b, f.mul(f.neg(cu), cb))
+        nf[i] = acc
+    return nf
