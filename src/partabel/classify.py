@@ -108,8 +108,7 @@ class LeftModuleDecomposition:
         return out
 
 
-def rewrite_left_module(elem: AlgebraElement, V: SubspacePresentation,
-                        max_steps: int = 500000) -> LeftModuleDecomposition:
+def rewrite_left_module(elem: AlgebraElement, V: SubspacePresentation) -> LeftModuleDecomposition:
     """Rewrite an element as sum r_t * b_t with r_t in the subalgebra
     generated by V and b_t in the B-factor basis {1, q_1, ..., q_{b-1}}.
 
@@ -118,7 +117,8 @@ def rewrite_left_module(elem: AlgebraElement, V: SubspacePresentation,
     (a consequence of p_i p_j = delta_ij p_i) lets every B-factor letter
     that sits left of a v migrate rightward or disappear, so the queue
     below strictly reduces the number of (B, v) inversions and terminates
-    in a combination of words carrying at most one trailing B-letter."""
+    in a combination of words carrying at most one trailing B-letter; a
+    budget of 500,000 queue steps guards that claim."""
     sig, f = V.sig, V.field
     check = genericity_check(V)
     if not check["generic"]:
@@ -205,7 +205,7 @@ def rewrite_left_module(elem: AlgebraElement, V: SubspacePresentation,
     steps = 0
     while work:
         steps += 1
-        if steps > max_steps:
+        if steps > 500000:
             raise RuntimeError("left-module rewriting exceeded the step budget")
         coeff, vword, seq = work.popleft()
         if f.is_zero(coeff):

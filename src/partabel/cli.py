@@ -23,13 +23,13 @@ from .pipeline import (
     theorem_point_worker,
 )
 from .quotient import (
-    ClosureFailure, IdealSpan, chart_in_field, make_relation, sigma_check,
+    ClosureFailure, chart_in_field, make_relation, sigma_check,
     standard_generator_rank, stabilization_scan,
 )
 from .reptheory import (
-    build_rho, commutator_conic_consistency, conics, determinantal_cubic,
-    intersect_conics, irreducibility, mat_is_zero, split_determinantal_cubic,
-    tq_rewrite,
+    build_rho, chart_representation, commutator_conic_consistency, conics,
+    determinantal_cubic, intersect_conics, irreducibility, mat_is_zero,
+    split_determinantal_cubic, tq_rewrite,
 )
 from .scalars import (
     DegenerateSpecialization, FunctionField, PrimeField, QQ, is_probable_prime,
@@ -133,19 +133,14 @@ def _verify_fields(cfg):
 
 def cmd_bound(cfg, t0) -> int:
     field = _field_for(cfg)
-    x = _point_in(field, cfg)
-    rel = make_relation(field, point=x)
-    span = IdealSpan(rel)
-    window = cfg.nmax + cfg.slack
-    span.extend_to_window(window if cfg.window_cap is None
-                          else min(window, cfg.window_cap))
-    per = {str(n): {"dim_ambient": filtration_dim(rel.sig, n),
-                    "counted_rank": span.counted_rank(n),
-                    "quotient_bound": span.bound(n)}
-           for n in range(2, cfg.nmax + 1)}
-    summary = (_cap_summary(cfg, span.window, "") if span.window < window
+    rel = make_relation(field, point=_point_in(field, cfg))
+    rep = stabilization_scan(rel, 2, cfg.nmax, slack=cfg.slack,
+                             window_cap=cfg.window_cap, with_closure=False)
+    per = {str(n): {k: row[k] for k in ("dim_ambient", "counted_rank", "quotient_bound")}
+           for n, row in rep.per_degree.items()}
+    summary = (_cap_summary(cfg, rep.window, "") if rep.window < cfg.nmax + cfg.slack
                else f"span bounds computed to degree {cfg.nmax}")
-    return emit(cfg, "bound", {"per_degree": per, "window": span.window},
+    return emit(cfg, "bound", {"per_degree": per, "window": rep.window},
                 True, summary, t0)
 
 
@@ -157,8 +152,7 @@ def _cap_summary(cfg, window: int, closure: str) -> str:
 
 def cmd_scan(cfg, t0) -> int:
     field = _field_for(cfg)
-    x = _point_in(field, cfg)
-    rel = make_relation(field, point=x)
+    rel = make_relation(field, point=_point_in(field, cfg))
     rep = stabilization_scan(rel, 2, cfg.nmax, slack=cfg.slack,
                              window_cap=cfg.window_cap)
     results = rep.to_json(field)
@@ -176,10 +170,10 @@ def cmd_scan(cfg, t0) -> int:
 
 
 def cmd_classify(cfg, t0) -> int:
-    x = cfg.point or ((Fraction(1),) + tuple(cfg.chart or ()))
-    if len(x) != 4:
+    x = _explicit_point(cfg)
+    if x is None:
         raise ValueError("classify needs --point x11,x12,x21,x22")
-    verdict = classify_p3(QQ, tuple(Fraction(c) for c in x))
+    verdict = classify_p3(QQ, chart_in_field(QQ, x))
     return emit(cfg, "classify", verdict.to_json(), True,
                 f"verdict {verdict.tag}", t0)
 
@@ -200,7 +194,7 @@ def cmd_zcentral(cfg, t0) -> int:
 
 def cmd_conics(cfg, t0) -> int:
     chart = cfg.chart or sample_generic_points(cfg.seed, 1)[0][1:]
-    tri = conics(QQ, tuple(Fraction(c) for c in chart))
+    tri = conics(QQ, chart)
     F5 = FunctionField(("y1", "y2", "y3", "z1", "z2"))
     gens = F5.gens()
     rho = build_rho(F5, gens[:3], gens[3:])
@@ -227,7 +221,7 @@ def _biv_json(field, poly):
 
 
 def cmd_detcurve(cfg, t0) -> int:
-    chart = tuple(Fraction(c) for c in (cfg.chart or sample_generic_points(cfg.seed, 1)[0][1:]))
+    chart = cfg.chart or sample_generic_points(cfg.seed, 1)[0][1:]
     tri = conics(QQ, chart)
     cubic = determinantal_cubic(QQ, chart, tri)
     spec = intersect_conics(QQ, chart)
@@ -252,13 +246,10 @@ def cmd_detcurve(cfg, t0) -> int:
 
 
 def cmd_rep(cfg, t0) -> int:
-    chart = tuple(Fraction(c) for c in (cfg.chart or sample_generic_points(cfg.seed, 1)[0][1:]))
+    chart = cfg.chart or sample_generic_points(cfg.seed, 1)[0][1:]
     field = _field_for(cfg)
-    y = chart_in_field(field, chart)
-    spec = intersect_conics(field, y)
+    spec, rho = chart_representation(field, chart_in_field(field, chart))
     ext = spec.ext
-    yext = tuple(ext.from_base(c) for c in y) if spec.extension_degree > 1 else y
-    rho = build_rho(ext, yext, (spec.z1, spec.z2), rewrite=tq_rewrite(field, y))
     irr = irreducibility(ext, rho)
     rw = tq_rewrite(FunctionField(("y1", "y2", "y3")),
                     FunctionField(("y1", "y2", "y3")).gens())
@@ -269,11 +260,9 @@ def cmd_rep(cfg, t0) -> int:
         "factor_degrees": spec.factor_degrees,
         "disc_is_square": spec.disc_is_square,
         "resultant_degrees": [spec.resultant_12.degree, spec.resultant_13.degree],
-        "intersection_point": {"z1": ext.fmt(spec.z1) if spec.extension_degree > 1 else field.fmt(spec.z1),
-                               "z2": ext.fmt(spec.z2) if spec.extension_degree > 1 else field.fmt(spec.z2)},
+        "intersection_point": {"z1": ext.fmt(spec.z1), "z2": ext.fmt(spec.z2)},
         "matrices": {
-            name: [[ext.fmt(v) if spec.extension_degree > 1 else field.fmt(v)
-                    for v in row] for row in mat]
+            name: [[ext.fmt(v) for v in row] for row in mat]
             for name, mat in (("t1", rho.t1), ("t2", rho.t2),
                               ("q1", rho.q1), ("q2", rho.q2))
         },
@@ -291,8 +280,7 @@ def cmd_rep(cfg, t0) -> int:
 
 def cmd_wedderburn(cfg, t0) -> int:
     x = _explicit_point(cfg) or sample_generic_points(cfg.seed, 1)[0]
-    rep = certify_point_multi(tuple(Fraction(c) for c in x), mode=cfg.mode,
-                              primes=cfg.primes, seed=cfg.seed,
+    rep = certify_point_multi(x, mode=cfg.mode, primes=cfg.primes, seed=cfg.seed,
                               n_max=cfg.nmax, slack=cfg.slack, force=cfg.force)
     return emit(cfg, "wedderburn", rep, rep["verdict_ok"], rep["verdict"], t0)
 
@@ -307,8 +295,7 @@ def _explicit_point(cfg):
 
 def cmd_theorem(cfg, t0) -> int:
     explicit = _explicit_point(cfg)
-    pts = [tuple(Fraction(c) for c in explicit)] if explicit \
-        else sample_generic_points(cfg.seed, cfg.count)
+    pts = [explicit] if explicit else sample_generic_points(cfg.seed, cfg.count)
     jobs = [(x, cfg.mode, cfg.primes, cfg.seed, cfg.nmax, cfg.slack, cfg.force)
             for x in pts]
     if cfg.workers > 1 and len(jobs) > 1:
@@ -338,13 +325,7 @@ def _pool_map(fn, jobs, workers):
 
 
 def _point_in(field, cfg):
-    if cfg.point:
-        return tuple(field.from_fraction(c) for c in cfg.point)
-    if cfg.chart:
-        y = chart_in_field(field, cfg.chart)
-        return (field.one,) + tuple(y)
-    x = sample_generic_points(cfg.seed, 1)[0]
-    return tuple(field.from_fraction(c) for c in x)
+    return chart_in_field(field, _explicit_point(cfg) or sample_generic_points(cfg.seed, 1)[0])
 
 
 COMMANDS = {

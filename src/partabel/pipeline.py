@@ -6,17 +6,15 @@ plus the evaluation map onto characters and the induced representation
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields
 from fractions import Fraction
 
 from .quotient import (
-    ClosureFailure, ClosureTrace, canonical_point, closure_certificate,
-    make_relation, random_offquadric_chart, spanning_monomials_rank,
+    ClosureFailure, ClosureTrace, canonical_point, chart_in_field,
+    closure_certificate, make_relation, random_offquadric_chart,
+    spanning_monomials_rank,
 )
-from .reptheory import (
-    build_rho, intersect_conics, irreducibility, mat_is_zero, tq_rewrite,
-    wedderburn_verify,
-)
+from .reptheory import chart_representation, irreducibility, wedderburn_verify
 from .scalars import (
     DegenerateSpecialization, Domain, PrimeField, QQ, random_prime,
 )
@@ -138,16 +136,9 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
             "vanishes in some elimination chart); expected non-generic")
     cert, span = closure_certificate(rel, n_max=n_max, slack=slack, trace=trace)
 
-    spec = intersect_conics(f, y)
-    ext = spec.ext
-    if spec.extension_degree > 1:
-        yext = tuple(ext.from_base(c) for c in y)
-    else:
-        yext = y
-    rho = build_rho(ext, yext, (spec.z1, spec.z2), rewrite=tq_rewrite(f, y))
+    spec, rho = chart_representation(f, y)
     idem = rho.idempotent_identities_hold()
-    rho_kills = mat_is_zero(ext, rho.relation_matrix())
-    irr = irreducibility(ext, rho)
+    irr = irreducibility(spec.ext, rho)
     wm = wedderburn_verify(cert, spec, rho)
     exact = wm.rank if wm.rank == cert.dimension_bound else None
     return PointCertificate(
@@ -165,7 +156,7 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
         factor_degrees=spec.factor_degrees,
         disc_is_square=spec.disc_is_square,
         irreducible_dim=irr["algebra_dimension"],
-        rho_kills_relation=rho_kills,
+        rho_kills_relation=wm.rho_kills_relation,
         idempotent_identities=idem,
         center_dim=wm.center_dim,
         trace_form_rank=wm.trace_form_rank,
@@ -214,9 +205,8 @@ def certify_point_multi(x_fractions: tuple, mode: str = "prime",
         raise ValueError(f"unknown mode {mode!r} (use rational or prime)")
 
     for f in fields:
-        xs = tuple(f.from_fraction(Fraction(c)) for c in x_fractions)
-        runs.append(certify_point(f, xs, n_max=n_max, slack=slack, force=force,
-                                  trace=trace))
+        runs.append(certify_point(f, chart_in_field(f, x_fractions), n_max=n_max,
+                                  slack=slack, force=force, trace=trace))
         trace = runs[-1].closure_trace
     dims = {r.exact_dimension for r in runs}
     agree = len(dims) == 1
@@ -232,28 +222,11 @@ def certify_point_multi(x_fractions: tuple, mode: str = "prime",
 
 
 def _cert_json(r: PointCertificate) -> dict:
-    return {
-        "domain": r.domain,
-        "chart": [str(c) for c in r.chart],
-        "swap": r.swap,
-        "upper_bound": r.upper_bound,
-        "lower_bound": r.lower_bound,
-        "stabilized_at": r.stabilized_at,
-        "window": r.window,
-        "commutative": r.commutative,
-        "extension_degree": r.extension_degree,
-        "f_coeffs": r.f_coeffs,
-        "factor_degrees": r.factor_degrees,
-        "disc_is_square": r.disc_is_square,
-        "irreducible_dim": r.irreducible_dim,
-        "rho_kills_relation": r.rho_kills_relation,
-        "idempotent_identities": r.idempotent_identities,
-        "center_dim": r.center_dim,
-        "trace_form_rank": r.trace_form_rank,
-        "split_dims": list(r.split_dims) if r.split_dims else None,
-        "spanning_list": r.spanning_list,
-        "exact_dimension": r.exact_dimension,
-    }
+    out = {fd.name: getattr(r, fd.name) for fd in dataclass_fields(r)
+           if fd.name not in ("point", "closure_trace")}
+    out["chart"] = [str(c) for c in r.chart]
+    out["split_dims"] = list(r.split_dims) if r.split_dims else None
+    return out
 
 
 def certify_quadric_point(field: Domain, x: tuple, n_max: int = 8,

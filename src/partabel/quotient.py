@@ -9,9 +9,10 @@ with the highest word in the graded order eliminated first, and reads off:
   F^n, a certified lower bound on dim(I(X) ^ F^n R);
 * quotient bound at degree n -- dim F^n R minus the counted rank, a
   certified upper bound on dim F^n S_x;
-* a closure certificate -- a monomial basis B whose products with the four
-  generators reduce back into span(B), certifying |B| as an upper bound for
-  dim S_x in all degrees at once.
+* a closure certificate -- a monomial basis B whose products with the
+  generating letters of the signature (p1, p2, q1, q2 for k^3 * k^3)
+  reduce back into span(B), certifying |B| as an upper bound for dim S_x
+  in all degrees at once.
 
 Degree drops are the whole point: a product of formal degree up to
 window+2 may collapse into low degree after elimination, which is how the
@@ -42,8 +43,6 @@ from .linalg import SparseEchelon
 from .scalars import (
     Domain, DegenerateSpecialization, FunctionField, RationalFunction, add_term,
 )
-
-GENERATORS: tuple[Word, ...] = (((P, 1),), ((P, 2),), ((Q, 1),), ((Q, 2),))
 
 DEGREE4_PIVOT_PQ: Word = ((P, 2), (Q, 1), (P, 1), (Q, 1))
 DEGREE4_PIVOT_QP: Word = ((Q, 2), (P, 1), (Q, 1), (P, 1))
@@ -597,20 +596,22 @@ class ClosureCertificate:
 def _try_closure(span: IdealSpan, n: int):
     """Attempt the closure certificate at degree n; returns ((basis_idx,
     pos, letter_action), None) or (None, leaks).  Only the normal forms of
-    the products w * g, for w a basis word and g a generator, are asked for."""
+    the products w * g, for w a basis word and g a generating letter of the
+    span's signature (p1, p2, q1, q2 for (3, 3)), are asked for."""
     span._ensure_columns(n + 1)
+    letters = [((tag, i),) for tag in (P, Q) for i in span.sig.letters(tag)]
     basis_idx = [i for i, w in enumerate(span.words)
                  if len(w) <= n and i not in span.ech.pivots]
     pos = {i: k for k, i in enumerate(basis_idx)}
     # times[g][k]: the column of (basis word k) * g, or None when that is 0
     times = {g: [None if (w := concat_words(span.words[i], g)) is None
                  else span.index[w] for i in basis_idx]
-             for g in GENERATORS}
+             for g in letters}
     nf = span.normal_forms(n + 1, [iw for col in times.values()
                                    for iw in col if iw is not None])
     leaks = []
     letter_action: dict[Word, list[dict[int, object]]] = {}
-    for g in GENERATORS:
+    for g in letters:
         cols: list[dict[int, object]] = []
         for i, iw in zip(basis_idx, times[g]):
             if iw is None:
@@ -985,8 +986,9 @@ def sigma_check(field: FunctionField | None = None) -> dict:
 # Helpers for specialization
 # ---------------------------------------------------------------------------
 
-def chart_in_field(field: Domain, y: tuple[Fraction, Fraction, Fraction]) -> tuple:
-    """Push a rational chart triple into the working field."""
+def chart_in_field(field: Domain, y: tuple) -> tuple:
+    """Push rational coordinates, a chart triple or a point, into the
+    working field: the one path by which a rational input enters it."""
     return tuple(field.from_fraction(Fraction(c)) for c in y)
 
 

@@ -13,6 +13,9 @@ quotient).  This module:
 * extracts the three conics in (z1, z2) forced by commutativity, the
   determinantal cubic of the net, and the degree-3 extension over which the
   conics meet in three points;
+* builds a chart's representation in one place, ``chart_representation``:
+  the conic intersection over k, then the module over its extension, for
+  the pipeline and the ``rep`` command alike;
 * certifies that the cubic splits into three lines by dividing out the line
   of one join of base points (``split_determinantal_cubic``); the older
   singular-point test ``split_into_lines`` is called only by
@@ -444,18 +447,6 @@ def _symmetric_matrix(f: Domain, q: dict) -> list[list]:
     return [[entry(i, j) for j in range(3)] for i in range(3)]
 
 
-def biv_eval(f: Domain, poly: BivPoly, z1, z2):
-    acc = f.zero
-    for (i, j), c in poly.items():
-        term = c
-        for _ in range(i):
-            term = f.mul(term, z1)
-        for _ in range(j):
-            term = f.mul(term, z2)
-        acc = f.add(acc, term)
-    return acc
-
-
 def conics(field: Domain, y: tuple) -> ConicTriple:
     """The three conics in (z1, z2) equivalent to commutativity of t1, t2
     on the induced module, with the standard coefficient normalization."""
@@ -674,12 +665,13 @@ def _conic_as_z2poly(f: Domain, c: BivPoly):
     return ring, UniPoly(ring, coeffs)
 
 
-def _conic_at_z1(f: Domain, c: BivPoly, ext: Domain, z1) -> UniPoly:
-    """Specialize z1 and view the conic as a polynomial in z2 over ext."""
+def _conic_at_z1(c: BivPoly, ext: Domain, z1) -> UniPoly:
+    """Specialize z1 and view the conic, whose coefficients lie in the base
+    field of ext, as a polynomial in z2 over ext; its value at z2 is the
+    conic's at (z1, z2)."""
     cols: dict[int, object] = {}
-    lift = (lambda v: ext.from_base(v)) if isinstance(ext, ExtensionField) else (lambda v: v)
     for (i, j), v in c.items():
-        term = lift(v)
+        term = ext.from_base(v)
         for _ in range(i):
             term = ext.mul(term, z1)
         cols[j] = ext.add(cols.get(j, ext.zero), term)
@@ -753,8 +745,8 @@ def intersect_conics(field: Domain, y: tuple) -> ExtensionSpec:
         ext = ExtensionField(f, modulus, check_irreducible=False)
         candidates = [ext.gen()]
     for z1 in candidates:
-        g = gcd_univariate(_conic_at_z1(f, tri.c1, ext, z1),
-                           _conic_at_z1(f, tri.c2, ext, z1))
+        g = gcd_univariate(_conic_at_z1(tri.c1, ext, z1),
+                           _conic_at_z1(tri.c2, ext, z1))
         if g.degree == 1:
             z2 = ext.neg(g.coeffs[0])
             break
@@ -770,8 +762,7 @@ def intersect_conics(field: Domain, y: tuple) -> ExtensionSpec:
             raise DegenerateSpecialization(
                 f"z2 recovery polynomial has degree {g.degree}, expected 1; resample")
     for c in tri.all():
-        val = biv_eval(ext, _lift_form(f, ext, c), z1, z2)
-        if not ext.is_zero(val):
+        if not ext.is_zero(_conic_at_z1(c, ext, z1).evaluate(z2)):
             raise AssertionError("constructed point does not kill every conic")
     disc = cubic_discriminant(f, fpoly)
     return ExtensionSpec(
@@ -782,18 +773,22 @@ def intersect_conics(field: Domain, y: tuple) -> ExtensionSpec:
     )
 
 
+def chart_representation(field: Domain, y: tuple) -> tuple[ExtensionSpec, RepMatrices]:
+    """The conic intersection at the chart y over k = ``field``, and the
+    induced representation over its extension ``spec.ext``.  The t*q
+    rewrite is solved once over k and lifted as ``build_rho`` reads it."""
+    spec = intersect_conics(field, y)
+    ext = spec.ext
+    rho = build_rho(ext, tuple(ext.from_base(c) for c in y), (spec.z1, spec.z2),
+                    rewrite=tq_rewrite(field, y))
+    return spec, rho
+
+
 def _conics_above(f: Domain, tri: ConicTriple, r) -> UniPoly:
     """The gcd of the three conics at z1 = r, a polynomial in z2 over f:
     its roots are the z2 of the base points above r."""
-    c1z, c2z, c3z = (_conic_at_z1(f, c, f, r) for c in tri.all())
+    c1z, c2z, c3z = (_conic_at_z1(c, f, r) for c in tri.all())
     return gcd_univariate(gcd_univariate(c1z, c2z), c3z)
-
-
-def _lift_form(base: Domain, ext: Domain, c: dict) -> dict:
-    """A bivariate or ternary form with base coefficients, over ext."""
-    if ext is base:
-        return c
-    return {e: ext.from_base(v) for e, v in c.items()}
 
 
 # -- splitting the determinantal cubic into lines ------------------------------
@@ -836,17 +831,16 @@ def _base_point_join(spec: ExtensionSpec, tri: ConicTriple):
         return f, (r1, s1), (f.sub(r2, r1), f.sub(s2, s1))
     if spec.extension_degree == 3:
         field = spec.ext
-        pair, rem = _lift_poly(f, field, spec.f_poly).divmod(
-            UniPoly(field, [field.neg(spec.z1), field.one]))
+        fpoly = UniPoly(field, [field.from_base(c) for c in spec.f_poly.coeffs])
+        pair, rem = fpoly.divmod(UniPoly(field, [field.neg(spec.z1), field.one]))
         assert rem.is_zero()
-        lift = field.from_base
     else:
-        field, pair, lift = f, spec.modulus, (lambda v: v)
+        field, pair = f, spec.modulus
     # the pair's z1-coordinates r2, r3 have r2 + r3 = e1, r2 * r3 = e2, and
     # z2 = G(z1) at both, with G the residue of z2 in base[t]/(modulus):
     # Galois equivariance makes one G recover every conjugate point
     e1, e2 = field.neg(pair.coeffs[1]), pair.coeffs[0]
-    g = [lift(c) for c in spec.z2.coeffs] + [field.zero] * 3
+    g = [field.from_base(c) for c in spec.z2.coeffs] + [field.zero] * 3
     # the joining line z2 = s*z1 + c: s is the divided difference of G,
     # (G(r2) - G(r3)) / (r2 - r3) = g1 + g2*e1, and 2c = G(r2) + G(r3) - s*e1
     s = field.add(g[1], field.mul(g[2], e1))
@@ -872,17 +866,10 @@ def _third_point_line(spec: ExtensionSpec, tri: ConicTriple):
     for t in (3, 5, 7, 11, 2):
         tv = field.from_int(t)
         z1v, z2v = field.add(z1s, field.mul(tv, z1d)), field.add(z2s, field.mul(tv, z2d))
-        coeffs = [biv_eval(field, _lift_form(spec.base, field, cc), z1v, z2v)
-                  for cc in tri.all()]
+        coeffs = [_conic_at_z1(cc, field, z1v).evaluate(z2v) for cc in tri.all()]
         if not all(field.is_zero(v) for v in coeffs):
             return field, coeffs
     raise DegenerateSpecialization("could not place a third point on the joining line")
-
-
-def _lift_poly(base: Domain, ext: Domain, p: UniPoly) -> UniPoly:
-    if ext is base:
-        return p
-    return UniPoly(ext, [ext.from_base(c) for c in p.coeffs])
 
 
 _QUADRATIC_MONOMIALS = tuple((i, j, 2 - i - j) for i in range(3) for j in range(3 - i))
@@ -940,7 +927,8 @@ def split_determinantal_cubic(field: Domain, cubic: TernForm,
     lfield, line = found
     where, mode = (("degree-3 extension", "exact-extension") if spec.extension_degree == 3
                    else ("base field", "exact-base"))
-    cofactor = _tern_divide_by_line(lfield, _lift_form(field, lfield, cubic), line)
+    cofactor = _tern_divide_by_line(
+        lfield, {e: lfield.from_base(c) for e, c in cubic.items()}, line)
     if cofactor is None:
         return SplitReport(False, mode, [], None, [],
                            f"line over the {where} does not divide the cubic")
@@ -1036,7 +1024,7 @@ def _rational_singular_points(f: Domain, parts: list[TernForm]):
         if len(cands1) < res.degree:
             complete = False
     for a1 in cands1:
-        evs = [_biv_eval_poly_in_z2(f, d, a1) for d in (d1, d2, d3)]
+        evs = [_conic_at_z1(d, f, a1) for d in (d1, d2, d3)]
         nz = [e for e in evs if not e.is_zero()]
         if not nz:
             return None, False
@@ -1089,17 +1077,6 @@ def _tern_to_biv(f: Domain, form: TernForm, set_one: int) -> BivPoly:
     return out
 
 
-def _biv_eval_poly_in_z2(f: Domain, p: BivPoly, a1) -> UniPoly:
-    cols: dict[int, object] = {}
-    for (i, j), c in p.items():
-        term = c
-        for _ in range(i):
-            term = f.mul(term, a1)
-        cols[j] = f.add(cols.get(j, f.zero), term)
-    maxj = max(cols, default=0)
-    return UniPoly(f, [cols.get(j, f.zero) for j in range(maxj + 1)])
-
-
 def _join_line(f: Domain, p: tuple, q: tuple) -> list:
     """Cross product: the line through two projective points."""
     return [
@@ -1128,9 +1105,9 @@ def _proportionality(f: Domain, a: TernForm, b: TernForm):
 # Irreducibility and the assembled evaluation map
 # ---------------------------------------------------------------------------
 
-def generated_matrix_algebra_dim(field: Domain, mats: list, max_length: int = 4) -> int:
-    """Dimension of the span of all words of length <= max_length in the
-    given 3x3 matrices and the identity (Burnside: irreducible iff 9).
+def generated_matrix_algebra_dim(field: Domain, mats: list) -> int:
+    """Dimension of the span of all words of length <= 4 in the given 3x3
+    matrices and the identity (Burnside: irreducible iff 9).
 
     Over QQ and its extensions the span is first grown from the matrices'
     image over GF(l) (``Domain.modular_image``).  The image of a word is the
@@ -1138,12 +1115,12 @@ def generated_matrix_algebra_dim(field: Domain, mats: list, max_length: int = 4)
     dimension is at most the true dimension; when it reaches 9, the most
     there is, 9 is the answer.  Otherwise the exact span runs."""
     image = modular_image(field, lambda h: [[[h(v) for v in row] for row in m] for m in mats])
-    if image is not None and _burnside_span(*image, max_length) == 9:
+    if image is not None and _burnside_span(*image) == 9:
         return 9
-    return _burnside_span(field, mats, max_length)
+    return _burnside_span(field, mats)
 
 
-def _burnside_span(field: Domain, mats: list, max_length: int) -> int:
+def _burnside_span(field: Domain, mats: list) -> int:
     """``generated_matrix_algebra_dim`` over ``field`` itself: a word that
     gives no pivot is not extended, since its products lie in the span of
     words already fed."""
@@ -1156,7 +1133,7 @@ def _burnside_span(field: Domain, mats: list, max_length: int) -> int:
 
     layer = [mat_identity(f)]
     ech.add_row(flat(layer[0]))
-    for _ in range(max_length):
+    for _ in range(4):
         if ech.rank == 9:
             break
         new_layer = []
@@ -1171,9 +1148,8 @@ def _burnside_span(field: Domain, mats: list, max_length: int) -> int:
     return ech.rank
 
 
-def irreducibility(field: Domain, rho: RepMatrices, max_length: int = 4) -> dict:
-    dim = generated_matrix_algebra_dim(
-        field, [rho.p1, rho.p2, rho.q1, rho.q2], max_length)
+def irreducibility(field: Domain, rho: RepMatrices) -> dict:
+    dim = generated_matrix_algebra_dim(field, [rho.p1, rho.p2, rho.q1, rho.q2])
     return {"algebra_dimension": dim, "irreducible": dim == 9}
 
 
@@ -1220,10 +1196,9 @@ def wedderburn_verify(cert, spec: ExtensionSpec, rho: RepMatrices) -> Wedderburn
     the closure certificate's upper bound certifies the decomposition."""
     f = cert.field
     ext = spec.ext
-    lift = (lambda v: ext.from_base(v)) if isinstance(ext, ExtensionField) else (lambda v: v)
     rows = []
     for w in cert.basis:
-        row = [lift(character_value(f, w, ch)) for ch in characters33()]
+        row = [character_value(ext, w, ch) for ch in characters33()]
         m = rho.word_matrix(w)
         row.extend(m[i][j] for i in range(3) for j in range(3))
         rows.append(row)
@@ -1244,7 +1219,7 @@ def wedderburn_verify(cert, spec: ExtensionSpec, rho: RepMatrices) -> Wedderburn
 
 def _center_dimension(cert) -> int:
     """Dimension of the center: the nullity of z -> ([z, g])_g over the
-    four generating letters g of ``quotient.GENERATORS``.
+    generating letters g, the keys of ``cert.letter_action``.
 
     The letters and the unit generate the certified algebra, so z is central
     iff it commutes with each letter.  z * g is read from the letter action,
@@ -1254,14 +1229,12 @@ def _center_dimension(cert) -> int:
     Like ``_trace_form_rank``, it relies on the table being the quotient's
     own associative multiplication, which holds because the certificate's
     letter action kills the ideal."""
-    from .quotient import GENERATORS
     f = cert.field
     n = cert.dimension_bound
     table = cert.structure_constants
     unit = cert.basis_index(EMPTY_WORD)
     rows = []
-    for g in GENERATORS:
-        right = cert.letter_action[g]
+    for right in cert.letter_action.values():
         gvec = right[unit]
         for k in range(n):
             row = []

@@ -31,8 +31,9 @@ class DegenerateSpecialization(RuntimeError):
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
-def is_probable_prime(n: int, rounds: int = 24, rng: random.Random | None = None) -> bool:
-    """Miller-Rabin with fixed small bases plus random ones."""
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with fixed small bases plus 24 random ones, drawn from a
+    generator seeded by n, so the answer for n never varies."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -43,8 +44,8 @@ def is_probable_prime(n: int, rounds: int = 24, rng: random.Random | None = None
     while d % 2 == 0:
         d //= 2
         r += 1
-    rng = rng or random.Random(0xC0FFEE ^ n)
-    bases = _SMALL_PRIMES + [rng.randrange(2, n - 1) for _ in range(rounds)]
+    rng = random.Random(0xC0FFEE ^ n)
+    bases = _SMALL_PRIMES + [rng.randrange(2, n - 1) for _ in range(24)]
     for a in bases:
         a %= n
         if a in (0, 1, n - 1):
@@ -77,6 +78,13 @@ class Domain:
 
     Raw values are whatever the domain stores (``Fraction`` for QQ, ``int``
     for prime fields, ...).  All methods are pure.
+
+    ``from_base(c)`` maps a value of the domain's base field into it.  A
+    domain that is not built over another is its own base, so the default
+    is the identity; ``ExtensionField`` and ``PolyRingDomain`` embed c as a
+    constant.  A value computed over the base enters an extension through
+    this one call, whatever the degree: at degree 1 the working field is
+    the base field itself.
     """
 
     name = "abstract"
@@ -96,6 +104,9 @@ class Domain:
         """The image of a rational number, for domains that contain QQ or
         reduce it mod p."""
         raise TypeError(f"cannot map a rational number into {self!r}")
+
+    def from_base(self, c):
+        return c
 
     def add(self, a, b):
         return a + b
@@ -1080,8 +1091,9 @@ def _ring_pow(field: Domain, a, n: int):
 
 
 def bareiss_determinant(field: Domain, rows: list[list]):
-    """Fraction-free determinant; exact over any integral domain whose exact
-    divisions the Domain can perform (division is always by a previous pivot)."""
+    """Fraction-free determinant over an integral domain.  Each division is
+    by a previous pivot, which divides exactly, so ``div`` need only be
+    exact on such inputs: a field's division, or ``PolyRingDomain``'s."""
     a = [list(r) for r in rows]
     n = len(a)
     sign = 1
@@ -1099,8 +1111,7 @@ def bareiss_determinant(field: Domain, rows: list[list]):
             for j in range(k + 1, n):
                 num = field.sub(field.mul(a[i][j], a[k][k]),
                                 field.mul(a[i][k], a[k][j]))
-                a[i][j] = field.exact_div(num, prev) if hasattr(field, "exact_div") \
-                    else field.div(num, prev)
+                a[i][j] = field.div(num, prev)
             a[i][k] = field.zero
         prev = a[k][k]
     det = a[n - 1][n - 1]
@@ -1109,7 +1120,8 @@ def bareiss_determinant(field: Domain, rows: list[list]):
 
 class PolyRingDomain(Domain):
     """Univariate polynomials over a field, viewed as an integral domain;
-    used for resultants with polynomial entries (Bareiss needs exact_div)."""
+    used for resultants with polynomial entries.  ``div`` is exact division,
+    which is all Bareiss needs; an inexact one raises."""
 
     name = "polyring"
 
@@ -1133,13 +1145,14 @@ class PolyRingDomain(Domain):
     def eq(self, a: UniPoly, b: UniPoly) -> bool:
         return a == b
 
-    def exact_div(self, a: UniPoly, b: UniPoly) -> UniPoly:
+    def from_base(self, c) -> UniPoly:
+        return UniPoly(self.base, [c])
+
+    def div(self, a: UniPoly, b: UniPoly) -> UniPoly:
         q, r = a.divmod(b)
         if not r.is_zero():
             raise ArithmeticError("inexact polynomial division in Bareiss step")
         return q
-
-    div = exact_div
 
     def fmt(self, a: UniPoly) -> str:
         return repr(a)

@@ -21,10 +21,11 @@ from partabel.quotient import (
     stabilization_scan, standard_generator_rank,
 )
 from partabel.reptheory import (
-    biv_eval, build_rho, conics, determinantal_cubic, intersect_conics,
+    build_rho, conics, determinantal_cubic, intersect_conics,
     irreducibility, mat_is_zero, split_determinantal_cubic,
 )
 from partabel.scalars import PrimeField, QQ, random_prime
+from tests_helpers import biv_eval
 
 SIG = Signature(3, 3)
 

@@ -9,7 +9,7 @@ from partabel.classify import (
     grassmann_chart, on_quadric, partition_of, rewrite_left_module,
 )
 from partabel.freeproduct import P, Q, AlgebraElement, Signature, commutator, idempotent
-from partabel.quotient import IdealSpan, make_relation
+from partabel.quotient import IdealSpan, _try_closure, make_relation
 from partabel.scalars import FunctionField, QQ
 
 F = QQ
@@ -177,6 +177,21 @@ def test_classify_l2_consistency_with_engine_tensor_case():
     span.extend_to_window(8)
     bounds = [span.bound(n) for n in range(2, 7)]
     assert bounds[-1] == bounds[-2] == 6  # dim A (x) B = 3 * 2
+
+
+def test_closure_takes_its_letters_from_the_signature():
+    # the tensor_mid_1 case over Signature(3, 2): the letters are p1, p2, q1
+    # and there is no q2 to multiply by; the closure is k^3 (x) k^2
+    sig = Signature(3, 2)
+    V = Vsub(sig, [(1, 2, 0), (1, 0, 1)])
+    span = IdealSpan([commutator(a, b) for a, b in itertools.combinations(V.elements(), 2)])
+    span.extend_to_window(2)
+    closed, leaks = _try_closure(span, 2)
+    assert leaks is None
+    basis_idx, _, letter_action = closed
+    assert len(basis_idx) == 6    # 2l, l = 3
+    assert list(letter_action) == [((P, 1),), ((P, 2),), ((Q, 1),)]
+    assert all(len(cols) == 6 for cols in letter_action.values())
 
 
 def test_classify_l2_consistency_with_engine_equals_R_case():

@@ -368,6 +368,20 @@ PINNED_REPORTS = {
         "4176a30a2c4d1abfa7ffdce7936ec364677eec60245d11cac412350329d08eae",
     "theorem --count 2 --seed 7 --mode rational":
         "5f07b4c4e1d35c4af20d54a26f746ce1e2ca7eaad64c21a8f3bc7d60ab54041b",
+    # rep at extension degrees 1 and 2, rational wedderburn at degree 1, and
+    # bound with and without a window cap
+    "rep --chart=-8,-4,7 --mode rational":
+        "8f0b413c1aaa93ecdb7b038175972ff4d61825d2763d9d6ded3eed5e8ae1b9ad",
+    "rep --chart=-5,-3,-1 --mode rational":
+        "708dc52da5d6318e727bd17b04f9de1496235e90a77dfbb17a07fb12228eb6d0",
+    "rep --chart=-5,-3,-1":
+        "3272640502f4aa8eb4348e7a3e09df301bdda60ffca1a7442b0b6520bd6da74d",
+    "wedderburn --chart=-8,-4,7 --mode rational":
+        "2cbeb312e8cda7e117c73f8c881f6aaeacce6f62558bdec7ebcd7ad6b0a053e9",
+    "bound --point 1,0,0,-1 --nmax 6":
+        "461485a7e6e97400c995cd4659fd73c265defb8ef2d5db3ba71b35474b086493",
+    "bound --point 1,0,0,-1 --nmax 6 --window-cap 5":
+        "05b3093a522cba8a9a3c2b0b096af51e5777e1116e09354ae2b26ad82f8aea98",
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from partabel import scalars
 from partabel.quotient import chart_in_field, closure_certificate, make_relation
 from partabel.reptheory import (
-    _QUADRATIC_MONOMIALS, _base_point_join, _tern_divide_by_line, biv_eval, build_rho,
+    _QUADRATIC_MONOMIALS, _base_point_join, _tern_divide_by_line, build_rho,
     character_value, commutator_conic_consistency, compare_rho_to_reference, conics,
     determinantal_cubic, generated_matrix_algebra_dim, intersect_conics,
     irreducibility, mat_identity, mat_is_zero, split_determinantal_cubic,
@@ -17,7 +17,7 @@ from partabel.scalars import (
     DegenerateSpecialization, ExtensionField, FunctionField, PrimeField, QQ, factor_cubic,
     random_prime,
 )
-from tests_helpers import irreducible_extension, solve_divide_by_line
+from tests_helpers import biv_eval, irreducible_extension, solve_divide_by_line
 
 Y_SAMPLE = (Fraction(2), Fraction(3), Fraction(7))
 F3 = FunctionField(("y1", "y2", "y3"))
@@ -643,8 +643,8 @@ def test_burnside_span_and_trace_form_images_give_the_exact_values():
     for ext, mats, cert in _rational_point_data(17, 8):
         gf, h = ext.modular_image()
         images = [[[h(v) for v in row] for row in m] for m in mats]
-        assert _burnside_span(gf, images, 4) == 9   # the image path answers
-        assert generated_matrix_algebra_dim(ext, mats) == _burnside_span(ext, mats, 4) == 9
+        assert _burnside_span(gf, images) == 9   # the image path answers
+        assert generated_matrix_algebra_dim(ext, mats) == _burnside_span(ext, mats) == 9
         table = cert.structure_constants
         assert _trace_form_rank(cert) == _echelon_rank(QQ, _trace_form_gram(QQ, table)) == 18
 

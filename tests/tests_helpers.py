@@ -23,6 +23,21 @@ def random_element(sig, field, rng, max_deg=4, terms=4):
     return AlgebraElement(sig, field, t)
 
 
+def biv_eval(f, poly, z1, z2):
+    """The value of a bivariate polynomial {(i, j): c} at (z1, z2), summed
+    term by term: an oracle for "the point kills every conic" that shares
+    nothing with the library's Horner evaluation."""
+    acc = f.zero
+    for (i, j), c in poly.items():
+        term = c
+        for _ in range(i):
+            term = f.mul(term, z1)
+        for _ in range(j):
+            term = f.mul(term, z2)
+        acc = f.add(acc, term)
+    return acc
+
+
 def irreducible_extension(base, degree):
     """base[t]/(t^d + t + c) for the least c >= 1 that is irreducible."""
     for c in range(1, 100):
