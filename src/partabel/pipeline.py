@@ -12,7 +12,7 @@ from fractions import Fraction
 from .quotient import (
     ClosureFailure, ClosureTrace, canonical_point, chart_in_field,
     closure_certificate, make_relation, random_offquadric_chart,
-    spanning_monomials_rank,
+    replay_is_growth, spanning_monomials_rank,
 )
 from .reptheory import chart_representation, irreducibility, wedderburn_verify
 from .scalars import (
@@ -99,7 +99,7 @@ class PointCertificate:
     split_dims: tuple | None
     spanning_list: dict
     exact_dimension: int | None
-    # the closure's pivot-giving products, for a replay at another field
+    # the closure's pivot-giving products, for a replay at another point
     closure_trace: ClosureTrace | None = dataclass_field(default=None, compare=False,
                                                         repr=False)
 
@@ -123,7 +123,11 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
     otherwise its image under an automorphism, so the bounds transfer.
 
     ``trace`` is handed to ``closure_certificate`` to replay; the closure's
-    own trace is returned as ``closure_trace``."""
+    own trace is returned as ``closure_trace``.  A replayed certificate is
+    kept only when the point is exact, so that rho and the characters prove
+    its basis independent, and ``replay_is_growth`` then proves it is the
+    certificate full growth returns; otherwise the point is certified
+    again by full growth.  Either way the report is full growth's."""
     f = field
     x = canonical_point(f, x)
     y, swap = chart_of_point(f, x)
@@ -140,7 +144,10 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
     idem = rho.idempotent_identities_hold()
     irr = irreducibility(spec.ext, rho)
     wm = wedderburn_verify(cert, spec, rho)
-    exact = wm.rank if wm.rank == cert.dimension_bound else None
+    if span.replayed and not (wm.exact_dimension is not None
+                              and replay_is_growth(cert, span, n_max)):
+        cert, span = closure_certificate(rel, n_max=n_max, slack=slack)
+        wm = wedderburn_verify(cert, spec, rho)
     return PointCertificate(
         domain=getattr(f, "name", "?") + (f"({f.p})" if isinstance(f, PrimeField) else ""),
         point=x,
@@ -162,7 +169,7 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
         trace_form_rank=wm.trace_form_rank,
         split_dims=cert.idempotent_split_dims(),
         spanning_list=spanning_monomials_rank(cert, span),
-        exact_dimension=exact,
+        exact_dimension=wm.exact_dimension,
         closure_trace=ClosureTrace.of(cert, span),
     )
 
@@ -180,6 +187,11 @@ def seeded_primes(seed: int, primes: list[int] | None = None) -> list[int]:
     return ps
 
 
+# the pivot-giving products of this process's first full growth that came
+# out exact (18), replayed by every later run (see certify_point_multi)
+_learned_closure: ClosureTrace | None = None
+
+
 def certify_point_multi(x_fractions: tuple, mode: str = "prime",
                         primes: list[int] | None = None, seed: int = 0,
                         n_max: int = 8, slack: int = 4, force: bool = False) -> dict:
@@ -187,16 +199,18 @@ def certify_point_multi(x_fractions: tuple, mode: str = "prime",
     two distinct primes and demands agreement, rational mode is a single
     exact run over the rationals.
 
-    Each prime after the first replays the previous prime's closure trace
-    (see ``closure_certificate``).  That is still independent evidence:
-    the first prime only chooses which ideal elements to feed, and the
-    closure test and the lower bound at the later prime are computed in
-    full mod that prime; a replay that fails there falls back to the full
-    window growth.  The reports are those of full growth unless the later
-    prime would have closed at a smaller window or degree, which needs a
-    rank drop mod a prime of about 2^61."""
-    runs = []
-    trace = None
+    Every run replays the closure this process learned first (see
+    ``_learned_closure`` and ``closure_certificate``); until there is one,
+    runs grow the window, and the first that is exact at 18 fills it.  A
+    trace holds products, indices only, so one learned mod p replays over
+    QQ and the reverse.  That is still independent evidence: the trace only
+    chooses which ideal elements to feed, and the closure test and the
+    lower bound are computed in full over each domain.  The reports are
+    full growth's bytes: ``certify_point`` keeps a replay only under the
+    bound sandwich of ``replay_is_growth`` and grows the window otherwise.
+    The gain needs the generic shape to repeat from point to point, which
+    is the paper's theorem."""
+    global _learned_closure
     if mode == "rational":
         fields: list[Domain] = [QQ]
     elif mode == "prime":
@@ -204,10 +218,13 @@ def certify_point_multi(x_fractions: tuple, mode: str = "prime",
     else:
         raise ValueError(f"unknown mode {mode!r} (use rational or prime)")
 
+    runs = []
     for f in fields:
-        runs.append(certify_point(f, chart_in_field(f, x_fractions), n_max=n_max,
-                                  slack=slack, force=force, trace=trace))
-        trace = runs[-1].closure_trace
+        run = certify_point(f, chart_in_field(f, x_fractions), n_max=n_max,
+                            slack=slack, force=force, trace=_learned_closure)
+        if _learned_closure is None and run.exact_dimension == 18:
+            _learned_closure = run.closure_trace
+        runs.append(run)
     dims = {r.exact_dimension for r in runs}
     agree = len(dims) == 1
     ok = agree and runs[0].exact_dimension == 18

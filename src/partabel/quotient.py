@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -152,6 +152,7 @@ class IdealSpan:
     every row is a product u * X_k * v, an element of the ideal, so counted
     ranks stay lower bounds and normal forms stay congruences modulo the
     ideal.  It can only fall short of the full span, never claim more.
+    ``replay_bound`` reads the bound a replay had at each window it passed.
     """
 
     def __init__(self, relations, track_provenance: bool = False):
@@ -176,6 +177,9 @@ class IdealSpan:
         # which leaves nothing to grow from and keeps its trace instead.
         self._gave_pivot: list[list[bytearray]] | None = []
         self._replayed_trace = array("q")
+        # after a replay: pivot_deg_counts as they stood at the end of each
+        # window 0, 1, ..., self.window
+        self._window_counts: list[dict[int, int]] = []
         # (window, forms) of the normal forms computed at that window
         self._nf_memo: tuple[int, dict] = (-1, {})
 
@@ -254,11 +258,20 @@ class IdealSpan:
     def replay(self, products, window: int):
         """Feed exactly the packed ``products`` (another span's ``trace``,
         same signature and relations) into this fresh span, then stand at
-        ``window``; the products that give a word pivot here are traced."""
+        ``window``; the products that give a word pivot here are traced.
+
+        The counted ranks are recorded at the end of every window up to
+        ``window`` (read through ``replay_bound``).  The record of window w
+        holds only products of window w or lower, all of which full growth
+        feeds by window w, so it spans a subspace of full growth's span
+        there.  A trace is in feed order, so its windows ascend and the
+        record of window w holds every traced product of window <= w.  A
+        product beyond ``window`` is refused."""
         if self.window >= 0:
             raise ValueError("replay needs a fresh span")
         self._ensure_columns(window + self._max_relation_degree())
         nrel = len(self.relations)
+        counts = self._window_counts
         last_iu = -1
         for packed in products:
             pair, k = divmod(packed, nrel)
@@ -267,10 +280,29 @@ class IdealSpan:
                 last_iu, u = iu, self.words[iu]
                 uXs = self._left_products(u)
             v = self.words[iv]
+            s = len(u) + len(v)
+            if s > window:
+                raise ValueError(f"a traced product of window {s} lies beyond {window}")
+            while len(counts) < s:
+                counts.append(dict(self.pivot_deg_counts))
             if self._feed(uXs[k], v, (u, self.relations[k], v)):
                 self._replayed_trace.append(packed)
+        while len(counts) <= window:
+            counts.append(dict(self.pivot_deg_counts))
         self.window = window
         self._gave_pivot = None
+
+    @property
+    def replayed(self) -> bool:
+        return self._gave_pivot is None
+
+    def replay_bound(self, w: int, n: int) -> int:
+        """The quotient bound at degree n of a replayed span as it stood at
+        the end of window w.  Full growth spans more by then, so its bound
+        at (w, n) is at most this one."""
+        self._ensure_columns(n)
+        return self._length_block(n).stop - sum(
+            c for d, c in self._window_counts[w].items() if d <= n)
 
     def _max_relation_degree(self) -> int:
         return max(r.degree() for r in self.relations)
@@ -499,7 +531,7 @@ class ClosureCertificate:
     letter_action: dict[Word, list[dict[int, object]]]
     structure_constants: list[list[dict[int, object]]]
     field: Domain
-    point: tuple
+    point: tuple | None  # None for a list of relations
 
     @property
     def dimension_bound(self) -> int:
@@ -575,7 +607,7 @@ class ClosureCertificate:
             "degree": self.degree,
             "window": self.window,
             "basis": [word_str(w) for w in self.basis],
-            "point": [f.fmt(c) for c in self.point],
+            "point": None if self.point is None else [f.fmt(c) for c in self.point],
             "commutative": self.is_commutative(),
             "structure_constants_digest": self.structure_digest(),
         }
@@ -683,7 +715,7 @@ class ClosureTrace:
         return cls(span.trace, cert.degree, cert.window)
 
 
-def _certificate(rel: CommutatorRelation, span: IdealSpan, n: int, closed) -> ClosureCertificate:
+def _certificate(span: IdealSpan, n: int, closed, point: tuple | None) -> ClosureCertificate:
     basis_idx, pos, letter_action = closed
     return ClosureCertificate(
         basis=[span.words[i] for i in basis_idx],
@@ -692,18 +724,22 @@ def _certificate(rel: CommutatorRelation, span: IdealSpan, n: int, closed) -> Cl
         letter_action=letter_action,
         structure_constants=_structure_constants(span, basis_idx, pos, letter_action),
         field=span.field,
-        point=rel.point,
+        point=point,
     )
 
 
-def closure_certificate(rel: CommutatorRelation, n_max: int = 8, slack: int = 4,
+def closure_certificate(rel: CommutatorRelation | list[AlgebraElement] | None,
+                        n_max: int = 8, slack: int = 4,
                         span: IdealSpan | None = None,
                         window_cap: int | None = None,
                         trace: ClosureTrace | None = None) -> tuple[ClosureCertificate, IdealSpan]:
     """Grow the product window until two consecutive quotient bounds agree
     and the non-pivot words close under right multiplication by the
     generators; the certificate is returned at the smallest window that
-    works, together with the span that proves it.
+    works, together with the span that proves it.  ``rel`` is a
+    ``CommutatorRelation`` or a list of relation elements, as ``IdealSpan``
+    takes them (None when ``span`` is given); the certificate's point is
+    None unless ``rel`` is a ``CommutatorRelation``.
 
     With a ``trace``, a fresh span is first fed exactly the traced
     products, and the same bound check and closure test run at the traced
@@ -711,10 +747,10 @@ def closure_certificate(rel: CommutatorRelation, n_max: int = 8, slack: int = 4,
     the window limit, that span is dropped and the growth runs as without
     a trace.  The replay can only fail, never overclaim: its rows lie in
     the ideal and the closure test is computed in full over this field.
-    When |basis| meets a lower bound, the basis is independent in S_x, so
-    the letter action, the structure constants and the normal forms in it
-    are unique: the certificate is the growth's own, unless the growth
-    here would have closed at a smaller window or degree."""
+    Whether the replayed certificate is also the one growth would return,
+    at the same window and degree, is a separate question, which
+    ``replay_is_growth`` answers once the basis is known to be independent."""
+    point = rel.point if isinstance(rel, CommutatorRelation) else None
     top_window = n_max + slack
     if window_cap is not None:
         top_window = min(top_window, window_cap)
@@ -726,7 +762,7 @@ def closure_certificate(rel: CommutatorRelation, n_max: int = 8, slack: int = 4,
         if replayed.bound(n) == replayed.bound(n + 1):
             got, _ = _try_closure(replayed, n)
             if got is not None:
-                return _certificate(rel, replayed, n, got), replayed
+                return _certificate(replayed, n, got, point), replayed
     span = span or IdealSpan(rel)
     last_leaks = None
     for window in range(2, top_window + 1):
@@ -738,10 +774,38 @@ def closure_certificate(rel: CommutatorRelation, n_max: int = 8, slack: int = 4,
             if got is None:
                 last_leaks = leaks
                 continue
-            return _certificate(rel, span, n, got), span
+            return _certificate(span, n, got, point), span
     raise ClosureFailure(
         f"no multiplication-closed basis up to degree {n_max}; "
         "increase n_max or slack", last_leaks)
+
+
+def replay_is_growth(cert: ClosureCertificate, span: IdealSpan, n_max: int) -> bool:
+    """True when a certificate that ``closure_certificate`` returned from a
+    replayed ``span`` is provably the one full growth returns, given that
+    its basis B is linearly independent in the quotient (an evaluation map
+    that kills the ideal has rank |B| on it).
+
+    Let L(n) = #{b in B : |b| <= n}.  Independence gives L(n) <= dim F^n S,
+    which is at most full growth's bound at any window w, which is at most
+    the replay's bound U_w(n) there (``replay_bound``).  Full growth tries
+    (w, n) in the order of its loops and proceeds past the bound check only
+    when its bounds at n and n + 1 agree.  If U_w(n) < L(n + 1) for every
+    (w, n) it tries before (cert.window, cert.degree), then its bound at n
+    is below its bound at n + 1 there, so every earlier try fails.  At the
+    closing (w, n) the replay's bounds at n and n + 1 are both |B| = L(n) =
+    L(n + 1), so growth's are too: its span agrees with the replay's up to
+    degree n + 1, so it has the same basis and closes there as well.  The
+    letter action, structure constants and normal forms are then the
+    growth's own, since normal forms in an independent basis are unique."""
+    lengths = sorted(len(b) for b in cert.basis)
+    for w in range(2, cert.window + 1):
+        for n in range(2, min(n_max, w) + 1):
+            if (w, n) == (cert.window, cert.degree):
+                return True
+            if span.replay_bound(w, n) >= bisect_right(lengths, n + 1):
+                return False
+    return False
 
 
 def stabilization_scan(rel: CommutatorRelation, n_from: int = 2, n_to: int = 8,

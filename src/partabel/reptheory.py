@@ -1186,14 +1186,22 @@ class WedderburnMap:
     rho_kills_relation: bool
     center_dim: int | None
     trace_form_rank: int | None
-    exact: bool
+    # the rank when it meets the closure's bound and the evaluation map
+    # factors through S_x (the characters and rho kill X), else None
+    exact_dimension: int | None
+
+    @property
+    def exact(self) -> bool:
+        return self.exact_dimension == self.target_dim
 
 
 def wedderburn_verify(cert, spec: ExtensionSpec, rho: RepMatrices) -> WedderburnMap:
     """Evaluate every certified basis monomial under the nine characters and
     the nine matrix coordinates of the induced representation; the rank of
-    the 18-column evaluation matrix is a dimension lower bound, and meeting
-    the closure certificate's upper bound certifies the decomposition."""
+    the 18-column evaluation matrix is a dimension lower bound when the
+    characters and rho kill the relation (then the evaluation map factors
+    through S_x), and meeting the closure certificate's upper bound
+    certifies the decomposition."""
     f = cert.field
     ext = spec.ext
     rows = []
@@ -1213,7 +1221,7 @@ def wedderburn_verify(cert, spec: ExtensionSpec, rho: RepMatrices) -> Wedderburn
 
     center = _center_dimension(cert)
     trrank = _trace_form_rank(cert)
-    exact = (rank == cert.dimension_bound == 18)
+    exact = rank if chars_kill and rho_kills and rank == cert.dimension_bound else None
     return WedderburnMap(f, ext, rank, 18, chars_kill, rho_kills, center, trrank, exact)
 
 

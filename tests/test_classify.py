@@ -9,7 +9,7 @@ from partabel.classify import (
     grassmann_chart, on_quadric, partition_of, rewrite_left_module,
 )
 from partabel.freeproduct import P, Q, AlgebraElement, Signature, commutator, idempotent
-from partabel.quotient import IdealSpan, _try_closure, make_relation
+from partabel.quotient import IdealSpan, _try_closure, closure_certificate, make_relation
 from partabel.scalars import FunctionField, QQ
 
 F = QQ
@@ -192,6 +192,21 @@ def test_closure_takes_its_letters_from_the_signature():
     assert len(basis_idx) == 6    # 2l, l = 3
     assert list(letter_action) == [((P, 1),), ((P, 2),), ((Q, 1),)]
     assert all(len(cols) == 6 for cols in letter_action.values())
+
+
+def test_closure_certificate_takes_a_list_of_relations():
+    # the same relation as above, handed to closure_certificate as a list:
+    # there is no point, so the certificate and its JSON carry None
+    sig = Signature(3, 2)
+    V = Vsub(sig, [(1, 2, 0), (1, 0, 1)])
+    relations = [commutator(a, b) for a, b in itertools.combinations(V.elements(), 2)]
+    cert, span = closure_certificate(relations)
+    assert cert.dimension_bound == 6    # 2l, l = 3
+    assert cert.point is None and cert.to_json()["point"] is None
+    assert list(cert.letter_action) == [((P, 1),), ((P, 2),), ((Q, 1),)]
+    assert span.relations == relations
+    again, _ = closure_certificate(None, span=IdealSpan(relations))
+    assert again.point is None and again.basis == cert.basis
 
 
 def test_classify_l2_consistency_with_engine_equals_R_case():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partabel import pipeline, reptheory
 from partabel.linalg import SparseEchelon
 from partabel.pipeline import (
     _cert_json, certify_point, certify_point_multi, certify_quadric_point,
@@ -14,7 +15,7 @@ from partabel.pipeline import (
 )
 from partabel.quotient import (
     ClosureFailure, ClosureTrace, IdealSpan, closure_certificate, make_relation,
-    spanning_monomials_rank,
+    replay_is_growth, spanning_monomials_rank,
 )
 from partabel.scalars import DegenerateSpecialization, PrimeField, QQ, random_prime
 
@@ -164,17 +165,24 @@ def test_replayed_closure_matches_full_growth_over_two_primes_and_qq(monkeypatch
     monkeypatch.setattr(SparseEchelon, "add_row",
                         lambda self, row: fed.append(1) or add_row(self, row))
     gf1, gf2 = (PrimeField(p) for p in seeded_primes(11))
-    for x in sample_generic_points(5, 8):
-        learned = {}
-        for f in (gf1, gf2):
+    points = sample_generic_points(5, 8)
+    learned = {}
+    for x in points:
+        for f in (gf1, gf2, QQ):
             cert, span = closure_certificate(make_relation(f, point=_in(f, x)))
-            learned[f] = ClosureTrace.of(cert, span)
-        for f, trace in ((gf1, learned[gf2]), (gf2, learned[gf1]), (QQ, learned[gf1])):
+            learned[x, f] = ClosureTrace.of(cert, span)
+    for x, other in zip(points, points[1:] + points[:1]):
+        # the same point at the other domain, then another point of the
+        # sample, learned over QQ and replayed mod p and the reverse
+        for f, trace in ((gf1, learned[x, gf2]), (gf2, learned[x, gf1]),
+                         (QQ, learned[x, gf1]), (gf1, learned[other, QQ]),
+                         (QQ, learned[other, gf2])):
             rel = make_relation(f, point=_in(f, x))
             full, full_span = closure_certificate(rel)
             fed.clear()
             got, got_span = closure_certificate(rel, trace=trace)
             assert len(fed) == len(trace.products)  # the replay path, no fallback
+            assert replay_is_growth(got, got_span, 8)
             assert (got.basis, got.degree, got.window) == (full.basis, full.degree, full.window)
             assert got.structure_digest() == full.structure_digest()
             assert (spanning_monomials_rank(got, got_span)
@@ -183,17 +191,88 @@ def test_replayed_closure_matches_full_growth_over_two_primes_and_qq(monkeypatch
                     == _cert_json(certify_point(f, _in(f, x))))
 
 
-def test_prime_mode_hands_the_first_prime_trace_to_the_second(monkeypatch):
+def _count_calls(monkeypatch, cls, name):
     seen = []
-    replay = IdealSpan.replay
-    monkeypatch.setattr(IdealSpan, "replay",
-                        lambda self, products, window: seen.append(len(products))
-                        or replay(self, products, window))
+    method = getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda self, *args: seen.append(args) or method(self, *args))
+    return seen
+
+
+def test_prime_mode_hands_the_first_prime_trace_to_the_second(monkeypatch):
+    # the process keeps one learned closure: with an empty slot the first
+    # prime grows and fills it, the second prime replays it, and so does
+    # every later run of the process, over QQ as well
+    monkeypatch.setattr(pipeline, "_learned_closure", None)
+    replays = _count_calls(monkeypatch, IdealSpan, "replay")
     x = (F(1), F(2), F(3), F(7))
     assert certify_point_multi(x, mode="prime", seed=3)["verdict_ok"]
     gf1 = PrimeField(seeded_primes(3)[0])
     first = certify_point(gf1, _in(gf1, x)).closure_trace
-    assert seen == [len(first.products)]
-    seen.clear()
-    assert certify_point_multi(x, mode="rational")["verdict_ok"]
-    assert seen == []
+    assert [len(products) for products, _ in replays] == [len(first.products)]
+    assert pipeline._learned_closure.products == first.products
+    replays.clear()
+    assert certify_point_multi(sample_generic_points(2, 1)[0], mode="rational")["verdict_ok"]
+    assert [len(products) for products, _ in replays] == [len(first.products)]
+
+
+def test_a_trace_grown_past_the_closing_window_is_rejected_and_regrown(monkeypatch):
+    # grown to window 5, the trace replays and closes at degree 4, window 5;
+    # growth tries (window 4, degree 4) first and closes there, and the
+    # replay's bound at (4, 4) is 18 = L(5), so the check cannot rule it out
+    x = (F(1), F(2), F(3), F(7))
+    grows = _count_calls(monkeypatch, IdealSpan, "extend_to_window")
+    for f in (QQ, PrimeField(seeded_primes(17)[0])):
+        rel = make_relation(f, point=_in(f, x))
+        grown = IdealSpan(rel)
+        grown.extend_to_window(5)
+        trace = ClosureTrace(grown.trace, 4, 5)
+        got, span = closure_certificate(rel, trace=trace)
+        assert span.replayed and (got.degree, got.window) == (4, 5)
+        assert span.replay_bound(4, 4) == 18 == got.dimension_bound
+        assert not replay_is_growth(got, span, 8)
+        full = certify_point(f, _in(f, x))
+        assert (full.stabilized_at, full.window) == (4, 4)
+        grows.clear()
+        assert _cert_json(certify_point(f, _in(f, x), trace=trace)) == _cert_json(full)
+        assert grows  # the replay was dropped and the window grown
+
+
+@pytest.mark.parametrize("mode", ["prime", "rational"])
+def test_reports_do_not_depend_on_the_learned_closure(monkeypatch, mode):
+    # the same reports from full growth alone, from the process protocol
+    # started with an empty slot, and from a slot learned at another point
+    points = sample_generic_points(23, 6)
+    grown = []
+    for x in points:
+        rep = certify_point_multi(x, mode=mode, seed=4)
+        fields = [PrimeField(p) for p in seeded_primes(4)] if mode == "prime" else [QQ]
+        assert rep["runs"] == [_cert_json(certify_point(f, _in(f, x))) for f in fields]
+        grown.append(rep)
+    monkeypatch.setattr(pipeline, "_learned_closure", None)
+    assert [certify_point_multi(x, mode=mode, seed=4) for x in points] == grown
+    monkeypatch.setattr(pipeline, "_learned_closure", None)
+    certify_point_multi((F(1), F(2), F(3), F(18, 5)), mode="prime", seed=9)
+    assert pipeline._learned_closure is not None
+    assert [certify_point_multi(x, mode=mode, seed=4) for x in points] == grown
+
+
+@pytest.mark.parametrize("unsound", ["relation_matrix", "characters"])
+def test_exact_dimension_needs_the_evaluation_map_to_kill_the_relation(monkeypatch, unsound):
+    # the evaluation rank bounds dim S_x from below only through S_x: when
+    # rho's relation matrix or a character's value on X does not vanish,
+    # the rank still reads 18 but nothing is certified, and a replayed
+    # certificate is not kept either
+    if unsound == "relation_matrix":
+        monkeypatch.setattr(reptheory.RepMatrices, "relation_matrix",
+                            lambda self: reptheory.mat_identity(self.field))
+    else:
+        monkeypatch.setattr(reptheory, "_char_on_element", lambda f, elem, ch: f.one)
+    f = PrimeField(seeded_primes(5)[0])
+    x = _in(f, (1, 2, 3, 7))
+    cert, span = closure_certificate(make_relation(f, point=x))
+    grows = _count_calls(monkeypatch, IdealSpan, "extend_to_window")
+    pc = certify_point(f, x, trace=ClosureTrace.of(cert, span))
+    assert grows  # the replay was dropped and the window grown
+    assert pc.lower_bound == pc.upper_bound == 18
+    assert pc.exact_dimension is None
+    assert not pc.verdict()[0]

@@ -471,6 +471,12 @@ def test_trace_lists_the_pivot_giving_products_in_feed_order(relations, top):
     assert fresh.pivot_products == span.pivot_products
     assert fresh.trace == span.trace
     assert set(fresh.ech.pivots) == set(span.ech.pivots)
+    # a replay of the full trace records, window by window, growth's bounds
+    grown = IdealSpan(span.relations)
+    for w in range(top + 1):
+        grown.extend_to_window(w)
+        assert [fresh.replay_bound(w, n) for n in range(w + 3)] == \
+            [grown.bound(n) for n in range(w + 3)]
 
 
 def test_a_replayed_span_cannot_grow():
@@ -481,6 +487,8 @@ def test_a_replayed_span_cannot_grow():
     assert span.window == trace.window and span.trace == trace.products
     with pytest.raises(ValueError):
         span.extend_to_window(trace.window + 1)
+    with pytest.raises(ValueError):  # products of window 4 replayed at window 3
+        IdealSpan(span.relations).replay(trace.products, trace.window - 1)
 
 
 def _folded_table(cert):
