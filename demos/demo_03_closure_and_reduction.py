@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from partabel import QQ, closure_certificate, make_relation, reduction_coefficients, sigma_check
 from partabel.freeproduct import word_str
+from partabel.pipeline import certify_point
 from partabel.quotient import IdealSpan, spanning_monomials_rank, verify_reduction_identity
 
 y = (Fraction(2), Fraction(3), Fraction(7))
@@ -19,8 +20,10 @@ print("closed at degree", cert.degree, "with product window", cert.window)
 print("commutative:", cert.is_commutative())
 print("associativity spot check:", cert.associativity_spot_check(100))
 
-# the three idempotent columns cut the quotient into equal thirds
-print("dims of p1*S, p2*S, (1-p1-p2)*S:", cert.idempotent_split_dims())
+# the three idempotent columns cut the quotient into equal thirds; the
+# point certificate reads them off S (x) E = E^9 (+) M3(E) as 3 + 3 rank rho(p_i)
+point = certify_point(QQ, (Fraction(1),) + y)
+print("dims of p1*S, p2*S, (1-p1-p2)*S:", point.split_dims)
 
 # the classical 19-monomial spanning list has exactly one linear dependence
 print("19-monomial list:", spanning_monomials_rank(cert, span))

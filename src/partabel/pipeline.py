@@ -14,7 +14,7 @@ from .quotient import (
     closure_certificate, make_relation, random_offquadric_chart,
     replay_is_growth, spanning_monomials_rank,
 )
-from .reptheory import chart_representation, irreducibility, wedderburn_verify
+from .reptheory import chart_representation, wedderburn_type, wedderburn_verify
 from .scalars import (
     DegenerateSpecialization, Domain, PrimeField, QQ, random_prime,
 )
@@ -91,7 +91,10 @@ class PointCertificate:
     f_coeffs: list
     factor_degrees: list
     disc_is_square: bool | None
-    irreducible_dim: int
+    # irreducible_dim, center_dim, trace_form_rank and split_dims are the
+    # type, read off the evaluation isomorphism (``wedderburn_type``); None
+    # at a point that is not exact, where nothing proves the table associative
+    irreducible_dim: int | None
     rho_kills_relation: bool
     idempotent_identities: bool
     center_dim: int | None
@@ -122,12 +125,19 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
     ``chart_of_point``.  That is x itself when the swap is the identity, and
     otherwise its image under an automorphism, so the bounds transfer.
 
+    The stages follow the one decision: the closure certificate (upper
+    bound), the chart's representation, the evaluation rank and the three
+    checks that make it a lower bound (``wedderburn_verify``), and then
+    exactness.  At an exact point the type is read off the evaluation
+    isomorphism (``wedderburn_type``).
+
     ``trace`` is handed to ``closure_certificate`` to replay; the closure's
     own trace is returned as ``closure_trace``.  A replayed certificate is
     kept only when the point is exact, so that rho and the characters prove
     its basis independent, and ``replay_is_growth`` then proves it is the
     certificate full growth returns; otherwise the point is certified
-    again by full growth.  Either way the report is full growth's."""
+    again by full growth, and only the evaluation rank is taken again.
+    Either way the report is full growth's."""
     f = field
     x = canonical_point(f, x)
     y, swap = chart_of_point(f, x)
@@ -141,13 +151,11 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
     cert, span = closure_certificate(rel, n_max=n_max, slack=slack, trace=trace)
 
     spec, rho = chart_representation(f, y)
-    idem = rho.idempotent_identities_hold()
-    irr = irreducibility(spec.ext, rho)
     wm = wedderburn_verify(cert, spec, rho)
     if span.replayed and not (wm.exact_dimension is not None
                               and replay_is_growth(cert, span, n_max)):
         cert, span = closure_certificate(rel, n_max=n_max, slack=slack)
-        wm = wedderburn_verify(cert, spec, rho)
+        wm = wedderburn_verify(cert, spec, rho, checked=wm)
     return PointCertificate(
         domain=getattr(f, "name", "?") + (f"({f.p})" if isinstance(f, PrimeField) else ""),
         point=x,
@@ -162,12 +170,9 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
         f_coeffs=[f.fmt(c) for c in spec.f_poly.coeffs],
         factor_degrees=spec.factor_degrees,
         disc_is_square=spec.disc_is_square,
-        irreducible_dim=irr["algebra_dimension"],
         rho_kills_relation=wm.rho_kills_relation,
-        idempotent_identities=idem,
-        center_dim=wm.center_dim,
-        trace_form_rank=wm.trace_form_rank,
-        split_dims=cert.idempotent_split_dims(),
+        idempotent_identities=wm.idempotent_identities,
+        **wedderburn_type(wm, rho),
         spanning_list=spanning_monomials_rank(cert, span),
         exact_dimension=wm.exact_dimension,
         closure_trace=ClosureTrace.of(cert, span),

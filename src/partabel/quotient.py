@@ -574,32 +574,6 @@ class ClosureCertificate:
                 return False
         return True
 
-    def idempotent_split_dims(self) -> tuple[int, int, int] | None:
-        """Dimensions of p1*S, p2*S and (1-p1-p2)*S read from the left
-        multiplication operators; equal thirds at points fixed by no
-        symmetry."""
-        from .linalg import _echelon_rank
-        f = self.field
-        n = len(self.basis)
-        try:
-            i1 = self.basis.index(((P, 1),))
-            i2 = self.basis.index(((P, 2),))
-            iu = self.basis.index(EMPTY_WORD)
-        except ValueError:
-            return None
-        mats = []
-        for ig in (i1, i2):
-            rows = [[self.structure_constants[ig][j].get(k, f.zero) for k in range(n)]
-                    for j in range(n)]
-            mats.append(rows)
-        unit_rows = [[self.structure_constants[iu][j].get(k, f.zero) for k in range(n)]
-                     for j in range(n)]
-        rest = [[f.sub(unit_rows[j][k], f.add(mats[0][j][k], mats[1][j][k]))
-                 for k in range(n)] for j in range(n)]
-        # rank 6 of 18 at generic points: a GF(l) image could never prove it
-        return (_echelon_rank(f, mats[0]), _echelon_rank(f, mats[1]),
-                _echelon_rank(f, rest))
-
     def to_json(self) -> dict:
         f = self.field
         return {

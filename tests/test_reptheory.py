@@ -11,13 +11,15 @@ from partabel.reptheory import (
     character_value, commutator_conic_consistency, compare_rho_to_reference, conics,
     determinantal_cubic, generated_matrix_algebra_dim, intersect_conics,
     irreducibility, mat_identity, mat_is_zero, split_determinantal_cubic,
-    split_into_lines, tern_mul, tq_rewrite, wedderburn_verify,
+    split_into_lines, tern_mul, tq_rewrite, wedderburn_type, wedderburn_verify,
 )
 from partabel.scalars import (
     DegenerateSpecialization, ExtensionField, FunctionField, PrimeField, QQ, factor_cubic,
     random_prime,
 )
-from tests_helpers import biv_eval, irreducible_extension, solve_divide_by_line
+from tests_helpers import (
+    biv_eval, irreducible_extension, solve_divide_by_line, split_dims_oracle,
+)
 
 Y_SAMPLE = (Fraction(2), Fraction(3), Fraction(7))
 F3 = FunctionField(("y1", "y2", "y3"))
@@ -509,8 +511,10 @@ def test_wedderburn_rank_18_and_structure():
     assert wm.exact
     assert wm.characters_kill_relation
     assert wm.rho_kills_relation
-    assert wm.center_dim == 10
-    assert wm.trace_form_rank == 18
+    assert wm.idempotent_identities
+    assert wedderburn_type(wm, rho) == {
+        "center_dim": 10, "trace_form_rank": 18, "split_dims": (6, 6, 6),
+        "irreducible_dim": 9}
 
 
 def test_wedderburn_rank_constant_across_primes():
@@ -533,18 +537,20 @@ def test_wedderburn_rank_constant_across_primes():
 
 def _trace_form_gram_oracle(cert):
     """tr(L_{b_i} L_{b_j}) = sum_{a,b} c_ia^b c_jb^a, straight from the
-    definition: n^4 multiply-adds, no associativity assumed."""
+    definition: the n^4 sum less its terms with a zero c_ia^b, no
+    associativity assumed."""
     f = cert.field
     n = cert.dimension_bound
-    L = [[[cert.structure_constants[i][j].get(k, f.zero) for k in range(n)]
-          for j in range(n)] for i in range(n)]
+    table = cert.structure_constants
     gram = [[f.zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             acc = f.zero
             for a in range(n):
-                for b in range(n):
-                    acc = f.add(acc, f.mul(L[i][a][b], L[j][b][a]))
+                for b, c in table[i][a].items():
+                    d = table[j][b].get(a)
+                    if d is not None:
+                        acc = f.add(acc, f.mul(c, d))
             gram[i][j] = acc
     return gram
 
@@ -563,9 +569,10 @@ def _center_dimension_oracle(cert):
     return len(nullspace(f, rows))
 
 
-def _criterion3_certificates():
-    """Closure certificates at the first criterion-3 sample points (the ones
-    re-certified over QQ there), over QQ and the two primes seed 302 draws."""
+def _oracle_points():
+    """The first criterion-3 sample points (the ones re-certified over QQ
+    there) over QQ and the two primes seed 302 draws, then the charts
+    (-8,-4,7) and (-5,-3,-1) over QQ, at extension degrees 1 and 2."""
     from partabel.pipeline import sample_generic_points
     from partabel.quotient import canonical_point
     rng = random.Random(302)
@@ -577,30 +584,27 @@ def _criterion3_certificates():
     fields = [QQ] + [PrimeField(p) for p in primes]
     for x in sample_generic_points(301, 3):
         for f in fields:
-            xf = tuple(f.from_fraction(c) if isinstance(f, PrimeField) else c
-                       for c in x)
-            cert, _ = closure_certificate(make_relation(f, point=canonical_point(f, xf)))
-            yield f, cert
+            yield f, canonical_point(f, chart_in_field(f, x))
+    for text in ("-8,-4,7", "-5,-3,-1"):
+        yield QQ, (Fraction(1),) + chart(text)
 
 
 def test_trace_form_and_center_match_their_oracles():
-    from partabel.reptheory import (
-        _center_dimension, _trace_form_gram, _trace_form_rank,
-    )
+    # the type certify_point reads off the evaluation isomorphism, against
+    # the definitions computed on the certified structure constants
     from partabel.linalg import dense_rank
-    seen = 0
-    for f, cert in _criterion3_certificates():
-        assert cert.dimension_bound == 18
-        gram = _trace_form_gram(f, cert.structure_constants)
-        oracle = _trace_form_gram_oracle(cert)
-        n = cert.dimension_bound
-        for i in range(n):
-            for j in range(n):
-                assert f.eq(gram[i][j], oracle[i][j]), (f, i, j)
-        assert _trace_form_rank(cert) == dense_rank(f, oracle) == 18
-        assert _center_dimension(cert) == _center_dimension_oracle(cert) == 10
-        seen += 1
-    assert seen == 9
+    from partabel.pipeline import certify_point
+    degrees = []
+    for f, x in _oracle_points():
+        cert, _ = closure_certificate(make_relation(f, point=x))
+        pc = certify_point(f, x)
+        assert pc.exact_dimension == cert.dimension_bound == 18
+        assert pc.center_dim == _center_dimension_oracle(cert) == 10
+        assert pc.trace_form_rank == dense_rank(f, _trace_form_gram_oracle(cert)) == 18
+        assert pc.split_dims == split_dims_oracle(cert)
+        degrees.append(pc.extension_degree)
+    assert len(degrees) == 11
+    assert degrees[-2:] == [1, 2]
 
 
 def test_rep_matrices_memoized_and_word_matrix_matches_letter_products():
@@ -625,35 +629,30 @@ def test_rep_matrices_memoized_and_word_matrix_matches_letter_products():
 # --- the Burnside span and the trace form on a GF(l) image -----------------------
 
 def _rational_point_data(seed, count):
-    """(ext, letter matrices, closure certificate) over QQ at sample charts."""
+    """(ext, letter matrices) over QQ at sample charts."""
     from partabel.pipeline import sample_generic_points
     for x in sample_generic_points(seed, count):
         y = x[1:]
-        cert, _ = closure_certificate(make_relation(QQ, chart=y))
         spec = intersect_conics(QQ, y)
         ext = spec.ext
         rho = build_rho(ext, tuple(ext.from_base(c) for c in y), (spec.z1, spec.z2),
                         rewrite=tq_rewrite(QQ, y))
-        yield ext, [rho.p1, rho.p2, rho.q1, rho.q2], cert
+        yield ext, [rho.p1, rho.p2, rho.q1, rho.q2]
 
 
 def test_burnside_span_and_trace_form_images_give_the_exact_values():
-    from partabel.linalg import _echelon_rank
-    from partabel.reptheory import _burnside_span, _trace_form_gram, _trace_form_rank
-    for ext, mats, cert in _rational_point_data(17, 8):
+    from partabel.reptheory import _burnside_span
+    for ext, mats in _rational_point_data(17, 8):
         gf, h = ext.modular_image()
         images = [[[h(v) for v in row] for row in m] for m in mats]
         assert _burnside_span(gf, images) == 9   # the image path answers
         assert generated_matrix_algebra_dim(ext, mats) == _burnside_span(ext, mats) == 9
-        table = cert.structure_constants
-        assert _trace_form_rank(cert) == _echelon_rank(QQ, _trace_form_gram(QQ, table)) == 18
 
 
 def test_a_forced_fallback_returns_the_exact_values(monkeypatch):
     # an image map that sends everything to 0 falls short of every ceiling
-    from partabel.reptheory import _trace_form_rank
     from partabel.scalars import ExtensionField, RationalField
-    ext, mats, cert = next(_rational_point_data(23, 1))
+    ext, mats = next(_rational_point_data(23, 1))
     gf = QQ.modular_image()[0]
     seen = []
 
@@ -663,7 +662,6 @@ def test_a_forced_fallback_returns_the_exact_values(monkeypatch):
     monkeypatch.setattr(RationalField, "modular_image", zero_image)
     monkeypatch.setattr(ExtensionField, "modular_image", zero_image)
     assert generated_matrix_algebra_dim(ext, mats) == 9
-    assert _trace_form_rank(cert) == 18
     assert seen
 
 

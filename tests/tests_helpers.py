@@ -4,8 +4,8 @@ from fractions import Fraction
 from itertools import permutations
 from math import isqrt, lcm
 
-from partabel.freeproduct import P, Q, AlgebraElement
-from partabel.linalg import SparseEchelon, solve_linear
+from partabel.freeproduct import EMPTY_WORD, P, Q, AlgebraElement
+from partabel.linalg import SparseEchelon, _echelon_rank, solve_linear
 from partabel.reptheory import tern_mul
 from partabel.scalars import ExtensionField, UniPoly, add_term, bareiss_determinant
 
@@ -160,3 +160,17 @@ def bottom_up_normal_forms(span, max_degree):
                 add_term(f, acc, b, f.mul(f.neg(cu), cb))
         nf[i] = acc
     return nf
+
+
+def split_dims_oracle(cert):
+    """Ranks of left multiplication by p1, p2 and 1 - p1 - p2 on the
+    certified basis, read from the structure constants: the dimensions of
+    p_i * S that the pipeline reads off the evaluation isomorphism."""
+    f, n = cert.field, cert.dimension_bound
+    i1, i2, unit = (cert.basis_index(w) for w in (((P, 1),), ((P, 2),), EMPTY_WORD))
+    p3 = {unit: f.one, i1: f.neg(f.one), i2: f.neg(f.one)}
+    dims = []
+    for p in ({i1: f.one}, {i2: f.one}, p3):
+        images = [cert.multiply(p, {j: f.one}) for j in range(n)]
+        dims.append(_echelon_rank(f, [[b.get(k, f.zero) for k in range(n)] for b in images]))
+    return tuple(dims)
