@@ -23,8 +23,8 @@ from .classify import (
 )
 from .reptheory import (
     ConicTriple, ExtensionSpec, RepMatrices, build_rho, conics,
-    determinantal_cubic, intersect_conics, irreducibility, split_into_lines,
-    tq_rewrite, wedderburn_verify,
+    determinantal_cubic, intersect_conics, irreducibility, tq_rewrite,
+    wedderburn_verify,
 )
 from .pipeline import (
     PointCertificate, certify_point, certify_point_multi,

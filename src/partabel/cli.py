@@ -316,7 +316,7 @@ def cmd_theorem(cfg, t0) -> int:
 def _pool_map(fn, jobs, workers):
     try:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             return list(pool.map(fn, jobs))
     except (OSError, ImportError) as exc:
         print(f"worker pool unavailable ({exc}); running sequentially",
@@ -375,12 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_ranges(cfg) -> None:
     """Reject option values that would make a certificate vacuous or
-    meaningless: no points, degrees below 2, a negative slack, a product
-    window capped below the first closure window, or primes small enough to
-    divide the constants of the pipeline, or repeated (two runs over one
-    prime would agree trivially)."""
+    meaningless: no points or no workers, degrees below 2, a negative slack,
+    a product window capped below the first closure window, or primes small
+    enough to divide the constants of the pipeline, or repeated (two runs
+    over one prime would agree trivially)."""
     if cfg.count < 1:
         raise ValueError(f"--count must be at least 1, got {cfg.count}")
+    if cfg.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {cfg.workers}")
     if cfg.nmax < 2:
         raise ValueError(f"--nmax must be at least 2, got {cfg.nmax}")
     if cfg.slack < 0:

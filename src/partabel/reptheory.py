@@ -17,15 +17,14 @@ quotient).  This module:
   the conic intersection over k, then the module over its extension, for
   the pipeline and the ``rep`` command alike;
 * certifies that the cubic splits into three lines by dividing out the line
-  of one join of base points (``split_determinantal_cubic``); the older
-  singular-point test ``split_into_lines`` is called only by
-  ``bench/workloads.py`` and the tests;
+  of one join of base points (``split_determinantal_cubic``), the one split
+  test at every extension degree;
 * assembles the evaluation map onto nine characters plus the nine matrix
   coordinates, whose rank is the dimension lower bound that meets the
   closure certificate's upper bound, and at an exact point reads the type
   (center, trace form, idempotent splits, irreducibility) off that
-  isomorphism (``wedderburn_type``); the Burnside span ``irreducibility``
-  serves the ``rep`` command, which has no closure.
+  isomorphism (``wedderburn_type``); the exact Burnside span
+  ``irreducibility`` serves the ``rep`` command, which has no closure.
 
 Closed forms previously tabulated for the t_i q_j rewrites, the matrices and
 the conics are kept as reference data; everything is re-derived from the
@@ -43,7 +42,7 @@ from .freeproduct import (
     P, Q, T, AlgebraElement, Signature, Word, idempotent, word_str,
 )
 from .linalg import (
-    SparseEchelon, _echelon_rank, _rref, dense_rank, modular_image,
+    SparseEchelon, _echelon_rank, _rref, dense_rank,
 )
 from .scalars import (
     DegenerateSpecialization, Domain, ExtensionField, FunctionField, PolyRingDomain,
@@ -582,17 +581,6 @@ def tern_scale(f: Domain, a: TernForm, c) -> TernForm:
     return {e: f.mul(v, c) for e, v in a.items()}
 
 
-def tern_partial(f: Domain, a: TernForm, var: int) -> TernForm:
-    out: TernForm = {}
-    for e, c in a.items():
-        if e[var] == 0:
-            continue
-        ne = list(e)
-        ne[var] -= 1
-        out[tuple(ne)] = f.mul(c, f.from_int(e[var]))
-    return out
-
-
 def determinantal_cubic(field: Domain, y: tuple,
                         triple: ConicTriple | None = None) -> TernForm:
     """det(a1*M1 + a2*M2 + a3*M3) for the homogenized conic matrices: a
@@ -801,8 +789,6 @@ class SplitReport:
     splits: bool | None
     mode: str
     lines: list
-    scale: object | None
-    singular_points: list
     detail: str = ""
 
 
@@ -924,7 +910,7 @@ def split_determinantal_cubic(field: Domain, cubic: TernForm,
     points can be joined the split is undecided, and ``detail`` says why."""
     found = _third_point_line(spec, tri)
     if found is None:
-        return SplitReport(None, "exact-base", [], None, [],
+        return SplitReport(None, "exact-base", [],
                            "f has a triple root with a single base point above "
                            "it, so no two base points give a line to divide by")
     lfield, line = found
@@ -933,11 +919,11 @@ def split_determinantal_cubic(field: Domain, cubic: TernForm,
     cofactor = _tern_divide_by_line(
         lfield, {e: lfield.from_base(c) for e, c in cubic.items()}, line)
     if cofactor is None:
-        return SplitReport(False, mode, [], None, [],
+        return SplitReport(False, mode, [],
                            f"line over the {where} does not divide the cubic")
     splits = lfield.is_zero(bareiss_determinant(lfield, _symmetric_matrix(lfield, cofactor)))
     return SplitReport(
-        splits, mode, [line], None, [],
+        splits, mode, [line],
         f"line over the {where} divides the cubic; "
         + ("cofactor quadric is degenerate (rank <= 2), so the cubic is a "
            "union of three lines over the closure" if splits
@@ -945,163 +931,12 @@ def split_determinantal_cubic(field: Domain, cubic: TernForm,
 
 
 def split_into_lines(field: Domain, cubic: TernForm, tol=None) -> SplitReport:
-    """Standalone exact splitting test via rational singular points.  No
-    command calls it: only the benchmark workloads (``bench/workloads.py``)
-    and the tests do, since ``split_determinantal_cubic`` certifies every
-    extension degree.
-
-    A reduced union of three non-concurrent lines has exactly three singular
-    points (the pairwise intersections) and the pairwise joins recover the
-    lines; a smooth cubic has none.  The rational singular points are found
-    exactly.  When they are not all rational, or are not three points whose
-    joins give the cubic, the test decides nothing: ``splits`` is None and
-    ``detail`` says why.  ``tol`` is ignored; it is still accepted because
-    the benchmark workloads pass it."""
-    f = field
-    if not any(not f.is_zero(c) for c in cubic.values()):
-        raise ValueError("zero cubic")
-    if getattr(f, "name", "") != "rational":
-        return SplitReport(None, "exact-rational", [], None, [],
-                           "the singular-point test needs rational coefficients")
-    parts = [tern_partial(f, cubic, v) for v in range(3)]
-    pts, complete = _rational_singular_points(f, parts)
-    if pts is None:
-        return SplitReport(None, "exact-rational", [], None, [],
-                           "the singular locus is not a finite set of points")
-    if len(pts) == 3:
-        lines = []
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            lines.append(_join_line(f, pts[i], pts[j]))
-        prod: TernForm = {(0, 0, 0): f.one}
-        for ln in lines:
-            prod = tern_mul(f, prod, {(1, 0, 0): ln[0], (0, 1, 0): ln[1], (0, 0, 1): ln[2]})
-        lam = _proportionality(f, cubic, prod)
-        if lam is not None:
-            return SplitReport(True, "exact-rational", lines, lam, pts,
-                               "the joins of three rational singular points "
-                               "multiply to the cubic")
-    if not complete:
-        return SplitReport(None, "exact-rational", [], None, pts,
-                           "not every singular point was found over the "
-                           "rationals (irrational or repeated resultant roots)")
-    if not pts:
-        return SplitReport(False, "exact-rational", [], None, [],
-                           "no singular points; smooth cubic does not split")
-    return SplitReport(None, "exact-rational", [], None, pts,
-                       f"{len(pts)} rational singular points, not three whose "
-                       "joins give the cubic")
-
-
-def _rational_singular_points(f: Domain, parts: list[TernForm]):
-    """Common projective zeros of the partials.  Returns (points, complete)
-    where complete means every root extraction was resolved exactly over
-    the rationals; (None, False) when the locus degenerates (shared
-    components and the like).  Needs rational coefficients."""
-    from .scalars import rational_roots
-    pts = []
-    complete = True
-    # chart a3 = 1
-    d1 = _tern_to_biv(f, parts[0], 2)
-    d2 = _tern_to_biv(f, parts[1], 2)
-    d3 = _tern_to_biv(f, parts[2], 2)
-    polys = []
-    for d in (d1, d2, d3):
-        _, u = _conic_as_z2poly(f, d)
-        polys.append(u)
-    res = None
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        ua, ub = polys[a], polys[b]
-        if ua.is_zero() or ub.is_zero():
-            continue
-        if ua.degree == 0 and ub.degree == 0:
-            continue
-        r = sylvester_resultant(ua, ub)
-        if not r.is_zero():
-            res = r if res is None else gcd_univariate(res, r)
-    if res is None:
-        return None, False
-    if res.degree == 0:
-        cands1: list = []
-    else:
-        cands1 = rational_roots(res)
-        if len(cands1) < res.degree:
-            complete = False
-    for a1 in cands1:
-        evs = [_conic_at_z1(d, f, a1) for d in (d1, d2, d3)]
-        nz = [e for e in evs if not e.is_zero()]
-        if not nz:
-            return None, False
-        g = nz[0]
-        for e in nz[1:]:
-            g = gcd_univariate(g, e)
-        if g.degree == 0:
-            continue
-        roots2 = rational_roots(g)
-        if len(roots2) < g.degree:
-            complete = False
-        for a2 in roots2:
-            if all(f.is_zero(e.evaluate(a2)) for e in evs):
-                pts.append((a1, a2, f.one))
-    # line at infinity a3 = 0: points (1 : s : 0), then (0 : 1 : 0)
-    one_var = [_restrict_to_infinity(f, p) for p in parts]
-    nz = [p for p in one_var if not p.is_zero()]
-    if nz:
-        g = nz[0]
-        for e in nz[1:]:
-            g = gcd_univariate(g, e)
-        if g.degree > 0:
-            roots = rational_roots(g)
-            if len(roots) < g.degree:
-                complete = False
-            for s in roots:
-                if all(f.is_zero(p.evaluate(s)) for p in one_var):
-                    pts.append((f.one, s, f.zero))
-    if all(f.is_zero(p.get((0, 2, 0), f.zero)) for p in parts):
-        pts.append((f.zero, f.one, f.zero))
-    return pts, complete
-
-
-def _restrict_to_infinity(f: Domain, part: TernForm):
-    """Restrict a quadric to the line a3 = 0 in the chart (1 : s : 0):
-    keep only a3-free terms and substitute a1 = 1."""
-    cols: dict[int, object] = {}
-    for (i, j, k), c in part.items():
-        if k == 0:
-            cols[j] = f.add(cols.get(j, f.zero), c)
-    maxj = max(cols, default=0)
-    return UniPoly(f, [cols.get(j, f.zero) for j in range(maxj + 1)])
-
-
-def _tern_to_biv(f: Domain, form: TernForm, set_one: int) -> BivPoly:
-    out: BivPoly = {}
-    keep = [v for v in range(3) if v != set_one]
-    for e, c in form.items():
-        add_term(f, out, (e[keep[0]], e[keep[1]]), c)
-    return out
-
-
-def _join_line(f: Domain, p: tuple, q: tuple) -> list:
-    """Cross product: the line through two projective points."""
-    return [
-        f.sub(f.mul(p[1], q[2]), f.mul(p[2], q[1])),
-        f.sub(f.mul(p[2], q[0]), f.mul(p[0], q[2])),
-        f.sub(f.mul(p[0], q[1]), f.mul(p[1], q[0])),
-    ]
-
-
-def _proportionality(f: Domain, a: TernForm, b: TernForm):
-    """lambda with a = lambda * b, or None."""
-    lam = None
-    for e, c in b.items():
-        if not f.is_zero(c):
-            lam = f.div(a.get(e, f.zero), c)
-            break
-    if lam is None:
-        return None
-    for e in set(a) | set(b):
-        if not f.eq(a.get(e, f.zero), f.mul(lam, b.get(e, f.zero))):
-            return None
-    return lam
+    """Kept only for the ``strata_mix`` benchmark workload
+    (``bench/workloads.py``), which calls it by name; ROADMAP item 1 deletes
+    both that call and this function.  It decides nothing: the split test is
+    ``split_determinantal_cubic``.  ``tol`` is ignored."""
+    return SplitReport(None, "retired", [],
+                       "the split test is split_determinantal_cubic")
 
 
 # ---------------------------------------------------------------------------
@@ -1110,21 +945,7 @@ def _proportionality(f: Domain, a: TernForm, b: TernForm):
 
 def generated_matrix_algebra_dim(field: Domain, mats: list) -> int:
     """Dimension of the span of all words of length <= 4 in the given 3x3
-    matrices and the identity (Burnside: irreducible iff 9).
-
-    Over QQ and its extensions the span is first grown from the matrices'
-    image over GF(l) (``Domain.modular_image``).  The image of a word is the
-    word in the images, so that span is the image of the true one and its
-    dimension is at most the true dimension; when it reaches 9, the most
-    there is, 9 is the answer.  Otherwise the exact span runs."""
-    image = modular_image(field, lambda h: [[[h(v) for v in row] for row in m] for m in mats])
-    if image is not None and _burnside_span(*image) == 9:
-        return 9
-    return _burnside_span(field, mats)
-
-
-def _burnside_span(field: Domain, mats: list) -> int:
-    """``generated_matrix_algebra_dim`` over ``field`` itself: a word that
+    matrices and the identity (Burnside: irreducible iff 9).  A word that
     gives no pivot is not extended, since its products lie in the span of
     words already fed."""
     f = field

@@ -580,8 +580,8 @@ class RationalFunction:
 
     Always normalized by integer content and common monomial factors, with
     the denominator's leading coefficient scaled to 1.  Full multivariate
-    gcd reduction is available behind ``reduce_full`` (or the domain flag);
-    equality never needs it (cross-multiplication).
+    gcd reduction is available behind ``reduce_full``; equality never needs
+    it (cross-multiplication).
     """
 
     __slots__ = ("num", "den")
@@ -726,9 +726,8 @@ class FunctionField(Domain):
 
     name = "function"
 
-    def __init__(self, variables: Sequence[str] = ("y1", "y2", "y3"), full_reduce: bool = False):
+    def __init__(self, variables: Sequence[str] = ("y1", "y2", "y3")):
         self.vars = tuple(variables)
-        self.full_reduce = full_reduce
 
     @property
     def zero(self) -> RationalFunction:
@@ -746,10 +745,6 @@ class FunctionField(Domain):
 
     def gens(self) -> tuple[RationalFunction, ...]:
         return tuple(self.gen(v) for v in self.vars)
-
-    def mul(self, a, b):
-        r = a * b
-        return r.reduce_full() if self.full_reduce else r
 
     def is_zero(self, a) -> bool:
         return a.is_zero()

@@ -144,6 +144,38 @@ def test_theorem_count_zero_exits_1(capsys):
     assert "PASS" not in out.out
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_workers_below_1_exits_1(workers, capsys):
+    assert main(["theorem", "--count", "2", "--workers", workers]) == 1
+    out = capsys.readouterr()
+    assert "--workers" in out.err
+    assert "PASS" not in out.out
+
+
+def test_worker_pool_is_capped_at_the_job_count(tmp_path, monkeypatch):
+    # a stand-in pool that runs the jobs in order: no process is started
+    import concurrent.futures
+    sizes = []
+
+    class InOrderPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InOrderPool)
+    code, rep = run_cli(["theorem", "--count", "2", "--workers", "64"], tmp_path)
+    assert code == 0 and len(rep["results"]["points"]) == 2
+    assert sizes == [2]
+
+
 @pytest.mark.parametrize("command", ["bound", "scan", "wedderburn", "theorem"])
 @pytest.mark.parametrize("nmax", ["-3", "0", "1"])
 def test_nmax_below_2_exits_1(command, nmax, capsys):
@@ -368,8 +400,10 @@ PINNED_REPORTS = {
         "4176a30a2c4d1abfa7ffdce7936ec364677eec60245d11cac412350329d08eae",
     "theorem --count 2 --seed 7 --mode rational":
         "5f07b4c4e1d35c4af20d54a26f746ce1e2ca7eaad64c21a8f3bc7d60ab54041b",
-    # rep at extension degrees 1 and 2, rational wedderburn at degree 1, and
-    # bound with and without a window cap
+    # rep at extension degrees 3, 1 and 2, rational wedderburn at degree 1,
+    # and bound with and without a window cap
+    "rep --chart 2,3,7 --mode rational":
+        "b8d7bd4d9db8e2916194b19fcdb3386e9fefc43b6c93abf04d7ae28f7e7d7626",
     "rep --chart=-8,-4,7 --mode rational":
         "8f0b413c1aaa93ecdb7b038175972ff4d61825d2763d9d6ded3eed5e8ae1b9ad",
     "rep --chart=-5,-3,-1 --mode rational":

@@ -7,15 +7,15 @@ import pytest
 from partabel import scalars
 from partabel.quotient import chart_in_field, closure_certificate, make_relation
 from partabel.reptheory import (
-    _QUADRATIC_MONOMIALS, _base_point_join, _tern_divide_by_line, build_rho,
-    character_value, commutator_conic_consistency, compare_rho_to_reference, conics,
-    determinantal_cubic, generated_matrix_algebra_dim, intersect_conics,
-    irreducibility, mat_identity, mat_is_zero, split_determinantal_cubic,
-    split_into_lines, tern_mul, tq_rewrite, wedderburn_type, wedderburn_verify,
+    _QUADRATIC_MONOMIALS, _base_point_join, _symmetric_matrix, _tern_divide_by_line,
+    build_rho, character_value, commutator_conic_consistency, compare_rho_to_reference,
+    conics, determinantal_cubic, generated_matrix_algebra_dim, intersect_conics,
+    irreducibility, mat_identity, mat_is_zero, split_determinantal_cubic, tern_mul,
+    tq_rewrite, wedderburn_type, wedderburn_verify,
 )
 from partabel.scalars import (
-    DegenerateSpecialization, ExtensionField, FunctionField, PrimeField, QQ, factor_cubic,
-    random_prime,
+    DegenerateSpecialization, ExtensionField, FunctionField, PrimeField, QQ,
+    bareiss_determinant, factor_cubic, random_prime,
 )
 from tests_helpers import (
     biv_eval, irreducible_extension, solve_divide_by_line, split_dims_oracle,
@@ -207,21 +207,11 @@ def test_split_constructed_product_of_lines():
     l2 = {(0, 1, 0): Fraction(1)}
     l3 = {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1), (0, 0, 1): Fraction(1)}
     cubic = tern_mul(f, tern_mul(f, l1, l2), l3)
-    rep = split_into_lines(f, cubic)
-    assert rep.splits and rep.mode == "exact-rational"
-    assert len(rep.lines) == 3
-    recon = {(0, 0, 0): Fraction(1)}
-    for ln in rep.lines:
-        recon = tern_mul(f, recon, {(1, 0, 0): ln[0], (0, 1, 0): ln[1], (0, 0, 1): ln[2]})
-    recon = {e: rep.scale * c for e, c in recon.items()}
-    assert recon == cubic
-
-
-def test_split_fermat_does_not_split():
-    fermat = {(3, 0, 0): Fraction(1), (0, 3, 0): Fraction(1), (0, 0, 3): Fraction(1)}
-    rep = split_into_lines(QQ, fermat)
-    assert rep.splits is False
-    assert rep.singular_points == []
+    # the split certificate's kernel: dividing out one line leaves the
+    # product of the other two, a degenerate quadric
+    cofactor = _tern_divide_by_line(f, cubic, [Fraction(1), Fraction(1), Fraction(1)])
+    assert cofactor == tern_mul(f, l1, l2)
+    assert bareiss_determinant(f, _symmetric_matrix(f, cofactor)) == 0
 
 
 def _exact_split(y):
@@ -276,11 +266,6 @@ def test_split_over_the_base_field_says_why_it_is_undecided():
     spec, cubic, _, exact = _exact_split(chart("1,-1,2"))
     assert spec.factor_degrees == [1, 1, 1] and spec.f_poly.coeffs == [0, 0, 0, 1]
     assert exact.splits is None and "triple root" in exact.detail
-    # the singular-point test, which only the benchmark still calls, cannot
-    # decide at (1:-5:2:2): two singular points of the cubic are conjugate
-    cubic = _exact_split(chart("-5,2,2"))[1]
-    assert split_into_lines(QQ, cubic, tol=1e-3).splits is None  # tol is ignored
-    assert split_into_lines(QQ, _exact_split(chart("-1,5,3"))[1]).splits is True
 
 
 # --- line division against the 10 x 6 linear solve it replaced ----------------
@@ -640,29 +625,9 @@ def _rational_point_data(seed, count):
         yield ext, [rho.p1, rho.p2, rho.q1, rho.q2]
 
 
-def test_burnside_span_and_trace_form_images_give_the_exact_values():
-    from partabel.reptheory import _burnside_span
+def test_burnside_span_is_nine_at_rational_sample_points():
     for ext, mats in _rational_point_data(17, 8):
-        gf, h = ext.modular_image()
-        images = [[[h(v) for v in row] for row in m] for m in mats]
-        assert _burnside_span(gf, images) == 9   # the image path answers
-        assert generated_matrix_algebra_dim(ext, mats) == _burnside_span(ext, mats) == 9
-
-
-def test_a_forced_fallback_returns_the_exact_values(monkeypatch):
-    # an image map that sends everything to 0 falls short of every ceiling
-    from partabel.scalars import ExtensionField, RationalField
-    ext, mats = next(_rational_point_data(23, 1))
-    gf = QQ.modular_image()[0]
-    seen = []
-
-    def zero_image(self):
-        return gf, lambda v: seen.append(v) or 0
-
-    monkeypatch.setattr(RationalField, "modular_image", zero_image)
-    monkeypatch.setattr(ExtensionField, "modular_image", zero_image)
-    assert generated_matrix_algebra_dim(ext, mats) == 9
-    assert seen
+        assert generated_matrix_algebra_dim(ext, mats) == 9
 
 
 def test_prime_mode_never_builds_an_image(monkeypatch):
