@@ -392,9 +392,3 @@ def central_element_check(field: Domain = QQ) -> dict:
         "central": zp.is_zero() and zq.is_zero(),
     }
 
-
-def word_order_index(sig: Signature, max_degree: int) -> tuple[list[Word], dict[Word, int]]:
-    """Column order for elimination: all words of length <= max_degree in the
-    graded word order, plus the inverse word -> index map."""
-    words = words_up_to(sig, max_degree)
-    return words, {w: i for i, w in enumerate(words)}

@@ -1,9 +1,14 @@
 """Exact Gaussian elimination over the scalar domains.
 
 Sparse rows are dicts mapping integer column indices to raw domain values.
-The echelon keeps pivot rows normalized (pivot coefficient 1) and always
-pivots on a row's highest column index, so feeding a matrix whose columns
-are ordered low-to-high eliminates the high columns first.  Prime fields
+Over GF(p) a row is used as given, with no copy: raw GF(p) values are
+already residues in [0, p), as every ``PrimeField`` operation returns them,
+so a row needs only to hold no zero entries.  Every caller keeps that:
+``IdealSpan`` rows and ``AlgebraElement`` terms never store a zero, the
+Burnside span drops zero matrix entries, and ``_echelon_rank`` drops the
+zeros of its dense rows.  The echelon keeps pivot rows normalized (pivot
+coefficient 1) and always pivots on a row's highest column index, so
+columns fed low-to-high are eliminated from the highest down.  Prime fields
 take a reduction loop on plain int arithmetic, and so does QQ: its rows are
 reduced fraction-free on integers (Bareiss 1968), each divided by its
 content after every step, which spares the two normalizing gcds of every
@@ -89,7 +94,6 @@ class SparseEchelon:
     def _eliminate_modp(self, row: dict, out: dict | None) -> int | None:
         p = self._modp
         pivots = self.pivots
-        row = {c: v % p for c, v in row.items() if v % p}
         while row:
             lead = max(row)
             v = row.pop(lead)
@@ -243,13 +247,13 @@ def modular_image(field: Domain, build: Callable) -> tuple[PrimeField, object] |
 def _echelon_rank(field: Domain, matrix: list[list]) -> int:
     """Rank of a dense matrix through SparseEchelon.  Column j enters at
     index ``ncols - 1 - j``, so the leftmost column is eliminated first, as
-    in ``_rref``; the reduction loops drop the zero entries."""
+    in ``_rref``, and zero entries are dropped, as the GF(p) loop needs."""
     if not matrix:
         return 0
     last = len(matrix[0]) - 1
     ech = SparseEchelon(field)
     for row in matrix:
-        ech.add_row({last - j: v for j, v in enumerate(row)})
+        ech.add_row({last - j: v for j, v in enumerate(row) if not field.is_zero(v)})
     return ech.rank
 
 

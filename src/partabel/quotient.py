@@ -24,24 +24,39 @@ u[1:]*X*v gave a pivot one window earlier.  Since u*X*v = a*(u[1:]*X*v)
 for the first letter a of u, and a times a product from below the previous
 window is itself a product up to the previous window, the span is
 unchanged (proof in ``IdealSpan``).
+
+Rows are built from column arithmetic, not word tuples.  The words of a
+signature are numbered once per process (``column_table``): a word w of
+length n has column start[n] + (the number of P-initial words of length n,
+if w starts with a Q-letter) + r(w), the rank r(w) reading its letter
+indices minus one as a mixed-radix number, radix a - 1 at P-letters and
+b - 1 at Q-letters, first letter most significant.  So for each length and
+first tag of v the column of w1 * v is affine in r(v) (``ColumnTable.seam``):
+base + r(v) at a seam of two tags, and base + (r(v) mod count) at a merging
+seam (the same letter on both sides), count being the number of words
+v[1:], since r(v) = (first index of v - 1) * count + r(v[1:]).  Any other
+seam of one tag is the zero product.  A row u * X_k * v is then a few
+integer additions, as in the symbolic preprocessing of Faugere's F4 (1999).
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .freeproduct import (
     EMPTY_WORD, P, Q, AlgebraElement, Signature, Word,
-    commutator, concat_words, filtration_dim, idempotent, word_order_index,
+    commutator, concat_words, filtration_dim, idempotent,
     word_str, words_of_length,
 )
 from .linalg import SparseEchelon
 from .scalars import (
-    Domain, DegenerateSpecialization, FunctionField, RationalFunction, add_term,
+    Domain, DegenerateSpecialization, FunctionField, PrimeField,
+    RationalFunction, add_term,
 )
 
 DEGREE4_PIVOT_PQ: Word = ((P, 2), (Q, 1), (P, 1), (Q, 1))
@@ -114,6 +129,86 @@ def make_relation(field: Domain, point=None, chart=None,
     return CommutatorRelation(sig, field, point, X)
 
 
+class ColumnTable:
+    """The word columns of one signature in the graded word order, grown
+    on demand: ``words``, the inverse map ``index``, ``start[n]`` the first
+    column of length n, ``count[n]`` the numbers of P- and Q-initial words
+    of length n ((1, 1) at n = 0: the empty word has the one rank 0), and
+    ``length`` each column's length.  The tag and rank of a column follow
+    from these (``coords``); the module doc gives the arithmetic."""
+
+    def __init__(self, sig: Signature):
+        self.sig = sig
+        self.radix = (sig.a - 1, sig.b - 1)
+        self.words: list[Word] = []
+        self.index: dict[Word, int] = {}
+        self.start = [0]
+        self.count: list[tuple[int, int]] = []
+        self.length = array("H")
+
+    def ensure(self, n: int):
+        """Extend the columns to every word of length <= n."""
+        a, b = self.radix
+        for k in range(len(self.count), n + 1):
+            for w in sorted(words_of_length(self.sig, k)):
+                self.index[w] = len(self.words)
+                self.words.append(w)
+            self.length.extend([k] * (len(self.words) - self.start[k]))
+            self.count.append((a ** ((k + 1) // 2) * b ** (k // 2),
+                               b ** ((k + 1) // 2) * a ** (k // 2)) if k else (1, 1))
+            self.start.append(len(self.words))
+
+    def block(self, n: int) -> range:
+        """Column indices of the words of length n: a contiguous block of
+        the graded order, P-initial words first."""
+        self.ensure(n)
+        return range(self.start[n], self.start[n + 1])
+
+    def tag_start(self, n: int, tag: int) -> int:
+        """The first column of length n whose word starts with ``tag``."""
+        return self.start[n] + (self.count[n][P] if tag == Q else 0)
+
+    def coords(self, col: int) -> tuple[int, int, int]:
+        """(length, first tag, rank) of a column; (0, P, 0) for the empty word."""
+        n = self.length[col]
+        r = col - self.start[n]
+        first_p = self.count[n][P]
+        return (n, P, r) if r < first_p else (n, Q, r - first_p)
+
+    def seam(self, col: int, m: int, tag: int) -> tuple[int, int | None]:
+        """(offset, letter) for the products w * v, w the word of ``col``
+        and v of length m starting with ``tag`` (any tag when m = 0): the
+        column of w * v is offset + r(v).  With ``letter`` not None the seam
+        merges, and the product is nonzero only for r(v) // count[m - 1] of
+        the other tag == letter, which is w's last index minus one."""
+        n, first, rank = self.coords(col)
+        if not m:
+            return col, None
+        if not n:
+            return self.tag_start(m, tag), None
+        last = first if n % 2 else 1 - first
+        if last != tag:
+            return self.tag_start(n + m, first) + rank * self.count[m][tag], None
+        mod = self.count[m - 1][1 - tag]
+        letter = rank % self.radix[last]
+        return self.tag_start(n + m - 1, first) + (rank - letter) * mod, letter
+
+    def product(self, col_a: int, col_b: int) -> int | None:
+        """The column of (word a) * (word b), or None for the zero product."""
+        m, tag, rank = self.coords(col_b)
+        off, letter = self.seam(col_a, m, tag)
+        if letter is not None and rank // self.count[m - 1][1 - tag] != letter:
+            return None
+        return off + rank
+
+
+@cache
+def column_table(sig: Signature) -> ColumnTable:
+    """The one column table of a signature in this process, shared by all
+    its spans and built when first asked for."""
+    return ColumnTable(sig)
+
+
 class IdealSpan:
     """Echelonized span of products u * X_k * v, grown window by window.
 
@@ -153,6 +248,14 @@ class IdealSpan:
     ranks stay lower bounds and normal forms stay congruences modulo the
     ideal.  It can only fall short of the full span, never claim more.
     ``replay_bound`` reads the bound a replay had at each window it passed.
+
+    ``words``, ``index`` and ``_length_block`` read the signature's shared
+    ``ColumnTable``, so ``words`` may run past this span's columns.  The
+    left products u * X_k are kept as columns, once per span; for each u
+    and each length and first tag of v, each of their terms becomes an
+    offset once (``_seam_terms``), and the row of a tail-flagged v is
+    offset + r(v) per term (module doc).  The rows and their order are
+    those that word tuples give, as ``verify_provenance`` expands them.
     """
 
     def __init__(self, relations, track_provenance: bool = False):
@@ -165,8 +268,16 @@ class IdealSpan:
         self.sig = first.sig
         self.field = first.field
         self.ech = SparseEchelon(self.field)
-        self.words: list[Word] = []
-        self.index: dict[Word, int] = {}
+        self.table = column_table(self.sig)
+        self.words, self.index = self.table.words, self.table.index
+        self._length_block = self.table.block
+        self._modp = self.field.p if isinstance(self.field, PrimeField) else None
+        self.table.ensure(self._max_relation_degree())
+        # per relation, the (column, coefficient) of each term; then per u
+        # (by column) the nonzero terms of u * X_k the same way
+        self._rel_terms = [[(self.index[w], c) for w, c in X.terms.items()]
+                           for X in self.relations]
+        self._left: dict[int, list[list[tuple[int, object]]]] = {}
         self.window = -1
         self.pivot_deg_counts: dict[int, int] = {}
         self.track = track_provenance
@@ -183,26 +294,13 @@ class IdealSpan:
         # (window, forms) of the normal forms computed at that window
         self._nf_memo: tuple[int, dict] = (-1, {})
 
-    def _ensure_columns(self, max_degree: int):
-        """Extend the columns to every word of length <= max_degree, one
-        sorted block per new length, as in ``words_up_to``."""
-        for n in range(len(self.words[-1]) + 1 if self.words else 0, max_degree + 1):
-            for w in sorted(words_of_length(self.sig, n)):
-                self.index[w] = len(self.words)
-                self.words.append(w)
-
-    def _length_block(self, n: int) -> range:
-        """Column indices of the words of length n: a contiguous block of
-        the graded order, sorted lexicographically."""
-        return range(bisect_left(self.words, n, key=len),
-                     bisect_left(self.words, n + 1, key=len))
-
     def extend_to_window(self, window: int):
         if window <= self.window:
             return
         if self._gave_pivot is None:
             raise ValueError("a replayed span cannot grow to a wider window")
-        self._ensure_columns(window + self._max_relation_degree())
+        table = self.table
+        table.ensure(window + self._max_relation_degree())
         nrel = len(self.relations)
         for s in range(self.window + 1, window + 1):
             # gave_pivot[lu] holds a byte per product u * X_k * v with
@@ -212,27 +310,75 @@ class IdealSpan:
             # length lu - 1.  Bytes, not a set of keys, keep wide windows small.
             gave_pivot: list[bytearray] = []
             for lu in range(s + 1):
-                us, vs = self._length_block(lu), self._length_block(s - lu)
-                row = len(vs) * nrel
-                flags = bytearray(len(us) * row)
+                us, vs = table.block(lu), table.block(s - lu)
+                width = len(vs) * nrel
+                flags = bytearray(len(us) * width)
                 if lu:
-                    tail_flags = self._gave_pivot[s - 1][lu - 1]
-                    tail_start = self._length_block(lu - 1).start
+                    tails = self._gave_pivot[s - 1][lu - 1]
+                    tail_start = table.start[lu - 1]
+                else:  # every X_k * v is fed
+                    tails, tail_start = b"\1" * width, 0
+                m = s - lu
                 for i, iu in enumerate(us):
-                    u = self.words[iu]
-                    tail_at = (self.index[u[1:]] - tail_start) * row if lu else 0
-                    uXs = self._left_products(u)
-                    for j, iv in enumerate(vs):
-                        v = self.words[iv]
-                        for k, X in enumerate(self.relations):
-                            at = j * nrel + k
-                            if lu and not tail_flags[tail_at + at]:
-                                continue
-                            if self._feed(uXs[k], v, (u, X, v)):
-                                flags[i * row + at] = 1
+                    # the (v, k) whose tail byte is set, by v's first tag,
+                    # found in feed order by bytearray.find
+                    at = (self.index[self.words[iu][1:]] - tail_start) * width
+                    for tag in (P, Q) if m else (P,):
+                        lo = table.tag_start(m, tag) - vs.start
+                        end = at + (lo + table.count[m][tag]) * nrel
+                        pos = tails.find(1, at + lo * nrel, end)
+                        if pos >= 0:
+                            terms, mod = self._seam_terms(iu, m, tag)
+                        while pos >= 0:
+                            j, k = divmod(pos - at, nrel)
+                            r = j - lo
+                            if self._feed(self._row(terms[k][r // mod], r), iu, vs.start + j, k):
+                                flags[i * width + pos - at] = 1
+                            pos = tails.find(1, pos + 1, end)
                 gave_pivot.append(flags)
             self._gave_pivot.append(gave_pivot)
         self.window = window
+
+    def _seam_terms(self, iu: int, m: int, tag: int) -> tuple[list, int]:
+        """(terms, mod) for u * X_k * v, u at column iu and v of length m
+        starting with ``tag``: terms[k][b] lists (offset, c) for the nonzero
+        terms of the products whose v has first index b + 1, each at column
+        offset + r(v); b is r(v) // mod."""
+        table = self.table
+        left = self._left.get(iu)
+        if left is None:
+            left = self._left[iu] = [
+                [(col, c) for iw, c in X if (col := table.product(iu, iw)) is not None]
+                for X in self._rel_terms]
+        mod = table.count[m - 1][1 - tag] if m else 1
+        out = []
+        for uX in left:
+            buckets: list[list] = [[] for _ in range(table.radix[tag] if m else 1)]
+            for col, c in uX:
+                off, letter = table.seam(col, m, tag)
+                for b in (buckets if letter is None else (buckets[letter],)):
+                    b.append((off, c))
+            out.append(buckets)
+        return out, mod
+
+    def _row(self, terms: list, r: int) -> dict:
+        """The row sum of c at column offset + r over ``terms``, as
+        ``add_term`` accumulates it; over GF(p) on plain ints."""
+        row: dict[int, object] = {}
+        p = self._modp
+        if p is None:
+            for off, c in terms:
+                add_term(self.field, row, off + r, c)
+            return row
+        for off, c in terms:
+            col = off + r
+            if col in row:
+                c = (row[col] + c) % p
+                if not c:
+                    del row[col]
+                    continue
+            row[col] = c
+        return row
 
     @property
     def trace(self) -> array:
@@ -269,23 +415,24 @@ class IdealSpan:
         product beyond ``window`` is refused."""
         if self.window >= 0:
             raise ValueError("replay needs a fresh span")
-        self._ensure_columns(window + self._max_relation_degree())
+        table = self.table
+        table.ensure(window + self._max_relation_degree())
         nrel = len(self.relations)
         counts = self._window_counts
-        last_iu = -1
+        last = None
         for packed in products:
             pair, k = divmod(packed, nrel)
             iu, iv = pair >> 32, pair & 0xFFFFFFFF
-            if iu != last_iu:  # products come grouped by u in feed order
-                last_iu, u = iu, self.words[iu]
-                uXs = self._left_products(u)
-            v = self.words[iv]
-            s = len(u) + len(v)
+            m, tag, r = table.coords(iv)
+            s = table.length[iu] + m
             if s > window:
                 raise ValueError(f"a traced product of window {s} lies beyond {window}")
             while len(counts) < s:
                 counts.append(dict(self.pivot_deg_counts))
-            if self._feed(uXs[k], v, (u, self.relations[k], v)):
+            if (iu, m, tag) != last:  # products come grouped by u in feed order
+                last = (iu, m, tag)
+                terms, mod = self._seam_terms(iu, m, tag)
+            if self._feed(self._row(terms[k][r // mod], r), iu, iv, k):
                 self._replayed_trace.append(packed)
         while len(counts) <= window:
             counts.append(dict(self.pivot_deg_counts))
@@ -300,38 +447,26 @@ class IdealSpan:
         """The quotient bound at degree n of a replayed span as it stood at
         the end of window w.  Full growth spans more by then, so its bound
         at (w, n) is at most this one."""
-        self._ensure_columns(n)
         return self._length_block(n).stop - sum(
             c for d, c in self._window_counts[w].items() if d <= n)
 
     def _max_relation_degree(self) -> int:
         return max(r.degree() for r in self.relations)
 
-    def _left_products(self, u: Word) -> list[list]:
-        """The nonzero terms (u * w, c) of u * X_k, one list per relation."""
-        return [[(w1, c) for w, c in X.terms.items()
-                 if (w1 := concat_words(u, w)) is not None]
-                for X in self.relations]
-
-    def _feed(self, uX: list, v: Word, product: tuple) -> bool:
-        """Reduce u * X * v, the ``product`` (u, X, v), into the echelon from
-        the nonzero terms (u * w, c) of u * X; True if it gave a word pivot."""
-        f = self.field
-        row: dict[int, object] = {}
-        for w1, c in uX:
-            w2 = concat_words(w1, v)
-            if w2 is not None:
-                add_term(f, row, self.index[w2], c)
+    def _feed(self, row: dict, iu: int, iv: int, k: int) -> bool:
+        """Reduce ``row``, the product u * X_k * v for u, v the words of
+        columns iu, iv, into the echelon; True if it gave a word pivot.
+        Every product enters the span here."""
         if not row:
             return False
         if self.track:
             pid = len(self.products)
-            self.products.append(product)
-            row[-(pid + 1)] = f.one
+            self.products.append((self.words[iu], self.relations[k], self.words[iv]))
+            row[-(pid + 1)] = self.field.one
         piv = self.ech.add_row(row)
         if piv is None or piv < 0:
             return False
-        d = len(self.words[piv])
+        d = self.table.length[piv]
         self.pivot_deg_counts[d] = self.pivot_deg_counts.get(d, 0) + 1
         return True
 
@@ -343,7 +478,6 @@ class IdealSpan:
     def bound(self, n: int) -> int:
         """dim F^n R minus the counted rank; the words of length <= n are
         the columns below the end of the length-n block."""
-        self._ensure_columns(n)
         return self._length_block(n).stop - self.counted_rank(n)
 
     # -- normal forms ----------------------------------------------------------
@@ -362,7 +496,7 @@ class IdealSpan:
         Forms are kept for the current window only, since a wider window
         adds pivots, and a later call reads the kept ones; the vectors are
         shared and must not be mutated."""
-        self._ensure_columns(max_degree)
+        self.table.ensure(max_degree)
         if indices is None:
             indices = range(self._length_block(max_degree).stop)
         window, nf = self._nf_memo
@@ -467,7 +601,9 @@ def standard_generator_rank(rel: CommutatorRelation,
         for i in (1, 2):
             extra += [p[i] * X * p[i], q[i] * X * q[i]]
 
-    words, index = word_order_index(sig, 4)
+    table = column_table(sig)
+    table.ensure(4)
+    index = table.index
     ech = SparseEchelon(f)
     for e in elements:
         if e.degree() > 4:
@@ -604,10 +740,10 @@ def _try_closure(span: IdealSpan, n: int):
     pos, letter_action), None) or (None, leaks).  Only the normal forms of
     the products w * g, for w a basis word and g a generating letter of the
     span's signature (p1, p2, q1, q2 for (3, 3)), are asked for."""
-    span._ensure_columns(n + 1)
+    span.table.ensure(n + 1)
     letters = [((tag, i),) for tag in (P, Q) for i in span.sig.letters(tag)]
-    basis_idx = [i for i, w in enumerate(span.words)
-                 if len(w) <= n and i not in span.ech.pivots]
+    basis_idx = [i for i in range(span._length_block(n).stop)
+                 if i not in span.ech.pivots]
     pos = {i: k for k, i in enumerate(basis_idx)}
     # times[g][k]: the column of (basis word k) * g, or None when that is 0
     times = {g: [None if (w := concat_words(span.words[i], g)) is None

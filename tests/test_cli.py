@@ -416,6 +416,13 @@ PINNED_REPORTS = {
         "461485a7e6e97400c995cd4659fd73c265defb8ef2d5db3ba71b35474b086493",
     "bound --point 1,0,0,-1 --nmax 6 --window-cap 5":
         "05b3093a522cba8a9a3c2b0b096af51e5777e1116e09354ae2b26ad82f8aea98",
+    # scans recorded before rows were built from column arithmetic: the
+    # wide windows of a capped scan, and a closure whose certificate the
+    # report carries
+    "scan --point 1,0,0,-1 --nmax 8 --window-cap 10":
+        "3e23b74182352e262c27939a9d0b0051d32c79dc181d5ec39c67354d81de642e",
+    "scan --point 1,2,3,7 --nmax 6":
+        "f5ae06f46f82ae015cd2cc98003a9cdca8200a06d6320470eec0deb4b882fa14",
 }
 
 

@@ -333,6 +333,8 @@ def row_sequences(draw):
         rows.append(row)
     probes = draw(st.lists(st.dictionaries(st.integers(0, 7), coeff, max_size=6),
                            max_size=4))
+    if isinstance(f, PrimeField):  # a GF(p) row holds no zero entries (linalg doc)
+        rows, probes = ([{c: v for c, v in r.items() if v} for r in rs] for rs in (rows, probes))
     return f, rows, probes
 
 

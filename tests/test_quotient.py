@@ -7,16 +7,19 @@ import pytest
 from partabel.classify import SubspacePresentation
 from partabel.freeproduct import (
     P, Q, Signature, commutator, concat_words, filtration_dim, idempotent,
-    words_of_length, words_up_to,
+    words_up_to,
 )
 from partabel.quotient import (
-    ClosureFailure, ClosureTrace, IdealSpan, chart_in_field, closure_certificate,
+    ClosureFailure, ClosureTrace, IdealSpan, chart_in_field, closure_certificate, column_table,
     make_relation, reduction_coefficients, sigma_check,
     spanning_monomials_rank, stabilization_scan, standard_generator_rank,
     verify_reduction_identity,
 )
 from partabel.scalars import FunctionField, PrimeField, QQ, add_term, random_prime
-from tests_helpers import GenericEchelon, bottom_up_normal_forms, split_dims_oracle
+from tests_helpers import (
+    GenericEchelon, bottom_up_normal_forms, extend_by_word_tuples, split_dims_oracle,
+    word_tuple_row,
+)
 
 SIG = Signature(3, 3)
 GENERIC_CHART = (Fraction(2), Fraction(3), Fraction(7))
@@ -130,29 +133,86 @@ def test_columns_grow_by_the_new_lengths_only():
     maxrel = max(r.degree() for r in span.relations)
     for window in range(2, 9):
         span.extend_to_window(window)
-        assert span.words == words_up_to(span.sig, window + maxrel)
-        assert span.index == {w: i for i, w in enumerate(span.words)}
+        own = span._length_block(window + maxrel).stop
+        assert span.words[:own] == words_up_to(span.sig, window + maxrel)
+        assert all(span.index[w] == i for i, w in enumerate(span.words[:own]))
+        assert len(span.index) == len(span.words)
+    other = IdealSpan(make_relation(QQ, chart=GENERIC_CHART))
+    assert other.table is span.table and other.words is span.words
+    assert IdealSpan(multi_relation(Signature(4, 2), [(1, 1, 0, 0), (0, 0, 1, 1)])).table \
+        is not span.table
+
+
+@pytest.mark.parametrize("sig", [Signature(2, 2), Signature(3, 3), Signature(4, 2),
+                                 Signature(2, 5)], ids=repr)
+def test_column_arithmetic_matches_concatenated_word_tuples(sig):
+    # every pair of words of length <= 7, the empty word and zero products
+    # included: the computed column is the index of concat_words, or None
+    # exactly when that is the zero product
+    table = column_table(sig)
+    table.ensure(14)
+    cols = range(table.start[8])
+    for ia in cols:
+        for ib in cols:
+            word = concat_words(table.words[ia], table.words[ib])
+            assert table.product(ia, ib) == (None if word is None else table.index[word])
+
+
+def _gf(seed):
+    return PrimeField(primes_pair(seed)[0])
+
+
+@pytest.mark.parametrize("relations, top", [
+    (lambda: make_relation(QQ, chart=GENERIC_CHART), 5),
+    (lambda: make_relation(_gf(29), chart=chart_in_field(_gf(29), GENERIC_CHART)), 6),
+    (lambda: make_relation(QQ, point=tuple(Fraction(c) for c in (1, 0, 0, -1))), 6),
+    (lambda: _gf_relation((1, 0, 0, -1)), 8),
+    (lambda: multi_relation(Signature(4, 2), [(1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 1)]), 5),
+    (lambda: multi_relation(Signature(4, 2), [(1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 1)],
+                            _gf(31)), 6),
+], ids=["generic_qq", "generic_gf", "infinite_qq", "infinite_gf",
+        "sig42_three_relations_qq", "sig42_three_relations_gf"])
+def test_arithmetic_rows_match_the_word_tuple_rows(relations, top):
+    rels = relations()
+    span, oracle = IdealSpan(rels), IdealSpan(rels)
+    for window in range(top + 1):
+        span.extend_to_window(window)
+        extend_by_word_tuples(oracle, window)
+        assert list(span.ech.pivots) == list(oracle.ech.pivots), window
+        assert all(list(row.items()) == list(oracle.ech.pivots[c].items())
+                   for c, row in span.ech.pivots.items()), window
+        assert span.trace == oracle.trace, window
+        assert [span.bound(n) for n in range(window + 4)] == \
+            [oracle.bound(n) for n in range(window + 4)], window
+    replayed = IdealSpan(rels)
+    replayed.replay(oracle.trace, top)
+    assert [(c, list(row.items())) for c, row in replayed.ech.pivots.items()] == \
+        [(c, list(row.items())) for c, row in oracle.ech.pivots.items()]
+
+
+def test_arithmetic_rows_reexpand_from_word_tuples_at_window_6():
+    span = IdealSpan(_gf_relation((1, 0, 0, -1)), track_provenance=True)
+    span.extend_to_window(6)
+    assert span.verify_provenance()
 
 
 def feed_every_product(span, window):
     """Reference loop: feed every product u * X_k * v of each new window,
     with no criterion; the span and its pivot columns must match the
     engine's, only the stored pivot rows may differ."""
-    maxrel = max(r.degree() for r in span.relations)
-    span._ensure_columns(window + maxrel)
+    span.table.ensure(window + span._max_relation_degree())
     for s in range(span.window + 1, window + 1):
         for lu in range(s + 1):
-            for u in sorted(words_of_length(span.sig, lu)):
-                for v in sorted(words_of_length(span.sig, s - lu)):
-                    for X in span.relations:
-                        uX = [(concat_words(u, w), c) for w, c in X.terms.items()
-                              if concat_words(u, w) is not None]
-                        span._feed(uX, v, (u, X, v))
+            for iu in span._length_block(lu):
+                for iv in span._length_block(s - lu):
+                    for k in range(len(span.relations)):
+                        row = word_tuple_row(span, span.words[iu], k, span.words[iv])
+                        span._feed(row, iu, iv, k)
     span.window = window
 
 
-def multi_relation(sig, vecs):
-    V = SubspacePresentation(sig, QQ, tuple(tuple(Fraction(c) for c in v) for v in vecs))
+def multi_relation(sig, vecs, field=QQ):
+    V = SubspacePresentation(sig, field, tuple(tuple(field.from_int(c) for c in v) for v in vecs))
     return [commutator(a, b) for a, b in itertools.combinations(V.elements(), 2)]
 
 
@@ -444,10 +504,10 @@ class PivotRecordingSpan(IdealSpan):
         super().__init__(relations)
         self.pivot_products = []
 
-    def _feed(self, uX, v, product):
-        gave = super()._feed(uX, v, product)
+    def _feed(self, row, iu, iv, k):
+        gave = super()._feed(row, iu, iv, k)
         if gave:
-            self.pivot_products.append(product)
+            self.pivot_products.append((self.words[iu], self.relations[k], self.words[iv]))
         return gave
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import isqrt, lcm
 
-from partabel.freeproduct import EMPTY_WORD, P, Q, AlgebraElement
+from partabel.freeproduct import EMPTY_WORD, P, Q, AlgebraElement, concat_words
 from partabel.linalg import SparseEchelon, _echelon_rank, solve_linear
 from partabel.reptheory import tern_mul
 from partabel.scalars import ExtensionField, UniPoly, add_term, bareiss_determinant
@@ -139,12 +139,56 @@ def solve_divide_by_line(f, cubic, line):
     return {m: c for m, c in zip(mons2, sol) if not f.is_zero(c)}
 
 
+def word_tuple_row(span, u, k, v):
+    """The row of u * X_k * v built on word tuples: each term (w, c) of X_k
+    through ``concat_words`` twice and an index lookup, accumulated by
+    ``add_term``.  The oracle for the column arithmetic of ``IdealSpan``."""
+    row = {}
+    for w, c in span.relations[k].terms.items():
+        w1 = concat_words(u, w)
+        w2 = None if w1 is None else concat_words(w1, v)
+        if w2 is not None:
+            add_term(span.field, row, span.index[w2], c)
+    return row
+
+
+def extend_by_word_tuples(span, window):
+    """``IdealSpan.extend_to_window`` as it ran before its rows came from
+    column arithmetic: the same tail criterion, flag layout and feed order,
+    every row from ``word_tuple_row``.  Kept as the oracle."""
+    span.table.ensure(window + span._max_relation_degree())
+    nrel = len(span.relations)
+    for s in range(span.window + 1, window + 1):
+        gave_pivot = []
+        for lu in range(s + 1):
+            us, vs = span._length_block(lu), span._length_block(s - lu)
+            width = len(vs) * nrel
+            flags = bytearray(len(us) * width)
+            if lu:
+                tail_flags = span._gave_pivot[s - 1][lu - 1]
+                tail_start = span._length_block(lu - 1).start
+            for i, iu in enumerate(us):
+                u = span.words[iu]
+                tail_at = (span.index[u[1:]] - tail_start) * width if lu else 0
+                for j, iv in enumerate(vs):
+                    for k in range(nrel):
+                        at = j * nrel + k
+                        if lu and not tail_flags[tail_at + at]:
+                            continue
+                        row = word_tuple_row(span, u, k, span.words[iv])
+                        if span._feed(row, iu, iv, k):
+                            flags[i * width + at] = 1
+            gave_pivot.append(flags)
+        span._gave_pivot.append(gave_pivot)
+    span.window = window
+
+
 def bottom_up_normal_forms(span, max_degree):
     """The normal form of every word of degree <= max_degree, filled
     bottom-up in the word order from the span's pivot rows: the loop
     ``IdealSpan.normal_forms`` ran before it computed only the forms it was
     asked for, kept as its oracle.  No memo."""
-    span._ensure_columns(max_degree)
+    span.table.ensure(max_degree)
     f = span.field
     nf = {}
     for i in range(span._length_block(max_degree).stop):
