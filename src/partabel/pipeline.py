@@ -129,7 +129,9 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
     bound), the chart's representation, the evaluation rank and the three
     checks that make it a lower bound (``wedderburn_verify``), and then
     exactness.  At an exact point the type is read off the evaluation
-    isomorphism (``wedderburn_type``).
+    isomorphism (``wedderburn_type``), and so is ``commutative``: S_x (x) E
+    is E^9 (+) M3(E), which is not commutative, so the structure table is
+    built only at a point that is not exact.
 
     ``trace`` is handed to ``closure_certificate`` to replay; the closure's
     own trace is returned as ``closure_trace``.  A replayed certificate is
@@ -164,7 +166,7 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
         upper_bound=cert.dimension_bound,
         stabilized_at=cert.degree,
         window=cert.window,
-        commutative=cert.is_commutative(),
+        commutative=not wm.exact and cert.is_commutative(),
         lower_bound=wm.rank,
         extension_degree=spec.extension_degree,
         f_coeffs=[f.fmt(c) for c in spec.f_poly.coeffs],

@@ -12,7 +12,8 @@ with the highest word in the graded order eliminated first, and reads off:
 * a closure certificate -- a monomial basis B whose products with the
   generating letters of the signature (p1, p2, q1, q2 for k^3 * k^3)
   reduce back into span(B), certifying |B| as an upper bound for dim S_x
-  in all degrees at once.
+  in all degrees at once; its structure constants are folded from that
+  letter action only when something reads them.
 
 Degree drops are the whole point: a product of formal degree up to
 window+2 may collapse into low degree after elimination, which is how the
@@ -46,7 +47,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from .freeproduct import (
     EMPTY_WORD, P, Q, AlgebraElement, Signature, Word,
@@ -656,18 +657,50 @@ class FiltrationReport:
 class ClosureCertificate:
     """Monomial basis closed under right multiplication by the generators.
 
-    ``letter_action[g][i]`` expresses basis_word_i * g in the basis; the
-    structure constants are derived by folding letters and |basis| is a
-    certified upper bound for the quotient dimension in every degree.
+    ``letter_action[g][i]`` expresses basis_word_i * g in the basis, and
+    |basis| is a certified upper bound for the quotient dimension in every
+    degree.  The structure constants are derived from the letter action
+    when first read (``structure_constants``), so a caller that needs only
+    the basis does not pay for them.
     """
 
     basis: list[Word]
     degree: int
     window: int
     letter_action: dict[Word, list[dict[int, object]]]
-    structure_constants: list[list[dict[int, object]]]
     field: Domain
     point: tuple | None  # None for a list of relations
+
+    @cached_property
+    def structure_constants(self) -> list[list[dict[int, object]]]:
+        """table[i][j] = e_i * b_j in the basis.  For b_j = w * g with w a
+        basis word, it is (e_i * w) * g, one letter on an entry already
+        built: the basis comes in graded order, so w precedes b_j.
+        Otherwise the letters of b_j are folded one by one from e_i."""
+        f, basis, action = self.field, self.basis, self.letter_action
+        n = len(basis)
+        pos = {w: k for k, w in enumerate(basis)}
+
+        def right_mul_letter(vec: dict[int, object], g: Word) -> dict[int, object]:
+            out: dict[int, object] = {}
+            cols = action[g]
+            for k, c in vec.items():
+                for m, cm in cols[k].items():
+                    add_term(f, out, m, f.mul(c, cm))
+            return out
+
+        table: list[list] = [[None] * n for _ in range(n)]
+        for j, w in enumerate(basis):
+            prefix = pos.get(w[:-1]) if w else None
+            letters = w if prefix is None else w[-1:]
+            for i in range(n):
+                vec = {i: f.one} if prefix is None else table[i][prefix]
+                for letter in letters:
+                    vec = right_mul_letter(vec, (letter,))
+                table[i][j] = vec
+        unit = pos[EMPTY_WORD]
+        assert all(table[i][unit] == {i: f.one} for i in range(n))
+        return table
 
     @property
     def dimension_bound(self) -> int:
@@ -737,7 +770,7 @@ class ClosureCertificate:
 
 def _try_closure(span: IdealSpan, n: int):
     """Attempt the closure certificate at degree n; returns ((basis_idx,
-    pos, letter_action), None) or (None, leaks).  Only the normal forms of
+    letter_action), None) or (None, leaks).  Only the normal forms of
     the products w * g, for w a basis word and g a generating letter of the
     span's signature (p1, p2, q1, q2 for (3, 3)), are asked for."""
     span.table.ensure(n + 1)
@@ -776,38 +809,7 @@ def _try_closure(span: IdealSpan, n: int):
         letter_action[g] = cols
     if leaks:
         return None, leaks
-    return (basis_idx, pos, letter_action), None
-
-
-def _structure_constants(span: IdealSpan, basis_idx, pos, letter_action):
-    """table[i][j] = e_i * b_j in the basis.  For b_j = w * g with w a basis
-    word, it is (e_i * w) * g, one letter on an entry already built: the
-    basis comes in graded order, so w precedes b_j.  Otherwise the letters
-    of b_j are folded one by one from e_i."""
-    f = span.field
-    n = len(basis_idx)
-    unit_pos = pos[span.index[EMPTY_WORD]]
-
-    def right_mul_letter(vec: dict[int, object], g: Word) -> dict[int, object]:
-        out: dict[int, object] = {}
-        cols = letter_action[g]
-        for k, c in vec.items():
-            for m, cm in cols[k].items():
-                add_term(f, out, m, f.mul(c, cm))
-        return out
-
-    table: list[list] = [[None] * n for _ in range(n)]
-    for j, bj in enumerate(basis_idx):
-        w = span.words[bj]
-        prefix = pos.get(span.index[w[:-1]]) if w else None
-        letters = w if prefix is None else w[-1:]
-        for i in range(n):
-            vec = {i: f.one} if prefix is None else table[i][prefix]
-            for letter in letters:
-                vec = right_mul_letter(vec, (letter,))
-            table[i][j] = vec
-    assert all(table[i][unit_pos] == {i: f.one} for i in range(n))
-    return table
+    return (basis_idx, letter_action), None
 
 
 @dataclass(frozen=True)
@@ -826,13 +828,12 @@ class ClosureTrace:
 
 
 def _certificate(span: IdealSpan, n: int, closed, point: tuple | None) -> ClosureCertificate:
-    basis_idx, pos, letter_action = closed
+    basis_idx, letter_action = closed
     return ClosureCertificate(
         basis=[span.words[i] for i in basis_idx],
         degree=n,
         window=span.window,
         letter_action=letter_action,
-        structure_constants=_structure_constants(span, basis_idx, pos, letter_action),
         field=span.field,
         point=point,
     )
@@ -953,7 +954,7 @@ def stabilization_scan(rel: CommutatorRelation, n_from: int = 2, n_to: int = 8,
         if certificate is not None:
             certified = min(span_bound, certificate.dimension_bound)
         per_degree[n] = {
-            "dim_ambient": filtration_dim(rel.sig, n),
+            "dim_ambient": span._length_block(n).stop,
             "counted_rank": span.counted_rank(n),
             "quotient_bound": span_bound,
             "certified_bound": certified,

@@ -21,10 +21,13 @@ quotient).  This module:
   test at every extension degree;
 * assembles the evaluation map onto nine characters plus the nine matrix
   coordinates, whose rank is the dimension lower bound that meets the
-  closure certificate's upper bound, and at an exact point reads the type
-  (center, trace form, idempotent splits, irreducibility) off that
-  isomorphism (``wedderburn_type``); the exact Burnside span
-  ``irreducibility`` serves the ``rep`` command, which has no closure.
+  closure certificate's upper bound; over QQ and QQ(theta) the rank is
+  taken first on rows built from the GF(l) image of rho's letter matrices
+  (``evaluation_rank``), and the exact rows are built only when that image
+  falls short.  At an exact point it reads the type (center, trace form,
+  idempotent splits, irreducibility) off that isomorphism
+  (``wedderburn_type``); the exact Burnside span ``irreducibility`` serves
+  the ``rep`` command, which has no closure.
 
 Closed forms previously tabulated for the t_i q_j rewrites, the matrices and
 the conics are kept as reference data; everything is re-derived from the
@@ -42,7 +45,7 @@ from .freeproduct import (
     P, Q, T, AlgebraElement, Signature, Word, idempotent, word_str,
 )
 from .linalg import (
-    SparseEchelon, _echelon_rank, _rref, dense_rank,
+    SparseEchelon, _echelon_rank, _rref, dense_rank, modular_image,
 )
 from .scalars import (
     DegenerateSpecialization, Domain, ExtensionField, FunctionField, PolyRingDomain,
@@ -196,9 +199,8 @@ def _mat_zero(f: Domain):
 
 
 def mat_mul(f: Domain, a, b):
-    return [[
-        f.add(f.add(f.mul(a[i][0], b[0][j]), f.mul(a[i][1], b[1][j])), f.mul(a[i][2], b[2][j]))
-        for j in range(3)] for i in range(3)]
+    cols = list(zip(*b))
+    return [[f.dot(row, col) for col in cols] for row in a]
 
 
 def mat_add(f: Domain, a, b):
@@ -1018,28 +1020,67 @@ class WedderburnMap:
         return self.exact_dimension == self.target_dim
 
 
+def _evaluation_rows(field: Domain, basis, rho: RepMatrices) -> list[list]:
+    """Row b of the evaluation matrix: the nine character values of the
+    word b, then the nine entries of rho(b)."""
+    chars = characters33()
+    rows = []
+    for w in basis:
+        m = rho.word_matrix(w)
+        rows.append([character_value(field, w, ch) for ch in chars]
+                    + [v for row in m for v in row])
+    return rows
+
+
+def image_evaluation_rows(basis, ext: Domain, rho: RepMatrices):
+    """(GF(l), the evaluation rows on ``basis`` over GF(l)) for the field's
+    map h onto GF(l) (``Domain.modular_image``), or None when there is no
+    image or a letter entry is not l-integral.
+
+    h maps the letter matrices of rho, y and z once, and the rows are built
+    from a ``RepMatrices`` over GF(l).  h is a ring map on l-integral
+    elements, so h(rho(w)) is the product of the letter images: the rows
+    are the image of the exact rows."""
+    image = modular_image(ext, lambda h: (
+        tuple(map(h, rho.y)), tuple(map(h, rho.z)),
+        *([[h(v) for v in row] for row in m] for m in (rho.t1, rho.t2, rho.q1, rho.q2))))
+    if image is None:
+        return None
+    gf, letters = image
+    return gf, _evaluation_rows(gf, basis, RepMatrices(gf, *letters))
+
+
+def evaluation_rank(basis, ext: Domain, rho: RepMatrices) -> int:
+    """Rank over E = ``ext`` of the evaluation matrix on ``basis``, taken
+    first on its GF(l) image (``image_evaluation_rows``).  A rank can only
+    drop under a ring map, so an image of full rank min(|basis|, 18) is the
+    exact rank.  A short image, a letter entry that is not l-integral, or a
+    field with no image (GF(p) and its extensions) takes the exact rows
+    through ``dense_rank``."""
+    full = min(len(basis), 18)
+    image = image_evaluation_rows(basis, ext, rho)
+    if image is not None and _echelon_rank(*image) == full:
+        return full
+    return dense_rank(ext, _evaluation_rows(ext, basis, rho))
+
+
 def wedderburn_verify(cert, spec: ExtensionSpec, rho: RepMatrices,
                       checked: WedderburnMap | None = None) -> WedderburnMap:
     """Evaluate every certified basis monomial under the nine characters and
     the nine matrix coordinates of the induced representation.  The rank of
-    the 18-column evaluation matrix is a dimension lower bound when the
-    evaluation map is an algebra map through S_x: the characters and rho
-    kill the relation, and rho satisfies the idempotent identities (it is a
-    representation of k^3 * k^3).  Meeting the closure certificate's upper
-    bound then certifies the dimension.
+    the 18-column evaluation matrix (``evaluation_rank``) is a dimension
+    lower bound when the evaluation map is an algebra map through S_x: the
+    characters and rho kill the relation, and rho satisfies the idempotent
+    identities (it is a representation of k^3 * k^3).  Those three checks
+    run over E itself.  Meeting the closure certificate's upper bound then
+    certifies the dimension.
 
-    Those three checks depend on the point and rho, not on the certificate:
+    The three checks depend on the point and rho, not on the certificate:
     ``checked``, a map verified at the same point with the same rho, lends
     its flags, and only the rank is taken again."""
     f = cert.field
     ext = spec.ext
-    rows = []
-    for w in cert.basis:
-        row = [character_value(ext, w, ch) for ch in characters33()]
-        m = rho.word_matrix(w)
-        row.extend(m[i][j] for i in range(3) for j in range(3))
-        rows.append(row)
-    rank = dense_rank(ext, rows)
+    rank = evaluation_rank(cert.basis, ext, rho)
 
     if checked is None:
         from .quotient import make_relation

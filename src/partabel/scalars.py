@@ -5,13 +5,16 @@ Every element type here is immutable and self-contained, so values can be
 shared freely across threads and memoized without copying.  The domain
 objects (``QQ``, ``PrimeField``, ``FunctionField``, ``ExtensionField``)
 provide construction, parsing, serialization and sampling.  Extensions
-compute on integer coordinates; rational roots come from Hensel lifting.
+compute on integer coordinates: a sum of products (``Domain.dot``) is
+reduced mod the modulus once, and a base-field scalar multiplies and
+inverts in the base field.  Rational roots come from Hensel lifting.
 QQ and its extensions map onto GF(l) for l near 2^61
 (``Domain.modular_image``), where full-rank checks run first.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from functools import cached_property, partial, reduce
@@ -127,6 +130,16 @@ class Domain:
 
     def inv(self, a):
         return self.div(self.one, a)
+
+    def dot(self, xs, ys):
+        """sum(xs[i] * ys[i]), as the fold of ``mul`` and ``add`` from the
+        first product; a domain may override it with a kernel that gives
+        the same value."""
+        terms = map(self.mul, xs, ys)
+        acc = next(terms, self.zero)
+        for t in terms:
+            acc = self.add(acc, t)
+        return acc
 
     def eq(self, a, b) -> bool:
         return a == b
@@ -245,6 +258,9 @@ class PrimeField(Domain):
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
+
+    def dot(self, xs, ys) -> int:
+        return sum(map(operator.mul, xs, ys)) % self.p
 
     def neg(self, a: int) -> int:
         return -a % self.p
@@ -1218,26 +1234,51 @@ class ExtensionField(Domain):
         return -a
 
     def mul(self, a: UniPoly, b: UniPoly) -> UniPoly:
-        """(a * b) % modulus on integer coordinates: a schoolbook product,
-        then the reduction from the top down, where the coefficient c at
-        t^k (k >= d) is cleared by scaling the row by D and subtracting
-        c t^(k-d) D m, each step multiplying the denominator by D.  The
-        residue is the one ``UniPoly.divmod`` gives, after one ``% p`` or
-        one ``Fraction(v, den)`` per kept coefficient."""
-        p, base = self._p, self.base
+        """(a * b) % modulus.  A base-field scalar (a residue with one
+        coefficient) scales the other operand coordinatewise, which needs no
+        reduction; any other product is ``dot`` of one pair."""
         xs, ys = a.coeffs, b.coeffs
-        if not xs or not ys:
-            return UniPoly(base, [])
+        if len(ys) == 1:
+            xs, ys = ys, xs
+        if len(xs) == 1:
+            c, p = xs[0], self._p
+            return UniPoly(self.base, [c * y for y in ys] if p is None
+                           else [c * y % p for y in ys])
+        return self.dot((a,), (b,))
+
+    def dot(self, xs, ys) -> UniPoly:
+        """sum(xs[i] * ys[i]) % modulus on integer coordinates.  Over QQ each
+        operand is cleared to integers over the lcm of its denominators, and
+        the schoolbook products are summed over their common denominator.
+        The sum is reduced once, from the top down: the coefficient c at t^k
+        (k >= d) is cleared by scaling the row by D and subtracting
+        c t^(k-d) D m, each step multiplying the denominator by D.  The
+        residue is the one ``UniPoly.divmod`` gives, after one ``% p`` or one
+        ``Fraction(v, den)`` per kept coefficient."""
+        p, base = self._p, self.base
+        cs: list[int] = []
         den = 1
-        if p is None:
-            xs, da = _clear_denominators(xs)
-            ys, db = _clear_denominators(ys)
-            den = da * db
-        cs = [0] * (len(xs) + len(ys) - 1)
-        for i, x in enumerate(xs):
-            if x:
-                for j, y in enumerate(ys):
-                    cs[i + j] += x * y
+        for a, b in zip(xs, ys):
+            us, vs = a.coeffs, b.coeffs
+            if not us or not vs:
+                continue
+            if p is None:
+                us, da = _clear_denominators(us)
+                vs, db = _clear_denominators(vs)
+                d = da * db
+                if d != den:
+                    common = lcm(den, d)
+                    if common != den:
+                        cs = [v * (common // den) for v in cs]
+                        den = common
+                    if common != d:
+                        us = [u * (common // d) for u in us]
+            if len(cs) < len(us) + len(vs) - 1:
+                cs.extend([0] * (len(us) + len(vs) - 1 - len(cs)))
+            for i, u in enumerate(us):
+                if u:
+                    for j, v in enumerate(vs):
+                        cs[i + j] += u * v
         m, scale = self._int_modulus, self._scale
         d = len(m) - 1
         while len(cs) > d:
@@ -1254,13 +1295,17 @@ class ExtensionField(Domain):
         return UniPoly(base, [Fraction(v, den) for v in cs])
 
     def inv(self, a: UniPoly) -> UniPoly:
-        """Solve a * x = 1 as the d x d base-field system whose column j is
-        a * t^j, by the one dense elimination; a singular system means a is
-        a zero divisor (the modulus is reducible)."""
+        """A base-field scalar inverts in the base field.  Otherwise solve
+        a * x = 1 as the d x d base-field system whose column j is a * t^j,
+        by the one dense elimination; a singular system means a is a zero
+        divisor (the modulus is reducible)."""
         from .linalg import _rref  # linalg imports this module
         if a.is_zero():
             raise ZeroDivisionError("inverse of zero in extension field")
-        base, d, t = self.base, self.degree, self.gen()
+        base = self.base
+        if len(a.coeffs) == 1:
+            return UniPoly(base, [base.inv(a.coeffs[0])])
+        d, t = self.degree, self.gen()
         cols = [a]
         for _ in range(1, d):
             cols.append(self.mul(cols[-1], t))

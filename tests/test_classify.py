@@ -188,7 +188,7 @@ def test_closure_takes_its_letters_from_the_signature():
     span.extend_to_window(2)
     closed, leaks = _try_closure(span, 2)
     assert leaks is None
-    basis_idx, _, letter_action = closed
+    basis_idx, letter_action = closed
     assert len(basis_idx) == 6    # 2l, l = 3
     assert list(letter_action) == [((P, 1),), ((P, 2),), ((Q, 1),)]
     assert all(len(cols) == 6 for cols in letter_action.values())

@@ -423,6 +423,9 @@ PINNED_REPORTS = {
         "3e23b74182352e262c27939a9d0b0051d32c79dc181d5ec39c67354d81de642e",
     "scan --point 1,2,3,7 --nmax 6":
         "f5ae06f46f82ae015cd2cc98003a9cdca8200a06d6320470eec0deb4b882fa14",
+    # prime mode over GF(p)(theta): the 3x3 products through ExtensionField.dot
+    "wedderburn --chart 2,3,7":
+        "6e6e312ec3e36f24eea65f073e86e813b1aae246ae0e1799cd2649796ec26c42",
 }
 
 
@@ -432,6 +435,38 @@ def test_pinned_report_bytes(command, tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     assert main(command.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[command]
+
+
+@pytest.mark.parametrize("force", ["no image", "short image", "not l-integral"])
+@pytest.mark.parametrize("command", ["wedderburn --chart 2,3,7 --mode rational",
+                                     "wedderburn --chart=-8,-4,7 --mode rational"])
+def test_exact_evaluation_rows_keep_the_pinned_bytes(command, force, tmp_path, monkeypatch):
+    # when the GF(l) image of rho cannot prove full rank, the evaluation
+    # rows are built over E itself and eliminated there: same report bytes
+    from partabel import reptheory, scalars
+    if force == "short image":
+        image = reptheory.image_evaluation_rows
+
+        def short(basis, ext, rho):
+            gf, rows = image(basis, ext, rho)
+            return gf, rows[:-1] + [[gf.zero] * len(rows[0])]
+        monkeypatch.setattr(reptheory, "image_evaluation_rows", short)
+    else:
+        def not_integral(v):
+            raise ZeroDivisionError("denominator vanishes mod l")
+        got = None if force == "no image" else (scalars._MODULAR_FIELD, not_integral)
+        for cls in (scalars.RationalField, scalars.ExtensionField):
+            monkeypatch.setattr(cls, "modular_image", lambda self: got)
+    exact_rows = []
+    rows = reptheory._evaluation_rows
+
+    def spy(field, basis, rho):
+        if not isinstance(field, scalars.PrimeField):
+            exact_rows.append(field)
+        return rows(field, basis, rho)
+    monkeypatch.setattr(reptheory, "_evaluation_rows", spy)
+    test_pinned_report_bytes(command, tmp_path, monkeypatch)
+    assert exact_rows
 
 
 def test_pinned_detcurve_at_a_linear_conic_chart_writes_no_report(tmp_path, capsys):

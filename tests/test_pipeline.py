@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,8 @@ from partabel.pipeline import (
     suspected_nongeneric, theorem_point_worker,
 )
 from partabel.quotient import (
-    ClosureFailure, ClosureTrace, IdealSpan, closure_certificate, make_relation,
-    replay_is_growth, spanning_monomials_rank,
+    ClosureCertificate, ClosureFailure, ClosureTrace, IdealSpan, closure_certificate,
+    make_relation, replay_is_growth, spanning_monomials_rank,
 )
 from partabel.scalars import DegenerateSpecialization, PrimeField, QQ, random_prime
 
@@ -286,5 +287,32 @@ def test_exact_dimension_needs_the_evaluation_map_to_kill_the_relation(monkeypat
     assert pc.lower_bound == pc.upper_bound == 18
     assert pc.exact_dimension is None
     assert not pc.verdict()[0]
+    # not exact: commutative is read off the certificate's own table
+    assert pc.commutative is cert.is_commutative() is False
     report = _cert_json(pc)
     assert [report[k] for k in reptheory.TYPE_FIELDS] == [None] * 4
+
+
+def test_an_exact_point_builds_no_structure_table(monkeypatch):
+    # at an exact point commutative is read off the evaluation isomorphism,
+    # so certify_point never builds the table, over GF(p) or over QQ; a
+    # point that is not exact reads it
+    built = []
+    table = ClosureCertificate.__dict__["structure_constants"].func
+
+    def spy(cert):
+        built.append(cert)
+        return table(cert)
+    cached = cached_property(spy)
+    cached.__set_name__(ClosureCertificate, "structure_constants")
+    monkeypatch.setattr(ClosureCertificate, "structure_constants", cached)
+    x = (1, 2, 3, 7)
+    for f in (QQ, PrimeField(seeded_primes(5)[0])):
+        pc = certify_point(f, _in(f, x))
+        assert pc.exact_dimension == 18 and not pc.commutative
+    assert built == []
+    monkeypatch.setattr(reptheory.RepMatrices, "idempotent_identities_hold",
+                        lambda self: False)
+    pc = certify_point(QQ, _in(QQ, x))
+    assert pc.exact_dimension is None and not pc.commutative
+    assert built

@@ -4,12 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from partabel import scalars
+from partabel import reptheory, scalars
+from partabel.linalg import _echelon_rank
 from partabel.quotient import chart_in_field, closure_certificate, make_relation
 from partabel.reptheory import (
-    _QUADRATIC_MONOMIALS, _base_point_join, _symmetric_matrix, _tern_divide_by_line,
-    build_rho, character_value, commutator_conic_consistency, compare_rho_to_reference,
-    conics, determinantal_cubic, generated_matrix_algebra_dim, intersect_conics,
+    _QUADRATIC_MONOMIALS, _base_point_join, _evaluation_rows, _symmetric_matrix,
+    _tern_divide_by_line, build_rho, character_value, chart_representation,
+    commutator_conic_consistency, compare_rho_to_reference, conics, determinantal_cubic,
+    generated_matrix_algebra_dim, image_evaluation_rows, intersect_conics,
     irreducibility, mat_identity, mat_is_zero, split_determinantal_cubic, tern_mul,
     tq_rewrite, wedderburn_type, wedderburn_verify,
 )
@@ -587,6 +589,7 @@ def test_trace_form_and_center_match_their_oracles():
         assert pc.center_dim == _center_dimension_oracle(cert) == 10
         assert pc.trace_form_rank == dense_rank(f, _trace_form_gram_oracle(cert)) == 18
         assert pc.split_dims == split_dims_oracle(cert)
+        assert pc.commutative is cert.is_commutative() is False
         degrees.append(pc.extension_degree)
     assert len(degrees) == 11
     assert degrees[-2:] == [1, 2]
@@ -609,6 +612,48 @@ def test_rep_matrices_memoized_and_word_matrix_matches_letter_products():
             m = mat_mul(ext, m, rho.letter_matrix(letter))
         assert mat_eq(ext, rho.word_matrix(w), m)
         assert rho.word_matrix(w) is rho.word_matrix(w)
+
+
+# --- the evaluation rows on the GF(l) image of rho ------------------------------
+
+def _rational_evaluation_cases():
+    """The criterion-3 points certified over QQ, then charts at extension
+    degrees 1, 2 and 3."""
+    from partabel.pipeline import sample_generic_points
+    charts = [x[1:] for x in sample_generic_points(301, 3)]
+    charts += [chart(text) for text in ("-8,-4,7", "-5,-3,-1", "2,3,7")]
+    for y in charts:
+        cert, _ = closure_certificate(make_relation(QQ, chart=y))
+        spec, rho = chart_representation(QQ, y)
+        yield cert, spec.ext, rho
+
+
+def test_the_image_rows_are_the_image_of_the_exact_rows_and_keep_their_rank():
+    degrees = []
+    for cert, ext, rho in _rational_evaluation_cases():
+        exact = _evaluation_rows(ext, cert.basis, rho)
+        gf, rows = image_evaluation_rows(cert.basis, ext, rho)
+        _, h = ext.modular_image()
+        assert rows == [[h(v) for v in row] for row in exact]
+        assert _echelon_rank(gf, rows) == _echelon_rank(ext, exact) == 18
+        degrees.append(getattr(ext, "degree", 1))
+    assert degrees[-3:] == [1, 2, 3]
+
+
+def test_a_full_image_builds_no_exact_word_matrix(monkeypatch):
+    from partabel.pipeline import certify_point
+    fields = []
+    real = reptheory.RepMatrices.word_matrix
+
+    def spy(self, word):
+        fields.append(self.field)
+        return real(self, word)
+    monkeypatch.setattr(reptheory.RepMatrices, "word_matrix", spy)
+    for text in ("-8,-4,7", "-5,-3,-1", "2,3,7"):
+        fields.clear()
+        pc = certify_point(QQ, (Fraction(1),) + chart(text))
+        assert pc.exact_dimension == 18
+        assert fields and all(isinstance(f, PrimeField) for f in fields)
 
 
 # --- the Burnside span and the trace form on a GF(l) image -----------------------

@@ -16,7 +16,7 @@ from partabel.scalars import (
 )
 from tests_helpers import (
     divisor_rational_roots, irreducible_extension, permutation_determinant,
-    sylvester_bareiss, sylvester_matrix,
+    solve_inverse, sylvester_bareiss, sylvester_matrix,
 )
 
 
@@ -465,6 +465,50 @@ def test_extension_list_arithmetic_matches_reference(case):
         inv = E.inv(a)
         assert ((a * inv) % E.modulus).coeffs == [E.base.one]
         _assert_raw_residue(E, inv)
+
+
+# the kernels of the representation's 3x3 products: dot, and the base-field
+# scalar paths of mul and inv, over QQ(theta) and GF(p)(theta)
+KERNEL_EXTENSIONS = sorted(key for key in EXTENSIONS if key[1] in (2, 3))
+
+
+def _residues(E):
+    """Residues of E, with zero and base-field scalars drawn often."""
+    coeff = _base_coeffs(E.base, 10**6)
+    return st.one_of(st.just(E.zero), coeff.map(lambda c: UniPoly(E.base, [c])),
+                     st.lists(coeff, max_size=E.degree).map(lambda cs: UniPoly(E.base, cs)))
+
+
+@st.composite
+def _dot_cases(draw):
+    E = EXTENSIONS[draw(st.sampled_from(KERNEL_EXTENSIONS))]
+    n = draw(st.integers(0, 4))
+    vectors = st.lists(_residues(E), min_size=n, max_size=n)
+    return E, draw(vectors), draw(vectors)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dot_cases())
+def test_extension_kernels_match_their_oracles(case):
+    E, xs, ys = case
+    got = E.dot(xs, ys)
+    folded = E.zero
+    for a, b in zip(xs, ys):
+        folded = E.add(folded, E.mul(a, b))
+    assert got.coeffs == folded.coeffs
+    _assert_raw_residue(E, got)
+    for a, b in zip(xs, ys):
+        product = E.mul(a, b)
+        assert product.coeffs == (a * b).divmod(E.modulus)[1].coeffs
+        _assert_raw_residue(E, product)
+    for a in xs:
+        if a.is_zero():
+            continue
+        inv = E.inv(a)
+        assert E.mul(a, inv) == E.one
+        _assert_raw_residue(E, inv)
+        if len(a.coeffs) == 1:
+            assert inv.coeffs == solve_inverse(E, a).coeffs
 
 
 def test_extension_field_needs_a_qq_or_prime_field_base():

@@ -5,7 +5,7 @@ from itertools import permutations
 from math import isqrt, lcm
 
 from partabel.freeproduct import EMPTY_WORD, P, Q, AlgebraElement, concat_words
-from partabel.linalg import SparseEchelon, _echelon_rank, solve_linear
+from partabel.linalg import SparseEchelon, _echelon_rank, _rref, solve_linear
 from partabel.reptheory import tern_mul
 from partabel.scalars import ExtensionField, UniPoly, add_term, bareiss_determinant
 
@@ -47,6 +47,22 @@ def irreducible_extension(base, degree):
         except ValueError:
             continue
     raise AssertionError("no irreducible trinomial found")
+
+
+def solve_inverse(E, a):
+    """The inverse of a nonzero residue a of the extension E as
+    ``ExtensionField.inv`` computed it for every element before base-field
+    scalars inverted in the base field: the d x d base-field system whose
+    column j is a * t^j, solved by ``_rref``.  Kept as the oracle."""
+    base, d = E.base, E.degree
+    cols = [a]
+    for _ in range(1, d):
+        cols.append(E.mul(cols[-1], E.gen()))
+    rows = [[c.coeffs[i] if i < len(c.coeffs) else base.zero for c in cols]
+            + [base.one if i == 0 else base.zero] for i in range(d)]
+    solved, pivots = _rref(base, rows, d)
+    assert len(pivots) == d
+    return UniPoly(base, [r[d] for r in solved])
 
 
 class GenericEchelon(SparseEchelon):
