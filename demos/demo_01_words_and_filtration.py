@@ -32,10 +32,9 @@ for k in range(0, 9):
     print(f"  dim F^{k} = {filtration_dim(sig, k):5d}   closed form {2**(k+2)-3:5d}")
 print("filtration (3,2) at degree 2:", filtration_dim(Signature(3, 2), 2))
 
-# serialization round-trips exactly
+# the canonical text form that reports print
 e = w("p1.q2.p1").scale(Fraction(3, 2)) - w("q1")
 print("\ntext form:", e.to_text())
-assert AlgebraElement.from_text(sig, QQ, e.to_text()) == e
 
 # in k^2 * k^2 the element z = -p - q + pq + qp is central
 print("\ncentral element of k^2 * k^2:", central_element_check(QQ))

@@ -22,8 +22,8 @@ from .classify import (
     genericity_check, grassmann_chart, partition_of, rewrite_left_module,
 )
 from .reptheory import (
-    ConicTriple, ExtensionSpec, RepMatrices, build_rho, conics,
-    determinantal_cubic, intersect_conics, irreducibility, tq_rewrite,
+    ConicTriple, ExtensionSpec, RepMatrices, algebra_map_checks, build_rho,
+    conics, determinantal_cubic, intersect_conics, irreducibility, tq_rewrite,
     wedderburn_verify,
 )
 from .pipeline import (

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .freeproduct import P, Q, AlgebraElement, Signature, idempotent
 from .linalg import _rref, dense_rank, nullspace, solve_linear
+from .quotient import canonical_point, on_quadric
 from .scalars import Domain, add_term
 
 Vector = tuple  # coordinates in (p_1..p_{a-1} | q_1..q_{b-1})
@@ -413,11 +414,6 @@ LINE_DEFS = {
 }
 
 
-def on_quadric(field: Domain, x: tuple) -> bool:
-    x11, x12, x21, x22 = x
-    return field.eq(field.mul(x11, x22), field.mul(x12, x21))
-
-
 def lines_through(field: Domain, x: tuple) -> list[str]:
     f = field
     x11, x12, x21, x22 = x
@@ -442,7 +438,6 @@ def classify_p3(field: Domain, x: tuple) -> ClassificationVerdict:
     strata (nine special points, six lines, generic locus) with known
     verdicts; off the quadric only the one known infinite-dimensional point
     is recognized, and everything else is handed to the engine."""
-    from .quotient import canonical_point
     f = field
     x = canonical_point(f, x)
     if on_quadric(f, x):

@@ -15,6 +15,9 @@ downstream.
 A signature may also carry free letters t_1..t_free (tag T=2, after Q in the
 order): no relation holds at a seam next to one.  The representation stage
 writes its t/q words this way.
+
+Elements print in a canonical text form (``to_text``), which reports carry;
+nothing parses it back.
 """
 
 from __future__ import annotations
@@ -279,7 +282,7 @@ class AlgebraElement:
             out = out + img.scale(coeff)
         return out
 
-    # -- serialization ------------------------------------------------------
+    # -- text form (reports print it) ------------------------------------------
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``3/2*p1.q2.p1 + (-1)*q1``."""
@@ -293,37 +296,6 @@ class AlgebraElement:
             parts.append(f"{cs}*{word_str(w)}")
         return " + ".join(parts)
 
-    @classmethod
-    def from_text(cls, sig: Signature, field: Domain, s: str) -> "AlgebraElement":
-        """Inverse of ``to_text``; kept for demo_01 and the round-trip
-        tests, which parse what ``to_text`` prints."""
-        s = s.strip()
-        if s == "0":
-            return cls.zero(sig, field)
-        terms: dict[Word, object] = {}
-        for part in _split_top_level(s):
-            coeff_s, _, word_s = part.rpartition("*")
-            coeff_s = coeff_s.strip()
-            if coeff_s.startswith("(") and coeff_s.endswith(")"):
-                coeff_s = coeff_s[1:-1]
-            add_term(field, terms, word_from_str(word_s), field.parse(coeff_s))
-        return cls(sig, field, terms)
-
-    def to_json(self) -> dict:
-        return {
-            "signature": [self.sig.a, self.sig.b] + ([self.sig.free] if self.sig.free else []),
-            "terms": [
-                {"word": word_str(w), "coeff": self.field.to_json(c)}
-                for w, c in sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, field: Domain, obj: dict) -> "AlgebraElement":
-        sig = Signature(*obj["signature"])
-        terms = {word_from_str(t["word"]): field.from_json(t["coeff"]) for t in obj["terms"]}
-        return cls(sig, field, terms)
-
     def __repr__(self) -> str:
         return self.to_text()
 
@@ -331,29 +303,6 @@ class AlgebraElement:
 def _is_simple_fraction(s: str) -> bool:
     head, _, tail = s.partition("/")
     return head.lstrip("-").isdigit() and tail.isdigit()
-
-
-def _split_top_level(s: str) -> list[str]:
-    """Split a canonical text form on ' + ' at parenthesis depth zero only,
-    so coefficients that themselves contain sums survive."""
-    parts = []
-    depth = 0
-    start = 0
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and s.startswith(" + ", i):
-            parts.append(s[start:i])
-            i += 3
-            start = i
-            continue
-        i += 1
-    parts.append(s[start:])
-    return parts
 
 
 def idempotent(sig: Signature, field: Domain, tag: int, index: int) -> AlgebraElement:

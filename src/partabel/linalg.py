@@ -1,5 +1,10 @@
 """Exact Gaussian elimination over the scalar domains.
 
+``SparseEchelon`` is add-only: a row installs a pivot or reduces to zero.
+A remainder is the sum of the normal forms of its words
+(``IdealSpan.normal_forms``): full reduction by normalized pivot rows with
+distinct leads is unique and linear.
+
 Sparse rows are dicts mapping integer column indices to raw domain values.
 Over GF(p) a row is used as given, with no copy: raw GF(p) values are
 already residues in [0, p), as every ``PrimeField`` operation returns them,
@@ -38,9 +43,10 @@ from .scalars import Domain, PrimeField, RationalField
 class SparseEchelon:
     """Incremental row-echelon accumulator over a Domain.
 
-    ``add_row`` reduces an incoming row against the current pivots and, if
-    anything survives, installs it as a new pivot row keyed by its highest
-    remaining column.  Deterministic: depends only on the row sequence.
+    ``add_row``, the one entry point, reduces an incoming row against the
+    current pivots and, if anything survives, installs it as a new pivot
+    row keyed by its highest remaining column.  Deterministic: depends
+    only on the row sequence.
     ``pivots`` is read by callers, never written: over QQ the loop reduces
     against integer copies of its rows.
     """
@@ -61,37 +67,24 @@ class SparseEchelon:
     def add_row(self, row: dict) -> int | None:
         """Reduce ``row`` (consumed) and return its pivot column, or None."""
         if self._modp is not None:
-            return self._eliminate_modp(row, None)
+            return self._eliminate_modp(row)
         if self._qq:
-            return self._eliminate_qq(row, None)
-        return self._eliminate_generic(row, None)
-
-    def reduce(self, row: dict) -> dict:
-        """Fully reduce a row (not installed); returns the remainder."""
-        out: dict = {}
-        if self._modp is not None:
-            self._eliminate_modp(row, out)
-        elif self._qq:
-            self._eliminate_qq(row, out)
-        else:
-            self._eliminate_generic(row, out)
-        return out
+            return self._eliminate_qq(row)
+        return self._eliminate_generic(row)
 
     # All three loops walk the row's columns from the highest down, each
     # lead being max(row) of the nonzero entries left (no heap: a pivot row
-    # adds only columns below its lead).  A lead without a pivot is free:
-    # with ``out`` None it becomes a new pivot row (add_row), otherwise it
-    # moves into ``out`` and the walk goes on (reduce).
+    # adds only columns below its lead).  The first lead without a pivot
+    # becomes a new pivot row.
     #
     # The QQ loop works on an integer multiple of the row.  Each step
     # scales it by a nonzero rational (the lead's elimination and the
     # division by its content), so an entry is zero exactly when it is zero
     # in the generic loop: the leads, the order in which columns enter and
     # leave the dict, and hence the normalized pivot rows, keys in order,
-    # are the generic loop's.  reduce tracks the scale to return true
-    # remainders.
+    # are the generic loop's.
 
-    def _eliminate_modp(self, row: dict, out: dict | None) -> int | None:
+    def _eliminate_modp(self, row: dict) -> int | None:
         p = self._modp
         pivots = self.pivots
         while row:
@@ -99,12 +92,9 @@ class SparseEchelon:
             v = row.pop(lead)
             piv = pivots.get(lead)
             if piv is None:
-                if out is None:
-                    inv = pow(v, -1, p)
-                    pivots[lead] = {c: w * inv % p for c, w in row.items()}
-                    return lead
-                out[lead] = v
-                continue
+                inv = pow(v, -1, p)
+                pivots[lead] = {c: w * inv % p for c, w in row.items()}
+                return lead
             for c, w in piv.items():
                 nv = (row.get(c, 0) - v * w) % p
                 if nv:
@@ -113,37 +103,30 @@ class SparseEchelon:
                     row.pop(c, None)
         return None
 
-    def _eliminate_qq(self, row: dict, out: dict | None) -> int | None:
+    def _eliminate_qq(self, row: dict) -> int | None:
         int_pivots = self._int_pivots
         row = {c: v for c, v in row.items() if v}
         den = lcm(*[v.denominator for v in row.values()])
         row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
-        # the true row is scale * row (tracked for reduce only)
-        scale = Fraction(1, den) if out is not None else None
         while row:
             lead = max(row)
             v = row.pop(lead)
             piv = int_pivots.get(lead)
             if piv is None:
-                if out is None:
-                    d = gcd(v, *row.values())
-                    L = abs(v) // d
-                    if v < 0:
-                        d = -d
-                    N = {c: w // d for c, w in row.items()}
-                    int_pivots[lead] = (L, N)
-                    self.pivots[lead] = {c: Fraction(w, L) for c, w in N.items()}
-                    return lead
-                out[lead] = scale * v
-                continue
-            # scale*row - (scale*v) * N/L  =  (scale/a) * (a*row - b*N)
+                d = gcd(v, *row.values())
+                L = abs(v) // d
+                if v < 0:
+                    d = -d
+                N = {c: w // d for c, w in row.items()}
+                int_pivots[lead] = (L, N)
+                self.pivots[lead] = {c: Fraction(w, L) for c, w in N.items()}
+                return lead
+            # row - v * N/L  =  (a*row - b*N) / a
             L, N = piv
             g = gcd(L, v)
             a, b = L // g, v // g
             if a != 1:
                 row = {c: a * w for c, w in row.items()}
-                if out is not None:
-                    scale /= a
             for c, w in N.items():
                 nv = row.get(c, 0) - b * w
                 if nv:
@@ -154,11 +137,9 @@ class SparseEchelon:
                 d = gcd(*row.values())
                 if d != 1:
                     row = {c: w // d for c, w in row.items()}
-                    if out is not None:
-                        scale *= d
         return None
 
-    def _eliminate_generic(self, row: dict, out: dict | None) -> int | None:
+    def _eliminate_generic(self, row: dict) -> int | None:
         f = self.field
         pivots = self.pivots
         row = {c: v for c, v in row.items() if not f.is_zero(v)}
@@ -167,12 +148,9 @@ class SparseEchelon:
             v = row.pop(lead)
             piv = pivots.get(lead)
             if piv is None:
-                if out is None:
-                    inv = f.inv(v)
-                    pivots[lead] = {c: f.mul(w, inv) for c, w in row.items()}
-                    return lead
-                out[lead] = v
-                continue
+                inv = f.inv(v)
+                pivots[lead] = {c: f.mul(w, inv) for c, w in row.items()}
+                return lead
             for c, w in piv.items():
                 nv = f.sub(row.get(c, f.zero), f.mul(v, w))
                 if f.is_zero(nv):

@@ -11,10 +11,12 @@ from fractions import Fraction
 
 from .quotient import (
     ClosureFailure, ClosureTrace, canonical_point, chart_in_field,
-    closure_certificate, make_relation, random_offquadric_chart,
+    closure_certificate, make_relation, on_quadric, random_offquadric_chart,
     replay_is_growth, spanning_monomials_rank,
 )
-from .reptheory import chart_representation, wedderburn_type, wedderburn_verify
+from .reptheory import (
+    algebra_map_checks, chart_representation, wedderburn_type, wedderburn_verify,
+)
 from .scalars import (
     DegenerateSpecialization, Domain, PrimeField, QQ, random_prime,
 )
@@ -68,10 +70,7 @@ def suspected_nongeneric(field: Domain, x: tuple) -> bool:
     """Quadric membership or one of the nine degeneracy planes."""
     f = field
     x = canonical_point(f, x)
-    x11, x12, x21, x22 = x
-    if f.eq(f.mul(x11, x22), f.mul(x12, x21)):
-        return True
-    return any(f.is_zero(v) for v in degeneracy_forms(f, x))
+    return on_quadric(f, x) or any(f.is_zero(v) for v in degeneracy_forms(f, x))
 
 
 @dataclass
@@ -126,8 +125,9 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
     otherwise its image under an automorphism, so the bounds transfer.
 
     The stages follow the one decision: the closure certificate (upper
-    bound), the chart's representation, the evaluation rank and the three
-    checks that make it a lower bound (``wedderburn_verify``), and then
+    bound), the chart's representation, the three checks that make the
+    evaluation rank a lower bound (``algebra_map_checks``, once per point),
+    the rank (``wedderburn_verify``, per certificate), and then
     exactness.  At an exact point the type is read off the evaluation
     isomorphism (``wedderburn_type``), and so is ``commutative``: S_x (x) E
     is E^9 (+) M3(E), which is not commutative, so the structure table is
@@ -143,21 +143,22 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
     f = field
     x = canonical_point(f, x)
     y, swap = chart_of_point(f, x)
-    rel = make_relation(f, chart=y)
-    if rel.on_quadric():
+    if on_quadric(f, x):
         raise DegenerateSpecialization("point lies on the quadric; no chart pipeline")
     if not force and suspected_nongeneric(f, x):
         raise DegenerateSpecialization(
             "point lies on a degeneracy plane (a coefficient-matrix entry "
             "vanishes in some elimination chart); expected non-generic")
+    rel = make_relation(f, chart=y)
     cert, span = closure_certificate(rel, n_max=n_max, slack=slack, trace=trace)
 
     spec, rho = chart_representation(f, y)
-    wm = wedderburn_verify(cert, spec, rho)
+    checks = algebra_map_checks(rel.element, spec.ext, rho)
+    wm = wedderburn_verify(cert, spec, rho, checks)
     if span.replayed and not (wm.exact_dimension is not None
                               and replay_is_growth(cert, span, n_max)):
         cert, span = closure_certificate(rel, n_max=n_max, slack=slack)
-        wm = wedderburn_verify(cert, spec, rho, checked=wm)
+        wm = wedderburn_verify(cert, spec, rho, checks)
     return PointCertificate(
         domain=getattr(f, "name", "?") + (f"({f.p})" if isinstance(f, PrimeField) else ""),
         point=x,
@@ -262,7 +263,7 @@ def certify_quadric_point(field: Domain, x: tuple, n_max: int = 8,
     from .reptheory import character_value, characters33
     f = field
     rel = make_relation(f, point=x)
-    if not rel.on_quadric():
+    if not on_quadric(f, rel.point):
         raise ValueError("not a quadric point")
     cert, _ = closure_certificate(rel, n_max=n_max, slack=slack)
     rows = [[character_value(f, w, ch) for ch in characters33()] for w in cert.basis]

@@ -76,11 +76,13 @@ SPANNING_MONOMIALS_DEGREE4: tuple[str, ...] = (
 
 class ClosureFailure(RuntimeError):
     """Raised when no multiplication-closed monomial basis was certified;
-    carries a suggestion to increase n_max or slack."""
+    carries a suggestion to increase n_max or slack, the last leaks and the
+    span it grew."""
 
-    def __init__(self, message: str, leaks: list | None = None):
+    def __init__(self, message: str, leaks: list | None, span: "IdealSpan"):
         super().__init__(message)
         self.leaks = leaks or []
+        self.span = span
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,12 @@ class CommutatorRelation:
     point: tuple
     element: AlgebraElement
 
-    def on_quadric(self) -> bool:
-        f = self.field
-        x11, x12, x21, x22 = self.point
-        return f.eq(f.mul(x11, x22), f.mul(x12, x21))
+
+def on_quadric(field: Domain, x: tuple) -> bool:
+    """x11 x22 = x12 x21: the one quadric test, at a point of P^3 or, as
+    y3 = y1 y2, at the chart point (1 : y1 : y2 : y3)."""
+    x11, x12, x21, x22 = x
+    return field.eq(field.mul(x11, x22), field.mul(x12, x21))
 
 
 def canonical_point(field: Domain, coords) -> tuple:
@@ -531,10 +535,17 @@ class IdealSpan:
         return {i: nf[i] for i in indices}
 
     def reduce_element(self, elem: AlgebraElement) -> dict[int, object]:
-        """Remainder of an element after reduction by the echelon rows."""
-        row = {self.index[w]: c for w, c in elem.terms.items()}
-        out = self.ech.reduce(row)
-        return {i: c for i, c in out.items() if i >= 0}
+        """Remainder of an element after full reduction by the echelon rows,
+        provenance columns left out: the sum of c * (normal form of w) over
+        its terms c * w, as that reduction is unique and linear."""
+        f = self.field
+        cols = {self.index[w]: c for w, c in elem.terms.items()}
+        nf = self.normal_forms(elem.degree(), cols)
+        out: dict[int, object] = {}
+        for i, c in cols.items():
+            for j, cj in nf[i].items():
+                add_term(f, out, j, f.mul(c, cj))
+        return out
 
     def verify_provenance(self) -> bool:
         """Re-expand every pivot row from its recorded product combination
@@ -839,9 +850,8 @@ def _certificate(span: IdealSpan, n: int, closed, point: tuple | None) -> Closur
     )
 
 
-def closure_certificate(rel: CommutatorRelation | list[AlgebraElement] | None,
+def closure_certificate(rel: CommutatorRelation | list[AlgebraElement],
                         n_max: int = 8, slack: int = 4,
-                        span: IdealSpan | None = None,
                         window_cap: int | None = None,
                         trace: ClosureTrace | None = None) -> tuple[ClosureCertificate, IdealSpan]:
     """Grow the product window until two consecutive quotient bounds agree
@@ -849,8 +859,8 @@ def closure_certificate(rel: CommutatorRelation | list[AlgebraElement] | None,
     generators; the certificate is returned at the smallest window that
     works, together with the span that proves it.  ``rel`` is a
     ``CommutatorRelation`` or a list of relation elements, as ``IdealSpan``
-    takes them (None when ``span`` is given); the certificate's point is
-    None unless ``rel`` is a ``CommutatorRelation``.
+    takes them; the certificate's point is None unless ``rel`` is a
+    ``CommutatorRelation``.  A ``ClosureFailure`` carries the grown span.
 
     With a ``trace``, a fresh span is first fed exactly the traced
     products, and the same bound check and closure test run at the traced
@@ -874,7 +884,7 @@ def closure_certificate(rel: CommutatorRelation | list[AlgebraElement] | None,
             got, _ = _try_closure(replayed, n)
             if got is not None:
                 return _certificate(replayed, n, got, point), replayed
-    span = span or IdealSpan(rel)
+    span = IdealSpan(rel)
     last_leaks = None
     for window in range(2, top_window + 1):
         span.extend_to_window(window)
@@ -888,7 +898,7 @@ def closure_certificate(rel: CommutatorRelation | list[AlgebraElement] | None,
             return _certificate(span, n, got, point), span
     raise ClosureFailure(
         f"no multiplication-closed basis up to degree {n_max}; "
-        "increase n_max or slack", last_leaks)
+        "increase n_max or slack", last_leaks, span)
 
 
 def replay_is_growth(cert: ClosureCertificate, span: IdealSpan, n_max: int) -> bool:
@@ -932,20 +942,21 @@ def stabilization_scan(rel: CommutatorRelation, n_from: int = 2, n_to: int = 8,
     """
     if not 2 <= n_from <= n_to:
         raise ValueError("need 2 <= n_from <= n_to")
-    span = IdealSpan(rel)
+    span = None
     stabilized_at = None
     certificate = None
     if with_closure:
         try:
             certificate, span = closure_certificate(
-                rel, n_max=n_to, slack=slack, span=span, window_cap=window_cap)
+                rel, n_max=n_to, slack=slack, window_cap=window_cap)
             stabilized_at = certificate.degree
-        except ClosureFailure:
-            certificate = None
+        except ClosureFailure as exc:
+            span = exc.span
     if certificate is None:
         window = n_to + slack
         if window_cap is not None:
             window = min(window, window_cap)
+        span = span or IdealSpan(rel)
         span.extend_to_window(window)
     per_degree = {}
     for n in range(n_from, n_to + 1):
@@ -1054,8 +1065,8 @@ def reduction_coefficients(rel: CommutatorRelation, n_max: int = 6,
 def verify_reduction_identity(rel: CommutatorRelation, span: IdealSpan,
                               table: ReductionTable, i: int, j: int, k: int, l: int,
                               side: str = "pq") -> bool:
-    """Explicitly reduce LHS - RHS of one rewrite identity through the raw
-    echelon and confirm it vanishes (ideal membership)."""
+    """Explicitly reduce LHS - RHS of one rewrite identity by the span's
+    normal forms and confirm it vanishes (ideal membership)."""
     sig, f = rel.sig, rel.field
     if side == "pq":
         w: Word = ((P, i), (Q, j), (P, k), (Q, l))

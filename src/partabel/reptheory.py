@@ -47,6 +47,7 @@ from .freeproduct import (
 from .linalg import (
     SparseEchelon, _echelon_rank, _rref, dense_rank, modular_image,
 )
+from .quotient import on_quadric
 from .scalars import (
     DegenerateSpecialization, Domain, ExtensionField, FunctionField, PolyRingDomain,
     PrimeField, RationalFunction, UniPoly, add_term, bareiss_determinant,
@@ -74,13 +75,6 @@ def _tq_in_free_product(field: Domain, y: tuple) -> dict:
     t1 = p1 - q1.scale(y2) - q2.scale(y3)
     t2 = p2 + q1 + q2.scale(y1)
     return {T1: t1, T2: t2, Q1: q1, Q2: q2}
-
-
-def chart_degeneracy(field: Domain, y: tuple):
-    """d = y3 - y1*y2; zero exactly on the quadric where the rewriting and
-    the induced module degenerate."""
-    y1, y2, y3 = y
-    return field.sub(y3, field.mul(y1, y2))
 
 
 @dataclass
@@ -133,8 +127,7 @@ def tq_rewrite(field: Domain, y: tuple) -> TQRewrite:
     of a power of d, so the solve is exact off the quadric."""
     f = field
     y1, y2, y3 = y
-    d = chart_degeneracy(f, y)
-    if f.is_zero(d):
+    if on_quadric(f, (f.one, *y)):
         raise DegenerateSpecialization("chart point lies on the quadric (d = 0)")
     t1, t2, q1, q2 = (AlgebraElement.from_word(SIG_TQ, f, (g,)) for g in (T1, T2, Q1, Q2))
     p1 = t1 + q1.scale(y2) + q2.scale(y3)
@@ -711,7 +704,7 @@ def intersect_conics(field: Domain, y: tuple) -> ExtensionSpec:
     base-field root of the gcd of all three conics above the first root
     where that gcd has one."""
     f = field
-    if f.is_zero(chart_degeneracy(f, y)):
+    if on_quadric(f, (f.one, *y)):
         raise DegenerateSpecialization(
             "chart lies on the quadric y3 = y1*y2, where the conics degenerate")
     tri = conics(f, y)
@@ -1064,37 +1057,28 @@ def evaluation_rank(basis, ext: Domain, rho: RepMatrices) -> int:
     return dense_rank(ext, _evaluation_rows(ext, basis, rho))
 
 
+def algebra_map_checks(X: AlgebraElement, ext: Domain, rho: RepMatrices) -> tuple:
+    """(the characters kill X, rho kills X, rho satisfies the idempotent
+    identities), run over E = ``ext``: the evaluation map is an algebra map
+    through S_x when all three hold.  They depend on the point and rho, not
+    on a certificate."""
+    f = X.field
+    return (all(f.is_zero(_char_on_element(f, X, ch)) for ch in characters33()),
+            mat_is_zero(ext, rho.relation_matrix()),
+            rho.idempotent_identities_hold())
+
+
 def wedderburn_verify(cert, spec: ExtensionSpec, rho: RepMatrices,
-                      checked: WedderburnMap | None = None) -> WedderburnMap:
+                      checks: tuple) -> WedderburnMap:
     """Evaluate every certified basis monomial under the nine characters and
     the nine matrix coordinates of the induced representation.  The rank of
     the 18-column evaluation matrix (``evaluation_rank``) is a dimension
-    lower bound when the evaluation map is an algebra map through S_x: the
-    characters and rho kill the relation, and rho satisfies the idempotent
-    identities (it is a representation of k^3 * k^3).  Those three checks
-    run over E itself.  Meeting the closure certificate's upper bound then
-    certifies the dimension.
-
-    The three checks depend on the point and rho, not on the certificate:
-    ``checked``, a map verified at the same point with the same rho, lends
-    its flags, and only the rank is taken again."""
-    f = cert.field
-    ext = spec.ext
-    rank = evaluation_rank(cert.basis, ext, rho)
-
-    if checked is None:
-        from .quotient import make_relation
-        rel = make_relation(f, point=cert.point)
-        flags = (
-            all(f.is_zero(_char_on_element(f, rel.element, ch)) for ch in characters33()),
-            mat_is_zero(ext, rho.relation_matrix()),
-            rho.idempotent_identities_hold(),
-        )
-    else:
-        flags = (checked.characters_kill_relation, checked.rho_kills_relation,
-                 checked.idempotent_identities)
-    exact = rank if all(flags) and rank == cert.dimension_bound else None
-    return WedderburnMap(f, ext, rank, 18, *flags, exact)
+    lower bound when ``checks``, the three flags of ``algebra_map_checks``
+    at the same point and rho, all hold.  Meeting the closure certificate's
+    upper bound then certifies the dimension."""
+    rank = evaluation_rank(cert.basis, spec.ext, rho)
+    exact = rank if all(checks) and rank == cert.dimension_bound else None
+    return WedderburnMap(cert.field, spec.ext, rank, 18, *checks, exact)
 
 
 TYPE_FIELDS = ("center_dim", "trace_form_rank", "split_dims", "irreducible_dim")

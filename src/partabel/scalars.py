@@ -4,7 +4,7 @@ and extensions of QQ and GF(p), all behind one small field contract.
 Every element type here is immutable and self-contained, so values can be
 shared freely across threads and memoized without copying.  The domain
 objects (``QQ``, ``PrimeField``, ``FunctionField``, ``ExtensionField``)
-provide construction, parsing, serialization and sampling.  Extensions
+provide construction, formatting and sampling.  Extensions
 compute on integer coordinates: a sum of products (``Domain.dot``) is
 reduced mod the modulus once, and a base-field scalar multiplies and
 inverts in the base field.  Rational roots come from Hensel lifting.
@@ -18,7 +18,7 @@ import operator
 import random
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
@@ -153,15 +153,6 @@ class Domain:
     def fmt(self, a) -> str:
         return str(a)
 
-    def parse(self, s: str):
-        raise NotImplementedError
-
-    def to_json(self, a):
-        return self.fmt(a)
-
-    def from_json(self, obj):
-        return self.parse(obj)
-
     def modular_image(self) -> tuple[PrimeField, Callable] | None:
         """(GF(l), h): a ring homomorphism h from the l-integral elements
         onto GF(l), for the domains whose full-rank checks run on an image
@@ -206,9 +197,6 @@ class RationalField(Domain):
 
     def random(self, rng: random.Random) -> Fraction:
         return Fraction(rng.randint(-50, 50), rng.randint(1, 20))
-
-    def parse(self, s: str) -> Fraction:
-        return Fraction(s.strip())
 
     def modular_image(self) -> tuple[PrimeField, Callable]:
         """n/d -> n d^-1 mod l = 2^61 + 15."""
@@ -282,9 +270,6 @@ class PrimeField(Domain):
     def random(self, rng: random.Random) -> int:
         return rng.randrange(self.p)
 
-    def parse(self, s: str) -> int:
-        return int(s) % self.p
-
     def __repr__(self) -> str:
         return f"GF({self.p})"
 
@@ -339,10 +324,6 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        z = (0,) * len(self.vars)
-        return self.terms.get(z, Fraction(0))
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         e = max(self.terms, key=_grlex_key)
@@ -777,18 +758,6 @@ class FunctionField(Domain):
             q = Polynomial.constant(self.vars, 1)
         return RationalFunction(p, q)
 
-    def parse(self, s: str) -> RationalFunction:
-        return parse_rational_function(s, self.vars)
-
-    def to_json(self, a: RationalFunction):
-        enc = lambda p: {",".join(map(str, e)): str(c) for e, c in sorted(p.terms.items())}
-        return {"num": enc(a.num), "den": enc(a.den)}
-
-    def from_json(self, obj) -> RationalFunction:
-        dec = lambda d: Polynomial(self.vars, {
-            tuple(int(x) for x in k.split(",")): Fraction(v) for k, v in d.items()})
-        return RationalFunction(dec(obj["num"]), dec(obj["den"]))
-
     def __repr__(self) -> str:
         return f"QQ({','.join(self.vars)})"
 
@@ -797,109 +766,6 @@ class FunctionField(Domain):
 
     def __hash__(self):
         return hash(("FF", self.vars))
-
-
-# ---------------------------------------------------------------------------
-# Expression parser (polynomials / rational functions in named variables)
-# ---------------------------------------------------------------------------
-
-def _tokenize(s: str) -> list[str]:
-    out: list[str] = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^()":
-            out.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(s) and s[j].isdigit():
-                j += 1
-            out.append(s[i:j])
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(s) and (s[j].isalnum() or s[j] == "_"):
-                j += 1
-            out.append(s[i:j])
-            i = j
-        else:
-            raise ValueError(f"unexpected character {ch!r} in expression")
-    return out
-
-
-def parse_rational_function(s: str, variables: Sequence[str]) -> RationalFunction:
-    """Recursive-descent parser for +, -, *, /, ^, parentheses, integers and
-    the given variable names."""
-    tokens = _tokenize(s)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of expression")
-        t = tokens[pos]
-        if expected is not None and t != expected:
-            raise ValueError(f"expected {expected!r}, got {t!r}")
-        pos += 1
-        return t
-
-    def atom() -> RationalFunction:
-        t = peek()
-        if t == "(":
-            take("(")
-            e = expr()
-            take(")")
-        elif t is None:
-            raise ValueError("unexpected end of expression")
-        elif t.isdigit():
-            e = RationalFunction.constant(variables, int(take()))
-        elif t in variables:
-            e = RationalFunction.variable(variables, take())
-        else:
-            raise ValueError(f"unknown symbol {t!r}")
-        if peek() == "^":
-            take("^")
-            n = int(take())
-            e = e**n
-        return e
-
-    def unary() -> RationalFunction:
-        if peek() == "-":
-            take("-")
-            return -unary()
-        if peek() == "+":
-            take("+")
-            return unary()
-        return atom()
-
-    def product() -> RationalFunction:
-        e = unary()
-        while peek() in ("*", "/"):
-            if take() == "*":
-                e = e * unary()
-            else:
-                e = e / unary()
-        return e
-
-    def expr() -> RationalFunction:
-        e = product()
-        while peek() in ("+", "-"):
-            if take() == "+":
-                e = e + product()
-            else:
-                e = e - product()
-        return e
-
-    result = expr()
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens {tokens[pos:]}")
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -1345,24 +1211,6 @@ class ExtensionField(Domain):
                 parts.append(t if cs == "1" else f"({cs})*{t}")
         return " + ".join(parts)
 
-    def parse(self, s: str) -> UniPoly:
-        rf = parse_rational_function(s, ("t",))
-        den = rf.den
-        if not den.is_constant():
-            raise ValueError("extension elements parse as polynomials in t")
-        coeffs = {}
-        for (e,), c in rf.num.terms.items():
-            coeffs[e] = c / den.constant_value()
-        cs = [self.base.from_fraction(coeffs.get(i, Fraction(0)))
-              for i in range(max(coeffs, default=0) + 1)]
-        return UniPoly(self.base, cs) % self.modulus
-
-    def to_json(self, a: UniPoly):
-        return [self.base.fmt(c) for c in a.coeffs]
-
-    def from_json(self, obj) -> UniPoly:
-        return UniPoly(self.base, [self.base.parse(c) for c in obj])
-
     def modular_image(self) -> tuple[PrimeField, Callable] | None:
         return self._image
 
@@ -1376,14 +1224,12 @@ class ExtensionField(Domain):
         if self._p is not None:
             return None
         ms, den = self._int_modulus, self._scale
-        field = _MODULAR_FIELD
-        for _ in range(_IMAGE_PRIMES):
+        for field in islice(_modular_fields(), _IMAGE_PRIMES):
             ell = field.p
             if den % ell:  # m mod l is D m mod l over the unit D
                 roots = prime_field_roots(field, UniPoly(field, [c % ell for c in ms]))
                 if roots:
                     return field, partial(_residue_image, ell, roots[0])
-            field = PrimeField(_next_prime(ell))
         return None
 
     def __repr__(self) -> str:
@@ -1419,9 +1265,9 @@ def base_field_roots(base: Domain, f: UniPoly) -> list:
 # Root finding over QQ and GF(p)
 # ---------------------------------------------------------------------------
 
-# 2^61 + 15, the least prime above 2^61, where the two prime walks start:
-# rational_roots' Hensel prime and the modular image of QQ and of its
-# extensions (``Domain.modular_image``).  It and (it - 1) / 2, the exponents
+# 2^61 + 15, the least prime above 2^61, where ``_modular_fields`` starts
+# the walk for rational_roots' Hensel prime and for the modular image of QQ
+# and of its extensions (``Domain.modular_image``).  It and (it - 1) / 2, the exponents
 # of prime_field_roots' square-and-multiply, have few one bits.
 _MODULAR_FIELD = PrimeField(2**61 + 15)
 
@@ -1430,12 +1276,15 @@ _MODULAR_FIELD = PrimeField(2**61 + 15)
 _IMAGE_PRIMES = 16
 
 
-def _next_prime(n: int) -> int:
-    """The least prime above the odd number n."""
-    n += 2
-    while not is_probable_prime(n):
-        n += 2
-    return n
+def _modular_fields():
+    """GF(l) for the primes l >= 2^61 + 15, in increasing order."""
+    field = _MODULAR_FIELD
+    while True:
+        yield field
+        ell = field.p + 2
+        while not is_probable_prime(ell):
+            ell += 2
+        field = PrimeField(ell)
 
 
 def rational_roots(f: UniPoly) -> list[Fraction]:
@@ -1459,13 +1308,11 @@ def rational_roots(f: UniPoly) -> list[Fraction]:
     roots = [FRACTION_ZERO] if a[0] == 0 else []
     a = a[len(roots):]  # squarefree, so z divides it at most once
     da = [i * c for i, c in enumerate(a)][1:]
-    field, ell = _MODULAR_FIELD, _MODULAR_FIELD.p
-    while True:
+    for field in _modular_fields():
+        ell = field.p
         fl = UniPoly(field, [c % ell for c in a])
         if a[-1] % ell and gcd_univariate(fl, UniPoly(field, [c % ell for c in da])).degree == 0:
             break
-        ell = _next_prime(ell)
-        field = PrimeField(ell)
     bound = 2 * abs(a[0] * a[-1])
     for r in prime_field_roots(field, fl):
         m = ell

@@ -426,6 +426,16 @@ PINNED_REPORTS = {
     # prime mode over GF(p)(theta): the 3x3 products through ExtensionField.dot
     "wedderburn --chart 2,3,7":
         "6e6e312ec3e36f24eea65f073e86e813b1aae246ae0e1799cd2649796ec26c42",
+    # the symbolic stack (sigma, conics), the central element and the
+    # generator rank, recorded before the text and JSON parsers were removed
+    "sigma":
+        "5b4b47bfcb529aa3aad0349ce3586163cbc2ba0af602ac253c9b92955ad09be6",
+    "conics":
+        "5401557c790201e159d63dda0e9df33d7f4512297355e412a005e31c9df5e4e3",
+    "zcentral":
+        "6ef7d07464425b39c58c41c9d24f737319e7e08be60f84bbf4f02b4a2808158f",
+    "verify42":
+        "387c1387afd60b71dccefcad1b6a9573d6a67ec5768067c39503a9b5dc87d261",
 }
 
 

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -9,9 +8,7 @@ from partabel.freeproduct import (
     commutator, concat_words, filtration_dim, idempotent, word_from_str,
     word_str, words_up_to,
 )
-from partabel.scalars import (
-    ExtensionField, FunctionField, PrimeField, QQ, UniPoly, random_prime,
-)
+from partabel.scalars import FunctionField, PrimeField, QQ, random_prime
 
 
 def random_element(sig, field, rng, max_deg=4, terms=4):
@@ -55,7 +52,7 @@ def test_free_letters_are_never_reduced_and_are_range_checked():
         words_up_to(sig, 2)
     assert word_str((q1, t2, t1)) == "q1.t2.t1" and word_from_str("q1.t2.t1") == (q1, t2, t1)
     x = AlgebraElement(sig, QQ, {(t1, q2): Fraction(3, 2), (q1,): Fraction(-1)})
-    assert AlgebraElement.from_json(QQ, json.loads(json.dumps(x.to_json()))) == x
+    assert x.to_text() == "(-1)*q1 + 3/2*t1.q2"
     # the free count leaves Signature(3, 3) as it was
     assert Signature(3, 3) == Signature(3, 3, 0) != sig
     assert hash(Signature(3, 3)) == hash((3, 3)) and repr(Signature(3, 3)) == "(3,3)"
@@ -173,44 +170,13 @@ def test_central_element():
     assert rep["z_squared_commutes_with_p"]
 
 
-def test_text_roundtrip_rational():
+def test_text_form_rational():
     sig = Signature(3, 3)
     e = AlgebraElement(sig, QQ, {
         word_from_str("p1.q2.p1"): Fraction(3, 2),
         word_from_str("q1"): Fraction(-1),
     })
-    text = e.to_text()
-    assert text == "(-1)*q1 + 3/2*p1.q2.p1"
-    assert AlgebraElement.from_text(sig, QQ, text) == e
-    rng = random.Random(31)
-    for _ in range(25):
-        x = random_element(sig, QQ, rng)
-        assert AlgebraElement.from_text(sig, QQ, x.to_text()) == x
-
-
-def test_text_roundtrip_other_domains():
-    sig = Signature(3, 3)
-    rng = random.Random(37)
-    gf = PrimeField(random_prime(rng))
-    F = FunctionField(("y1", "y2", "y3"))
-    E = ExtensionField(QQ, UniPoly.from_ints(QQ, [-2, 0, 0, 1]))
-    for field in (gf, F, E):
-        for _ in range(10):
-            x = random_element(sig, field, rng, max_deg=3, terms=3)
-            assert AlgebraElement.from_text(sig, field, x.to_text()) == x
-
-
-def test_json_roundtrip_all_domains():
-    sig = Signature(3, 3)
-    rng = random.Random(41)
-    gf = PrimeField(random_prime(rng))
-    F = FunctionField(("y1", "y2", "y3"))
-    E = ExtensionField(QQ, UniPoly.from_ints(QQ, [-2, 0, 0, 1]))
-    for field in (QQ, gf, F, E):
-        for _ in range(10):
-            x = random_element(sig, field, rng, max_deg=3, terms=3)
-            blob = json.dumps(x.to_json())
-            assert AlgebraElement.from_json(field, json.loads(blob)) == x
+    assert e.to_text() == "(-1)*q1 + 3/2*p1.q2.p1"
 
 
 def test_substitute_letters_is_homomorphism():

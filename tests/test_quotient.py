@@ -1,24 +1,27 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partabel.classify import SubspacePresentation
 from partabel.freeproduct import (
-    P, Q, Signature, commutator, concat_words, filtration_dim, idempotent,
+    P, Q, AlgebraElement, Signature, commutator, concat_words, filtration_dim, idempotent,
     words_up_to,
 )
 from partabel.quotient import (
     ClosureFailure, ClosureTrace, IdealSpan, chart_in_field, closure_certificate, column_table,
-    make_relation, reduction_coefficients, sigma_check,
+    make_relation, on_quadric, reduction_coefficients, sigma_check,
     spanning_monomials_rank, stabilization_scan, standard_generator_rank,
     verify_reduction_identity,
 )
 from partabel.scalars import FunctionField, PrimeField, QQ, add_term, random_prime
 from tests_helpers import (
-    GenericEchelon, bottom_up_normal_forms, extend_by_word_tuples, split_dims_oracle,
-    word_tuple_row,
+    GenericEchelon, bottom_up_normal_forms, extend_by_word_tuples, full_reduction,
+    split_dims_oracle, word_tuple_row,
 )
 
 SIG = Signature(3, 3)
@@ -361,7 +364,7 @@ def test_closure_certificate_generic():
 def test_closure_certificate_quadric_point():
     x = tuple(Fraction(c) for c in (1, 2, 2, 4))
     rel = make_relation(QQ, point=x)
-    assert rel.on_quadric()
+    assert on_quadric(rel.field, rel.point)
     cert, _ = closure_certificate(rel)
     assert cert.dimension_bound == 9
     assert cert.is_commutative()
@@ -420,6 +423,50 @@ def test_reduction_identities_reduce_to_zero_in_span():
                     assert verify_reduction_identity(rel, span, table, i, j, k, l, "qp")
 
 
+# --- remainders from normal forms; the old full reduction is the oracle ---
+
+REDUCE_FIELDS = {"QQ": QQ, "GFp": PrimeField(primes_pair(23)[0])}
+REDUCE_POINTS = {"generic": (1, 2, 3, 7), "infinite": (1, 0, 0, -1)}
+
+
+@cache
+def _window5_span(field_name, point_name, track):
+    f = REDUCE_FIELDS[field_name]
+    rel = make_relation(f, point=chart_in_field(f, REDUCE_POINTS[point_name]))
+    span = IdealSpan(rel, track_provenance=track)
+    span.extend_to_window(5)
+    return span
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(REDUCE_FIELDS)), st.sampled_from(sorted(REDUCE_POINTS)),
+       st.booleans(), st.lists(st.tuples(st.integers(0, filtration_dim(SIG, 5) - 1),
+                                         st.integers(-9, 9), st.integers(1, 4)), max_size=8))
+def test_reduce_element_is_the_full_reduction(field_name, point_name, track, terms):
+    # the sum of normal forms equals full reduction by the pivot rows, with
+    # and without provenance columns (which both leave out)
+    span = _window5_span(field_name, point_name, track)
+    f = span.field
+    coeffs = {}
+    for i, n, d in terms:
+        add_term(f, coeffs, span.words[i], f.from_fraction(Fraction(n, d)))
+    row = {span.index[w]: c for w, c in coeffs.items()}
+    expected = {i: c for i, c in full_reduction(f, span.ech.pivots, row).items() if i >= 0}
+    assert span.reduce_element(AlgebraElement(SIG, f, coeffs)) == expected
+
+
+def test_reduce_element_leaves_a_nonzero_remainder_off_the_ideal():
+    # the oracle property above is not vacuous: a word outside the span
+    # keeps itself, one that leads a pivot row is rewritten below it
+    span = _window5_span("QQ", "generic", False)
+    lead = max(i for i in span.ech.pivots if span.table.length[i] <= 5)
+    free = next(i for i in range(len(span.words)) if i not in span.ech.pivots)
+    one = {span.words[free]: QQ.one}
+    assert span.reduce_element(AlgebraElement(SIG, QQ, one)) == {free: QQ.one}
+    rem = span.reduce_element(AlgebraElement(SIG, QQ, {span.words[lead]: QQ.one}))
+    assert rem and max(rem) < lead
+
+
 def test_alpha_beta_product_not_one_across_specializations():
     rng = random.Random(19)
     from partabel.pipeline import sample_generic_points
@@ -451,6 +498,21 @@ def test_closure_failure_signals_instead_of_crashing():
     with pytest.raises(ClosureFailure) as err:
         closure_certificate(rel, n_max=5, slack=1)
     assert "increase" in str(err.value)
+    assert err.value.span.window == 6  # the span it grew, to n_max + slack
+
+
+def test_a_scan_without_a_closure_reads_the_span_the_closure_grew(monkeypatch):
+    gf = PrimeField(primes_pair(13)[0])
+    rel = make_relation(gf, point=(gf.one, gf.zero, gf.zero, gf.neg(gf.one)))
+    spans, grows = [], []
+    init, extend = IdealSpan.__init__, IdealSpan.extend_to_window
+    monkeypatch.setattr(IdealSpan, "__init__",
+                        lambda self, *a, **k: spans.append(self) or init(self, *a, **k))
+    monkeypatch.setattr(IdealSpan, "extend_to_window",
+                        lambda self, w: grows.append(w) or extend(self, w))
+    rep = stabilization_scan(rel, 2, 5, slack=1)
+    assert rep.stabilized_at is None and rep.window == 6
+    assert len(spans) == 1 and grows == [2, 3, 4, 5, 6, 6]  # the last adds nothing
 
 
 # --- replaying a closure trace; full window growth is the oracle ---
@@ -469,7 +531,7 @@ def _same_certificate(a, b):
 def test_replay_at_a_quadric_point_falls_back_to_the_9_dimensional_certificate():
     for field in (QQ, PrimeField(primes_pair(17)[0])):
         rel = make_relation(field, point=tuple(field.from_int(c) for c in (1, 2, 3, 6)))
-        assert rel.on_quadric()
+        assert on_quadric(rel.field, rel.point)
         full, _ = closure_certificate(rel)
         got, _ = closure_certificate(rel, trace=_generic_trace(field))
         assert got.dimension_bound == 9

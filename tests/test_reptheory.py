@@ -9,7 +9,7 @@ from partabel.linalg import _echelon_rank
 from partabel.quotient import chart_in_field, closure_certificate, make_relation
 from partabel.reptheory import (
     _QUADRATIC_MONOMIALS, _base_point_join, _evaluation_rows, _symmetric_matrix,
-    _tern_divide_by_line, build_rho, character_value, chart_representation,
+    _tern_divide_by_line, algebra_map_checks, build_rho, character_value, chart_representation,
     commutator_conic_consistency, compare_rho_to_reference, conics, determinantal_cubic,
     generated_matrix_algebra_dim, image_evaluation_rows, intersect_conics,
     irreducibility, mat_identity, mat_is_zero, split_determinantal_cubic, tern_mul,
@@ -77,8 +77,12 @@ def test_tq_rewrite_reports_reference_mismatches():
 
 
 def test_tq_rewrite_rejects_quadric():
-    with pytest.raises(DegenerateSpecialization):
-        tq_rewrite(QQ, (Fraction(2), Fraction(3), Fraction(6)))
+    # y3 = y1 y2 is the quadric (1 : y1 : y2 : y3); y1 = y2 y3 is not.  The
+    # conic intersection refuses the same charts.
+    for stage in (tq_rewrite, intersect_conics):
+        with pytest.raises(DegenerateSpecialization, match="quadric"):
+            stage(QQ, (Fraction(2), Fraction(3), Fraction(6)))
+        stage(QQ, (Fraction(6), Fraction(2), Fraction(3)))
 
 
 def test_tq_rewrite_specialized_matches_symbolic():
@@ -493,7 +497,7 @@ def test_wedderburn_rank_18_and_structure():
     ext = spec.ext
     yext = tuple(ext.from_base(c) for c in Y_SAMPLE)
     rho = build_rho(ext, yext, (spec.z1, spec.z2))
-    wm = wedderburn_verify(cert, spec, rho)
+    wm = wedderburn_verify(cert, spec, rho, algebra_map_checks(rel.element, ext, rho))
     assert wm.rank == 18
     assert wm.exact
     assert wm.characters_kill_relation
@@ -516,7 +520,7 @@ def test_wedderburn_rank_constant_across_primes():
         ext = spec.ext
         yext = tuple(ext.from_base(c) for c in y) if spec.extension_degree > 1 else y
         rho = build_rho(ext, yext, (spec.z1, spec.z2))
-        wm = wedderburn_verify(cert, spec, rho)
+        wm = wedderburn_verify(cert, spec, rho, algebra_map_checks(rel.element, ext, rho))
         assert wm.rank == 18 and wm.exact
 
 

@@ -163,16 +163,6 @@ def test_poly_gcd_multivariate():
     assert poly_gcd(y1 * y2, y3) == one
 
 
-def test_parse_rational_function_roundtrip():
-    F = FunctionField(("y1", "y2", "y3"))
-    y1, y2, y3 = F.gens()
-    expr = (y1**2 * y2 - 3 * y3 + Fraction(1)) / (y2 * y3 + 1)
-    parsed = F.parse(repr(expr))
-    assert parsed == expr
-    assert F.parse("(y1*y2 + y3)/(y2)") == (y1 * y2 + y3) / y2
-    assert F.from_json(F.to_json(expr)) == expr
-
-
 def test_resultant_examples():
     z2m1 = UniPoly.from_ints(QQ, [-1, 0, 1])
     zm1 = UniPoly.from_ints(QQ, [-1, 1])

@@ -70,12 +70,32 @@ class GenericEchelon(SparseEchelon):
     the field: over QQ, the oracle for the fraction-free loop."""
 
     def add_row(self, row):
-        return self._eliminate_generic(row, None)
+        return self._eliminate_generic(row)
 
-    def reduce(self, row):
-        out = {}
-        self._eliminate_generic(row, out)
-        return out
+
+def full_reduction(field, pivots, row):
+    """The remainder of ``row`` after full reduction by the normalized
+    pivot rows ``pivots``, as ``SparseEchelon.reduce`` computed it before
+    remainders came from normal forms: the generic loop, with a lead that
+    has no pivot moved into the remainder and the walk going on.  Kept as
+    the oracle for ``IdealSpan.reduce_element``."""
+    f = field
+    row = {c: v for c, v in row.items() if not f.is_zero(v)}
+    out = {}
+    while row:
+        lead = max(row)
+        v = row.pop(lead)
+        piv = pivots.get(lead)
+        if piv is None:
+            out[lead] = v
+            continue
+        for c, w in piv.items():
+            nv = f.sub(row.get(c, f.zero), f.mul(v, w))
+            if f.is_zero(nv):
+                row.pop(c, None)
+            else:
+                row[c] = nv
+    return out
 
 
 def divisor_rational_roots(f):
