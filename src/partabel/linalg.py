@@ -1,7 +1,7 @@
 """Exact Gaussian elimination over the scalar domains.
 
-``SparseEchelon`` is add-only: a row installs a pivot or reduces to zero.
-A remainder is the sum of the normal forms of its words
+``SparseEchelon`` grows by ``add_row`` alone: a row installs a pivot or
+reduces to zero.  A remainder is the sum of the normal forms of its words
 (``IdealSpan.normal_forms``): full reduction by normalized pivot rows with
 distinct leads is unique and linear.
 
@@ -43,10 +43,9 @@ from .scalars import Domain, PrimeField, RationalField
 class SparseEchelon:
     """Incremental row-echelon accumulator over a Domain.
 
-    ``add_row``, the one entry point, reduces an incoming row against the
-    current pivots and, if anything survives, installs it as a new pivot
-    row keyed by its highest remaining column.  Deterministic: depends
-    only on the row sequence.
+    ``add_row`` reduces an incoming row against the current pivots and, if
+    anything survives, installs it as a new pivot row keyed by its highest
+    remaining column.  Deterministic: depends only on the row sequence.
     ``pivots`` is read by callers, never written: over QQ the loop reduces
     against integer copies of its rows.
     """
@@ -71,6 +70,28 @@ class SparseEchelon:
         if self._qq:
             return self._eliminate_qq(row)
         return self._eliminate_generic(row)
+
+    def reduce(self, row: dict) -> dict:
+        """Fully reduce a row (not installed); returns the remainder.  No
+        caller in the package: the benchmark's tracer wraps this name, and
+        it goes when that span does (ROADMAP item 1)."""
+        f = self.field
+        row = {c: v for c, v in row.items() if not f.is_zero(v)}
+        out: dict = {}
+        while row:
+            lead = max(row)
+            v = row.pop(lead)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                out[lead] = v
+                continue
+            for c, w in piv.items():
+                nv = f.sub(row.get(c, f.zero), f.mul(v, w))
+                if f.is_zero(nv):
+                    row.pop(c, None)
+                else:
+                    row[c] = nv
+        return out
 
     # All three loops walk the row's columns from the highest down, each
     # lead being max(row) of the nonzero entries left (no heap: a pivot row

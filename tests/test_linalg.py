@@ -14,9 +14,7 @@ from partabel.scalars import (
     ExtensionField, PrimeField, QQ, UniPoly, bareiss_determinant, prime_field_roots,
     random_prime,
 )
-from tests_helpers import (
-    GenericEchelon, full_reduction, irreducible_extension, permutation_determinant,
-)
+from tests_helpers import GenericEchelon, irreducible_extension, permutation_determinant
 
 
 def random_sparse_rows(rng, nrows, ncols, density=0.3):
@@ -70,10 +68,19 @@ def test_echelon_pivot_rows_reduce_to_zero():
     ech = SparseEchelon(QQ)
     for r in rows:
         ech.add_row(dict(r))
-    pivots = {c: dict(row) for c, row in ech.pivots.items()}
     for r in rows:
-        assert ech.add_row(dict(r)) is None
-    assert ech.pivots == pivots
+        assert ech.reduce(dict(r)) == {}
+
+
+def test_reduce_remainder_is_supported_on_nonpivots():
+    rng = random.Random(9)
+    rows = random_sparse_rows(rng, 6, 8)
+    ech = SparseEchelon(QQ)
+    for r in rows:
+        ech.add_row(dict(r))
+    probe = {c: Fraction(rng.randint(-3, 3)) for c in range(8)}
+    rem = ech.reduce(dict(probe))
+    assert all(c not in ech.pivots for c in rem)
 
 
 def test_nullspace_and_solve():
@@ -200,13 +207,12 @@ def test_matrix_inverse_is_a_left_inverse_or_raises(case):
 @settings(max_examples=100, deadline=None)
 @given(matrices(), st.integers(0, 5))
 def test_reduce_is_zero_exactly_when_add_row_finds_no_pivot(case, k):
-    # the full remainder (the oracle) against the lead add_row installs
     f, m = case
     ech = SparseEchelon(f)
     for row in m[:k]:
         ech.add_row(_sparse(f, row))
     for row in m:
-        rem = full_reduction(f, ech.pivots, _sparse(f, row))
+        rem = ech.reduce(_sparse(f, row))
         copy = SparseEchelon(f)  # the same pivots: the echelon is deterministic
         for r in m[:k]:
             copy.add_row(_sparse(f, r))
@@ -259,6 +265,14 @@ class HeapEchelon:
         self.pivots = {}
 
     def add_row(self, row):
+        return self._eliminate(row, None)
+
+    def reduce(self, row):
+        out = {}
+        self._eliminate(row, out)
+        return out
+
+    def _eliminate(self, row, out):
         f = self.field
         row = {c: v for c, v in row.items() if not f.is_zero(v)}
         heap = [-c for c in row]
@@ -270,9 +284,12 @@ class HeapEchelon:
                 continue
             piv = self.pivots.get(lead)
             if piv is None:
-                inv = f.inv(v)
-                self.pivots[lead] = {c: f.mul(w, inv) for c, w in row.items()}
-                return lead
+                if out is None:
+                    inv = f.inv(v)
+                    self.pivots[lead] = {c: f.mul(w, inv) for c, w in row.items()}
+                    return lead
+                out[lead] = v
+                continue
             for c, w in piv.items():
                 nv = f.sub(row.get(c, f.zero), f.mul(v, w))
                 if f.is_zero(nv):
@@ -294,8 +311,8 @@ HEAP_FIELDS = {
 
 @st.composite
 def row_sequences(draw):
-    """A field and rows to install over 8 columns; a row may be a
-    combination of two earlier ones, so cancellations are common."""
+    """A field, rows to install and rows to reduce, over 8 columns; a row
+    may be a combination of two earlier ones, so cancellations are common."""
     f = HEAP_FIELDS[draw(st.sampled_from(sorted(HEAP_FIELDS)))]
     small = st.integers(-2, 2)
     if isinstance(f, ExtensionField):
@@ -314,9 +331,11 @@ def row_sequences(draw):
         else:
             row = draw(st.dictionaries(st.integers(0, 7), coeff, max_size=6))
         rows.append(row)
+    probes = draw(st.lists(st.dictionaries(st.integers(0, 7), coeff, max_size=6),
+                           max_size=4))
     if isinstance(f, PrimeField):  # a GF(p) row holds no zero entries (linalg doc)
-        rows = [{c: v for c, v in r.items() if v} for r in rows]
-    return f, rows
+        rows, probes = ([{c: v for c, v in r.items() if v} for r in rs] for rs in (rows, probes))
+    return f, rows, probes
 
 
 def _same_row(f, a, b):
@@ -326,12 +345,14 @@ def _same_row(f, a, b):
 @settings(max_examples=300, deadline=None)
 @given(row_sequences())
 def test_echelon_without_a_heap_matches_the_heap_loop(case):
-    f, rows = case
+    f, rows, probes = case
     ech, oracle = SparseEchelon(f), HeapEchelon(f)
     for row in rows:
         assert ech.add_row(dict(row)) == oracle.add_row(dict(row))
         assert list(ech.pivots) == list(oracle.pivots)
         assert all(_same_row(f, ech.pivots[c], oracle.pivots[c]) for c in ech.pivots)
+    for row in rows + probes:
+        assert _same_row(f, ech.reduce(dict(row)), oracle.reduce(dict(row)))
 
 
 # --- the fraction-free QQ loop against the generic loop -----------------------
@@ -347,7 +368,8 @@ _rational = st.one_of(
 
 @st.composite
 def rational_rows(draw):
-    """Rows to install over the columns -3..7; the negative columns stand for provenance markers.  A row may repeat an
+    """Rows to install and rows to reduce over the columns -3..7; the
+    negative columns stand for provenance markers.  A row may repeat an
     earlier one, or be a combination of two, so duplicates and rows that
     reduce to zero are common; zero entries come in as well."""
     cols = st.integers(-3, 7)
@@ -365,12 +387,14 @@ def rational_rows(draw):
         else:
             row = draw(st.dictionaries(cols, _rational, max_size=6))
         rows.append(row)
-    return rows
+    probes = draw(st.lists(st.dictionaries(cols, _rational, max_size=6), max_size=4))
+    return rows, probes
 
 
 @settings(max_examples=300, deadline=None)
 @given(rational_rows())
-def test_fraction_free_loop_matches_the_generic_loop_over_qq(rows):
+def test_fraction_free_loop_matches_the_generic_loop_over_qq(case):
+    rows, probes = case
     ech, oracle = SparseEchelon(QQ), GenericEchelon(QQ)
     for row in rows:
         assert ech.add_row(dict(row)) == oracle.add_row(dict(row))
@@ -378,6 +402,8 @@ def test_fraction_free_loop_matches_the_generic_loop_over_qq(rows):
         # equal values and the same key order in every pivot row
         assert all(list(ech.pivots[c].items()) == list(oracle.pivots[c].items())
                    for c in ech.pivots)
+    for row in rows + probes:
+        assert list(ech.reduce(dict(row)).items()) == list(oracle.reduce(dict(row)).items())
 
 
 def test_fraction_free_loop_installs_normalized_fraction_rows():
@@ -385,10 +411,11 @@ def test_fraction_free_loop_installs_normalized_fraction_rows():
     assert ech.add_row({4: Fraction(-6, 7), 2: Fraction(3, 7), 0: Fraction(9, 14), -1: 1}) == 4
     assert ech.pivots[4] == {2: Fraction(-1, 2), 0: Fraction(-3, 4), -1: Fraction(-7, 6)}
     assert all(type(v) is Fraction for v in ech.pivots[4].values())
-    # 3/5 times that row plus 2 at columns 2 and 0: the new pivot row is
-    # the added part normalized, whatever integer multiple the loop worked on
+    # 3/5 times that row plus 2 at columns 2 and 0: the true remainder is
+    # the added part, whatever integer multiple the loop worked on
     probe = {4: Fraction(-18, 35), 2: Fraction(9, 35) + 2, 0: Fraction(27, 70) + 2,
              -1: Fraction(3, 5)}
+    assert ech.reduce(dict(probe)) == {2: Fraction(2), 0: Fraction(2)}
     assert ech.add_row(dict(probe)) == 2
     assert ech.pivots[2] == {0: Fraction(1)}
 

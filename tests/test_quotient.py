@@ -20,7 +20,7 @@ from partabel.quotient import (
 )
 from partabel.scalars import FunctionField, PrimeField, QQ, add_term, random_prime
 from tests_helpers import (
-    GenericEchelon, bottom_up_normal_forms, extend_by_word_tuples, full_reduction,
+    GenericEchelon, bottom_up_normal_forms, extend_by_word_tuples,
     split_dims_oracle, word_tuple_row,
 )
 
@@ -423,7 +423,7 @@ def test_reduction_identities_reduce_to_zero_in_span():
                     assert verify_reduction_identity(rel, span, table, i, j, k, l, "qp")
 
 
-# --- remainders from normal forms; the old full reduction is the oracle ---
+# --- remainders from normal forms; full reduction by the echelon is the oracle ---
 
 REDUCE_FIELDS = {"QQ": QQ, "GFp": PrimeField(primes_pair(23)[0])}
 REDUCE_POINTS = {"generic": (1, 2, 3, 7), "infinite": (1, 0, 0, -1)}
@@ -451,7 +451,7 @@ def test_reduce_element_is_the_full_reduction(field_name, point_name, track, ter
     for i, n, d in terms:
         add_term(f, coeffs, span.words[i], f.from_fraction(Fraction(n, d)))
     row = {span.index[w]: c for w, c in coeffs.items()}
-    expected = {i: c for i, c in full_reduction(f, span.ech.pivots, row).items() if i >= 0}
+    expected = {i: c for i, c in span.ech.reduce(row).items() if i >= 0}
     assert span.reduce_element(AlgebraElement(SIG, f, coeffs)) == expected
 
 

@@ -73,31 +73,6 @@ class GenericEchelon(SparseEchelon):
         return self._eliminate_generic(row)
 
 
-def full_reduction(field, pivots, row):
-    """The remainder of ``row`` after full reduction by the normalized
-    pivot rows ``pivots``, as ``SparseEchelon.reduce`` computed it before
-    remainders came from normal forms: the generic loop, with a lead that
-    has no pivot moved into the remainder and the walk going on.  Kept as
-    the oracle for ``IdealSpan.reduce_element``."""
-    f = field
-    row = {c: v for c, v in row.items() if not f.is_zero(v)}
-    out = {}
-    while row:
-        lead = max(row)
-        v = row.pop(lead)
-        piv = pivots.get(lead)
-        if piv is None:
-            out[lead] = v
-            continue
-        for c, w in piv.items():
-            nv = f.sub(row.get(c, f.zero), f.mul(v, w))
-            if f.is_zero(nv):
-                row.pop(c, None)
-            else:
-                row[c] = nv
-    return out
-
-
 def divisor_rational_roots(f):
     """The distinct rational roots of a nonzero polynomial over QQ, sorted,
     by the rational root test: every n/q with n | a_0 and q | a_k, the
