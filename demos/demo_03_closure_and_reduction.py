@@ -21,7 +21,8 @@ print("commutative:", cert.is_commutative())
 print("associativity spot check:", cert.associativity_spot_check(100))
 
 # the three idempotent columns cut the quotient into equal thirds; the
-# point certificate reads them off S (x) E = E^9 (+) M3(E) as 3 + 3 rank rho(p_i)
+# point certificate reads them off S = k^9 (+) M3(k) as 3 + 3 rank rho_k(p_i),
+# with rho_k read off the closure's letter action over k itself
 point = certify_point(QQ, (Fraction(1),) + y)
 print("dims of p1*S, p2*S, (1-p1-p2)*S:", point.split_dims)
 

@@ -3,7 +3,8 @@
 # dimension exactly 18 and decomposes as nine scalars plus one 3x3 block.
 # The upper bound comes from the closure certificate, the lower bound from
 # evaluating the certified basis on the nine characters and the nine matrix
-# coordinates of the induced representation.
+# coordinates of a 3-dimensional representation over k itself, read off the
+# closure's letter action; the block is M3(k), with no field extension.
 
 from fractions import Fraction
 

@@ -281,7 +281,8 @@ def cmd_rep(cfg, t0) -> int:
 def cmd_wedderburn(cfg, t0) -> int:
     x = _explicit_point(cfg) or sample_generic_points(cfg.seed, 1)[0]
     rep = certify_point_multi(x, mode=cfg.mode, primes=cfg.primes, seed=cfg.seed,
-                              n_max=cfg.nmax, slack=cfg.slack, force=cfg.force)
+                              n_max=cfg.nmax, slack=cfg.slack, force=cfg.force,
+                              over_extension=True)
     return emit(cfg, "wedderburn", rep, rep["verdict_ok"], rep["verdict"], t0)
 
 

@@ -1,6 +1,10 @@
 """End-to-end certification of one point: closure certificate (upper bound)
-plus the evaluation map onto characters and the induced representation
-(lower bound), with the verdict "exact" only when the two meet.
+plus the evaluation map onto the nine characters and a 3-dimensional
+representation over k read off the closure's letter action (lower bound),
+with the verdict "exact" only when the two meet.  The paper's explicit
+construction over the conic extension E runs only where it is the
+subject: the ``wedderburn`` command's second lower bound
+(``extension_lower_bound``), and the ``rep`` and ``detcurve`` commands.
 """
 
 from __future__ import annotations
@@ -10,12 +14,13 @@ from dataclasses import dataclass, field as dataclass_field, fields as dataclass
 from fractions import Fraction
 
 from .quotient import (
-    ClosureFailure, ClosureTrace, canonical_point, chart_in_field,
-    closure_certificate, make_relation, on_quadric, random_offquadric_chart,
-    replay_is_growth, spanning_monomials_rank,
+    ClosureCertificate, ClosureFailure, ClosureTrace, CommutatorRelation,
+    canonical_point, chart_in_field, closure_certificate, make_relation, on_quadric,
+    random_offquadric_chart, replay_is_growth, spanning_monomials_rank,
 )
 from .reptheory import (
-    algebra_map_checks, chart_representation, wedderburn_type, wedderburn_verify,
+    RepMatrices, WedderburnMap, algebra_map_checks, chart_representation,
+    letter_representation, wedderburn_type, wedderburn_verify,
 )
 from .scalars import (
     DegenerateSpecialization, Domain, PrimeField, QQ, random_prime,
@@ -86,13 +91,10 @@ class PointCertificate:
     window: int
     commutative: bool
     lower_bound: int
-    extension_degree: int
-    f_coeffs: list
-    factor_degrees: list
-    disc_is_square: bool | None
     # irreducible_dim, center_dim, trace_form_rank and split_dims are the
-    # type, read off the evaluation isomorphism (``wedderburn_type``); None
-    # at a point that is not exact, where nothing proves the table associative
+    # type over k, read off the evaluation isomorphism (``wedderburn_type``);
+    # None at a point that is not exact, where nothing proves the table
+    # associative
     irreducible_dim: int | None
     rho_kills_relation: bool
     idempotent_identities: bool
@@ -104,6 +106,9 @@ class PointCertificate:
     # the closure's pivot-giving products, for a replay at another point
     closure_trace: ClosureTrace | None = dataclass_field(default=None, compare=False,
                                                         repr=False)
+    # the closure certificate itself, for ``extension_lower_bound``
+    certificate: ClosureCertificate | None = dataclass_field(default=None, compare=False,
+                                                             repr=False)
 
     def verdict(self) -> tuple[bool, str]:
         if self.exact_dimension == 18:
@@ -125,21 +130,22 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
     otherwise its image under an automorphism, so the bounds transfer.
 
     The stages follow the one decision: the closure certificate (upper
-    bound), the chart's representation, the three checks that make the
-    evaluation rank a lower bound (``algebra_map_checks``, once per point),
-    the rank (``wedderburn_verify``, per certificate), and then
-    exactness.  At an exact point the type is read off the evaluation
-    isomorphism (``wedderburn_type``), and so is ``commutative``: S_x (x) E
-    is E^9 (+) M3(E), which is not commutative, so the structure table is
-    built only at a point that is not exact.
+    bound), then ``_evaluation_map`` over k: rho_k from the closure's letter
+    action, the three checks that make the evaluation rank a lower bound,
+    and the rank.  At an exact point S_x = k^9 (+) M3(k) as k-algebras, the
+    type is read off that isomorphism (``wedderburn_type``), and so is
+    ``commutative``: M3(k) is not commutative, so the structure table is
+    built only at a point that is not exact.  No conic, cubic extension or
+    t*q rewrite is involved.  When no letter gives rho_k, even after full
+    growth, the point is not certified: ``DegenerateSpecialization``.
 
     ``trace`` is handed to ``closure_certificate`` to replay; the closure's
     own trace is returned as ``closure_trace``.  A replayed certificate is
-    kept only when the point is exact, so that rho and the characters prove
-    its basis independent, and ``replay_is_growth`` then proves it is the
-    certificate full growth returns; otherwise the point is certified
-    again by full growth, and only the evaluation rank is taken again.
-    Either way the report is full growth's."""
+    kept only when the point is exact, so that rho_k and the characters
+    prove its basis independent, and ``replay_is_growth`` then proves it is
+    the certificate full growth returns; otherwise the point is certified
+    again by full growth, rho_k included.  Either way the report is full
+    growth's."""
     f = field
     x = canonical_point(f, x)
     y, swap = chart_of_point(f, x)
@@ -151,14 +157,14 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
             "vanishes in some elimination chart); expected non-generic")
     rel = make_relation(f, chart=y)
     cert, span = closure_certificate(rel, n_max=n_max, slack=slack, trace=trace)
-
-    spec, rho = chart_representation(f, y)
-    checks = algebra_map_checks(rel.element, spec.ext, rho)
-    wm = wedderburn_verify(cert, spec, rho, checks)
-    if span.replayed and not (wm.exact_dimension is not None
+    wm, rho = _evaluation_map(rel, cert, y)
+    if span.replayed and not (wm is not None and wm.exact_dimension is not None
                               and replay_is_growth(cert, span, n_max)):
         cert, span = closure_certificate(rel, n_max=n_max, slack=slack)
-        wm = wedderburn_verify(cert, spec, rho, checks)
+        wm, rho = _evaluation_map(rel, cert, y)
+    if wm is None:
+        raise DegenerateSpecialization(
+            "no letter l gives a 3-dimensional right ideal l*J over k")
     return PointCertificate(
         domain=getattr(f, "name", "?") + (f"({f.p})" if isinstance(f, PrimeField) else ""),
         point=x,
@@ -169,17 +175,46 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
         window=cert.window,
         commutative=not wm.exact and cert.is_commutative(),
         lower_bound=wm.rank,
-        extension_degree=spec.extension_degree,
-        f_coeffs=[f.fmt(c) for c in spec.f_poly.coeffs],
-        factor_degrees=spec.factor_degrees,
-        disc_is_square=spec.disc_is_square,
         rho_kills_relation=wm.rho_kills_relation,
         idempotent_identities=wm.idempotent_identities,
         **wedderburn_type(wm, rho),
         spanning_list=spanning_monomials_rank(cert, span),
         exact_dimension=wm.exact_dimension,
         closure_trace=ClosureTrace.of(cert, span),
+        certificate=cert,
     )
+
+
+def _evaluation_map(rel: CommutatorRelation, cert: ClosureCertificate,
+                    y: tuple) -> tuple[WedderburnMap | None, RepMatrices | None]:
+    """The evaluation map of ``cert``'s basis onto the nine characters and
+    rho_k = ``letter_representation``, all over k, with the three checks
+    of ``algebra_map_checks``; (None, None) when there is no rho_k."""
+    rho = letter_representation(cert, y)
+    if rho is None:
+        return None, None
+    checks = algebra_map_checks(rel.element, rel.field, rho)
+    return wedderburn_verify(cert, rel.field, rho, checks), rho
+
+
+def extension_lower_bound(field: Domain, pc: PointCertificate) -> tuple[dict, bool]:
+    """The paper's explicit construction at the chart of ``pc``, as a second
+    lower bound that shares nothing with rho_k but the closure's basis: the
+    conic intersection over k, the representation induced from the
+    character t1 -> z1, t2 -> z2 over its extension E, the three checks over
+    E and the evaluation rank over E.  Returns the cubic's data, which the
+    ``wedderburn`` report carries, and whether that rank meets the upper
+    bound with every check holding."""
+    spec, rho = chart_representation(field, pc.chart)
+    rel = make_relation(field, chart=pc.chart)
+    wm = wedderburn_verify(pc.certificate, spec.ext, rho,
+                           algebra_map_checks(rel.element, spec.ext, rho))
+    return {
+        "extension_degree": spec.extension_degree,
+        "f_coeffs": [field.fmt(c) for c in spec.f_poly.coeffs],
+        "factor_degrees": spec.factor_degrees,
+        "disc_is_square": spec.disc_is_square,
+    }, wm.exact
 
 
 def seeded_primes(seed: int, primes: list[int] | None = None) -> list[int]:
@@ -202,10 +237,13 @@ _learned_closure: ClosureTrace | None = None
 
 def certify_point_multi(x_fractions: tuple, mode: str = "prime",
                         primes: list[int] | None = None, seed: int = 0,
-                        n_max: int = 8, slack: int = 4, force: bool = False) -> dict:
+                        n_max: int = 8, slack: int = 4, force: bool = False,
+                        over_extension: bool = False) -> dict:
     """Certify a rational point over the requested domains; prime mode runs
     two distinct primes and demands agreement, rational mode is a single
-    exact run over the rationals.
+    exact run over the rationals.  ``over_extension`` adds
+    ``extension_lower_bound`` to every run: its cubic's data go into the
+    run's report, and the verdict also needs that second bound exact.
 
     Every run replays the closure this process learned first (see
     ``_learned_closure`` and ``closure_certificate``); until there is one,
@@ -226,29 +264,37 @@ def certify_point_multi(x_fractions: tuple, mode: str = "prime",
     else:
         raise ValueError(f"unknown mode {mode!r} (use rational or prime)")
 
-    runs = []
+    runs, reports, second_bound = [], [], True
     for f in fields:
         run = certify_point(f, chart_in_field(f, x_fractions), n_max=n_max,
                             slack=slack, force=force, trace=_learned_closure)
         if _learned_closure is None and run.exact_dimension == 18:
             _learned_closure = run.closure_trace
         runs.append(run)
+        reports.append(_cert_json(run))
+        if over_extension:
+            cubic, exact = extension_lower_bound(f, run)
+            reports[-1].update(cubic)
+            second_bound = second_bound and exact
     dims = {r.exact_dimension for r in runs}
     agree = len(dims) == 1
     ok = agree and runs[0].exact_dimension == 18
+    verdict = runs[0].verdict()[1] if agree else "domains disagree"
+    if ok and not second_bound:
+        ok, verdict = False, "the evaluation over the conic extension is not exact"
     return {
         "point": [str(Fraction(c)) for c in x_fractions],
         "mode": mode,
-        "runs": [_cert_json(r) for r in runs],
+        "runs": reports,
         "agreement": agree,
         "verdict_ok": ok,
-        "verdict": runs[0].verdict()[1] if agree else "domains disagree",
+        "verdict": verdict,
     }
 
 
 def _cert_json(r: PointCertificate) -> dict:
     out = {fd.name: getattr(r, fd.name) for fd in dataclass_fields(r)
-           if fd.name not in ("point", "closure_trace")}
+           if fd.name not in ("point", "closure_trace", "certificate")}
     out["chart"] = [str(c) for c in r.chart]
     out["split_dims"] = list(r.split_dims) if r.split_dims else None
     return out

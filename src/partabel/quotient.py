@@ -688,18 +688,9 @@ class ClosureCertificate:
         basis word, it is (e_i * w) * g, one letter on an entry already
         built: the basis comes in graded order, so w precedes b_j.
         Otherwise the letters of b_j are folded one by one from e_i."""
-        f, basis, action = self.field, self.basis, self.letter_action
+        f, basis = self.field, self.basis
         n = len(basis)
         pos = {w: k for k, w in enumerate(basis)}
-
-        def right_mul_letter(vec: dict[int, object], g: Word) -> dict[int, object]:
-            out: dict[int, object] = {}
-            cols = action[g]
-            for k, c in vec.items():
-                for m, cm in cols[k].items():
-                    add_term(f, out, m, f.mul(c, cm))
-            return out
-
         table: list[list] = [[None] * n for _ in range(n)]
         for j, w in enumerate(basis):
             prefix = pos.get(w[:-1]) if w else None
@@ -707,11 +698,22 @@ class ClosureCertificate:
             for i in range(n):
                 vec = {i: f.one} if prefix is None else table[i][prefix]
                 for letter in letters:
-                    vec = right_mul_letter(vec, (letter,))
+                    vec = self.times_letter(vec, (letter,))
                 table[i][j] = vec
         unit = pos[EMPTY_WORD]
         assert all(table[i][unit] == {i: f.one} for i in range(n))
         return table
+
+    def times_letter(self, vec: dict[int, object], g: Word) -> dict[int, object]:
+        """vec * g in the basis, for a vector of basis coordinates and a
+        generating letter g, through the letter action."""
+        f = self.field
+        out: dict[int, object] = {}
+        cols = self.letter_action[g]
+        for k, c in vec.items():
+            for m, cm in cols[k].items():
+                add_term(f, out, m, f.mul(c, cm))
+        return out
 
     @property
     def dimension_bound(self) -> int:

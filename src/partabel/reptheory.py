@@ -19,15 +19,20 @@ quotient).  This module:
 * certifies that the cubic splits into three lines by dividing out the line
   of one join of base points (``split_determinantal_cubic``), the one split
   test at every extension degree;
+* reads a second 3-dimensional representation, rho_k, off a closure
+  certificate's letter action over k itself (``letter_representation``):
+  the action on a right ideal l*J, J the common kernel of the nine
+  characters.  It needs no conic, no extension and no t*q rewrite;
 * assembles the evaluation map onto nine characters plus the nine matrix
-  coordinates, whose rank is the dimension lower bound that meets the
-  closure certificate's upper bound; over QQ and QQ(theta) the rank is
-  taken first on rows built from the GF(l) image of rho's letter matrices
-  (``evaluation_rank``), and the exact rows are built only when that image
-  falls short.  At an exact point it reads the type (center, trace form,
-  idempotent splits, irreducibility) off that isomorphism
-  (``wedderburn_type``); the exact Burnside span ``irreducibility`` serves
-  the ``rep`` command, which has no closure.
+  coordinates of a representation, over k for rho_k or over the conic
+  extension E for the induced one, whose rank is the dimension lower bound
+  that meets the closure certificate's upper bound; over QQ and QQ(theta)
+  the rank is taken first on rows built from the GF(l) image of the letter
+  matrices (``evaluation_rank``), and the exact rows are built only when
+  that image falls short.  At a point exact over k it reads the type
+  (center, trace form, idempotent splits, irreducibility) off that
+  isomorphism (``wedderburn_type``); the exact Burnside span
+  ``irreducibility`` serves the ``rep`` command, which has no closure.
 
 Closed forms previously tabulated for the t_i q_j rewrites, the matrices and
 the conics are kept as reference data; everything is re-derived from the
@@ -225,9 +230,10 @@ def mat_identity(f: Domain):
 
 @dataclass
 class RepMatrices:
-    """Matrices of t1, t2, q1, q2 (and the derived p1, p2) on the module
-    induced from the character t1 -> z1, t2 -> z2, in the basis
-    (1 (x) v, q1 (x) v, q2 (x) v)."""
+    """Matrices of t1, t2, q1, q2 (and the derived p1, p2) on a
+    3-dimensional module at the chart y: the module induced from the
+    character t1 -> z1, t2 -> z2, in the basis (1 (x) v, q1 (x) v,
+    q2 (x) v), or rho_k of ``letter_representation``, whose z is empty."""
 
     field: Domain
     y: tuple
@@ -995,6 +1001,87 @@ def _char_on_element(f: Domain, elem, char: tuple[int, int]):
     return acc
 
 
+def _character_kernel(cert) -> list[dict]:
+    """A basis of J, the common kernel on span(B) of the nine characters,
+    as coordinate vectors on the certified basis B.
+
+    The character values on basis words are 0 and 1, so J comes from one
+    sparse elimination: row i holds the values on b_i in the columns above
+    |B|, and a 1 in column i.  A row whose character part cancels becomes
+    a pivot row in the columns below |B| alone, with its own column i as
+    the lead (earlier rows carry only lower ones): a kernel vector."""
+    f, basis = cert.field, cert.basis
+    n = len(basis)
+    chars = characters33()
+    ech = SparseEchelon(f)
+    for i, w in enumerate(basis):
+        row = {n + c: f.one for c, ch in enumerate(chars)
+               if not f.is_zero(character_value(f, w, ch))}
+        row[i] = f.one
+        ech.add_row(row)
+    return [{lead: f.one, **row} for lead, row in sorted(ech.pivots.items()) if lead < n]
+
+
+def letter_representation(cert, y: tuple) -> RepMatrices | None:
+    """rho_k: a 3-dimensional representation of S_x over k itself, read off
+    the closure certificate's letter action; None when no letter below
+    gives one.
+
+    J (``_character_kernel``) is a two-sided ideal, the M3 block at a point
+    of type k^9 (+) M3(k).  For the first letter l among p1, p2, p3, q1, q2,
+    q3 with dim l*J = 3, M = l*J is a right ideal, a row of that block.
+    Each l*b is e_l pushed through the letters of b.  rho_k(g) is the
+    action of g on M: row r holds the coordinates of m_r * g, read off at
+    the pivot columns of M's reduced echelon basis (m_1, m_2, m_3).  The
+    MeatAxe spins submodules the same way (Parker 1984).
+
+    Nothing here is trusted.  The lower bound rests only on the three
+    checks of ``algebra_map_checks``: any matrices that pass them are a
+    representation of S_x, wherever they came from.  The matrices are
+    packed as a ``RepMatrices`` at the chart ``y`` with t1 = p1 - y2*q1 -
+    y3*q2, t2 = p2 + q1 + y1*q2, and no z: rho_k is not induced from a
+    character."""
+    f, basis = cert.field, cert.basis
+    n = len(basis)
+
+    def combine(terms) -> dict:
+        acc: dict = {}
+        for c, vec in terms:
+            for k, d in vec.items():
+                add_term(f, acc, k, f.mul(c, d))
+        return acc
+    kernel = _character_kernel(cert)
+    unit = {cert.basis_index(()): f.one}
+    gens = [((tag, i),) for tag in (P, Q) for i in (1, 2)]
+    e = {g: cert.times_letter(unit, g) for g in gens}
+    minus = f.neg(f.one)
+    for tag in (P, Q):
+        e[((tag, 3),)] = combine([(f.one, unit), (minus, e[((tag, 1),)]),
+                                  (minus, e[((tag, 2),)])])
+    # every prefix of a basis word, shortest first, so w[:-1] precedes w
+    prefixes = sorted({w[:k] for w in basis for k in range(1, len(w) + 1)}, key=len)
+    for letter in [((tag, i),) for tag in (P, Q) for i in (1, 2, 3)]:
+        pushed = {(): e[letter]}
+        for w in prefixes:
+            pushed[w] = cert.times_letter(pushed[w[:-1]], w[-1:])
+        rows = []
+        for vec in kernel:
+            acc = combine((c, pushed[basis[i]]) for i, c in vec.items())
+            rows.append([acc.get(k, f.zero) for k in range(n)])
+        echelon, pivots = _rref(f, rows, n)
+        if len(pivots) == 3:
+            break
+    else:
+        return None
+    m = [{k: v for k, v in enumerate(row) if not f.is_zero(v)} for row in echelon[:3]]
+    p1, p2, q1, q2 = ([[cert.times_letter(mr, g).get(k, f.zero) for k in pivots] for mr in m]
+                      for g in gens)
+    y1, y2, y3 = y
+    t1 = mat_sub(f, p1, mat_add(f, mat_scale(f, q1, y2), mat_scale(f, q2, y3)))
+    t2 = mat_add(f, p2, mat_add(f, q1, mat_scale(f, q2, y1)))
+    return RepMatrices(f, tuple(y), (), t1, t2, q1, q2)
+
+
 @dataclass
 class WedderburnMap:
     field: Domain
@@ -1068,17 +1155,19 @@ def algebra_map_checks(X: AlgebraElement, ext: Domain, rho: RepMatrices) -> tupl
             rho.idempotent_identities_hold())
 
 
-def wedderburn_verify(cert, spec: ExtensionSpec, rho: RepMatrices,
+def wedderburn_verify(cert, ext: Domain, rho: RepMatrices,
                       checks: tuple) -> WedderburnMap:
     """Evaluate every certified basis monomial under the nine characters and
-    the nine matrix coordinates of the induced representation.  The rank of
-    the 18-column evaluation matrix (``evaluation_rank``) is a dimension
-    lower bound when ``checks``, the three flags of ``algebra_map_checks``
-    at the same point and rho, all hold.  Meeting the closure certificate's
-    upper bound then certifies the dimension."""
-    rank = evaluation_rank(cert.basis, spec.ext, rho)
+    the nine matrix coordinates of rho, a representation over ``ext`` (k
+    itself for ``letter_representation``, the conic extension E for
+    ``chart_representation``).  The rank of the 18-column evaluation matrix
+    (``evaluation_rank``) is a dimension lower bound when ``checks``, the
+    three flags of ``algebra_map_checks`` at the same point and rho, all
+    hold.  Meeting the closure certificate's upper bound then certifies the
+    dimension."""
+    rank = evaluation_rank(cert.basis, ext, rho)
     exact = rank if all(checks) and rank == cert.dimension_bound else None
-    return WedderburnMap(cert.field, spec.ext, rank, 18, *checks, exact)
+    return WedderburnMap(cert.field, ext, rank, 18, *checks, exact)
 
 
 TYPE_FIELDS = ("center_dim", "trace_form_rank", "split_dims", "irreducible_dim")
@@ -1090,28 +1179,28 @@ def wedderburn_type(wm: WedderburnMap, rho: RepMatrices) -> dict:
     p1*S_x, p2*S_x and (1 - p1 - p2)*S_x, and the dimension of the algebra
     rho generates.  All four are None unless ``wm`` is exact.
 
-    Exact means the evaluation map phi: S_x -> E^9 (+) M3(E) (E the conic
-    extension) is an algebra map whose matrix on the certified basis B has
-    rank 18 = |B| over E.  As |B| >= dim S_x, phi (x) E is an isomorphism
-    of E-algebras S_x (x) E -> E^9 (+) M3(E), and each number follows:
+    Exact over ``wm.ext`` = k (rho = ``letter_representation``) means the
+    evaluation map phi: S_x -> k^9 (+) M3(k) is an algebra map whose matrix
+    on the certified basis B has rank 18 = |B| over k.  As |B| >= dim S_x,
+    phi is an isomorphism of k-algebras, and each number follows:
 
-    * The center commutes with base change, Z(S_x) (x) E = Z(S_x (x) E), and
-      the center of E^9 (+) M3(E) is E^9 (+) E*1: dimension 10.
-    * The Gram matrix of the trace form in the basis B is the same over k
-      and over E.  On a character summand the form is xy; on M3(E), where
-      left multiplication acts on three columns, it is 3 tr(xy).  So the
-      rank is 9 + 9 = 18, or 9 when 3 = 0 in E.
-    * Left multiplication by p_i has the same rank over k and over E.  On
-      E^9 it is the number of characters with chi(p_i) = 1; on M3(E) it
-      acts on three columns, giving 3 rank rho(p_i) (p_3 = 1 - p1 - p2).
+    * The center of k^9 (+) M3(k) is k^9 (+) k*1: dimension 10.
+    * On a character summand the trace form is xy; on M3(k), where left
+      multiplication acts on three columns, it is 3 tr(xy).  So the rank is
+      9 + 9 = 18, or 9 when 3 = 0 in k.
+    * Left multiplication by p_i on k^9 has rank the number of characters
+      with chi(p_i) = 1; on M3(k) it acts on three columns, giving
+      3 rank rho(p_i) (p_3 = 1 - p1 - p2), a 3x3 rank over k.  That holds in
+      every characteristic.
     * The evaluation matrix is invertible, so its nine rho-columns are
-      independent and rho(B) spans M3(E): rho generates M3(E), dimension 9.
+      independent and rho(B) spans M3(k): rho generates M3(k), dimension 9.
       Words of length <= 4 span any algebra that 3x3 matrices generate
       (Paz's bound ceil((n^2 + 2)/3) = 4 at n = 3), so this is also the
       Burnside span of ``irreducibility``.
 
-    The tests keep the definitions, computed on the structure constants, as
-    oracles."""
+    Over an extension E of k (rho from ``chart_representation``) the same
+    reading gives the type of S_x (x) E.  The tests keep the definitions,
+    computed on the structure constants, as oracles."""
     if not wm.exact:
         return dict.fromkeys(TYPE_FIELDS)
     ext = wm.ext

@@ -396,10 +396,13 @@ PINNED_REPORTS = {
         "cc4a1098182fbd8fedee84297cb930a9bfc4be28f19235ac2f66b6c2049b6d12",
     "wedderburn --chart 2,3,7 --mode rational":
         "532a029aaf8abb5074df0d2ac7f734aa5ae9f7d62e2fd15b1cc367fd1340f321",
+    # theorem runs certify over k alone, so their reports carry no conic
+    # extension data (extension_degree, f_coeffs, factor_degrees and
+    # disc_is_square); wedderburn runs still do
     "theorem --count 2 --seed 7":
-        "4176a30a2c4d1abfa7ffdce7936ec364677eec60245d11cac412350329d08eae",
+        "b5b1366eed36089e75ba9fa8f8ee95460c9a71b9ee0e366e021e0630eb67afb3",
     "theorem --count 2 --seed 7 --mode rational":
-        "5f07b4c4e1d35c4af20d54a26f746ce1e2ca7eaad64c21a8f3bc7d60ab54041b",
+        "b974483ed5952a9090d621329df60829bf522562deafe2fedcc1aa8241708d1f",
     # rep at extension degrees 3, 1 and 2, rational wedderburn at degree 1,
     # and bound with and without a window cap
     "rep --chart 2,3,7 --mode rational":

@@ -120,19 +120,6 @@ def test_quadric_certification():
         certify_quadric_point(QQ, tuple(F(c) for c in (1, 2, 3, 7)))
 
 
-def test_certify_point_skips_the_rewrite_self_checks(monkeypatch):
-    # certify_point reads only the rewrite rules; the free-product check is
-    # for the conics and rep reports and must not run here
-    from partabel import reptheory
-
-    def fail(*args):
-        raise AssertionError("free-product self-check ran")
-    monkeypatch.setattr(reptheory, "_tq_in_free_product", fail)
-    f = PrimeField(random_prime(random.Random(3)))
-    x = tuple(f.from_fraction(c) for c in sample_generic_points(0, 1)[0])
-    assert certify_point(f, x).exact_dimension == 18
-
-
 # --- properties of the point certificate (few examples: each runs the pipeline)
 
 GENERIC_POINTS = sample_generic_points(11, 6)
@@ -224,6 +211,10 @@ def test_a_trace_grown_past_the_closing_window_is_rejected_and_regrown(monkeypat
     grows = _count_calls(monkeypatch, IdealSpan, "extend_to_window")
     checks = {name: _count_calls(monkeypatch, reptheory.RepMatrices, name)
               for name in ("relation_matrix", "idempotent_identities_hold")}
+    windows = []
+    letter_rep = pipeline.letter_representation
+    monkeypatch.setattr(pipeline, "letter_representation",
+                        lambda cert, y: windows.append(cert.window) or letter_rep(cert, y))
     for f in (QQ, PrimeField(seeded_primes(17)[0])):
         rel = make_relation(f, point=_in(f, x))
         grown = IdealSpan(rel)
@@ -236,12 +227,15 @@ def test_a_trace_grown_past_the_closing_window_is_rejected_and_regrown(monkeypat
         full = certify_point(f, _in(f, x))
         assert (full.stabilized_at, full.window) == (4, 4)
         grows.clear()
+        windows.clear()
         for seen in checks.values():
             seen.clear()
         assert _cert_json(certify_point(f, _in(f, x), trace=trace)) == _cert_json(full)
         assert grows  # the replay was dropped and the window grown
-        # the regrown certificate takes only the evaluation rank again
-        assert [len(seen) for seen in checks.values()] == [1, 1]
+        # the regrown certificate reads its own rho_k off its own letter
+        # action, and the checks run on it again
+        assert windows == [5, 4]
+        assert [len(seen) for seen in checks.values()] == [2, 2]
 
 
 @pytest.mark.parametrize("mode", ["prime", "rational"])
@@ -266,18 +260,19 @@ def test_reports_do_not_depend_on_the_learned_closure(monkeypatch, mode):
 @pytest.mark.parametrize("unsound", ["relation_matrix", "characters", "idempotents"])
 def test_exact_dimension_needs_the_evaluation_map_to_kill_the_relation(monkeypatch, unsound):
     # the evaluation rank bounds dim S_x from below only through S_x: when
-    # rho's relation matrix or a character's value on X does not vanish, or
-    # rho is not a representation of k^3 * k^3, the rank still reads 18 but
-    # nothing is certified, a replayed certificate is not kept either, and
-    # the report makes no claim on the type
+    # rho_k's relation matrix or a character's value on X does not vanish,
+    # or rho_k is not a representation of k^3 * k^3, the rank still reads 18
+    # but nothing is certified, a replayed certificate is not kept either,
+    # and the report makes no claim on the type
+    faulted = []
     if unsound == "relation_matrix":
         monkeypatch.setattr(reptheory.RepMatrices, "relation_matrix",
-                            lambda self: reptheory.mat_identity(self.field))
+                            lambda self: faulted.append(self) or reptheory.mat_identity(self.field))
     elif unsound == "characters":
         monkeypatch.setattr(reptheory, "_char_on_element", lambda f, elem, ch: f.one)
     else:
         monkeypatch.setattr(reptheory.RepMatrices, "idempotent_identities_hold",
-                            lambda self: False)
+                            lambda self: faulted.append(self) or False)
     f = PrimeField(seeded_primes(5)[0])
     x = _in(f, (1, 2, 3, 7))
     cert, span = closure_certificate(make_relation(f, point=x))
@@ -291,12 +286,69 @@ def test_exact_dimension_needs_the_evaluation_map_to_kill_the_relation(monkeypat
     assert pc.commutative is cert.is_commutative() is False
     report = _cert_json(pc)
     assert [report[k] for k in reptheory.TYPE_FIELDS] == [None] * 4
+    # the faulted check ran on rho_k, over k itself: the replayed
+    # certificate's and then the regrown one's
+    assert len(faulted) == (0 if unsound == "characters" else 2)
+    assert all(rho.field is f and rho.z == () for rho in faulted)
+
+
+def test_a_point_without_rho_k_gets_no_verdict(monkeypatch):
+    # when no letter gives a 3-dimensional l*J, a replayed certificate is
+    # dropped, and after full growth the point is not certified: no
+    # fallback to the conic extension
+    monkeypatch.setattr(pipeline, "letter_representation", lambda cert, y: None)
+    f = PrimeField(seeded_primes(5)[0])
+    x = _in(f, (1, 2, 3, 7))
+    cert, span = closure_certificate(make_relation(f, point=x))
+    grows = _count_calls(monkeypatch, IdealSpan, "extend_to_window")
+    with pytest.raises(DegenerateSpecialization, match="3-dimensional"):
+        certify_point(f, x, trace=ClosureTrace.of(cert, span))
+    assert grows
+    rep = theorem_point_worker(((F(1), F(2), F(3), F(7)), "prime", None, 5, 8, 4, False))
+    assert not rep["verdict_ok"] and rep["runs"] == []
+
+
+def test_the_second_lower_bound_over_the_extension_gates_the_verdict(monkeypatch):
+    # wedderburn's verdict also needs the induced representation over E to
+    # be exact; theorem's does not run it.  Only E's rho is faulted here:
+    # rho_k has no z
+    real = reptheory.RepMatrices.relation_matrix
+    monkeypatch.setattr(reptheory.RepMatrices, "relation_matrix",
+                        lambda self: real(self) if self.z == ()
+                        else reptheory.mat_identity(self.field))
+    x = (F(1), F(2), F(3), F(7))
+    for mode in ("prime", "rational"):
+        assert certify_point_multi(x, mode=mode, seed=5)["verdict_ok"]
+        rep = certify_point_multi(x, mode=mode, seed=5, over_extension=True)
+        assert not rep["verdict_ok"] and rep["agreement"]
+        assert rep["verdict"] == "the evaluation over the conic extension is not exact"
+        for run in rep["runs"]:
+            assert run["exact_dimension"] == 18 and "extension_degree" in run
+
+
+def test_certify_point_runs_no_conic_stage(monkeypatch):
+    # the lower bound and the type come from rho_k over k: certify_point
+    # intersects no conics and builds no induced module or t*q rewrite (so
+    # none of the rewrite's free-product self-checks either), over GF(p) or
+    # QQ, growing or replaying; extension_lower_bound does all three
+    def fail(*args, **kwargs):
+        raise AssertionError("the conic stage ran")
+    for name in ("intersect_conics", "build_rho", "tq_rewrite", "_tq_in_free_product"):
+        monkeypatch.setattr(reptheory, name, fail)
+    x = (1, 2, 3, 7)
+    for f in (QQ, PrimeField(seeded_primes(5)[0])):
+        grown = certify_point(f, _in(f, x))
+        replayed = certify_point(f, _in(f, x), trace=grown.closure_trace)
+        assert grown.exact_dimension == replayed.exact_dimension == 18
+        with pytest.raises(AssertionError, match="conic stage"):
+            pipeline.extension_lower_bound(f, grown)
 
 
 def test_an_exact_point_builds_no_structure_table(monkeypatch):
-    # at an exact point commutative is read off the evaluation isomorphism,
-    # so certify_point never builds the table, over GF(p) or over QQ; a
-    # point that is not exact reads it
+    # at an exact point commutative is read off the evaluation isomorphism
+    # over k, and rho_k comes from the letter action alone, so certify_point
+    # never builds the table, over GF(p) or over QQ; a point that is not
+    # exact reads it
     built = []
     table = ClosureCertificate.__dict__["structure_constants"].func
 

@@ -497,7 +497,7 @@ def test_wedderburn_rank_18_and_structure():
     ext = spec.ext
     yext = tuple(ext.from_base(c) for c in Y_SAMPLE)
     rho = build_rho(ext, yext, (spec.z1, spec.z2))
-    wm = wedderburn_verify(cert, spec, rho, algebra_map_checks(rel.element, ext, rho))
+    wm = wedderburn_verify(cert, ext, rho, algebra_map_checks(rel.element, ext, rho))
     assert wm.rank == 18
     assert wm.exact
     assert wm.characters_kill_relation
@@ -520,7 +520,7 @@ def test_wedderburn_rank_constant_across_primes():
         ext = spec.ext
         yext = tuple(ext.from_base(c) for c in y) if spec.extension_degree > 1 else y
         rho = build_rho(ext, yext, (spec.z1, spec.z2))
-        wm = wedderburn_verify(cert, spec, rho, algebra_map_checks(rel.element, ext, rho))
+        wm = wedderburn_verify(cert, ext, rho, algebra_map_checks(rel.element, ext, rho))
         assert wm.rank == 18 and wm.exact
 
 
@@ -580,23 +580,41 @@ def _oracle_points():
         yield QQ, (Fraction(1),) + chart(text)
 
 
+def _small_field_points(count):
+    """Seeded generic points over GF(9) and GF(8), ``count`` each: in
+    characteristic 3 the trace form loses the M3 block, in characteristic
+    2 it keeps it."""
+    from partabel.pipeline import suspected_nongeneric
+    rng = random.Random(303)
+    for f in (irreducible_extension(PrimeField(3), 2), irreducible_extension(PrimeField(2), 3)):
+        found = 0
+        while found < count:
+            x = (f.one, *(f.random(rng) for _ in range(3)))
+            if not suspected_nongeneric(f, x):
+                found += 1
+                yield f, x
+
+
 def test_trace_form_and_center_match_their_oracles():
-    # the type certify_point reads off the evaluation isomorphism, against
-    # the definitions computed on the certified structure constants
+    # the type certify_point reads off the evaluation isomorphism over k,
+    # against the definitions computed on the certified structure constants
     from partabel.linalg import dense_rank
     from partabel.pipeline import certify_point
-    degrees = []
-    for f, x in _oracle_points():
+    trace_ranks = []
+    for f, x in [*_oracle_points(), *_small_field_points(3)]:
         cert, _ = closure_certificate(make_relation(f, point=x))
         pc = certify_point(f, x)
         assert pc.exact_dimension == cert.dimension_bound == 18
         assert pc.center_dim == _center_dimension_oracle(cert) == 10
-        assert pc.trace_form_rank == dense_rank(f, _trace_form_gram_oracle(cert)) == 18
-        assert pc.split_dims == split_dims_oracle(cert)
+        assert pc.trace_form_rank == dense_rank(f, _trace_form_gram_oracle(cert))
+        assert pc.split_dims == split_dims_oracle(cert) == (6, 6, 6)
         assert pc.commutative is cert.is_commutative() is False
-        degrees.append(pc.extension_degree)
-    assert len(degrees) == 11
-    assert degrees[-2:] == [1, 2]
+        trace_ranks.append(pc.trace_form_rank)
+    assert trace_ranks == [18] * 11 + [9] * 3 + [18] * 3
+    # the charts over QQ cover conic extensions of degree 1 and 2 too
+    degrees = [intersect_conics(f, x[1:]).extension_degree
+               for f, x in _oracle_points() if f is QQ]
+    assert len(degrees) == 5 and degrees[-2:] == [1, 2]
 
 
 def test_rep_matrices_memoized_and_word_matrix_matches_letter_products():
@@ -680,7 +698,7 @@ def test_burnside_span_is_nine_at_rational_sample_points():
 
 
 def test_prime_mode_never_builds_an_image(monkeypatch):
-    from partabel.pipeline import certify_point, sample_generic_points
+    from partabel.pipeline import certify_point, extension_lower_bound, sample_generic_points
     from partabel.scalars import Domain, ExtensionField, RationalField
     calls = []
     for cls in (Domain, RationalField, ExtensionField):
@@ -695,5 +713,10 @@ def test_prime_mode_never_builds_an_image(monkeypatch):
     x = tuple(gf.from_fraction(c) for c in sample_generic_points(31, 1)[0])
     pc = certify_point(gf, x)
     assert pc.exact_dimension == 18
+    # certify_point works over GF(p) alone; the conic extension GF(p)(theta)
+    # enters only with the wedderburn command's second lower bound
+    assert calls and all(out is None and f is gf for f, out in calls)
+    calls.clear()
+    assert extension_lower_bound(gf, pc)[1]
     assert calls and all(out is None for _, out in calls)
     assert any(isinstance(f, ExtensionField) for f, _ in calls)
