@@ -5,7 +5,10 @@
 
 from fractions import Fraction
 
-from partabel import QQ, build_rho, conics, determinantal_cubic, intersect_conics, irreducibility, tq_rewrite
+from partabel import (
+    QQ, build_rho, conics, determinantal_cubic, intersect_conics, irreducibility, make_relation,
+    tq_rewrite,
+)
 from partabel.reptheory import (
     commutator_conic_consistency, compare_rho_to_reference, mat_is_zero,
     split_determinantal_cubic,
@@ -25,8 +28,9 @@ print("mismatches against the tabulated closed forms (misprints there):")
 for m in rw.reference_mismatches:
     print("  ", m["rule"], "term", m["word"], "differs by", m["derived_minus_reference"])
 
-# the induced module on (1, q1, q2) gives explicit 3x3 matrices; they agree
-# with the tabulated matrices entry for entry
+# the induced module on (1, q1, q2) gives explicit 3x3 matrices of the
+# letters p1, p2, q1, q2; the matrices of t1 and t2 read off them agree with
+# the tabulated matrices entry for entry
 rho = build_rho(F5, F5.gens()[:3], F5.gens()[3:])
 print("\nidempotent identities hold symbolically:", rho.idempotent_identities_hold())
 print("entrywise match with tabulated matrices:", compare_rho_to_reference(rho) == [])
@@ -54,7 +58,8 @@ print("intersection point: z1 =", spec.ext.fmt(spec.z1) if spec.extension_degree
 ext = spec.ext
 yext = tuple(ext.from_base(c) for c in y)
 rhoK = build_rho(ext, yext, (spec.z1, spec.z2))
-print("rho(X) = 0 over the extension:", mat_is_zero(ext, rhoK.relation_matrix()))
+X = make_relation(QQ, chart=y).element
+print("rho(X) = 0 over the extension:", mat_is_zero(ext, rhoK.element_matrix(X)))
 print("generated matrix algebra:", irreducibility(ext, rhoK))
 
 # the determinantal cubic of the net of conics is a union of three lines,

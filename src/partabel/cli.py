@@ -27,9 +27,9 @@ from .quotient import (
     standard_generator_rank, stabilization_scan,
 )
 from .reptheory import (
-    build_rho, chart_representation, commutator_conic_consistency, conics,
-    determinantal_cubic, intersect_conics, irreducibility, mat_is_zero,
-    split_determinantal_cubic, tq_rewrite,
+    Q1, Q2, algebra_map_checks, build_rho, chart_representation,
+    commutator_conic_consistency, conics, determinantal_cubic, intersect_conics,
+    irreducibility, split_determinantal_cubic, t_matrices, tq_rewrite,
 )
 from .scalars import (
     DegenerateSpecialization, FunctionField, PrimeField, QQ, is_probable_prime,
@@ -248,9 +248,12 @@ def cmd_detcurve(cfg, t0) -> int:
 def cmd_rep(cfg, t0) -> int:
     chart = cfg.chart or sample_generic_points(cfg.seed, 1)[0][1:]
     field = _field_for(cfg)
-    spec, rho = chart_representation(field, chart_in_field(field, chart))
+    y = chart_in_field(field, chart)
+    spec, rho = chart_representation(field, y)
     ext = spec.ext
     irr = irreducibility(ext, rho)
+    t1, t2 = t_matrices(field, y, rho)
+    _, killed, identities = algebra_map_checks(make_relation(field, chart=y).element, rho)
     rw = tq_rewrite(FunctionField(("y1", "y2", "y3")),
                     FunctionField(("y1", "y2", "y3")).gens())
     results = {
@@ -263,11 +266,11 @@ def cmd_rep(cfg, t0) -> int:
         "intersection_point": {"z1": ext.fmt(spec.z1), "z2": ext.fmt(spec.z2)},
         "matrices": {
             name: [[ext.fmt(v) for v in row] for row in mat]
-            for name, mat in (("t1", rho.t1), ("t2", rho.t2),
-                              ("q1", rho.q1), ("q2", rho.q2))
+            for name, mat in (("t1", t1), ("t2", t2), ("q1", rho.letter_matrix(Q1)),
+                              ("q2", rho.letter_matrix(Q2)))
         },
-        "idempotent_identities": rho.idempotent_identities_hold(),
-        "relation_killed": mat_is_zero(ext, rho.relation_matrix()),
+        "idempotent_identities": identities,
+        "relation_killed": killed,
         "irreducibility": irr,
         "rewrite_reference_mismatches": rw.reference_mismatches,
     }

@@ -13,13 +13,14 @@ import random
 from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields
 from fractions import Fraction
 
+from .linalg import dense_rank
 from .quotient import (
     ClosureCertificate, ClosureFailure, ClosureTrace, CommutatorRelation,
     canonical_point, chart_in_field, closure_certificate, make_relation, on_quadric,
     random_offquadric_chart, replay_is_growth, spanning_monomials_rank,
 )
 from .reptheory import (
-    RepMatrices, WedderburnMap, algebra_map_checks, chart_representation,
+    RepMatrices, WedderburnMap, character_value, characters33, chart_representation,
     letter_representation, wedderburn_type, wedderburn_verify,
 )
 from .scalars import (
@@ -157,11 +158,11 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
             "vanishes in some elimination chart); expected non-generic")
     rel = make_relation(f, chart=y)
     cert, span = closure_certificate(rel, n_max=n_max, slack=slack, trace=trace)
-    wm, rho = _evaluation_map(rel, cert, y)
+    wm, rho = _evaluation_map(rel, cert)
     if span.replayed and not (wm is not None and wm.exact_dimension is not None
                               and replay_is_growth(cert, span, n_max)):
         cert, span = closure_certificate(rel, n_max=n_max, slack=slack)
-        wm, rho = _evaluation_map(rel, cert, y)
+        wm, rho = _evaluation_map(rel, cert)
     if wm is None:
         raise DegenerateSpecialization(
             "no letter l gives a 3-dimensional right ideal l*J over k")
@@ -185,16 +186,15 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
     )
 
 
-def _evaluation_map(rel: CommutatorRelation, cert: ClosureCertificate,
-                    y: tuple) -> tuple[WedderburnMap | None, RepMatrices | None]:
+def _evaluation_map(rel: CommutatorRelation,
+                    cert: ClosureCertificate) -> tuple[WedderburnMap | None, RepMatrices | None]:
     """The evaluation map of ``cert``'s basis onto the nine characters and
     rho_k = ``letter_representation``, all over k, with the three checks
     of ``algebra_map_checks``; (None, None) when there is no rho_k."""
-    rho = letter_representation(cert, y)
+    rho = letter_representation(cert)
     if rho is None:
         return None, None
-    checks = algebra_map_checks(rel.element, rel.field, rho)
-    return wedderburn_verify(cert, rel.field, rho, checks), rho
+    return wedderburn_verify(cert, rel.element, rho), rho
 
 
 def extension_lower_bound(field: Domain, pc: PointCertificate) -> tuple[dict, bool]:
@@ -206,9 +206,7 @@ def extension_lower_bound(field: Domain, pc: PointCertificate) -> tuple[dict, bo
     ``wedderburn`` report carries, and whether that rank meets the upper
     bound with every check holding."""
     spec, rho = chart_representation(field, pc.chart)
-    rel = make_relation(field, chart=pc.chart)
-    wm = wedderburn_verify(pc.certificate, spec.ext, rho,
-                           algebra_map_checks(rel.element, spec.ext, rho))
+    wm = wedderburn_verify(pc.certificate, make_relation(field, chart=pc.chart).element, rho)
     return {
         "extension_degree": spec.extension_degree,
         "f_coeffs": [field.fmt(c) for c in spec.f_poly.coeffs],
@@ -305,8 +303,6 @@ def certify_quadric_point(field: Domain, x: tuple, n_max: int = 8,
     """Certification at a generic quadric point: the closure certificate
     gives the upper bound and the nine characters give the lower bound; the
     two meet at 9 with commutative structure constants."""
-    from .linalg import dense_rank
-    from .reptheory import character_value, characters33
     f = field
     rel = make_relation(f, point=x)
     if not on_quadric(f, rel.point):

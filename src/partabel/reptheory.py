@@ -10,6 +10,10 @@ quotient).  This module:
   ``AlgebraElement`` words over ``SIG_TQ``, where t1, t2 are free letters;
 * induces the 3-dimensional module on the span of 1, q1, q2 from the
   character t1 -> z1, t2 -> z2, producing explicit matrices;
+* holds every representation, induced or not, as its letter matrices
+  p1, p2, q1, q2 (``RepMatrices``): the matrix of any element, the
+  relation X and the chart's t-letters included, is read off them
+  (``element_matrix``); X itself is written only in ``make_relation``;
 * extracts the three conics in (z1, z2) forced by commutativity, the
   determinantal cubic of the net, and the degree-3 extension over which the
   conics meet in three points;
@@ -65,6 +69,7 @@ SIG33 = Signature(3, 3)
 # reduced idempotents of the second factor (no p-letter occurs)
 SIG_TQ = Signature(3, 3, free=2)
 T1, T2, Q1, Q2 = (T, 1), (T, 2), (Q, 1), (Q, 2)
+P1, P2 = (P, 1), (P, 2)
 
 UNKNOWN_WORDS: tuple[Word, ...] = ((T1, Q1), (T1, Q2), (T2, Q1), (T2, Q2))
 
@@ -230,47 +235,28 @@ def mat_identity(f: Domain):
 
 @dataclass
 class RepMatrices:
-    """Matrices of t1, t2, q1, q2 (and the derived p1, p2) on a
-    3-dimensional module at the chart y: the module induced from the
-    character t1 -> z1, t2 -> z2, in the basis (1 (x) v, q1 (x) v,
-    q2 (x) v), or rho_k of ``letter_representation``, whose z is empty."""
+    """A 3-dimensional representation of k^3 * k^3 over ``field``, given by
+    its letter matrices: ``letters`` maps p1, p2, q1, q2 to 3x3 matrices,
+    and p3 = 1 - p1 - p2, q3 = 1 - q1 - q2.  Every other matrix is read
+    off them: a word's by ``word_matrix``, an element's, the relation X
+    included, by ``element_matrix``."""
 
     field: Domain
-    y: tuple
-    z: tuple
-    t1: list
-    t2: list
-    q1: list
-    q2: list
+    letters: dict
 
     def __post_init__(self):
-        # word -> matrix, filled prefix by prefix by word_matrix
-        self._words: dict = {(): mat_identity(self.field)}
-
-    @cached_property
-    def p1(self):
-        f, (y1, y2, y3) = self.field, self.y
-        return mat_add(f, self.t1, mat_add(f, mat_scale(f, self.q1, y2),
-                                           mat_scale(f, self.q2, y3)))
-
-    @cached_property
-    def p2(self):
-        f, (y1, y2, y3) = self.field, self.y
-        return mat_sub(f, self.t2, mat_add(f, self.q1, mat_scale(f, self.q2, y1)))
-
-    @cached_property
-    def _letters(self) -> dict:
         f = self.field
         one = mat_identity(f)
-        return {
-            (P, 1): self.p1, (P, 2): self.p2,
-            (P, 3): mat_sub(f, one, mat_add(f, self.p1, self.p2)),
-            (Q, 1): self.q1, (Q, 2): self.q2,
-            (Q, 3): mat_sub(f, one, mat_add(f, self.q1, self.q2)),
-        }
+        # word -> matrix, filled prefix by prefix by word_matrix and seeded
+        # with the six letters, so a one-letter word costs no product
+        self._words: dict = {(): one}
+        for tag in (P, Q):
+            m1, m2 = self.letters[(tag, 1)], self.letters[(tag, 2)]
+            self._words.update({((tag, 1),): m1, ((tag, 2),): m2,
+                                ((tag, 3),): mat_sub(f, one, mat_add(f, m1, m2))})
 
     def letter_matrix(self, letter) -> list:
-        return self._letters[letter]
+        return self._words[(letter,)]
 
     def word_matrix(self, word) -> list:
         """Matrix of a word, built from the cached matrix of its longest
@@ -282,49 +268,38 @@ class RepMatrices:
             self._words[word] = m
         return m
 
+    def element_matrix(self, elem: AlgebraElement) -> list:
+        """rho(elem), the sum of c * rho(w) over the terms of ``elem``.  An
+        element over the base field k of an extension ``field`` has its
+        coefficients lifted."""
+        f = self.field
+        lift = (lambda c: c) if elem.field == f else f.from_base
+        coeffs = [lift(c) for c in elem.terms.values()]
+        mats = [self.word_matrix(w) for w in elem.terms]
+        return [[f.dot(coeffs, [m[i][j] for m in mats]) for j in range(3)]
+                for i in range(3)]
+
     def idempotent_identities_hold(self) -> bool:
+        """p1, p2 and q1, q2 are orthogonal idempotents, so rho is a
+        representation of k^3 * k^3."""
         f = self.field
-        p1, p2, q1, q2 = self.p1, self.p2, self.q1, self.q2
-        checks = [
-            mat_eq(f, mat_mul(f, q1, q1), q1),
-            mat_eq(f, mat_mul(f, q2, q2), q2),
-            mat_is_zero(f, mat_mul(f, q1, q2)),
-            mat_is_zero(f, mat_mul(f, q2, q1)),
-            mat_eq(f, mat_mul(f, p1, p1), p1),
-            mat_eq(f, mat_mul(f, p2, p2), p2),
-            mat_is_zero(f, mat_mul(f, p1, p2)),
-            mat_is_zero(f, mat_mul(f, p2, p1)),
-        ]
-        return all(checks)
-
-    def commutator_t(self) -> list:
-        f = self.field
-        return mat_sub(f, mat_mul(f, self.t1, self.t2), mat_mul(f, self.t2, self.t1))
-
-    def relation_matrix(self) -> list:
-        """Matrix of X = [p1,q1] + y1[p1,q2] + y2[p2,q1] + y3[p2,q2]; built
-        once, the returned matrix is shared, not copied."""
-        return self._relation
-
-    @cached_property
-    def _relation(self) -> list:
-        f, (y1, y2, y3) = self.field, self.y
-        def comm(a, b):
-            return mat_sub(f, mat_mul(f, a, b), mat_mul(f, b, a))
-        m = comm(self.p1, self.q1)
-        m = mat_add(f, m, mat_scale(f, comm(self.p1, self.q2), y1))
-        m = mat_add(f, m, mat_scale(f, comm(self.p2, self.q1), y2))
-        m = mat_add(f, m, mat_scale(f, comm(self.p2, self.q2), y3))
-        return m
+        zero = _mat_zero(f)
+        pairs = [(self.letters[(tag, 1)], self.letters[(tag, 2)]) for tag in (P, Q)]
+        return all(mat_eq(f, mat_mul(f, a, b), a if i == j else zero)
+                   for pair in pairs
+                   for i, a in enumerate(pair) for j, b in enumerate(pair))
 
 
 def build_rho(field: Domain, y: tuple, z: tuple,
               rewrite: TQRewrite | None = None) -> RepMatrices:
-    """Matrices of the induced module, derived from the t_i q_j rewrites.
+    """The letter matrices of the module induced from the character
+    t1 -> z1, t2 -> z2 at the chart y, in the basis (1 (x) v, q1 (x) v,
+    q2 (x) v), derived from the t_i q_j rewrites.
 
-    The columns are the images of the basis vectors 1, q1, q2: a word acts
-    through the rewrite rules and the character sends every trailing t-word
-    to the corresponding product of z's.
+    The columns of t1 and t2 are the images of the basis vectors 1, q1, q2:
+    a word acts through the rewrite rules and the character sends every
+    trailing t-word to the corresponding product of z's.  p1 and p2 follow
+    from t1, t2, q1, q2 through the chart.
 
     ``rewrite`` may be solved over the base field k of an extension
     ``field``; its coefficients are lifted as they are read.  That is the
@@ -366,7 +341,18 @@ def build_rho(field: Domain, y: tuple, z: tuple,
         for qname in (Q1, Q2):
             cols.append(vec_of(rw.rules[(tname, qname)]))
         mats[tname] = [[cols[j][i] for j in range(3)] for i in range(3)]
-    return RepMatrices(f, y, z, mats[T1], mats[T2], q1m, q2m)
+    # back from the chart's t-letters: p1 = t1 + y2 q1 + y3 q2, p2 = t2 - q1 - y1 q2
+    y1, y2, y3 = y
+    p1 = mat_add(f, mats[T1], mat_add(f, mat_scale(f, q1m, y2), mat_scale(f, q2m, y3)))
+    p2 = mat_sub(f, mats[T2], mat_add(f, q1m, mat_scale(f, q2m, y1)))
+    return RepMatrices(f, {P1: p1, P2: p2, Q1: q1m, Q2: q2m})
+
+
+def t_matrices(field: Domain, y: tuple, rho: RepMatrices) -> tuple[list, list]:
+    """rho(t1) and rho(t2) for the chart y over ``field``, which is
+    ``rho.field`` or its base field."""
+    tq = _tq_in_free_product(field, y)
+    return rho.element_matrix(tq[T1]), rho.element_matrix(tq[T2])
 
 
 def reference_rho(F: FunctionField) -> tuple[list, list]:
@@ -398,8 +384,9 @@ def compare_rho_to_reference(rho: RepMatrices) -> list[dict]:
     if not (isinstance(F, FunctionField) and F.vars == ("y1", "y2", "y3", "z1", "z2")):
         raise TypeError("reference comparison needs the symbolic (y, z) field")
     ref_t1, ref_t2 = reference_rho(F)
+    got_t1, got_t2 = t_matrices(F, F.gens()[:3], rho)
     out = []
-    for name, got, ref in (("t1", rho.t1, ref_t1), ("t2", rho.t2, ref_t2)):
+    for name, got, ref in (("t1", got_t1, ref_t1), ("t2", got_t2, ref_t2)):
         for i in range(3):
             for j in range(3):
                 diff = got[i][j] - ref[i][j]
@@ -498,7 +485,8 @@ def commutator_conic_consistency(symbolic_rho: RepMatrices) -> dict:
     base = FunctionField(("y1", "y2", "y3"))
     tri = conics(base, base.gens())
     named = list(zip(("c1", "c2", "c3"), tri.all()))
-    comm = symbolic_rho.commutator_t()
+    t1, t2 = t_matrices(F, F.gens()[:3], symbolic_rho)
+    comm = mat_sub(F, mat_mul(F, t1, t2), mat_mul(F, t2, t1))
 
     def proportional(p: BivPoly, q: BivPoly):
         if set(p) != set(q):
@@ -974,7 +962,7 @@ def generated_matrix_algebra_dim(field: Domain, mats: list) -> int:
 
 
 def irreducibility(field: Domain, rho: RepMatrices) -> dict:
-    dim = generated_matrix_algebra_dim(field, [rho.p1, rho.p2, rho.q1, rho.q2])
+    dim = generated_matrix_algebra_dim(field, [rho.letter_matrix(g) for g in (P1, P2, Q1, Q2)])
     return {"algebra_dimension": dim, "irreducible": dim == 9}
 
 
@@ -1022,7 +1010,7 @@ def _character_kernel(cert) -> list[dict]:
     return [{lead: f.one, **row} for lead, row in sorted(ech.pivots.items()) if lead < n]
 
 
-def letter_representation(cert, y: tuple) -> RepMatrices | None:
+def letter_representation(cert) -> RepMatrices | None:
     """rho_k: a 3-dimensional representation of S_x over k itself, read off
     the closure certificate's letter action; None when no letter below
     gives one.
@@ -1037,10 +1025,8 @@ def letter_representation(cert, y: tuple) -> RepMatrices | None:
 
     Nothing here is trusted.  The lower bound rests only on the three
     checks of ``algebra_map_checks``: any matrices that pass them are a
-    representation of S_x, wherever they came from.  The matrices are
-    packed as a ``RepMatrices`` at the chart ``y`` with t1 = p1 - y2*q1 -
-    y3*q2, t2 = p2 + q1 + y1*q2, and no z: rho_k is not induced from a
-    character."""
+    representation of S_x, wherever they came from.  The chart plays no
+    part: rho_k is its four letter matrices as they are read."""
     f, basis = cert.field, cert.basis
     n = len(basis)
 
@@ -1074,12 +1060,9 @@ def letter_representation(cert, y: tuple) -> RepMatrices | None:
     else:
         return None
     m = [{k: v for k, v in enumerate(row) if not f.is_zero(v)} for row in echelon[:3]]
-    p1, p2, q1, q2 = ([[cert.times_letter(mr, g).get(k, f.zero) for k in pivots] for mr in m]
-                      for g in gens)
-    y1, y2, y3 = y
-    t1 = mat_sub(f, p1, mat_add(f, mat_scale(f, q1, y2), mat_scale(f, q2, y3)))
-    t2 = mat_add(f, p2, mat_add(f, q1, mat_scale(f, q2, y1)))
-    return RepMatrices(f, tuple(y), (), t1, t2, q1, q2)
+    letters = {g[0]: [[cert.times_letter(mr, g).get(k, f.zero) for k in pivots] for mr in m]
+               for g in gens}
+    return RepMatrices(f, letters)
 
 
 @dataclass
@@ -1112,62 +1095,62 @@ def _evaluation_rows(field: Domain, basis, rho: RepMatrices) -> list[list]:
     return rows
 
 
-def image_evaluation_rows(basis, ext: Domain, rho: RepMatrices):
-    """(GF(l), the evaluation rows on ``basis`` over GF(l)) for the field's
-    map h onto GF(l) (``Domain.modular_image``), or None when there is no
-    image or a letter entry is not l-integral.
+def image_evaluation_rows(basis, rho: RepMatrices):
+    """(GF(l), the evaluation rows on ``basis`` over GF(l)) for the map h of
+    rho's field onto GF(l) (``Domain.modular_image``), or None when there is
+    no image or a letter entry is not l-integral.
 
-    h maps the letter matrices of rho, y and z once, and the rows are built
+    h maps the four letter matrices of rho once, and the rows are built
     from a ``RepMatrices`` over GF(l).  h is a ring map on l-integral
     elements, so h(rho(w)) is the product of the letter images: the rows
     are the image of the exact rows."""
-    image = modular_image(ext, lambda h: (
-        tuple(map(h, rho.y)), tuple(map(h, rho.z)),
-        *([[h(v) for v in row] for row in m] for m in (rho.t1, rho.t2, rho.q1, rho.q2))))
+    image = modular_image(rho.field, lambda h: {
+        g: [[h(v) for v in row] for row in m] for g, m in rho.letters.items()})
     if image is None:
         return None
     gf, letters = image
-    return gf, _evaluation_rows(gf, basis, RepMatrices(gf, *letters))
+    return gf, _evaluation_rows(gf, basis, RepMatrices(gf, letters))
 
 
-def evaluation_rank(basis, ext: Domain, rho: RepMatrices) -> int:
-    """Rank over E = ``ext`` of the evaluation matrix on ``basis``, taken
+def evaluation_rank(basis, rho: RepMatrices) -> int:
+    """Rank over rho's field E of the evaluation matrix on ``basis``, taken
     first on its GF(l) image (``image_evaluation_rows``).  A rank can only
     drop under a ring map, so an image of full rank min(|basis|, 18) is the
     exact rank.  A short image, a letter entry that is not l-integral, or a
     field with no image (GF(p) and its extensions) takes the exact rows
     through ``dense_rank``."""
     full = min(len(basis), 18)
-    image = image_evaluation_rows(basis, ext, rho)
+    image = image_evaluation_rows(basis, rho)
     if image is not None and _echelon_rank(*image) == full:
         return full
-    return dense_rank(ext, _evaluation_rows(ext, basis, rho))
+    return dense_rank(rho.field, _evaluation_rows(rho.field, basis, rho))
 
 
-def algebra_map_checks(X: AlgebraElement, ext: Domain, rho: RepMatrices) -> tuple:
+def algebra_map_checks(X: AlgebraElement, rho: RepMatrices) -> tuple:
     """(the characters kill X, rho kills X, rho satisfies the idempotent
-    identities), run over E = ``ext``: the evaluation map is an algebra map
-    through S_x when all three hold.  They depend on the point and rho, not
+    identities), run exactly over rho's field: the evaluation map is an
+    algebra map through S_x when all three hold.  rho(X) is
+    ``element_matrix`` of X itself.  They depend on the point and rho, not
     on a certificate."""
     f = X.field
     return (all(f.is_zero(_char_on_element(f, X, ch)) for ch in characters33()),
-            mat_is_zero(ext, rho.relation_matrix()),
+            mat_is_zero(rho.field, rho.element_matrix(X)),
             rho.idempotent_identities_hold())
 
 
-def wedderburn_verify(cert, ext: Domain, rho: RepMatrices,
-                      checks: tuple) -> WedderburnMap:
+def wedderburn_verify(cert, X: AlgebraElement, rho: RepMatrices) -> WedderburnMap:
     """Evaluate every certified basis monomial under the nine characters and
-    the nine matrix coordinates of rho, a representation over ``ext`` (k
-    itself for ``letter_representation``, the conic extension E for
-    ``chart_representation``).  The rank of the 18-column evaluation matrix
-    (``evaluation_rank``) is a dimension lower bound when ``checks``, the
-    three flags of ``algebra_map_checks`` at the same point and rho, all
-    hold.  Meeting the closure certificate's upper bound then certifies the
-    dimension."""
-    rank = evaluation_rank(cert.basis, ext, rho)
+    the nine matrix coordinates of rho, a representation over k itself
+    (``letter_representation``) or over the conic extension E
+    (``chart_representation``).  The rank of the 18-column evaluation
+    matrix (``evaluation_rank``) is a dimension lower bound when the three
+    checks of ``algebra_map_checks`` on the relation X and rho all hold;
+    they run here, before the rank.  Meeting the closure certificate's
+    upper bound then certifies the dimension."""
+    checks = algebra_map_checks(X, rho)
+    rank = evaluation_rank(cert.basis, rho)
     exact = rank if all(checks) and rank == cert.dimension_bound else None
-    return WedderburnMap(cert.field, ext, rank, 18, *checks, exact)
+    return WedderburnMap(cert.field, rho.field, rank, 18, *checks, exact)
 
 
 TYPE_FIELDS = ("center_dim", "trace_form_rank", "split_dims", "irreducible_dim")

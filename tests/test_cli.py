@@ -460,8 +460,8 @@ def test_exact_evaluation_rows_keep_the_pinned_bytes(command, force, tmp_path, m
     if force == "short image":
         image = reptheory.image_evaluation_rows
 
-        def short(basis, ext, rho):
-            gf, rows = image(basis, ext, rho)
+        def short(basis, rho):
+            gf, rows = image(basis, rho)
             return gf, rows[:-1] + [[gf.zero] * len(rows[0])]
         monkeypatch.setattr(reptheory, "image_evaluation_rows", short)
     else:

@@ -210,11 +210,11 @@ def test_a_trace_grown_past_the_closing_window_is_rejected_and_regrown(monkeypat
     x = (F(1), F(2), F(3), F(7))
     grows = _count_calls(monkeypatch, IdealSpan, "extend_to_window")
     checks = {name: _count_calls(monkeypatch, reptheory.RepMatrices, name)
-              for name in ("relation_matrix", "idempotent_identities_hold")}
+              for name in ("element_matrix", "idempotent_identities_hold")}
     windows = []
     letter_rep = pipeline.letter_representation
     monkeypatch.setattr(pipeline, "letter_representation",
-                        lambda cert, y: windows.append(cert.window) or letter_rep(cert, y))
+                        lambda cert: windows.append(cert.window) or letter_rep(cert))
     for f in (QQ, PrimeField(seeded_primes(17)[0])):
         rel = make_relation(f, point=_in(f, x))
         grown = IdealSpan(rel)
@@ -260,14 +260,18 @@ def test_reports_do_not_depend_on_the_learned_closure(monkeypatch, mode):
 @pytest.mark.parametrize("unsound", ["relation_matrix", "characters", "idempotents"])
 def test_exact_dimension_needs_the_evaluation_map_to_kill_the_relation(monkeypatch, unsound):
     # the evaluation rank bounds dim S_x from below only through S_x: when
-    # rho_k's relation matrix or a character's value on X does not vanish,
-    # or rho_k is not a representation of k^3 * k^3, the rank still reads 18
-    # but nothing is certified, a replayed certificate is not kept either,
-    # and the report makes no claim on the type
-    faulted = []
+    # rho_k(X) or a character's value on X does not vanish, or rho_k is not
+    # a representation of k^3 * k^3, the rank still reads 18 but nothing is
+    # certified, a replayed certificate is not kept either, and the report
+    # makes no claim on the type
+    faulted, rho_ks = [], []
+    letter_rep = pipeline.letter_representation
+    monkeypatch.setattr(pipeline, "letter_representation",
+                        lambda cert: rho_ks.append(letter_rep(cert)) or rho_ks[-1])
     if unsound == "relation_matrix":
-        monkeypatch.setattr(reptheory.RepMatrices, "relation_matrix",
-                            lambda self: faulted.append(self) or reptheory.mat_identity(self.field))
+        monkeypatch.setattr(reptheory.RepMatrices, "element_matrix",
+                            lambda self, elem: faulted.append(self)
+                            or reptheory.mat_identity(self.field))
     elif unsound == "characters":
         monkeypatch.setattr(reptheory, "_char_on_element", lambda f, elem, ch: f.one)
     else:
@@ -288,15 +292,16 @@ def test_exact_dimension_needs_the_evaluation_map_to_kill_the_relation(monkeypat
     assert [report[k] for k in reptheory.TYPE_FIELDS] == [None] * 4
     # the faulted check ran on rho_k, over k itself: the replayed
     # certificate's and then the regrown one's
-    assert len(faulted) == (0 if unsound == "characters" else 2)
-    assert all(rho.field is f and rho.z == () for rho in faulted)
+    assert len(rho_ks) == 2 and all(rho.field is f for rho in rho_ks)
+    assert [id(rho) for rho in faulted] == ([] if unsound == "characters"
+                                            else [id(rho) for rho in rho_ks])
 
 
 def test_a_point_without_rho_k_gets_no_verdict(monkeypatch):
     # when no letter gives a 3-dimensional l*J, a replayed certificate is
     # dropped, and after full growth the point is not certified: no
     # fallback to the conic extension
-    monkeypatch.setattr(pipeline, "letter_representation", lambda cert, y: None)
+    monkeypatch.setattr(pipeline, "letter_representation", lambda cert: None)
     f = PrimeField(seeded_primes(5)[0])
     x = _in(f, (1, 2, 3, 7))
     cert, span = closure_certificate(make_relation(f, point=x))
@@ -310,12 +315,15 @@ def test_a_point_without_rho_k_gets_no_verdict(monkeypatch):
 
 def test_the_second_lower_bound_over_the_extension_gates_the_verdict(monkeypatch):
     # wedderburn's verdict also needs the induced representation over E to
-    # be exact; theorem's does not run it.  Only E's rho is faulted here:
-    # rho_k has no z
-    real = reptheory.RepMatrices.relation_matrix
-    monkeypatch.setattr(reptheory.RepMatrices, "relation_matrix",
-                        lambda self: real(self) if self.z == ()
-                        else reptheory.mat_identity(self.field))
+    # be exact; theorem's does not run it.  Only E's rho is faulted here,
+    # as chart_representation hands it to the pipeline
+    chart_rep = pipeline.chart_representation
+
+    def faulted(field, y):
+        spec, rho = chart_rep(field, y)
+        rho.element_matrix = lambda elem: reptheory.mat_identity(rho.field)
+        return spec, rho
+    monkeypatch.setattr(pipeline, "chart_representation", faulted)
     x = (F(1), F(2), F(3), F(7))
     for mode in ("prime", "rational"):
         assert certify_point_multi(x, mode=mode, seed=5)["verdict_ok"]

@@ -8,19 +8,21 @@ from partabel import reptheory, scalars
 from partabel.linalg import _echelon_rank
 from partabel.quotient import chart_in_field, closure_certificate, make_relation
 from partabel.reptheory import (
-    _QUADRATIC_MONOMIALS, _base_point_join, _evaluation_rows, _symmetric_matrix,
-    _tern_divide_by_line, algebra_map_checks, build_rho, character_value, chart_representation,
+    P1, P2, Q1, Q2, T1, T2, _QUADRATIC_MONOMIALS, _base_point_join, _evaluation_rows,
+    _symmetric_matrix, _tern_divide_by_line, build_rho, character_value, chart_representation,
     commutator_conic_consistency, compare_rho_to_reference, conics, determinantal_cubic,
     generated_matrix_algebra_dim, image_evaluation_rows, intersect_conics,
-    irreducibility, mat_identity, mat_is_zero, split_determinantal_cubic, tern_mul,
-    tq_rewrite, wedderburn_type, wedderburn_verify,
+    irreducibility, letter_representation, mat_eq, mat_identity, mat_is_zero, mat_mul,
+    mat_sub, split_determinantal_cubic, t_matrices, tern_mul, tq_rewrite, wedderburn_type,
+    wedderburn_verify,
 )
 from partabel.scalars import (
     DegenerateSpecialization, ExtensionField, FunctionField, PrimeField, QQ,
     bareiss_determinant, factor_cubic, random_prime,
 )
 from tests_helpers import (
-    biv_eval, irreducible_extension, solve_divide_by_line, split_dims_oracle,
+    biv_eval, irreducible_extension, relation_matrix_oracle, solve_divide_by_line,
+    split_dims_oracle,
 )
 
 Y_SAMPLE = (Fraction(2), Fraction(3), Fraction(7))
@@ -114,7 +116,26 @@ def test_rewrite_over_k_lifts_to_the_rewrite_over_the_extension(base, degree):
             assert rule.terms == {w: E.from_base(c) for w, c in over_k.rules[u].terms.items()}
         via_k = build_rho(E, yE, z, rewrite=over_k)
         via_E = build_rho(E, yE, z)
-        assert (via_k.t1, via_k.t2) == (via_E.t1, via_E.t2)
+        assert via_k.letters == via_E.letters
+        # t1 and t2, read back as elements of k^3 * k^3 at the chart, act
+        # on (1, q1, q2) by the character and the rewrite's columns
+        for t, m in zip((T1, T2), t_matrices(base, y, via_k)):
+            cols = [[z[t[1] - 1], E.zero, E.zero]]
+            cols += [_induced_column(E, over_k.rules[(t, q)], z) for q in (Q1, Q2)]
+            assert mat_eq(E, m, [list(row) for row in zip(*cols)])
+
+
+def _induced_column(E, rule, z):
+    """Coordinates on (1, q1, q2) of a q-prefixed t-word combination applied
+    to 1 (x) v, with t1 -> z1 and t2 -> z2."""
+    col = [E.zero] * 3
+    for w, c in rule.terms.items():
+        pos = w[0][1] if w and w[0] in (Q1, Q2) else 0
+        value = E.from_base(c)
+        for letter in w[1 if pos else 0:]:
+            value = E.mul(value, z[letter[1] - 1])
+        col[pos] = E.add(col[pos], value)
+    return col
 
 
 # --- representation matrices -------------------------------------------------
@@ -128,8 +149,8 @@ def test_build_rho_matches_reference_matrices_symbolically():
 
 def test_rho_q_matrices_fixed():
     rho = build_rho(QQ, Y_SAMPLE, (Fraction(0), Fraction(0)))
-    assert rho.q1 == [[0, 0, 0], [1, 1, 0], [0, 0, 0]]
-    assert rho.q2 == [[0, 0, 0], [0, 0, 0], [1, 0, 1]]
+    assert rho.letter_matrix(Q1) == [[0, 0, 0], [1, 1, 0], [0, 0, 0]]
+    assert rho.letter_matrix(Q2) == [[0, 0, 0], [0, 0, 0], [1, 0, 1]]
 
 
 def test_rho_idempotents_hold_for_any_z():
@@ -442,13 +463,41 @@ def test_rho_kills_relation_exactly_at_intersection_point():
         yext = tuple(ext.from_base(c) for c in y) if spec.extension_degree > 1 else y
         rho = build_rho(ext, yext, (spec.z1, spec.z2))
         assert rho.idempotent_identities_hold()
-        assert mat_is_zero(ext, rho.commutator_t())
-        assert mat_is_zero(ext, rho.relation_matrix())
+        t1, t2 = t_matrices(QQ, y, rho)
+        assert mat_eq(ext, mat_mul(ext, t1, t2), mat_mul(ext, t2, t1))
+        assert mat_is_zero(ext, rho.element_matrix(make_relation(QQ, chart=y).element))
 
 
 def test_rho_relation_nonzero_off_intersection():
     rho = build_rho(QQ, Y_SAMPLE, (Fraction(1), Fraction(1)))
-    assert not mat_is_zero(QQ, rho.relation_matrix())
+    assert not mat_is_zero(QQ, rho.element_matrix(make_relation(QQ, chart=Y_SAMPLE).element))
+
+
+@pytest.mark.parametrize("base", [QQ, PrimeField(random_prime(random.Random(11)))],
+                         ids=["QQ", "GF"])
+def test_rho_of_the_relation_element_is_the_commutator_formula(base):
+    # rho(X) is read off the relation element itself; the oracle writes X's
+    # combination of commutators out by hand.  It vanishes at the conics'
+    # intersection point (over its extension), on rho_k over k, and not at
+    # seeded z off the conics, over k and over a quadratic extension
+    rng = random.Random(13)
+    E = irreducible_extension(base, 2)
+    for y in (chart_in_field(base, Y_SAMPLE), chart_in_field(base, chart("3/2,-2,5"))):
+        rel = make_relation(base, chart=y)
+        rw = tq_rewrite(base, y)
+        _, at_conics = chart_representation(base, y)
+        cert, _ = closure_certificate(rel)
+        cases = [(at_conics, True), (letter_representation(cert), True)]
+        for field in (base, E):
+            shift = field.zero if field is base else field.gen()
+            z = tuple(field.add(field.from_int(rng.randint(-9, 9)), shift) for _ in range(2))
+            cases.append((build_rho(field, tuple(map(field.from_base, y)), z, rewrite=rw),
+                          False))
+        for rho, kills in cases:
+            f = rho.field
+            got = rho.element_matrix(rel.element)
+            assert mat_eq(f, got, relation_matrix_oracle(f, rho, tuple(map(f.from_base, y))))
+            assert mat_is_zero(f, got) is kills
 
 
 # --- irreducibility -----------------------------------------------------------
@@ -497,7 +546,7 @@ def test_wedderburn_rank_18_and_structure():
     ext = spec.ext
     yext = tuple(ext.from_base(c) for c in Y_SAMPLE)
     rho = build_rho(ext, yext, (spec.z1, spec.z2))
-    wm = wedderburn_verify(cert, ext, rho, algebra_map_checks(rel.element, ext, rho))
+    wm = wedderburn_verify(cert, rel.element, rho)
     assert wm.rank == 18
     assert wm.exact
     assert wm.characters_kill_relation
@@ -520,7 +569,7 @@ def test_wedderburn_rank_constant_across_primes():
         ext = spec.ext
         yext = tuple(ext.from_base(c) for c in y) if spec.extension_degree > 1 else y
         rho = build_rho(ext, yext, (spec.z1, spec.z2))
-        wm = wedderburn_verify(cert, ext, rho, algebra_map_checks(rel.element, ext, rho))
+        wm = wedderburn_verify(cert, rel.element, rho)
         assert wm.rank == 18 and wm.exact
 
 
@@ -619,15 +668,22 @@ def test_trace_form_and_center_match_their_oracles():
 
 def test_rep_matrices_memoized_and_word_matrix_matches_letter_products():
     from partabel.freeproduct import P, Q
-    from partabel.reptheory import mat_eq, mat_mul
     rel = make_relation(QQ, chart=Y_SAMPLE)
     cert, _ = closure_certificate(rel)
     spec = intersect_conics(QQ, Y_SAMPLE)
     ext = spec.ext
     rho = build_rho(ext, tuple(ext.from_base(c) for c in Y_SAMPLE), (spec.z1, spec.z2))
-    assert rho.p1 is rho.p1 and rho.p2 is rho.p2
-    assert rho.letter_matrix((P, 3)) is rho.letter_matrix((P, 3))
-    assert rho.letter_matrix((Q, 3)) is rho.letter_matrix((Q, 3))
+    one = mat_identity(ext)
+    for tag in (P, Q):
+        # the given letters are kept as they are; the third is 1 minus the
+        # other two, built once, and every letter is its own cached word
+        m1, m2 = rho.letters[(tag, 1)], rho.letters[(tag, 2)]
+        assert rho.letter_matrix((tag, 1)) is m1 and rho.letter_matrix((tag, 2)) is m2
+        m3 = rho.letter_matrix((tag, 3))
+        assert m3 is rho.letter_matrix((tag, 3))
+        assert mat_eq(ext, m3, mat_sub(ext, mat_sub(ext, one, m1), m2))
+        for i in (1, 2, 3):
+            assert rho.word_matrix(((tag, i),)) is rho.letter_matrix((tag, i))
     for w in cert.basis:
         m = mat_identity(ext)
         for letter in w:
@@ -654,7 +710,7 @@ def test_the_image_rows_are_the_image_of_the_exact_rows_and_keep_their_rank():
     degrees = []
     for cert, ext, rho in _rational_evaluation_cases():
         exact = _evaluation_rows(ext, cert.basis, rho)
-        gf, rows = image_evaluation_rows(cert.basis, ext, rho)
+        gf, rows = image_evaluation_rows(cert.basis, rho)
         _, h = ext.modular_image()
         assert rows == [[h(v) for v in row] for row in exact]
         assert _echelon_rank(gf, rows) == _echelon_rank(ext, exact) == 18
@@ -662,15 +718,17 @@ def test_the_image_rows_are_the_image_of_the_exact_rows_and_keep_their_rank():
     assert degrees[-3:] == [1, 2, 3]
 
 
-def test_a_full_image_builds_no_exact_word_matrix(monkeypatch):
+def test_a_full_image_builds_no_exact_evaluation_rows(monkeypatch):
+    # rho(X) builds its eight two-letter words exactly, for the check; the
+    # rows on the certified basis are built only on the GF(l) image
     from partabel.pipeline import certify_point
     fields = []
-    real = reptheory.RepMatrices.word_matrix
+    real = reptheory._evaluation_rows
 
-    def spy(self, word):
-        fields.append(self.field)
-        return real(self, word)
-    monkeypatch.setattr(reptheory.RepMatrices, "word_matrix", spy)
+    def spy(field, basis, rho):
+        fields.append(field)
+        return real(field, basis, rho)
+    monkeypatch.setattr(reptheory, "_evaluation_rows", spy)
     for text in ("-8,-4,7", "-5,-3,-1", "2,3,7"):
         fields.clear()
         pc = certify_point(QQ, (Fraction(1),) + chart(text))
@@ -689,7 +747,7 @@ def _rational_point_data(seed, count):
         ext = spec.ext
         rho = build_rho(ext, tuple(ext.from_base(c) for c in y), (spec.z1, spec.z2),
                         rewrite=tq_rewrite(QQ, y))
-        yield ext, [rho.p1, rho.p2, rho.q1, rho.q2]
+        yield ext, [rho.letter_matrix(g) for g in (P1, P2, Q1, Q2)]
 
 
 def test_burnside_span_is_nine_at_rational_sample_points():

@@ -6,7 +6,7 @@ from math import isqrt, lcm
 
 from partabel.freeproduct import EMPTY_WORD, P, Q, AlgebraElement, concat_words
 from partabel.linalg import SparseEchelon, _echelon_rank, _rref, solve_linear
-from partabel.reptheory import tern_mul
+from partabel.reptheory import mat_add, mat_mul, mat_scale, mat_sub, tern_mul
 from partabel.scalars import ExtensionField, UniPoly, add_term, bareiss_determinant
 
 
@@ -229,3 +229,18 @@ def split_dims_oracle(cert):
         images = [cert.multiply(p, {j: f.one}) for j in range(n)]
         dims.append(_echelon_rank(f, [[b.get(k, f.zero) for k in range(n)] for b in images]))
     return tuple(dims)
+
+
+def relation_matrix_oracle(f, rho, y):
+    """rho(X) for X = [p1,q1] + y1[p1,q2] + y2[p2,q1] + y3[p2,q2], written
+    out by hand from the commutators of rho's letter matrices, with the
+    chart y over rho's field f."""
+    y1, y2, y3 = y
+    p1, p2, q1, q2 = (rho.letters[(tag, i)] for tag in (P, Q) for i in (1, 2))
+
+    def comm(a, b):
+        return mat_sub(f, mat_mul(f, a, b), mat_mul(f, b, a))
+    m = comm(p1, q1)
+    m = mat_add(f, m, mat_scale(f, comm(p1, q2), y1))
+    m = mat_add(f, m, mat_scale(f, comm(p2, q1), y2))
+    return mat_add(f, m, mat_scale(f, comm(p2, q2), y3))
