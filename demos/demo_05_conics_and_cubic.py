@@ -60,7 +60,7 @@ yext = tuple(ext.from_base(c) for c in y)
 rhoK = build_rho(ext, yext, (spec.z1, spec.z2))
 X = make_relation(QQ, chart=y).element
 print("rho(X) = 0 over the extension:", mat_is_zero(ext, rhoK.element_matrix(X)))
-print("generated matrix algebra:", irreducibility(ext, rhoK))
+print("generated matrix algebra:", irreducibility(rhoK))
 
 # the determinantal cubic of the net of conics is a union of three lines,
 # certified exactly: a line of the cubic through two conjugate base points

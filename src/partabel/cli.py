@@ -251,7 +251,7 @@ def cmd_rep(cfg, t0) -> int:
     y = chart_in_field(field, chart)
     spec, rho = chart_representation(field, y)
     ext = spec.ext
-    irr = irreducibility(ext, rho)
+    irr = irreducibility(rho)
     t1, t2 = t_matrices(field, y, rho)
     _, killed, identities = algebra_map_checks(make_relation(field, chart=y).element, rho)
     rw = tq_rewrite(FunctionField(("y1", "y2", "y3")),

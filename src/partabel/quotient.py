@@ -21,10 +21,12 @@ degree-5 words fall into F^4 at generic points.
 
 Most products reduce to zero, so the span skips those it can prove
 redundant in advance: u*X*v with |u| >= 1 is fed only when its tail
-u[1:]*X*v gave a pivot one window earlier.  Since u*X*v = a*(u[1:]*X*v)
-for the first letter a of u, and a times a product from below the previous
-window is itself a product up to the previous window, the span is
-unchanged (proof in ``IdealSpan``).
+u[1:]*X*v gave a pivot one window earlier; u is skipped whole when it
+starts with the lead word of a top-degree pivot (F5's syzygy criterion);
+and p2*X*p1*w, q2*X*q1*w are skipped when p2*X*p2, q2*X*q2 and the
+sandwiches by the third idempotents vanish.  Each skipped product is a
+combination of products fed before it, so it would reduce to zero, and
+the echelon is that of feeding every product (proof in ``IdealSpan``).
 
 Rows are built from column arithmetic, not word tuples.  The words of a
 signature are numbered once per process (``column_table``): a word w of
@@ -219,30 +221,53 @@ class IdealSpan:
 
     ``window`` caps len(u) + len(v); expanded products then live in degree
     up to window + 2 and the highest-order columns are eliminated first, so
-    collapses into low degree are discovered and counted.  Deterministic:
-    products are fed in graded lexicographic order.
+    collapses into low degree are discovered and counted.
 
-    At window s a product u * X_k * v with |u| >= 1 is fed only if
-    u[1:] * X_k * v gave a word pivot at window s - 1; every X_k * v is fed.
-    The span is the span of all products all the same:
+    Deterministic: products are fed in the order sigma = (window
+    s = |u| + |v|, |u|, column of u, column of v, k), and three rules skip
+    a product P only where P is a combination of products of smaller
+    sigma.  By induction on sigma, every product then lies in the span of
+    the fed rows of sigma up to its own.  So a skipped product would reduce
+    to zero, and a zero row leaves the echelon untouched: pivot rows
+    (provenance columns aside), counted ranks, bounds, normal forms and
+    ``trace`` are those of feeding every product.  D is the largest
+    relation degree, at least 1.
 
-    * u is alternating, so u = a * u' with a a letter and
-      u * X_k * v = a * (u' * X_k * v);
-    * the pivot-giving products fed so far are a basis of the span of all
-      products up to window s - 1;
-    * for a basis product Q from a window below s - 1, a * Q lies at window
-      s - 1 or lower, so it is already in that span;
-    * hence the span at window s is the span at window s - 1, plus every
-      X_k * v with |v| = s, plus a * Q for each pivot-giving Q of window
-      s - 1 (a * Q is Q, zero, or a product of window s).  That last set is
-      exactly the products this rule feeds.
+    * Tail rule: for |u| >= 1, P is fed only if Q = u[1:] * X_k * v gave a
+      word pivot at window s - 1.  Otherwise Q is a combination of products
+      R of smaller sigma (the rows fed before it, or by induction), and
+      P = a * Q for the first letter a of u.  Each a * R is R (a merges),
+      zero, or a product of window below s, or of window s and sigma below
+      P's, since prefixing a keeps the order of (|u|, u, v, k).
+      This is the simplest case of Faugere's F5 idea of skipping rows
+      known in advance to reduce to zero.
+    * Lead-prefix rule, F5's syzygy criterion (Faugere 2002) in the
+      free-algebra form of Hofstadler and Verron (2022): let a product of
+      window s_g install a pivot row g = l + sum g_m m (m < l) with
+      |l| >= s_g + D, such as X itself at s_g = 0.  Then P is skipped when
+      l is a prefix of u = l * w.  As g = sum c_j u_j * X * v_j over fed
+      products of window <= s_g,
+          P = sum c_j u_j * X * (v_j * w * X_k * v) - sum g_m (m * w) * X_k * v.
+      A product of the first sum has window <= s_g + |w| + D + |v| <= s
+      and |u_j| <= s_g < |l| <= |u|.  In the second, m * w is zero,
+      shorter than u, or of u's length and below it.  The rule depends on
+      u alone and skips whole u blocks.  Only growth flags leads, in a
+      bytearray over columns; a column of length s takes the flag of its
+      prefix when window s first reaches it, by which time every lead of
+      length <= s (installed at window s - D) is flagged.
+    * Sandwich rule: for a >= 3, e = 1 - p_1 - ... - p_{a-1} and an X_k
+      with p_{a-1} X_k p_{a-1} = 0 = e X_k e (true of every commutator
+      relation), P = p_{a-1} * X_k * p_{a-2} * w is skipped; the same with
+      the q's.  Expanding e X_k e * w = 0 gives P as a signed sum of
+      X_k * w, p_i * X_k * w, X_k * p_j * w and p_i * X_k * p_j * w
+      (i, j < a).  Apart from P, each has a lower window, a shorter u, a
+      lower u, or u = p_{a-1} and a lower v, or is p_{a-1} X_k p_{a-1} * w
+      = 0.  A longer u with P as its tail is skipped by the tail rule.
+      The condition is checked per span on first growth (``_sandwich``).
 
-    Pivot columns, counted ranks, bounds and normal forms are therefore
-    those of feeding every product; only the stored pivot rows differ.
-    This is the simplest case of Faugere's F5 idea of skipping rows known in
-    advance to reduce to zero.  A right-hand tail rule (u * X_k * v[:-1]) is
-    not applied on top of it: the two rules would justify each other's
-    skips in a circle.
+    A right-hand tail rule (u * X_k * v[:-1]) is not applied on top of
+    these: it and the tail rule would justify each other's skips in a
+    circle.
 
     ``trace`` lists each fed product that gave a word pivot, in feed order,
     packed as ((iu << 32 | iv) * nrel + k) for u, v the words of columns
@@ -292,6 +317,11 @@ class IdealSpan:
         # for these, and ``trace`` reads them all.  None after a replay,
         # which leaves nothing to grow from and keeps its trace instead.
         self._gave_pivot: list[list[bytearray]] | None = []
+        # per column: 1 if a flagged pivot lead is a prefix of the word
+        # (lead-prefix rule in the class doc); growth alone sets it, flagging
+        # the leads of length >= _lead_from, the window s plus D
+        self._lead_prefix = bytearray()
+        self._lead_from: int | None = None
         self._replayed_trace = array("q")
         # after a replay: pivot_deg_counts as they stood at the end of each
         # window 0, 1, ..., self.window
@@ -305,9 +335,14 @@ class IdealSpan:
         if self._gave_pivot is None:
             raise ValueError("a replayed span cannot grow to a wider window")
         table = self.table
-        table.ensure(window + self._max_relation_degree())
+        D = max(self._max_relation_degree(), 1)
+        table.ensure(window + D)
         nrel = len(self.relations)
+        lead = self._lead_prefix
+        lead.extend(bytes(len(table.words) - len(lead)))
+        sandwich = self._sandwich
         for s in range(self.window + 1, window + 1):
+            self._lead_from = s + D
             # gave_pivot[lu] holds a byte per product u * X_k * v with
             # |u| = lu and |v| = s - lu, at (i * len(vs) + j) * nrel + k for
             # u, v the i-th and j-th words of their lengths.  The tails
@@ -325,6 +360,12 @@ class IdealSpan:
                     tails, tail_start = b"\1" * width, 0
                 m = s - lu
                 for i, iu in enumerate(us):
+                    # a u of length s is new at window s and takes the flag
+                    # of u[:-1]; every lead of length <= s is flagged by now
+                    if lu == s and lead[self.index[self.words[iu][:-1]]]:
+                        lead[iu] = 1
+                    if lead[iu]:
+                        continue
                     # the (v, k) whose tail byte is set, by v's first tag,
                     # found in feed order by bytearray.find
                     at = (self.index[self.words[iu][1:]] - tail_start) * width
@@ -334,6 +375,8 @@ class IdealSpan:
                         pos = tails.find(1, at + lo * nrel, end)
                         if pos >= 0:
                             terms, mod = self._seam_terms(iu, m, tag)
+                            for k, b in sandwich.get((iu, tag), ()) if m else ():
+                                terms[k][b] = []  # the sandwich products build no row
                         while pos >= 0:
                             j, k = divmod(pos - at, nrel)
                             r = j - lo
@@ -343,6 +386,24 @@ class IdealSpan:
                 gave_pivot.append(flags)
             self._gave_pivot.append(gave_pivot)
         self.window = window
+
+    @cached_property
+    def _sandwich(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        """(column of u, first tag of v) -> the (k, b) of the sandwich
+        criterion (class doc): u = p_{a-1} and v's first letter is p_{a-2},
+        so b = a - 3, for each X_k with p_{a-1} X_k p_{a-1} = e X_k e = 0;
+        the same on the Q side.  Computed on first growth, never by a
+        replay."""
+        out = {}
+        for tag, n in ((P, self.sig.a), (Q, self.sig.b)):
+            if n < 3:
+                continue
+            top, e = (idempotent(self.sig, self.field, tag, i) for i in (n - 1, n))
+            ks = [(k, n - 3) for k, X in enumerate(self.relations)
+                  if (top * X * top).is_zero() and (e * X * e).is_zero()]
+            if ks:
+                out[self.index[((tag, n - 1),)], tag] = ks
+        return out
 
     def _seam_terms(self, iu: int, m: int, tag: int) -> tuple[list, int]:
         """(terms, mod) for u * X_k * v, u at column iu and v of length m
@@ -461,7 +522,9 @@ class IdealSpan:
     def _feed(self, row: dict, iu: int, iv: int, k: int) -> bool:
         """Reduce ``row``, the product u * X_k * v for u, v the words of
         columns iu, iv, into the echelon; True if it gave a word pivot.
-        Every product enters the span here."""
+        Every product enters the span here.  While growing, a pivot whose
+        lead is at least ``_lead_from`` long flags its column for the
+        lead-prefix rule (class doc)."""
         if not row:
             return False
         if self.track:
@@ -473,6 +536,8 @@ class IdealSpan:
             return False
         d = self.table.length[piv]
         self.pivot_deg_counts[d] = self.pivot_deg_counts.get(d, 0) + 1
+        if self._lead_from is not None and d >= self._lead_from:
+            self._lead_prefix[piv] = 1
         return True
 
     # -- bounds --------------------------------------------------------------

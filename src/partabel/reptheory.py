@@ -961,8 +961,8 @@ def generated_matrix_algebra_dim(field: Domain, mats: list) -> int:
     return ech.rank
 
 
-def irreducibility(field: Domain, rho: RepMatrices) -> dict:
-    dim = generated_matrix_algebra_dim(field, [rho.letter_matrix(g) for g in (P1, P2, Q1, Q2)])
+def irreducibility(rho: RepMatrices) -> dict:
+    dim = generated_matrix_algebra_dim(rho.field, [rho.letter_matrix(g) for g in (P1, P2, Q1, Q2)])
     return {"algebra_dimension": dim, "irreducible": dim == 9}
 
 
@@ -1068,7 +1068,6 @@ def letter_representation(cert) -> RepMatrices | None:
 @dataclass
 class WedderburnMap:
     field: Domain
-    ext: Domain
     rank: int
     target_dim: int
     characters_kill_relation: bool
@@ -1150,7 +1149,7 @@ def wedderburn_verify(cert, X: AlgebraElement, rho: RepMatrices) -> WedderburnMa
     checks = algebra_map_checks(X, rho)
     rank = evaluation_rank(cert.basis, rho)
     exact = rank if all(checks) and rank == cert.dimension_bound else None
-    return WedderburnMap(cert.field, rho.field, rank, 18, *checks, exact)
+    return WedderburnMap(cert.field, rank, 18, *checks, exact)
 
 
 TYPE_FIELDS = ("center_dim", "trace_form_rank", "split_dims", "irreducible_dim")
@@ -1162,7 +1161,7 @@ def wedderburn_type(wm: WedderburnMap, rho: RepMatrices) -> dict:
     p1*S_x, p2*S_x and (1 - p1 - p2)*S_x, and the dimension of the algebra
     rho generates.  All four are None unless ``wm`` is exact.
 
-    Exact over ``wm.ext`` = k (rho = ``letter_representation``) means the
+    Exact over rho's field k (rho = ``letter_representation``) means the
     evaluation map phi: S_x -> k^9 (+) M3(k) is an algebra map whose matrix
     on the certified basis B has rank 18 = |B| over k.  As |B| >= dim S_x,
     phi is an isomorphism of k-algebras, and each number follows:
@@ -1186,11 +1185,11 @@ def wedderburn_type(wm: WedderburnMap, rho: RepMatrices) -> dict:
     computed on the structure constants, as oracles."""
     if not wm.exact:
         return dict.fromkeys(TYPE_FIELDS)
-    ext = wm.ext
+    f = rho.field
     chars = characters33()
-    m3_trace_rank = 0 if ext.is_zero(ext.from_int(3)) else 9
+    m3_trace_rank = 0 if f.is_zero(f.from_int(3)) else 9
     split = tuple(
-        sum(not ext.is_zero(character_value(ext, ((P, i),), ch)) for ch in chars)
-        + 3 * _echelon_rank(ext, rho.letter_matrix((P, i))) for i in (1, 2, 3))
+        sum(not f.is_zero(character_value(f, ((P, i),), ch)) for ch in chars)
+        + 3 * _echelon_rank(f, rho.letter_matrix((P, i))) for i in (1, 2, 3))
     return {"center_dim": len(chars) + 1, "trace_form_rank": len(chars) + m3_trace_rank,
             "split_dims": split, "irreducible_dim": 9}

@@ -178,7 +178,7 @@ def test_criterion_08_conic_pipeline_five_specializations():
         rho = build_rho(ext, yext, (spec.z1, spec.z2))
         assert rho.idempotent_identities_hold()
         assert mat_is_zero(ext, rho.element_matrix(make_relation(QQ, chart=y).element))
-        assert irreducibility(ext, rho)["algebra_dimension"] == 9
+        assert irreducibility(rho)["algebra_dimension"] == 9
     print(f"\nPASS criterion 8: deg f = 3, exact common zeros over the "
           f"extension, cubic splits into three lines, representation kills "
           f"the relation and generates a 9-dimensional algebra at 5 random "

@@ -165,19 +165,57 @@ def _gf(seed):
     return PrimeField(primes_pair(seed)[0])
 
 
-@pytest.mark.parametrize("relations, top", [
-    (lambda: make_relation(QQ, chart=GENERIC_CHART), 5),
-    (lambda: make_relation(_gf(29), chart=chart_in_field(_gf(29), GENERIC_CHART)), 6),
-    (lambda: make_relation(QQ, point=tuple(Fraction(c) for c in (1, 0, 0, -1))), 6),
-    (lambda: _gf_relation((1, 0, 0, -1)), 8),
-    (lambda: multi_relation(Signature(4, 2), [(1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 1)]), 5),
+def _point_relation(field, point):
+    return make_relation(field, point=tuple(field.from_int(c) for c in point))
+
+
+def _off_sandwich(field):
+    # p2 * q2 p2 q1 * p2 != 0, so the P-side sandwich rule must stay off
+    q2p2q1 = idempotent(SIG, field, Q, 2) * idempotent(SIG, field, P, 2) \
+        * idempotent(SIG, field, Q, 1)
+    return [_point_relation(field, (1, 2, 3, 7)).element + q2p2q1]
+
+
+def _count_add_row(span):
+    count, add_row = [0], span.ech.add_row
+
+    def counted(row):
+        count[0] += 1
+        return add_row(row)
+
+    span.ech.add_row = counted
+    return count
+
+
+@pytest.mark.parametrize("relations, top, sides", [
+    (lambda: make_relation(QQ, chart=GENERIC_CHART), 5, {P, Q}),
+    (lambda: make_relation(_gf(29), chart=chart_in_field(_gf(29), GENERIC_CHART)), 6, {P, Q}),
+    (lambda: make_relation(QQ, point=tuple(Fraction(c) for c in (1, 0, 0, -1))), 6, {P, Q}),
+    (lambda: _gf_relation((1, 0, 0, -1)), 8, {P, Q}),
+    (lambda: multi_relation(Signature(4, 2), [(1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 1)]), 5, {P}),
     (lambda: multi_relation(Signature(4, 2), [(1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 1)],
-                            _gf(31)), 6),
+                            _gf(31)), 6, {P}),
+    (lambda: _point_relation(QQ, (1, 2, 2, 4)), 5, {P, Q}),
+    (lambda: _point_relation(QQ, (0, 1, 2, 3)), 5, {P, Q}),
+    (lambda: _gf_relation((1, 2, 2, 4)), 7, {P, Q}),
+    (lambda: _gf_relation((0, 1, 2, 3)), 7, {P, Q}),
+    (lambda: multi_relation(Signature(3, 2), [(1, 2, 0), (1, 0, 1)]), 7, {P}),
+    (lambda: multi_relation(Signature(4, 2), [(1, 1, 0, 0), (0, 0, 1, 1)]), 6, {P}),
+    (lambda: [_gf_relation((1, 0, 0, -1)).element, _gf_relation((1, 2, 2, 4)).element],
+     6, {P, Q}),
+    (lambda: _off_sandwich(QQ), 5, {Q}),
+    (lambda: _off_sandwich(_gf(13)), 6, {Q}),
 ], ids=["generic_qq", "generic_gf", "infinite_qq", "infinite_gf",
-        "sig42_three_relations_qq", "sig42_three_relations_gf"])
-def test_arithmetic_rows_match_the_word_tuple_rows(relations, top):
+        "sig42_three_relations_qq", "sig42_three_relations_gf", "quadric_qq", "plane_qq",
+        "quadric_gf", "plane_gf", "sig32_tensor", "sig42_mid2",
+        "two_points_gf", "off_sandwich_qq", "off_sandwich_gf"])
+def test_arithmetic_rows_match_the_word_tuple_rows(relations, top, sides):
+    # the oracle applies the tail rule alone; the lead-prefix and sandwich
+    # rules drop only rows that reduce to zero, so everything agrees at every
+    # window but the number of add_row calls
     rels = relations()
     span, oracle = IdealSpan(rels), IdealSpan(rels)
+    calls = [_count_add_row(span), _count_add_row(oracle)]
     for window in range(top + 1):
         span.extend_to_window(window)
         extend_by_word_tuples(oracle, window)
@@ -185,8 +223,11 @@ def test_arithmetic_rows_match_the_word_tuple_rows(relations, top):
         assert all(list(row.items()) == list(oracle.ech.pivots[c].items())
                    for c, row in span.ech.pivots.items()), window
         assert span.trace == oracle.trace, window
+        assert span.pivot_deg_counts == oracle.pivot_deg_counts, window
         assert [span.bound(n) for n in range(window + 4)] == \
             [oracle.bound(n) for n in range(window + 4)], window
+    assert calls[0][0] < calls[1][0]
+    assert {tag for _, tag in span._sandwich} == sides
     replayed = IdealSpan(rels)
     replayed.replay(oracle.trace, top)
     assert [(c, list(row.items())) for c, row in replayed.ech.pivots.items()] == \
@@ -268,8 +309,9 @@ def test_tail_pivot_criterion_keeps_provenance_exact(relation):
 
 
 def test_tail_pivot_criterion_row_count_at_the_infinite_point():
-    # window 10 at (1:0:0:-1): 11,248 rows reach the echelon where feeding
-    # every product sends 31,744; the 8,184 new pivots are the same
+    # window 10 at (1:0:0:-1): 8,966 rows reach the echelon where the tail
+    # rule alone sends 11,248 and feeding every product 31,744; the 8,184
+    # new pivots are the same
     span = IdealSpan(_gf_relation((1, 0, 0, -1)))
     span.extend_to_window(9)
     rank, rows, add_row = span.ech.rank, [0], span.ech.add_row
@@ -280,7 +322,7 @@ def test_tail_pivot_criterion_row_count_at_the_infinite_point():
 
     span.ech.add_row = counted
     span.extend_to_window(10)
-    assert rows[0] == 11248
+    assert rows[0] == 8966
     assert span.ech.rank - rank == 8184
 
 

@@ -507,7 +507,7 @@ def test_irreducibility_generic():
     ext = spec.ext
     yext = tuple(ext.from_base(c) for c in Y_SAMPLE)
     rho = build_rho(ext, yext, (spec.z1, spec.z2))
-    rep = irreducibility(ext, rho)
+    rep = irreducibility(rho)
     assert rep == {"algebra_dimension": 9, "irreducible": True}
 
 
