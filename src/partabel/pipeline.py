@@ -12,10 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields
 from fractions import Fraction
+from functools import lru_cache
 
 from .linalg import dense_rank
 from .quotient import (
-    ClosureCertificate, ClosureFailure, ClosureTrace, CommutatorRelation,
+    ClosureCertificate, ClosureFailure, ClosureTrace, CommutatorRelation, IdealSpan,
     canonical_point, chart_in_field, closure_certificate, make_relation, on_quadric,
     random_offquadric_chart, replay_is_growth, spanning_monomials_rank,
 )
@@ -104,12 +105,12 @@ class PointCertificate:
     split_dims: tuple | None
     spanning_list: dict
     exact_dimension: int | None
-    # the closure's pivot-giving products, for a replay at another point
-    closure_trace: ClosureTrace | None = dataclass_field(default=None, compare=False,
-                                                        repr=False)
-    # the closure certificate itself, for ``extension_lower_bound``
+    # the closure certificate itself, for ``extension_lower_bound``, and the
+    # span that proves it, whose trace a replay at another point feeds
+    # (``certify_point_multi`` drops the span once it has read it)
     certificate: ClosureCertificate | None = dataclass_field(default=None, compare=False,
                                                              repr=False)
+    span: IdealSpan | None = dataclass_field(default=None, compare=False, repr=False)
 
     def verdict(self) -> tuple[bool, str]:
         if self.exact_dimension == 18:
@@ -141,7 +142,7 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
     growth, the point is not certified: ``DegenerateSpecialization``.
 
     ``trace`` is handed to ``closure_certificate`` to replay; the closure's
-    own trace is returned as ``closure_trace``.  A replayed certificate is
+    own span is returned as ``span``.  A replayed certificate is
     kept only when the point is exact, so that rho_k and the characters
     prove its basis independent, and ``replay_is_growth`` then proves it is
     the certificate full growth returns; otherwise the point is certified
@@ -181,8 +182,8 @@ def certify_point(field: Domain, x: tuple, n_max: int = 8, slack: int = 4,
         **wedderburn_type(wm, rho),
         spanning_list=spanning_monomials_rank(cert, span),
         exact_dimension=wm.exact_dimension,
-        closure_trace=ClosureTrace.of(cert, span),
         certificate=cert,
+        span=span,
     )
 
 
@@ -219,17 +220,25 @@ def seeded_primes(seed: int, primes: list[int] | None = None) -> list[int]:
     """The primes of prime mode, as a new list: the given ones, then
     distinct primes drawn from ``Random(seed)`` until there are two.  Every
     command that works over GF(p) takes its primes from here."""
+    return list(_seeded_primes(seed, tuple(primes or ())))
+
+
+@lru_cache(maxsize=64)
+def _seeded_primes(seed: int, given: tuple[int, ...]) -> tuple[int, ...]:
+    """``seeded_primes``, drawn once per (seed, given) in a process: the
+    draw depends on those alone, and each point of ``theorem`` asks again,
+    which would run Miller-Rabin on a dozen candidates every time."""
     rng = random.Random(seed)
-    ps = list(primes or [])
+    ps = list(given)
     while len(ps) < 2:
         p = random_prime(rng)
         if p not in ps:
             ps.append(p)
-    return ps
+    return tuple(ps)
 
 
-# the pivot-giving products of this process's first full growth that came
-# out exact (18), replayed by every later run (see certify_point_multi)
+# the part of this process's first full growth that came out exact (18)
+# that a closure reads, replayed by every later run (see certify_point_multi)
 _learned_closure: ClosureTrace | None = None
 
 
@@ -245,11 +254,14 @@ def certify_point_multi(x_fractions: tuple, mode: str = "prime",
 
     Every run replays the closure this process learned first (see
     ``_learned_closure`` and ``closure_certificate``); until there is one,
-    runs grow the window, and the first that is exact at 18 fills it.  A
-    trace holds products, indices only, so one learned mod p replays over
-    QQ and the reverse.  That is still independent evidence: the trace only
-    chooses which ideal elements to feed, and the closure test and the
-    lower bound are computed in full over each domain.  The reports are
+    runs grow the window, and the first that is exact at 18 fills it with
+    the part of its trace that the closure reads (``ClosureTrace.pruned``,
+    cut once, when learned: the pivots of leads no longer than the closure
+    looks and the products that reduced them).  A trace holds products,
+    indices only, so one learned mod p replays over QQ and the reverse.
+    That is still independent evidence: the trace only chooses which ideal
+    elements to feed, and the closure test and the lower bound are
+    computed in full over each domain.  The reports are
     full growth's bytes: ``certify_point`` keeps a replay only under the
     bound sandwich of ``replay_is_growth`` and grows the window otherwise.
     The gain needs the generic shape to repeat from point to point, which
@@ -267,7 +279,8 @@ def certify_point_multi(x_fractions: tuple, mode: str = "prime",
         run = certify_point(f, chart_in_field(f, x_fractions), n_max=n_max,
                             slack=slack, force=force, trace=_learned_closure)
         if _learned_closure is None and run.exact_dimension == 18:
-            _learned_closure = run.closure_trace
+            _learned_closure = ClosureTrace.pruned(run.certificate, run.span)
+        run.span = None  # read no further: the next run need not keep it alive
         runs.append(run)
         reports.append(_cert_json(run))
         if over_extension:
@@ -292,7 +305,7 @@ def certify_point_multi(x_fractions: tuple, mode: str = "prime",
 
 def _cert_json(r: PointCertificate) -> dict:
     out = {fd.name: getattr(r, fd.name) for fd in dataclass_fields(r)
-           if fd.name not in ("point", "closure_trace", "certificate")}
+           if fd.name not in ("point", "certificate", "span")}
     out["chart"] = [str(c) for c in r.chart]
     out["split_dims"] = list(r.split_dims) if r.split_dims else None
     return out

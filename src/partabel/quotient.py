@@ -49,7 +49,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 from .freeproduct import (
     EMPTY_WORD, P, Q, AlgebraElement, Signature, Word,
@@ -216,6 +216,39 @@ def column_table(sig: Signature) -> ColumnTable:
     return ColumnTable(sig)
 
 
+def _compile_rows(sig: Signature, layout: tuple, products: tuple) -> tuple:
+    """The point-free part of each packed product u * X_k * v of a trace:
+    (window, iu, iv, k, pairs), pairs listing (column of u * w * v, t) for
+    the t-th term w of relation k, in term order, zero products left out.
+    ``layout`` holds each relation's term columns, so a point of the same
+    layout fills in coefficients only.  Built with ``ColumnTable.product``;
+    the rows those terms give are the ones growth builds from
+    ``IdealSpan._seam_terms``, dict order included."""
+    table = column_table(sig)
+    nrel = len(layout)
+    unpacked = []
+    for packed in products:
+        pair, k = divmod(packed, nrel)
+        iu, iv = pair >> 32, pair & 0xFFFFFFFF
+        unpacked.append((table.length[iu] + table.length[iv], iu, iv, k))
+    table.ensure(max((s for s, *_ in unpacked), default=0)
+                 + max((table.length[c] for terms in layout for c in terms), default=0))
+    out = []
+    for s, iu, iv, k in unpacked:
+        pairs = []
+        for t, iw in enumerate(layout[k]):
+            col = table.product(iu, iw)
+            if col is not None and (col := table.product(col, iv)) is not None:
+                pairs.append((col, t))
+        out.append((s, iu, iv, k, tuple(pairs)))
+    return tuple(out)
+
+
+# what a replay reads: computed once per trace and layout, kept for the few
+# traces a process replays
+_compiled_rows = lru_cache(maxsize=16)(_compile_rows)
+
+
 class IdealSpan:
     """Echelonized span of products u * X_k * v, grown window by window.
 
@@ -278,14 +311,18 @@ class IdealSpan:
     ranks stay lower bounds and normal forms stay congruences modulo the
     ideal.  It can only fall short of the full span, never claim more.
     ``replay_bound`` reads the bound a replay had at each window it passed.
+    ``pruned_trace`` cuts a trace to the products that rebuild the pivots
+    of short leads, which is all a closure reads.
 
     ``words``, ``index`` and ``_length_block`` read the signature's shared
-    ``ColumnTable``, so ``words`` may run past this span's columns.  The
-    left products u * X_k are kept as columns, once per span; for each u
-    and each length and first tag of v, each of their terms becomes an
-    offset once (``_seam_terms``), and the row of a tail-flagged v is
-    offset + r(v) per term (module doc).  The rows and their order are
-    those that word tuples give, as ``verify_provenance`` expands them.
+    ``ColumnTable``, so ``words`` may run past this span's columns.  While
+    growing, the left products u * X_k are kept as columns, once per span;
+    for each u and each length and first tag of v, each of their terms
+    becomes an offset once (``_seam_terms``), and the row of a tail-flagged
+    v is offset + r(v) per term (module doc).  A replay reads each traced
+    product's columns from ``_compiled_rows``, computed once per trace.
+    The rows and their order are those that word tuples give, as
+    ``verify_provenance`` expands them.
     """
 
     def __init__(self, relations, track_provenance: bool = False):
@@ -303,10 +340,12 @@ class IdealSpan:
         self._length_block = self.table.block
         self._modp = self.field.p if isinstance(self.field, PrimeField) else None
         self.table.ensure(self._max_relation_degree())
-        # per relation, the (column, coefficient) of each term; then per u
-        # (by column) the nonzero terms of u * X_k the same way
+        # per relation, the (column, coefficient) of each term, and the
+        # columns alone (the layout a compiled trace is keyed by); then per
+        # u (by column) the nonzero terms of u * X_k the same way
         self._rel_terms = [[(self.index[w], c) for w, c in X.terms.items()]
                            for X in self.relations]
+        self._layout = tuple(tuple(col for col, _ in terms) for terms in self._rel_terms)
         self._left: dict[int, list[list[tuple[int, object]]]] = {}
         self.window = -1
         self.pivot_deg_counts: dict[int, int] = {}
@@ -469,8 +508,10 @@ class IdealSpan:
 
     def replay(self, products, window: int):
         """Feed exactly the packed ``products`` (another span's ``trace``,
-        same signature and relations) into this fresh span, then stand at
-        ``window``; the products that give a word pivot here are traced.
+        same signature and relations, or a part of one) into this fresh
+        span, then stand at ``window``; the products that give a word pivot
+        here are traced.  Each row is filled in from the trace's compiled
+        columns (``_compiled_rows``) with this span's relation coefficients.
 
         The counted ranks are recorded at the end of every window up to
         ``window`` (read through ``replay_bound``).  The record of window w
@@ -481,29 +522,63 @@ class IdealSpan:
         product beyond ``window`` is refused."""
         if self.window >= 0:
             raise ValueError("replay needs a fresh span")
-        table = self.table
-        table.ensure(window + self._max_relation_degree())
-        nrel = len(self.relations)
+        self.table.ensure(window + self._max_relation_degree())
+        coeffs = [[c for _, c in terms] for terms in self._rel_terms]
         counts = self._window_counts
-        last = None
-        for packed in products:
-            pair, k = divmod(packed, nrel)
-            iu, iv = pair >> 32, pair & 0xFFFFFFFF
-            m, tag, r = table.coords(iv)
-            s = table.length[iu] + m
+        compiled = _compiled_rows(self.sig, self._layout, tuple(products))
+        for packed, (s, iu, iv, k, pairs) in zip(products, compiled):
             if s > window:
                 raise ValueError(f"a traced product of window {s} lies beyond {window}")
             while len(counts) < s:
                 counts.append(dict(self.pivot_deg_counts))
-            if (iu, m, tag) != last:  # products come grouped by u in feed order
-                last = (iu, m, tag)
-                terms, mod = self._seam_terms(iu, m, tag)
-            if self._feed(self._row(terms[k][r // mod], r), iu, iv, k):
+            cs = coeffs[k]
+            if self._feed(self._row([(col, cs[t]) for col, t in pairs], 0), iu, iv, k):
                 self._replayed_trace.append(packed)
         while len(counts) <= window:
             counts.append(dict(self.pivot_deg_counts))
         self.window = window
         self._gave_pivot = None
+
+    def pruned_trace(self, length: int) -> array:
+        """The part of ``trace`` that rebuilds every pivot whose lead is at
+        most ``length`` long, in feed order: the products of those pivots,
+        and every earlier product whose pivot reduced a kept one,
+        transitively.
+
+        The i-th traced product installed the i-th word pivot, and a pivot
+        row never changes once installed.  Reducing a row down to its lead l
+        meets only columns of its product's terms and of the tails of the
+        pivots it used, and it uses a pivot at each column above l where it
+        is nonzero, one installed before it (else the row would have
+        stopped there).  So the pivots it used are among those reached that
+        way, read off the echelon by structure, with no elimination.  Fed in
+        the same order at the same point, a kept product meets the same
+        pivots at every column it passes and installs the same row; at
+        another point the kept products are still ideal elements, so a
+        replay of them stays sound (``replay``)."""
+        trace = self.trace
+        pivots, lengths = self.ech.pivots, self.table.length
+        leads = [c for c in pivots if c >= 0]
+        order = {c: i for i, c in enumerate(leads)}
+        compiled = _compile_rows(self.sig, self._layout, tuple(trace))  # read once: not cached
+        keep = bytearray(len(trace))
+        for i in range(len(trace) - 1, -1, -1):
+            lead = leads[i]
+            if not keep[i] and lengths[lead] > length:
+                continue
+            keep[i] = 1
+            stack = [col for col, _ in compiled[i][4] if col > lead]
+            seen = set(stack)
+            while stack:
+                j = order.get(stack.pop(), i)
+                if j >= i:  # no pivot there yet when product i was fed
+                    continue
+                keep[j] = 1
+                for col in pivots[leads[j]]:
+                    if col > lead and col not in seen:
+                        seen.add(col)
+                        stack.append(col)
+        return array("q", (packed for packed, kept in zip(trace, keep) if kept))
 
     @property
     def replayed(self) -> bool:
@@ -892,9 +967,10 @@ def _try_closure(span: IdealSpan, n: int):
 
 @dataclass(frozen=True)
 class ClosureTrace:
-    """What a closure learned at one point: the span's ``trace`` (its
-    pivot-giving products, packed, in feed order) and the degree and window
-    at which the certificate closed."""
+    """What a closure learned at one point: pivot-giving products of its
+    span, packed, in feed order, and the degree and window at which the
+    certificate closed.  ``of`` keeps the span's whole ``trace``; ``pruned``
+    keeps only the products that a replay's closure reads."""
 
     products: array
     degree: int
@@ -903,6 +979,20 @@ class ClosureTrace:
     @classmethod
     def of(cls, cert: "ClosureCertificate", span: IdealSpan) -> "ClosureTrace":
         return cls(span.trace, cert.degree, cert.window)
+
+    @classmethod
+    def pruned(cls, cert: "ClosureCertificate", span: IdealSpan) -> "ClosureTrace":
+        """The part of ``span``'s trace that a replay is read for
+        (``IdealSpan.pruned_trace``): every pivot with a lead of length at
+        most max(degree + 1, window - 1, 4).  That covers the closure test,
+        its bounds at degree and degree + 1 and its normal forms; every
+        ``replay_bound(w, n)`` that ``replay_is_growth`` reads, where
+        n <= window - 1 below the closing window and n < degree at it; and
+        the degree-4 normal forms of ``spanning_monomials_rank``.  A replay
+        of this part agrees with one of the whole trace on all of these, and
+        at another point it is checked as any replay is."""
+        length = max(cert.degree + 1, cert.window - 1, 4)
+        return cls(span.pruned_trace(length), cert.degree, cert.window)
 
 
 def _certificate(span: IdealSpan, n: int, closed, point: tuple | None) -> ClosureCertificate:

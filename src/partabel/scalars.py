@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import islice, zip_longest
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
@@ -63,6 +63,14 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+@lru_cache(maxsize=64)
+def _is_prime_modulus(p: int) -> bool:
+    """``is_probable_prime`` for a ``PrimeField`` modulus, kept for the few
+    moduli a process builds its fields over; the answer depends on p alone.
+    ``random_prime``, which tries many composites, calls the test itself."""
+    return is_probable_prime(p)
 
 
 def random_prime(rng: random.Random, lo: int = 2**40, hi: int = 2**62) -> int:
@@ -217,7 +225,7 @@ class PrimeField(Domain):
     name = "prime"
 
     def __init__(self, p: int):
-        if p >= 2**62 or not is_probable_prime(p):
+        if p >= 2**62 or not _is_prime_modulus(p):
             raise ValueError(f"modulus must be a prime < 2^62, got {p}")
         self.p = p
 

@@ -143,11 +143,35 @@ def test_point_reports_survive_a_json_round_trip(x, mode, seed):
     assert json.loads(json.dumps(report)) == report
 
 
+def test_seeded_primes_are_drawn_once_per_seed(monkeypatch):
+    # each point of theorem asks for its primes again; the draw is made
+    # once and every caller gets a list of its own
+    drawn = []
+    monkeypatch.setattr(pipeline, "random_prime",
+                        lambda rng: drawn.append(1) or random_prime(rng))
+    pipeline._seeded_primes.cache_clear()
+    first = seeded_primes(41)
+    assert drawn and len(first) == 2 and first[0] != first[1]
+    drawn.clear()
+    first.append(7)
+    assert seeded_primes(41) == first[:2] and drawn == []
+    assert seeded_primes(41, [2**61 - 1])[0] == 2**61 - 1 and drawn
+
+
 def _in(field, x):
     return tuple(field.from_fraction(F(c)) for c in x)
 
 
+def _read_bounds(cert, span, n_max=8):
+    """replay_bound at every (w, n) that replay_is_growth reads."""
+    return [span.replay_bound(w, n) for w in range(2, cert.window + 1)
+            for n in range(2, min(n_max, w) + 1) if (w, n) < (cert.window, cert.degree)]
+
+
 def test_replayed_closure_matches_full_growth_over_two_primes_and_qq(monkeypatch):
+    # a whole trace and its pruned part (ClosureTrace.pruned) replay to
+    # growth's certificate, bytes included, with the same bounds wherever
+    # replay_is_growth looks
     fed = []
     add_row = SparseEchelon.add_row
     monkeypatch.setattr(SparseEchelon, "add_row",
@@ -158,25 +182,58 @@ def test_replayed_closure_matches_full_growth_over_two_primes_and_qq(monkeypatch
     for x in points:
         for f in (gf1, gf2, QQ):
             cert, span = closure_certificate(make_relation(f, point=_in(f, x)))
-            learned[x, f] = ClosureTrace.of(cert, span)
+            learned[x, f] = (ClosureTrace.of(cert, span), ClosureTrace.pruned(cert, span))
+            assert len(learned[x, f][1].products) < len(learned[x, f][0].products)
     for x, other in zip(points, points[1:] + points[:1]):
         # the same point at the other domain, then another point of the
         # sample, learned over QQ and replayed mod p and the reverse
-        for f, trace in ((gf1, learned[x, gf2]), (gf2, learned[x, gf1]),
-                         (QQ, learned[x, gf1]), (gf1, learned[other, QQ]),
-                         (QQ, learned[other, gf2])):
+        for f, traces in ((gf1, learned[x, gf2]), (gf2, learned[x, gf1]),
+                          (QQ, learned[x, gf1]), (gf1, learned[other, QQ]),
+                          (QQ, learned[other, gf2])):
             rel = make_relation(f, point=_in(f, x))
             full, full_span = closure_certificate(rel)
-            fed.clear()
-            got, got_span = closure_certificate(rel, trace=trace)
-            assert len(fed) == len(trace.products)  # the replay path, no fallback
-            assert replay_is_growth(got, got_span, 8)
-            assert (got.basis, got.degree, got.window) == (full.basis, full.degree, full.window)
-            assert got.structure_digest() == full.structure_digest()
-            assert (spanning_monomials_rank(got, got_span)
-                    == spanning_monomials_rank(full, full_span))
-            assert (_cert_json(certify_point(f, _in(f, x), trace=trace))
-                    == _cert_json(certify_point(f, _in(f, x))))
+            report = _cert_json(certify_point(f, _in(f, x)))
+            bounds = []
+            for trace in traces:
+                fed.clear()
+                got, got_span = closure_certificate(rel, trace=trace)
+                assert len(fed) == len(trace.products)  # the replay path, no fallback
+                assert replay_is_growth(got, got_span, 8)
+                assert (got.basis, got.degree, got.window) == \
+                    (full.basis, full.degree, full.window)
+                assert got.structure_digest() == full.structure_digest()
+                assert (spanning_monomials_rank(got, got_span)
+                        == spanning_monomials_rank(full, full_span))
+                assert _cert_json(certify_point(f, _in(f, x), trace=trace)) == report
+                bounds.append(_read_bounds(got, got_span))
+            assert bounds[0] == bounds[1]
+
+
+def test_a_pruned_trace_missing_a_product_regrows_or_proves_growth(monkeypatch):
+    # planted fault: one product dropped from the pruned trace.  Without a
+    # product whose lead the closure reads, the replay falls short and the
+    # point is grown again; without one kept only as a reducer, the replay
+    # is kept only if replay_is_growth proves it.  The bytes are growth's.
+    gf = PrimeField(seeded_primes(11)[0])
+    points = sample_generic_points(5, 2)
+    grows = _count_calls(monkeypatch, IdealSpan, "extend_to_window")
+    for f in (gf, QQ):
+        first = certify_point(f, _in(f, points[0]))
+        pruned = ClosureTrace.pruned(first.certificate, first.span)
+        lead = dict(zip(first.span.trace,
+                        (first.span.table.length[c] for c in first.span.ech.pivots)))
+        short = [i for i, packed in enumerate(pruned.products)
+                 if lead[packed] <= pruned.degree + 1]
+        reducers = [i for i, packed in enumerate(pruned.products)
+                    if lead[packed] > pruned.degree + 1]
+        assert reducers
+        report = _cert_json(certify_point(f, _in(f, points[1])))
+        for i in [short[0], short[len(short) // 2], short[-1]] + reducers:
+            grows.clear()
+            faulted = ClosureTrace(pruned.products[:i] + pruned.products[i + 1:],
+                                   pruned.degree, pruned.window)
+            assert _cert_json(certify_point(f, _in(f, points[1]), trace=faulted)) == report
+            assert grows or i in reducers, i
 
 
 def _count_calls(monkeypatch, cls, name):
@@ -189,18 +246,31 @@ def _count_calls(monkeypatch, cls, name):
 def test_prime_mode_hands_the_first_prime_trace_to_the_second(monkeypatch):
     # the process keeps one learned closure: with an empty slot the first
     # prime grows and fills it, the second prime replays it, and so does
-    # every later run of the process, over QQ as well
+    # every later run of the process, over QQ as well, none growing a window
     monkeypatch.setattr(pipeline, "_learned_closure", None)
     replays = _count_calls(monkeypatch, IdealSpan, "replay")
+    grows = _count_calls(monkeypatch, IdealSpan, "extend_to_window")
     x = (F(1), F(2), F(3), F(7))
     assert certify_point_multi(x, mode="prime", seed=3)["verdict_ok"]
+    assert grows == [(2,), (3,), (4,)]  # the first prime alone grows
     gf1 = PrimeField(seeded_primes(3)[0])
-    first = certify_point(gf1, _in(gf1, x)).closure_trace
-    assert [len(products) for products, _ in replays] == [len(first.products)]
-    assert pipeline._learned_closure.products == first.products
+    first = certify_point(gf1, _in(gf1, x))
+    whole, learned = first.span.trace, pipeline._learned_closure.products
+    assert [len(products) for products, _ in replays] == [len(learned)]
+    # the learned trace keeps, in feed order, part of the first prime's
+    # trace: at least every product whose pivot lead is at most degree + 1
+    # long, whose pivots the closure test reads
+    it = iter(whole)
+    assert all(packed in it for packed in learned)
+    leads = [first.span.table.length[c] for c in first.span.ech.pivots]
+    short = [packed for packed, n in zip(whole, leads) if n <= first.stabilized_at + 1]
+    assert set(short) <= set(learned) and len(learned) < len(whole)
     replays.clear()
+    grows.clear()
+    assert certify_point_multi(x, mode="prime", seed=3)["verdict_ok"]
     assert certify_point_multi(sample_generic_points(2, 1)[0], mode="rational")["verdict_ok"]
-    assert [len(products) for products, _ in replays] == [len(first.products)]
+    assert [len(products) for products, _ in replays] == [len(learned)] * 3
+    assert grows == []
 
 
 def test_a_trace_grown_past_the_closing_window_is_rejected_and_regrown(monkeypatch):
@@ -346,7 +416,8 @@ def test_certify_point_runs_no_conic_stage(monkeypatch):
     x = (1, 2, 3, 7)
     for f in (QQ, PrimeField(seeded_primes(5)[0])):
         grown = certify_point(f, _in(f, x))
-        replayed = certify_point(f, _in(f, x), trace=grown.closure_trace)
+        replayed = certify_point(f, _in(f, x),
+                                 trace=ClosureTrace.of(grown.certificate, grown.span))
         assert grown.exact_dimension == replayed.exact_dimension == 18
         with pytest.raises(AssertionError, match="conic stage"):
             pipeline.extension_lower_bound(f, grown)

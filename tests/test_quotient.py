@@ -655,6 +655,41 @@ def test_a_replayed_span_cannot_grow():
         IdealSpan(span.relations).replay(trace.products, trace.window - 1)
 
 
+def _pivot_items(span):
+    return [(c, list(row.items())) for c, row in span.ech.pivots.items()]
+
+
+@pytest.mark.parametrize("relations", [
+    {"generic": lambda: [_point_relation(_gf(29), (1, 2, 3, 7)).element],
+     "plane": lambda: [_point_relation(_gf(29), (0, 1, 2, 3)).element],
+     "off_sandwich": lambda: _off_sandwich(_gf(29)),
+     "generic_qq": lambda: [_point_relation(QQ, (1, 2, 3, 7)).element]},
+    {"tensor": lambda: multi_relation(Signature(3, 2), [(1, 2, 0), (1, 0, 1)]),
+     "other": lambda: multi_relation(Signature(3, 2), [(1, 0, 0), (0, 1, 1)], _gf(29))},
+], ids=["sig33", "sig32"])
+def test_compiled_rows_follow_the_relation_term_layout(relations):
+    # one trace replayed at relations whose terms sit at other columns (a
+    # plane point lacks the x11 terms, X + q2 p2 q1 has a ninth): each
+    # replay builds its own relation's rows, those word tuples give, in
+    # their order, never rows compiled for another layout; at its own
+    # relation they are growth's pivot rows
+    rels = {name: make() for name, make in relations.items()}
+    grown = {name: IdealSpan(rel) for name, rel in rels.items()}
+    for span in grown.values():
+        span.extend_to_window(5)
+    for traced, source in grown.items():
+        for name, rel in rels.items():
+            replayed, oracle = IdealSpan(rel), IdealSpan(rel)
+            replayed.replay(source.trace, 5)
+            for packed in source.trace:  # one relation: packed is iu << 32 | iv
+                iu, iv = packed >> 32, packed & 0xFFFFFFFF
+                row = word_tuple_row(oracle, oracle.words[iu], 0, oracle.words[iv])
+                oracle._feed(row, iu, iv, 0)
+            assert _pivot_items(replayed) == _pivot_items(oracle), (traced, name)
+            if name == traced:
+                assert _pivot_items(replayed) == _pivot_items(grown[name])
+
+
 def _folded_table(cert):
     """e_i * b_j by folding the letters of b_j one by one from e_i."""
     f, n = cert.field, len(cert.basis)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partabel import scalars
 from partabel.scalars import (
     ExtensionField, FunctionField, PoleError, PolyRingDomain, Polynomial,
     PrimeField, QQ, RationalFunction, UniPoly, _poly_powmod, add_term,
@@ -51,6 +52,29 @@ def test_prime_field_basics():
             f.from_fraction(Fraction(2, f.p))
         assert f.mul(f.inv(f.p - 3), f.p - 3) == 1
         assert f.mul(f.from_fraction(Fraction(5, 3)), 3) == 5
+
+
+def test_prime_field_runs_miller_rabin_once_per_modulus(monkeypatch):
+    # the answer depends on p alone, so a field built again over the same
+    # modulus reads it from the memo; refusals are remembered as well
+    p, q = random_prime(random.Random(5)), 2**61 - 1
+    calls = []
+    test = scalars.is_probable_prime
+    monkeypatch.setattr(scalars, "is_probable_prime", lambda n: calls.append(n) or test(n))
+    scalars._is_prime_modulus.cache_clear()
+    for _ in range(3):
+        assert PrimeField(p).p == p and PrimeField(q).p == q
+        for bad in (561, 10007 * 10009, 91):
+            with pytest.raises(ValueError):
+                PrimeField(bad)
+        with pytest.raises(ValueError):  # a prime, but above the bound
+            PrimeField(2**62 + 135)
+    assert sorted(calls) == sorted([p, q, 561, 10007 * 10009, 91])
+    assert is_probable_prime(2**62 + 135)
+    # random_prime still runs the test itself on every candidate
+    calls.clear()
+    random_prime(random.Random(5))
+    assert len(calls) > 1 and calls[-1] == p
 
 
 FIELDS = {}
