@@ -21,12 +21,13 @@ degree-5 words fall into F^4 at generic points.
 
 Most products reduce to zero, so the span skips those it can prove
 redundant in advance: u*X*v with |u| >= 1 is fed only when its tail
-u[1:]*X*v gave a pivot one window earlier; u is skipped whole when it
-starts with the lead word of a top-degree pivot (F5's syzygy criterion);
-and p2*X*p1*w, q2*X*q1*w are skipped when p2*X*p2, q2*X*q2 and the
-sandwiches by the third idempotents vanish.  Each skipped product is a
-combination of products fed before it, so it would reduce to zero, and
-the echelon is that of feeding every product (proof in ``IdealSpan``).
+u[1:]*X*v gave a pivot one window earlier, and with |v| >= 1 only when
+u*X*v[:-1] did; u is skipped whole when it starts with the lead word of a
+top-degree pivot (F5's syzygy criterion); and p2*X*p1*w, q2*X*q1*w are
+skipped when p2*X*p2, q2*X*q2 and the sandwiches by the third
+idempotents vanish.  Each skipped product is a combination of products
+fed before it, so it would reduce to zero, and the echelon is that of
+feeding every product (proof in ``IdealSpan``).
 
 Rows are built from column arithmetic, not word tuples.  The words of a
 signature are numbered once per process (``column_table``): a word w of
@@ -257,14 +258,14 @@ class IdealSpan:
     collapses into low degree are discovered and counted.
 
     Deterministic: products are fed in the order sigma = (window
-    s = |u| + |v|, |u|, column of u, column of v, k), and three rules skip
+    s = |u| + |v|, |u|, column of u, column of v, k), and four rules skip
     a product P only where P is a combination of products of smaller
-    sigma.  By induction on sigma, every product then lies in the span of
-    the fed rows of sigma up to its own.  So a skipped product would reduce
-    to zero, and a zero row leaves the echelon untouched: pivot rows
-    (provenance columns aside), counted ranks, bounds, normal forms and
-    ``trace`` are those of feeding every product.  D is the largest
-    relation degree, at least 1.
+    sigma, so they compose.  By induction on sigma, every product then lies
+    in the span of the fed rows of sigma up to its own.  So a skipped
+    product would reduce to zero, and a zero row leaves the echelon
+    untouched: pivot rows (provenance columns aside), counted ranks,
+    bounds, normal forms and ``trace`` are those of feeding every product.
+    D is the largest relation degree, at least 1.
 
     * Tail rule: for |u| >= 1, P is fed only if Q = u[1:] * X_k * v gave a
       word pivot at window s - 1.  Otherwise Q is a combination of products
@@ -297,10 +298,15 @@ class IdealSpan:
       lower u, or u = p_{a-1} and a lower v, or is p_{a-1} X_k p_{a-1} * w
       = 0.  A longer u with P as its tail is skipped by the tail rule.
       The condition is checked per span on first growth (``_sandwich``).
-
-    A right-hand tail rule (u * X_k * v[:-1]) is not applied on top of
-    these: it and the tail rule would justify each other's skips in a
-    circle.
+    * Right-hand tail rule: for |v| >= 1, P is fed only if
+      Q = u * X_k * v[:-1] gave a word pivot at window s - 1.  Otherwise
+      Q = sum c_j T_j over products T_j = u_j * X * v_j of smaller sigma,
+      and P = sum c_j T_j * b for the last letter b of v.  Each T_j * b is
+      T_j (v_j ends in b), zero (v_j ends in another letter of b's tag), or
+      u_j * X * (v_j * b), of window below s or of window s with T_j's u_j.
+      With u_j = u there, v_j is as long as v[:-1] and ends in its tag, so
+      starts with its tag, and appending b keeps v_j below v[:-1]; or
+      v_j = v[:-1] and a lower k.
 
     ``trace`` lists each fed product that gave a word pivot, in feed order,
     packed as ((iu << 32 | iv) * nrel + k) for u, v the words of columns
@@ -318,11 +324,11 @@ class IdealSpan:
     ``ColumnTable``, so ``words`` may run past this span's columns.  While
     growing, the left products u * X_k are kept as columns, once per span;
     for each u and each length and first tag of v, each of their terms
-    becomes an offset once (``_seam_terms``), and the row of a tail-flagged
-    v is offset + r(v) per term (module doc).  A replay reads each traced
-    product's columns from ``_compiled_rows``, computed once per trace.
-    The rows and their order are those that word tuples give, as
-    ``verify_provenance`` expands them.
+    becomes an offset once (``_seam_terms``), and the row of a v flagged
+    on both sides is offset + r(v) per term (module doc).  A replay reads
+    each traced product's columns from ``_compiled_rows``, computed once
+    per trace.  The rows and their order are those that word tuples give,
+    as ``verify_provenance`` expands them.
     """
 
     def __init__(self, relations, track_provenance: bool = False):
@@ -352,9 +358,10 @@ class IdealSpan:
         self.track = track_provenance
         self.products: list[tuple[Word, AlgebraElement, Word]] = []
         # _gave_pivot[s]: which products of window s gave a word pivot
-        # (layout in extend_to_window); window s + 1 feeds a*u*X_k*v only
-        # for these, and ``trace`` reads them all.  None after a replay,
-        # which leaves nothing to grow from and keeps its trace instead.
+        # (layout in extend_to_window); window s + 1 feeds a*u*X_k*v and
+        # u*X_k*v*b only for these, and ``trace`` reads them all.  None
+        # after a replay, which leaves nothing to grow from and keeps its
+        # trace instead.
         self._gave_pivot: list[list[bytearray]] | None = []
         # per column: 1 if a flagged pivot lead is a prefix of the word
         # (lead-prefix rule in the class doc); growth alone sets it, flagging
@@ -386,7 +393,9 @@ class IdealSpan:
             # |u| = lu and |v| = s - lu, at (i * len(vs) + j) * nrel + k for
             # u, v the i-th and j-th words of their lengths.  The tails
             # u[1:] * X_k * v of window s - 1 pair the same vs with words of
-            # length lu - 1.  Bytes, not a set of keys, keep wide windows small.
+            # length lu - 1, the heads u * X_k * v[:-1] the same us with
+            # words of length m - 1.  Bytes, not a set of keys, keep wide
+            # windows small.
             gave_pivot: list[bytearray] = []
             for lu in range(s + 1):
                 us, vs = table.block(lu), table.block(s - lu)
@@ -398,6 +407,26 @@ class IdealSpan:
                 else:  # every X_k * v is fed
                     tails, tail_start = b"\1" * width, 0
                 m = s - lu
+                if m:
+                    heads = self._gave_pivot[s - 1][lu]
+                    head_width = (table.start[m] - table.start[m - 1]) * nrel
+                else:  # every u * X_k is fed
+                    heads, head_width = b"\1" * nrel, 0
+                # per first tag of v: its words lo:hi in vs, and their
+                # heads v[:-1] head_lo:head_hi among the words of length
+                # m - 1 (the empty word at m = 1): the r-th v has the
+                # (r // rad)-th head, rad the radix of v's last letter
+                sides = []
+                for tag in (P, Q) if m else (P,):
+                    lo = table.tag_start(m, tag) - vs.start
+                    if m > 1:
+                        head_lo = table.tag_start(m - 1, tag) - table.start[m - 1]
+                        head_hi = head_lo + table.count[m - 1][tag]
+                    else:
+                        head_lo, head_hi = 0, 1
+                    rad = table.radix[tag if m % 2 else 1 - tag] if m else 1
+                    sides.append((tag, lo, lo + table.count[m][tag],
+                                  head_lo * nrel, head_hi * nrel, rad))
                 for i, iu in enumerate(us):
                     # a u of length s is new at window s and takes the flag
                     # of u[:-1]; every lead of length <= s is flagged by now
@@ -405,12 +434,15 @@ class IdealSpan:
                         lead[iu] = 1
                     if lead[iu]:
                         continue
-                    # the (v, k) whose tail byte is set, by v's first tag,
-                    # found in feed order by bytearray.find
+                    # the (v, k) whose tail and head bytes are set, by v's
+                    # first tag, found in feed order by bytearray.find
                     at = (self.index[self.words[iu][1:]] - tail_start) * width
-                    for tag in (P, Q) if m else (P,):
-                        lo = table.tag_start(m, tag) - vs.start
-                        end = at + (lo + table.count[m][tag]) * nrel
+                    head_at = i * head_width
+                    for tag, lo, hi, head_lo, head_hi, rad in sides:
+                        if heads.find(1, head_at + head_lo, head_at + head_hi) < 0:
+                            continue
+                        head_at_lo = head_at + head_lo
+                        end = at + hi * nrel
                         pos = tails.find(1, at + lo * nrel, end)
                         if pos >= 0:
                             terms, mod = self._seam_terms(iu, m, tag)
@@ -419,7 +451,8 @@ class IdealSpan:
                         while pos >= 0:
                             j, k = divmod(pos - at, nrel)
                             r = j - lo
-                            if self._feed(self._row(terms[k][r // mod], r), iu, vs.start + j, k):
+                            if heads[head_at_lo + r // rad * nrel + k] and \
+                                    self._feed(self._row(terms[k][r // mod], r), iu, vs.start + j, k):
                                 flags[i * width + pos - at] = 1
                             pos = tails.find(1, pos + 1, end)
                 gave_pivot.append(flags)
