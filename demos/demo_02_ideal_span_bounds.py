@@ -16,7 +16,7 @@ print("relation X =", rel.element)
 
 # the canonical 13 + 40 low-degree generators of the ideal span a
 # 42-dimensional space inside F^4, leaving at most 61 - 42 = 19 dimensions
-r = standard_generator_rank(rel, include_diagonal_conjugates=True)
+r = standard_generator_rank(rel)
 print("\n53-generator rank:", r["rank"], " degree-4 bound:", r["degree4_bound"])
 print("with the diagonal conjugates p_i X p_i, q_i X q_i included:",
       r["rank_with_diagonal_conjugates"], "(they are dependent)")

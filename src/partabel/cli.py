@@ -113,7 +113,7 @@ def cmd_verify42(cfg, t0) -> int:
     for label, field in _verify_fields(cfg):
         y = chart_in_field(field, chart)
         rel = make_relation(field, chart=y)
-        r = standard_generator_rank(rel, include_diagonal_conjugates=True)
+        r = standard_generator_rank(rel)
         results[label] = r
         ok = ok and r["rank"] == 42 and r["degree4_bound"] == 19 \
             and r["rank_with_diagonal_conjugates"] == 42

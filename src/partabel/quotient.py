@@ -22,12 +22,10 @@ degree-5 words fall into F^4 at generic points.
 Most products reduce to zero, so the span skips those it can prove
 redundant in advance: u*X*v with |u| >= 1 is fed only when its tail
 u[1:]*X*v gave a pivot one window earlier, and with |v| >= 1 only when
-u*X*v[:-1] did; u is skipped whole when it starts with the lead word of a
-top-degree pivot (F5's syzygy criterion); and p2*X*p1*w, q2*X*q1*w are
-skipped when p2*X*p2, q2*X*q2 and the sandwiches by the third
-idempotents vanish.  Each skipped product is a combination of products
-fed before it, so it would reduce to zero, and the echelon is that of
-feeding every product (proof in ``IdealSpan``).
+u*X*v[:-1] did; and u is skipped whole when it starts with the lead word
+of a top-degree pivot (F5's syzygy criterion).  Each skipped product is a
+combination of products fed before it, so it would reduce to zero, and the
+echelon is that of feeding every product (proof in ``IdealSpan``).
 
 Rows are built from column arithmetic, not word tuples.  The words of a
 signature are numbered once per process (``column_table``): a word w of
@@ -258,7 +256,7 @@ class IdealSpan:
     collapses into low degree are discovered and counted.
 
     Deterministic: products are fed in the order sigma = (window
-    s = |u| + |v|, |u|, column of u, column of v, k), and four rules skip
+    s = |u| + |v|, |u|, column of u, column of v, k), and three rules skip
     a product P only where P is a combination of products of smaller
     sigma, so they compose.  By induction on sigma, every product then lies
     in the span of the fed rows of sigma up to its own.  So a skipped
@@ -289,15 +287,6 @@ class IdealSpan:
       bytearray over columns; a column of length s takes the flag of its
       prefix when window s first reaches it, by which time every lead of
       length <= s (installed at window s - D) is flagged.
-    * Sandwich rule: for a >= 3, e = 1 - p_1 - ... - p_{a-1} and an X_k
-      with p_{a-1} X_k p_{a-1} = 0 = e X_k e (true of every commutator
-      relation), P = p_{a-1} * X_k * p_{a-2} * w is skipped; the same with
-      the q's.  Expanding e X_k e * w = 0 gives P as a signed sum of
-      X_k * w, p_i * X_k * w, X_k * p_j * w and p_i * X_k * p_j * w
-      (i, j < a).  Apart from P, each has a lower window, a shorter u, a
-      lower u, or u = p_{a-1} and a lower v, or is p_{a-1} X_k p_{a-1} * w
-      = 0.  A longer u with P as its tail is skipped by the tail rule.
-      The condition is checked per span on first growth (``_sandwich``).
     * Right-hand tail rule: for |v| >= 1, P is fed only if
       Q = u * X_k * v[:-1] gave a word pivot at window s - 1.  Otherwise
       Q = sum c_j T_j over products T_j = u_j * X * v_j of smaller sigma,
@@ -386,7 +375,6 @@ class IdealSpan:
         nrel = len(self.relations)
         lead = self._lead_prefix
         lead.extend(bytes(len(table.words) - len(lead)))
-        sandwich = self._sandwich
         for s in range(self.window + 1, window + 1):
             self._lead_from = s + D
             # gave_pivot[lu] holds a byte per product u * X_k * v with
@@ -446,8 +434,6 @@ class IdealSpan:
                         pos = tails.find(1, at + lo * nrel, end)
                         if pos >= 0:
                             terms, mod = self._seam_terms(iu, m, tag)
-                            for k, b in sandwich.get((iu, tag), ()) if m else ():
-                                terms[k][b] = []  # the sandwich products build no row
                         while pos >= 0:
                             j, k = divmod(pos - at, nrel)
                             r = j - lo
@@ -458,24 +444,6 @@ class IdealSpan:
                 gave_pivot.append(flags)
             self._gave_pivot.append(gave_pivot)
         self.window = window
-
-    @cached_property
-    def _sandwich(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
-        """(column of u, first tag of v) -> the (k, b) of the sandwich
-        criterion (class doc): u = p_{a-1} and v's first letter is p_{a-2},
-        so b = a - 3, for each X_k with p_{a-1} X_k p_{a-1} = e X_k e = 0;
-        the same on the Q side.  Computed on first growth, never by a
-        replay."""
-        out = {}
-        for tag, n in ((P, self.sig.a), (Q, self.sig.b)):
-            if n < 3:
-                continue
-            top, e = (idempotent(self.sig, self.field, tag, i) for i in (n - 1, n))
-            ks = [(k, n - 3) for k, X in enumerate(self.relations)
-                  if (top * X * top).is_zero() and (e * X * e).is_zero()]
-            if ks:
-                out[self.index[((tag, n - 1),)], tag] = ks
-        return out
 
     def _seam_terms(self, iu: int, m: int, tag: int) -> tuple[list, int]:
         """(terms, mod) for u * X_k * v, u at column iu and v of length m
@@ -750,13 +718,12 @@ class IdealSpan:
         return True
 
 
-def standard_generator_rank(rel: CommutatorRelation,
-                            include_diagonal_conjugates: bool = False) -> dict:
+def standard_generator_rank(rel: CommutatorRelation) -> dict:
     """Rank of the canonical 13 + 40 low-degree generators of the ideal:
     X and its one- and two-sided products by p_i, q_j and the length-2
     prefixes/suffixes listed in the construction of the degree-4 ideal
-    space.  Optionally also includes the diagonal conjugates p_i X p_i and
-    q_i X q_i, which are expected to be dependent on the rest."""
+    space; then the rank with the diagonal conjugates p_i X p_i and
+    q_i X q_i added, which are expected to be dependent on the rest."""
     sig, f = rel.sig, rel.field
     X = rel.element
     p = {i: idempotent(sig, f, P, i) for i in (1, 2)}
@@ -782,9 +749,8 @@ def standard_generator_rank(rel: CommutatorRelation,
                 elements += [p[i] * X * p[j] * q[k], q[k] * p[i] * X * p[j],
                              q[i] * X * q[j] * p[k], p[k] * q[i] * X * q[j]]
     extra: list[AlgebraElement] = []
-    if include_diagonal_conjugates:
-        for i in (1, 2):
-            extra += [p[i] * X * p[i], q[i] * X * q[i]]
+    for i in (1, 2):
+        extra += [p[i] * X * p[i], q[i] * X * q[i]]
 
     table = column_table(sig)
     table.ensure(4)
@@ -795,17 +761,14 @@ def standard_generator_rank(rel: CommutatorRelation,
             raise AssertionError("generator unexpectedly exceeds degree 4")
         ech.add_row({index[w]: c for w, c in e.terms.items()})
     base_rank = ech.rank
-    rank = base_rank
     for e in extra:
         ech.add_row({index[w]: c for w, c in e.terms.items()})
-    if include_diagonal_conjugates:
-        rank = ech.rank
     return {
         "generators": len(elements) + len(extra),
         "length_le_3": count13,
         "length_4": len(elements) - count13,
         "rank": base_rank,
-        "rank_with_diagonal_conjugates": rank if include_diagonal_conjugates else None,
+        "rank_with_diagonal_conjugates": ech.rank,
         "degree4_bound": filtration_dim(sig, 4) - base_rank,
     }
 
