@@ -1,7 +1,8 @@
 """Exact Gaussian elimination over the scalar domains.
 
-``SparseEchelon`` grows by ``add_row`` alone: a row installs a pivot or
-reduces to zero.  A remainder is the sum of the normal forms of its words
+``SparseEchelon`` grows by ``add_row``: a row installs a pivot or
+reduces to zero (``install`` puts in a pivot row that ``add_row`` would,
+without reducing).  A remainder is the sum of the normal forms of its words
 (``IdealSpan.normal_forms``): full reduction by normalized pivot rows with
 distinct leads is unique and linear.
 
@@ -19,12 +20,20 @@ reduced fraction-free on integers (Bareiss 1968), each divided by its
 content after every step, which spares the two normalizing gcds of every
 ``Fraction`` update.  Every other domain goes through its Domain
 operations.  All three loops keep the row as a dict of its nonzero
-entries and take the next lead as ``max(row)``, with no heap: a pivot row
+entries and take its leads from the highest column down.  A pivot row
 holds only columns below its own lead, so subtracting it adds no column
-above the lead being cleared, and a cancelled column is popped from the row
-at once.  The leads therefore come out in the same descending order a
-priority queue would give.  Every rank comes from SparseEchelon:
-``dense_rank`` over QQ and its extensions first eliminates the matrix's
+above the lead being cleared, and each lead is the row's highest column
+left.  A short row takes it as ``max(row)``.  Once the row holds
+``HEAP_FROM`` entries, the loop takes it off a heap of negated column
+indices instead (Monagan and Pearce 2007): the heap starts with the row's
+columns, a column is pushed when a pivot subtraction first inserts it, and
+a popped column that has since cancelled is skipped.  Both give the same
+leads in the same order, and the heap spares a rescan of a row that fills
+in, which made the lead search quadratic at generic points.  ``install``
+lets a caller that feeds many shifts of one row (``IdealSpan`` growth)
+install a shift whose lead is free as a shifted copy of an earlier one,
+with no elimination.  Every rank comes from SparseEchelon: ``dense_rank``
+over QQ and its extensions first eliminates the matrix's
 image mod a prime l near 2^61, and eliminates the exact rows only when
 that image falls short of full rank.  Dense solves (``nullspace``,
 ``solve_linear``, the classifier's matrix inverse and the t*q rewrite) go
@@ -34,10 +43,15 @@ through the one dense Gauss-Jordan routine, ``_rref``.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Callable
 
 from .scalars import Domain, PrimeField, RationalField
+
+# a row with this many entries takes its leads off a heap, a shorter one by
+# max(row), which costs less there (module doc); rows never go back
+HEAP_FROM = 32
 
 
 class SparseEchelon:
@@ -93,10 +107,23 @@ class SparseEchelon:
                     row[c] = nv
         return out
 
-    # All three loops walk the row's columns from the highest down, each
-    # lead being max(row) of the nonzero entries left (no heap: a pivot row
-    # adds only columns below its lead).  The first lead without a pivot
-    # becomes a new pivot row.
+    def install(self, lead: int, source: int):
+        """Install at ``lead``, which has no pivot, the pivot row of
+        ``source`` shifted by lead - source, with the QQ loop's integer
+        copy.  When ``source``'s pivot came from a row R whose highest
+        column was free, this is what ``add_row`` installs from R shifted
+        by lead - source: at a free lead it installs the other entries
+        normalized, in dict order, with no elimination, and a shift moves
+        only the columns."""
+        shift = lead - source
+        self.pivots[lead] = {c + shift: w for c, w in self.pivots[source].items()}
+        if self._qq:
+            L, N = self._int_pivots[source]
+            self._int_pivots[lead] = (L, {c + shift: w for c, w in N.items()})
+
+    # All three loops take the row's leads by max(row) while it is short
+    # and off a heap once it is not (module doc); the first lead without a
+    # pivot becomes a new pivot row.
     #
     # The QQ loop works on an integer multiple of the row.  Each step
     # scales it by a nonzero rational (the lead's elimination and the
@@ -108,8 +135,17 @@ class SparseEchelon:
     def _eliminate_modp(self, row: dict) -> int | None:
         p = self._modp
         pivots = self.pivots
+        heap = None
         while row:
-            lead = max(row)
+            if heap is None and len(row) < HEAP_FROM:
+                lead = max(row)
+            else:
+                if heap is None:
+                    heap = [-c for c in row]
+                    heapify(heap)
+                lead = -heappop(heap)
+                if lead not in row:
+                    continue
             v = row.pop(lead)
             piv = pivots.get(lead)
             if piv is None:
@@ -119,6 +155,8 @@ class SparseEchelon:
             for c, w in piv.items():
                 nv = (row.get(c, 0) - v * w) % p
                 if nv:
+                    if heap is not None and c not in row:
+                        heappush(heap, -c)
                     row[c] = nv
                 else:
                     row.pop(c, None)
@@ -129,8 +167,17 @@ class SparseEchelon:
         row = {c: v for c, v in row.items() if v}
         den = lcm(*[v.denominator for v in row.values()])
         row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+        heap = None
         while row:
-            lead = max(row)
+            if heap is None and len(row) < HEAP_FROM:
+                lead = max(row)
+            else:
+                if heap is None:
+                    heap = [-c for c in row]
+                    heapify(heap)
+                lead = -heappop(heap)
+                if lead not in row:
+                    continue
             v = row.pop(lead)
             piv = int_pivots.get(lead)
             if piv is None:
@@ -151,6 +198,8 @@ class SparseEchelon:
             for c, w in N.items():
                 nv = row.get(c, 0) - b * w
                 if nv:
+                    if heap is not None and c not in row:
+                        heappush(heap, -c)
                     row[c] = nv
                 else:
                     row.pop(c, None)
@@ -164,8 +213,17 @@ class SparseEchelon:
         f = self.field
         pivots = self.pivots
         row = {c: v for c, v in row.items() if not f.is_zero(v)}
+        heap = None
         while row:
-            lead = max(row)
+            if heap is None and len(row) < HEAP_FROM:
+                lead = max(row)
+            else:
+                if heap is None:
+                    heap = [-c for c in row]
+                    heapify(heap)
+                lead = -heappop(heap)
+                if lead not in row:
+                    continue
             v = row.pop(lead)
             piv = pivots.get(lead)
             if piv is None:
@@ -177,6 +235,8 @@ class SparseEchelon:
                 if f.is_zero(nv):
                     row.pop(c, None)
                 else:
+                    if heap is not None and c not in row:
+                        heappush(heap, -c)
                     row[c] = nv
         return None
 

@@ -39,6 +39,11 @@ seam (the same letter on both sides), count being the number of words
 v[1:], since r(v) = (first index of v - 1) * count + r(v[1:]).  Any other
 seam of one tag is the zero product.  A row u * X_k * v is then a few
 integer additions, as in the symbolic preprocessing of Faugere's F4 (1999).
+The terms of each u, k and seam bucket are merged once into a template,
+the row at r(v) = 0.  Every product's row is its template's shifted by
+r(v), so once one shift has gone in at its free top column, every later
+shift whose top column is free goes in as a shifted copy of that pivot
+row, with no elimination; only the other rows are reduced.
 """
 
 from __future__ import annotations
@@ -313,11 +318,19 @@ class IdealSpan:
     ``ColumnTable``, so ``words`` may run past this span's columns.  While
     growing, the left products u * X_k are kept as columns, once per span;
     for each u and each length and first tag of v, each of their terms
-    becomes an offset once (``_seam_terms``), and the row of a v flagged
-    on both sides is offset + r(v) per term (module doc).  A replay reads
-    each traced product's columns from ``_compiled_rows``, computed once
-    per trace.  The rows and their order are those that word tuples give,
-    as ``verify_provenance`` expands them.
+    becomes an offset once, and the terms of each first index of v are
+    merged into one template (``_seam_terms``, ``_template``): the row of
+    a v flagged on both sides is the template's row shifted by r(v)
+    (module doc).  The first shift whose top column has no pivot goes
+    through ``add_row`` and installs its normalized row there.  A later
+    shift whose top column has no pivot gets that pivot row shifted, which
+    is the pivot row ``add_row`` would install (``SparseEchelon.install``).
+    Every other row, and every row while provenance is tracked, goes
+    through ``add_row``.  A replay reads each traced product's columns from
+    ``_compiled_rows``, computed once per trace.  Every product, grown or
+    replayed, enters the echelon through ``_feed``.  The rows and their
+    order are those that word tuples give, as ``verify_provenance``
+    expands them.
     """
 
     def __init__(self, relations, track_provenance: bool = False):
@@ -433,12 +446,12 @@ class IdealSpan:
                         end = at + hi * nrel
                         pos = tails.find(1, at + lo * nrel, end)
                         if pos >= 0:
-                            terms, mod = self._seam_terms(iu, m, tag)
+                            seams, mod = self._seam_terms(iu, m, tag)
                         while pos >= 0:
                             j, k = divmod(pos - at, nrel)
                             r = j - lo
                             if heads[head_at_lo + r // rad * nrel + k] and \
-                                    self._feed(self._row(terms[k][r // mod], r), iu, vs.start + j, k):
+                                    self._feed(seams[k][r // mod], r, iu, vs.start + j, k):
                                 flags[i * width + pos - at] = 1
                             pos = tails.find(1, pos + 1, end)
                 gave_pivot.append(flags)
@@ -446,10 +459,10 @@ class IdealSpan:
         self.window = window
 
     def _seam_terms(self, iu: int, m: int, tag: int) -> tuple[list, int]:
-        """(terms, mod) for u * X_k * v, u at column iu and v of length m
-        starting with ``tag``: terms[k][b] lists (offset, c) for the nonzero
-        terms of the products whose v has first index b + 1, each at column
-        offset + r(v); b is r(v) // mod."""
+        """(seams, mod) for u * X_k * v, u at column iu and v of length m
+        starting with ``tag``: seams[k][b] is the template (``_template``)
+        of the products whose v has first index b + 1, each its row shifted
+        by r(v); b is r(v) // mod."""
         table = self.table
         left = self._left.get(iu)
         if left is None:
@@ -464,20 +477,30 @@ class IdealSpan:
                 off, letter = table.seam(col, m, tag)
                 for b in (buckets if letter is None else (buckets[letter],)):
                     b.append((off, c))
-            out.append(buckets)
+            out.append([self._template(b) for b in buckets])
         return out, mod
 
-    def _row(self, terms: list, r: int) -> dict:
-        """The row sum of c at column offset + r over ``terms``, as
+    def _template(self, terms: list) -> list | tuple:
+        """[top, row, source] for the products whose rows are the sums of c
+        at column offset + r over ``terms``, one per shift r: ``row`` the
+        sum at r = 0, ``top`` its highest column, and ``source`` the pivot
+        column where ``_feed`` first installed a shift of it at its free
+        top, None until then.  Rows are shifted as a whole, so r moves
+        every column and keeps the dict order.  (None, {}, None) when the
+        terms cancel."""
+        row = self._row(terms)
+        return [max(row), row, None] if row else (None, row, None)
+
+    def _row(self, terms: list) -> dict:
+        """The row sum of c at column offset over ``terms``, as
         ``add_term`` accumulates it; over GF(p) on plain ints."""
         row: dict[int, object] = {}
         p = self._modp
         if p is None:
-            for off, c in terms:
-                add_term(self.field, row, off + r, c)
+            for col, c in terms:
+                add_term(self.field, row, col, c)
             return row
-        for off, c in terms:
-            col = off + r
+        for col, c in terms:
             if col in row:
                 c = (row[col] + c) % p
                 if not c:
@@ -533,7 +556,8 @@ class IdealSpan:
             while len(counts) < s:
                 counts.append(dict(self.pivot_deg_counts))
             cs = coeffs[k]
-            if self._feed(self._row([(col, cs[t]) for col, t in pairs], 0), iu, iv, k):
+            row = self._row([(col, cs[t]) for col, t in pairs])
+            if self._feed((None, row, None), 0, iu, iv, k):
                 self._replayed_trace.append(packed)
         while len(counts) <= window:
             counts.append(dict(self.pivot_deg_counts))
@@ -595,21 +619,38 @@ class IdealSpan:
     def _max_relation_degree(self) -> int:
         return max(r.degree() for r in self.relations)
 
-    def _feed(self, row: dict, iu: int, iv: int, k: int) -> bool:
-        """Reduce ``row``, the product u * X_k * v for u, v the words of
-        columns iu, iv, into the echelon; True if it gave a word pivot.
-        Every product enters the span here.  While growing, a pivot whose
-        lead is at least ``_lead_from`` long flags its column for the
-        lead-prefix rule (class doc)."""
-        if not row:
-            return False
-        if self.track:
-            pid = len(self.products)
-            self.products.append((self.words[iu], self.relations[k], self.words[iv]))
-            row[-(pid + 1)] = self.field.one
-        piv = self.ech.add_row(row)
-        if piv is None or piv < 0:
-            return False
+    def _feed(self, template, r: int, iu: int, iv: int, k: int) -> bool:
+        """Reduce the product u * X_k * v, for u, v the words of columns iu,
+        iv, into the echelon; True if it gave a word pivot.  Every product
+        enters the span here.  Its row is the row of ``template``
+        (``_template``) shifted by r.  When the shifted top column has no
+        pivot and an earlier shift went in at its free top, that pivot row
+        is installed there, shifted, with no elimination
+        (``SparseEchelon.install``); otherwise, and with provenance, the
+        shifted row goes through ``add_row``.  A row fed once (a replay, or
+        any caller outside growth) comes with no top, as (None, row, None)
+        at r = 0, and is consumed.  While growing, a pivot whose lead is at
+        least ``_lead_from`` long flags its column for the lead-prefix rule
+        (class doc)."""
+        top, row, source = template
+        ech = self.ech
+        free = top is not None and not self.track and (piv := top + r) not in ech.pivots
+        if free and source is not None:
+            ech.install(piv, source)
+        else:
+            if top is not None:
+                row = {c + r: w for c, w in row.items()}
+            elif not row:
+                return False
+            if self.track:
+                pid = len(self.products)
+                self.products.append((self.words[iu], self.relations[k], self.words[iv]))
+                row[-(pid + 1)] = self.field.one
+            piv = ech.add_row(row)
+            if piv is None or piv < 0:
+                return False
+            if free:  # went in at its free top: later free shifts copy it
+                template[2] = piv
         d = self.table.length[piv]
         self.pivot_deg_counts[d] = self.pivot_deg_counts.get(d, 0) + 1
         if self._lead_from is not None and d >= self._lead_from:

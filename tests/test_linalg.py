@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partabel.classify import _matrix_inverse
+import partabel.linalg as linalg
 from partabel.linalg import (
-    SparseEchelon, _echelon_rank, _rref, dense_rank, nullspace, solve_linear,
+    HEAP_FROM, SparseEchelon, _echelon_rank, _rref, dense_rank, nullspace, solve_linear,
 )
 from partabel.scalars import (
     ExtensionField, PrimeField, QQ, UniPoly, bareiss_determinant, prime_field_roots,
@@ -251,14 +252,15 @@ def test_bareiss_determinant_matches_the_permutation_expansion(case):
     assert f.is_zero(det) == (_sparse_rank(f, m) < len(m))
 
 
-# --- the heap-free reduction loops against the heap loop they replaced --------
+# --- the reduction loops against a loop that always takes leads off a heap ----
 
 class HeapEchelon:
-    """The reduction loop SparseEchelon ran before it took each lead as
-    max(row): the columns wait in a heap of negated indices, and a popped
-    column that was cancelled in the meantime is skipped.  Kept as the
-    oracle.  It runs on Domain operations only; on GF(p) they give the same
-    residues as the int loop."""
+    """A reduction loop that takes every lead off a heap: the columns wait
+    in a heap of negated indices, and a popped column that was cancelled in
+    the meantime is skipped.  Kept as the oracle for SparseEchelon's loops,
+    which take a lead by max(row) while the row is short.  It runs on
+    Domain operations only; on GF(p) they give the same residues as the int
+    loop."""
 
     def __init__(self, field):
         self.field = field
@@ -311,8 +313,13 @@ HEAP_FIELDS = {
 
 @st.composite
 def row_sequences(draw):
-    """A field, rows to install and rows to reduce, over 8 columns; a row
-    may be a combination of two earlier ones, so cancellations are common."""
+    """A field, rows to install and rows to reduce, over 64 columns.  A row
+    is short (up to 6 entries) or long (HEAP_FROM or more), or a chain of
+    combinations: an earlier row plus multiples of one to three more,
+    which may be combinations themselves, so cancellations are common.  A
+    short row reduced by long pivot rows fills in past HEAP_FROM, so the
+    loops take leads by max(row), switch to the heap midway, or start on
+    it."""
     f = HEAP_FIELDS[draw(st.sampled_from(sorted(HEAP_FIELDS)))]
     small = st.integers(-2, 2)
     if isinstance(f, ExtensionField):
@@ -320,19 +327,20 @@ def row_sequences(draw):
             lambda cs: UniPoly(f.base, [f.base.from_int(c) for c in cs]))
     else:
         coeff = small.map(f.from_int)
+    cols = st.integers(0, 63)
     rows = []
     for _ in range(draw(st.integers(1, 10))):
         if len(rows) >= 2 and draw(st.booleans()):
-            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            c = draw(coeff)
-            row = dict(a)
-            for k, w in b.items():
-                row[k] = f.add(row.get(k, f.zero), f.mul(c, w))
+            row = dict(draw(st.sampled_from(rows)))
+            for _ in range(draw(st.integers(1, 3))):
+                b, c = draw(st.sampled_from(rows)), draw(coeff)
+                for k, w in b.items():
+                    row[k] = f.add(row.get(k, f.zero), f.mul(c, w))
         else:
-            row = draw(st.dictionaries(st.integers(0, 7), coeff, max_size=6))
+            size = draw(st.sampled_from([(0, 6), (HEAP_FROM, HEAP_FROM + 16)]))
+            row = draw(st.dictionaries(cols, coeff, min_size=size[0], max_size=size[1]))
         rows.append(row)
-    probes = draw(st.lists(st.dictionaries(st.integers(0, 7), coeff, max_size=6),
-                           max_size=4))
+    probes = draw(st.lists(st.dictionaries(cols, coeff, max_size=6), max_size=4))
     if isinstance(f, PrimeField):  # a GF(p) row holds no zero entries (linalg doc)
         rows, probes = ([{c: v for c, v in r.items() if v} for r in rs] for rs in (rows, probes))
     return f, rows, probes
@@ -344,7 +352,7 @@ def _same_row(f, a, b):
 
 @settings(max_examples=300, deadline=None)
 @given(row_sequences())
-def test_echelon_without_a_heap_matches_the_heap_loop(case):
+def test_echelon_matches_the_heap_loop(case):
     f, rows, probes = case
     ech, oracle = SparseEchelon(f), HeapEchelon(f)
     for row in rows:
@@ -353,6 +361,32 @@ def test_echelon_without_a_heap_matches_the_heap_loop(case):
         assert all(_same_row(f, ech.pivots[c], oracle.pivots[c]) for c in ech.pivots)
     for row in rows + probes:
         assert _same_row(f, ech.reduce(dict(row)), oracle.reduce(dict(row)))
+
+
+@pytest.mark.parametrize("name", sorted(HEAP_FIELDS))
+def test_rows_that_fill_in_switch_to_the_heap(name, monkeypatch):
+    # long pivot rows first, then short rows that each reduce through them
+    # and fill in past HEAP_FROM entries: every loop takes its first leads
+    # by max(row) and the rest off the heap, and installs the pivot rows the
+    # heap loop does, keys in order
+    f = HEAP_FIELDS[name]
+    heaps = [0]
+    monkeypatch.setattr(linalg, "heapify", lambda h: heaps.__setitem__(0, heaps[0] + 1)
+                        or heapq.heapify(h))
+    rng = random.Random(5)
+    coeff = (lambda: UniPoly(f.base, [f.base.from_int(rng.randint(-2, 2)) for _ in range(3)])) \
+        if isinstance(f, ExtensionField) else (lambda: f.from_int(rng.randint(-2, 2)))
+    dense = [{c: coeff() for c in rng.sample(range(top), 2 * HEAP_FROM // 3)} | {top: f.one}
+             for top in range(64, 64 + HEAP_FROM)]
+    short = [{c: coeff() for c in rng.sample(range(64, 64 + HEAP_FROM), 4)} for _ in range(8)]
+    rows = [{c: v for c, v in r.items() if not f.is_zero(v)} for r in dense + short]
+    ech, oracle = SparseEchelon(f), HeapEchelon(f)
+    for row in rows:
+        assert ech.add_row(dict(row)) == oracle.add_row(dict(row))
+        assert list(ech.pivots) == list(oracle.pivots)
+        assert all(list(ech.pivots[c]) == list(oracle.pivots[c]) for c in ech.pivots)
+        assert all(_same_row(f, ech.pivots[c], oracle.pivots[c]) for c in ech.pivots)
+    assert heaps[0] >= len(short) // 2
 
 
 # --- the fraction-free QQ loop against the generic loop -----------------------

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -249,7 +250,7 @@ def feed_every_product(span, window):
                 for iv in span._length_block(s - lu):
                     for k in range(len(span.relations)):
                         row = word_tuple_row(span, span.words[iu], k, span.words[iv])
-                        span._feed(row, iu, iv, k)
+                        span._feed((None, row, None), 0, iu, iv, k)
     span.window = window
 
 
@@ -306,6 +307,60 @@ def test_tail_pivot_criterion_keeps_provenance_exact(relation):
     assert len(engine.products) < len(oracle.products)
 
 
+class TemplatePathSpan(IdealSpan):
+    """Counts the way each grown product enters the echelon: its seam
+    template merged to no row, its shifted top column was free, or it
+    already held a pivot."""
+
+    def __init__(self, relations, track_provenance=False):
+        super().__init__(relations, track_provenance)
+        self.paths = collections.Counter()
+
+    def _feed(self, template, r, iu, iv, k):
+        top, row, _ = template
+        if top is None:
+            self.paths["empty" if not row else "once"] += 1
+        else:
+            self.paths["pivot" if top + r in self.ech.pivots else "free"] += 1
+        return super()._feed(template, r, iu, iv, k)
+
+
+@pytest.mark.parametrize("track", [False, True], ids=["plain", "provenance"])
+@pytest.mark.parametrize("field", [_gf(13), QQ], ids=["gf", "qq"])
+def test_seam_templates_match_feeding_every_product(field, track):
+    # at (1:2:3:7) to window 4 growth meets all three kinds of template:
+    # a free top column (the first such shift through add_row, later ones
+    # installed as shifted copies, with no elimination), a top that is
+    # already a pivot (through add_row), and terms that cancel (p_i X p_i
+    # and q_j X q_j at window 2); with provenance every row goes through
+    # add_row
+    rel = _point_relation(field, (1, 2, 3, 7))
+    engine = TemplatePathSpan(rel, track_provenance=track)
+    oracle = IdealSpan(rel, track_provenance=track)
+    installs, install = [0], engine.ech.install
+
+    def counted(*args):
+        installs[0] += 1
+        return install(*args)
+
+    engine.ech.install = counted
+    for window in range(5):
+        engine.extend_to_window(window)
+        feed_every_product(oracle, window)
+        assert {c for c in engine.ech.pivots if c >= 0} == \
+            {c for c in oracle.ech.pivots if c >= 0}, window
+        assert engine.pivot_deg_counts == oracle.pivot_deg_counts, window
+        assert engine.normal_forms(window + 2) == oracle.normal_forms(window + 2), window
+    assert engine.paths["empty"] == 4 and engine.paths["once"] == 0
+    assert engine.paths["free"] > 0 and engine.paths["pivot"] > 0
+    if track:
+        assert installs[0] == 0
+    else:
+        assert 0 < installs[0] < engine.paths["free"]
+    if track:
+        assert engine.verify_provenance() and oracle.verify_provenance()
+
+
 
 def _random_relation(sig, field, rng, commutators):
     """A random sum of the commutators [p_i, q_j], or a random element of
@@ -345,18 +400,21 @@ def test_skip_rules_match_feeding_every_product_at_random_relations(sig, kinds, 
 def test_tail_pivot_criterion_row_count_at_the_infinite_point():
     # window 10 at (1:0:0:-1): 8,198 rows reach the echelon where the tail
     # rule alone sends 11,248 and feeding every product 31,744; the 8,184
-    # new pivots are the same
+    # new pivots are the same.  A row reaches the echelon as a new pivot,
+    # installed from its template or by add_row, or as an add_row call
+    # that returns None.
     span = IdealSpan(_gf_relation((1, 0, 0, -1)))
     span.extend_to_window(9)
-    rank, rows, add_row = span.ech.rank, [0], span.ech.add_row
+    rank, zeros, add_row = span.ech.rank, [0], span.ech.add_row
 
     def counted(row):
-        rows[0] += 1
-        return add_row(row)
+        piv = add_row(row)
+        zeros[0] += piv is None
+        return piv
 
     span.ech.add_row = counted
     span.extend_to_window(10)
-    assert rows[0] == 8198
+    assert span.ech.rank - rank + zeros[0] == 8198
     assert span.ech.rank - rank == 8184
 
 
@@ -669,8 +727,8 @@ class PivotRecordingSpan(IdealSpan):
         super().__init__(relations)
         self.pivot_products = []
 
-    def _feed(self, row, iu, iv, k):
-        gave = super()._feed(row, iu, iv, k)
+    def _feed(self, template, r, iu, iv, k):
+        gave = super()._feed(template, r, iu, iv, k)
         if gave:
             self.pivot_products.append((self.words[iu], self.relations[k], self.words[iv]))
         return gave
@@ -745,7 +803,7 @@ def test_compiled_rows_follow_the_relation_term_layout(relations):
             for packed in source.trace:  # one relation: packed is iu << 32 | iv
                 iu, iv = packed >> 32, packed & 0xFFFFFFFF
                 row = word_tuple_row(oracle, oracle.words[iu], 0, oracle.words[iv])
-                oracle._feed(row, iu, iv, 0)
+                oracle._feed((None, row, None), 0, iu, iv, 0)
             assert _pivot_items(replayed) == _pivot_items(oracle), (traced, name)
             if name == traced:
                 assert _pivot_items(replayed) == _pivot_items(grown[name])

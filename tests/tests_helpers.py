@@ -187,7 +187,7 @@ def extend_by_word_tuples(span, window):
                         if lu and not tail_flags[tail_at + at]:
                             continue
                         row = word_tuple_row(span, u, k, span.words[iv])
-                        if span._feed(row, iu, iv, k):
+                        if span._feed((None, row, None), 0, iu, iv, k):
                             flags[i * width + at] = 1
             gave_pivot.append(flags)
         span._gave_pivot.append(gave_pivot)
