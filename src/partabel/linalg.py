@@ -12,32 +12,30 @@ already residues in [0, p), as every ``PrimeField`` operation returns them,
 so a row needs only to hold no zero entries.  Every caller keeps that:
 ``IdealSpan`` rows and ``AlgebraElement`` terms never store a zero, the
 Burnside span drops zero matrix entries, and ``_echelon_rank`` drops the
-zeros of its dense rows.  The echelon keeps pivot rows normalized (pivot
-coefficient 1) and always pivots on a row's highest column index, so
-columns fed low-to-high are eliminated from the highest down.  Prime fields
-take a reduction loop on plain int arithmetic, and so does QQ: its rows are
-reduced fraction-free on integers (Bareiss 1968), each divided by its
-content after every step, which spares the two normalizing gcds of every
-``Fraction`` update.  Every other domain goes through its Domain
-operations.  All three loops keep the row as a dict of its nonzero
-entries and take its leads from the highest column down.  A pivot row
-holds only columns below its own lead, so subtracting it adds no column
-above the lead being cleared, and each lead is the row's highest column
-left.  A short row takes it as ``max(row)``.  Once the row holds
-``HEAP_FROM`` entries, the loop takes it off a heap of negated column
-indices instead (Monagan and Pearce 2007): the heap starts with the row's
-columns, a column is pushed when a pivot subtraction first inserts it, and
-a popped column that has since cancelled is skipped.  Both give the same
-leads in the same order, and the heap spares a rescan of a row that fills
+zeros of its dense rows.  One loop, ``add_row``, reduces every row: it
+takes the row's highest column as its lead, subtracts that column's pivot
+row, and installs the row, normalized (pivot coefficient 1), at the first
+lead with no pivot, so columns fed low-to-high are eliminated from the
+highest down.  Only the subtraction and the install depend on the field:
+plain int arithmetic over GF(p), fraction-free integers over QQ (Bareiss
+1968, sparing the two normalizing gcds of every ``Fraction`` update), and
+Domain operations elsewhere.  A QQ row is divided by its content only
+after a step that multiplied it; the install divides out what is left.  A
+pivot row holds only columns below its own lead, so each lead is the row's
+highest column left.  A short row takes it as ``max(row)``; once the row
+holds ``HEAP_FROM`` entries, the loop takes it off a heap of negated column
+indices (Monagan and Pearce 2007), pushing a column when a subtraction
+first inserts it and skipping a popped column that has since cancelled.
+Both give the same leads, and the heap spares a rescan of a row that fills
 in, which made the lead search quadratic at generic points.  ``install``
 lets a caller that feeds many shifts of one row (``IdealSpan`` growth)
 install a shift whose lead is free as a shifted copy of an earlier one,
 with no elimination.  Every rank comes from SparseEchelon: ``dense_rank``
-over QQ and its extensions first eliminates the matrix's
-image mod a prime l near 2^61, and eliminates the exact rows only when
-that image falls short of full rank.  Dense solves (``nullspace``,
-``solve_linear``, the classifier's matrix inverse and the t*q rewrite) go
-through the one dense Gauss-Jordan routine, ``_rref``.
+over QQ and its extensions first eliminates the matrix's image mod a prime
+l near 2^61, and the exact rows only when that image falls short of full
+rank.  Dense solves (``nullspace``, ``solve_linear``, the classifier's
+matrix inverse and the t*q rewrite) go through the one dense Gauss-Jordan
+routine, ``_rref``.
 """
 
 from __future__ import annotations
@@ -78,12 +76,102 @@ class SparseEchelon:
         return len(self.pivots)
 
     def add_row(self, row: dict) -> int | None:
-        """Reduce ``row`` (consumed) and return its pivot column, or None."""
-        if self._modp is not None:
-            return self._eliminate_modp(row)
-        if self._qq:
-            return self._eliminate_qq(row)
-        return self._eliminate_generic(row)
+        """Reduce ``row`` and return its pivot column, or None.  Outside QQ
+        the row is reduced in place and, if it installs, becomes the pivot row.
+
+        Over QQ the loop works on an integer multiple of the row.  Each step
+        scales it by a nonzero rational (the lead's elimination, and the
+        division by its content after a step that multiplied it), so an
+        entry is zero exactly when it is zero in the Domain branch: the
+        leads, the order in which columns enter and leave the dict, and
+        hence the normalized pivot rows, keys in order, are that branch's.
+        Rows are rescaled in place: a comprehension reading a local would
+        make it a closure cell, which every call builds."""
+        p, f, qq, pivots = self._modp, self.field, self._qq, self.pivots
+        if qq:
+            row = {c: v for c, v in row.items() if v}
+            den = lcm(*[v.denominator for v in row.values()])
+            for c, v in row.items():
+                row[c] = v.numerator * (den // v.denominator)
+            pivots = self._int_pivots
+        elif p is None:
+            for c, v in list(row.items()):
+                if f.is_zero(v):
+                    del row[c]
+        heap = None
+        while row:
+            if heap is None and len(row) < HEAP_FROM:
+                lead = max(row)
+            else:
+                if heap is None:
+                    heap = [-c for c in row]
+                    heapify(heap)
+                lead = -heappop(heap)
+                if lead not in row:
+                    continue
+            v = row.pop(lead)
+            piv = pivots.get(lead)
+            if piv is None:
+                break
+            if p is not None:
+                for c, w in piv.items():
+                    nv = (row.get(c, 0) - v * w) % p
+                    if nv:
+                        if heap is not None and c not in row:
+                            heappush(heap, -c)
+                        row[c] = nv
+                    else:
+                        row.pop(c, None)
+            elif qq:
+                # row - v * N/L  =  (a*row - b*N) / a
+                L, N = piv
+                g = gcd(L, v)
+                a, b = L // g, v // g
+                if a != 1:
+                    for c, w in row.items():
+                        row[c] = a * w
+                for c, w in N.items():
+                    nv = row.get(c, 0) - b * w
+                    if nv:
+                        if heap is not None and c not in row:
+                            heappush(heap, -c)
+                        row[c] = nv
+                    else:
+                        row.pop(c, None)
+                if a != 1 and row:
+                    d = gcd(*row.values())
+                    if d != 1:
+                        for c, w in row.items():
+                            row[c] = w // d
+            else:
+                for c, w in piv.items():
+                    nv = f.sub(row.get(c, f.zero), f.mul(v, w))
+                    if f.is_zero(nv):
+                        row.pop(c, None)
+                    else:
+                        if heap is not None and c not in row:
+                            heappush(heap, -c)
+                        row[c] = nv
+        else:
+            return None
+        if p is not None:
+            inv = pow(v, -1, p)
+            for c, w in row.items():
+                row[c] = w * inv % p
+        elif qq:
+            d = gcd(v, *row.values()) * (1 if v > 0 else -1)
+            L = v // d
+            for c, w in row.items():
+                row[c] = w // d
+            pivots[lead] = (L, dict(row))
+            for c, w in row.items():
+                row[c] = Fraction(w, L)
+        else:
+            inv = f.inv(v)
+            for c, w in row.items():
+                row[c] = f.mul(w, inv)
+        self.pivots[lead] = row
+        return lead
 
     def reduce(self, row: dict) -> dict:
         """Fully reduce a row (not installed); returns the remainder.  No
@@ -109,7 +197,7 @@ class SparseEchelon:
 
     def install(self, lead: int, source: int):
         """Install at ``lead``, which has no pivot, the pivot row of
-        ``source`` shifted by lead - source, with the QQ loop's integer
+        ``source`` shifted by lead - source, with the QQ branch's integer
         copy.  When ``source``'s pivot came from a row R whose highest
         column was free, this is what ``add_row`` installs from R shifted
         by lead - source: at a free lead it installs the other entries
@@ -120,125 +208,6 @@ class SparseEchelon:
         if self._qq:
             L, N = self._int_pivots[source]
             self._int_pivots[lead] = (L, {c + shift: w for c, w in N.items()})
-
-    # All three loops take the row's leads by max(row) while it is short
-    # and off a heap once it is not (module doc); the first lead without a
-    # pivot becomes a new pivot row.
-    #
-    # The QQ loop works on an integer multiple of the row.  Each step
-    # scales it by a nonzero rational (the lead's elimination and the
-    # division by its content), so an entry is zero exactly when it is zero
-    # in the generic loop: the leads, the order in which columns enter and
-    # leave the dict, and hence the normalized pivot rows, keys in order,
-    # are the generic loop's.
-
-    def _eliminate_modp(self, row: dict) -> int | None:
-        p = self._modp
-        pivots = self.pivots
-        heap = None
-        while row:
-            if heap is None and len(row) < HEAP_FROM:
-                lead = max(row)
-            else:
-                if heap is None:
-                    heap = [-c for c in row]
-                    heapify(heap)
-                lead = -heappop(heap)
-                if lead not in row:
-                    continue
-            v = row.pop(lead)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = pow(v, -1, p)
-                pivots[lead] = {c: w * inv % p for c, w in row.items()}
-                return lead
-            for c, w in piv.items():
-                nv = (row.get(c, 0) - v * w) % p
-                if nv:
-                    if heap is not None and c not in row:
-                        heappush(heap, -c)
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-        return None
-
-    def _eliminate_qq(self, row: dict) -> int | None:
-        int_pivots = self._int_pivots
-        row = {c: v for c, v in row.items() if v}
-        den = lcm(*[v.denominator for v in row.values()])
-        row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
-        heap = None
-        while row:
-            if heap is None and len(row) < HEAP_FROM:
-                lead = max(row)
-            else:
-                if heap is None:
-                    heap = [-c for c in row]
-                    heapify(heap)
-                lead = -heappop(heap)
-                if lead not in row:
-                    continue
-            v = row.pop(lead)
-            piv = int_pivots.get(lead)
-            if piv is None:
-                d = gcd(v, *row.values())
-                L = abs(v) // d
-                if v < 0:
-                    d = -d
-                N = {c: w // d for c, w in row.items()}
-                int_pivots[lead] = (L, N)
-                self.pivots[lead] = {c: Fraction(w, L) for c, w in N.items()}
-                return lead
-            # row - v * N/L  =  (a*row - b*N) / a
-            L, N = piv
-            g = gcd(L, v)
-            a, b = L // g, v // g
-            if a != 1:
-                row = {c: a * w for c, w in row.items()}
-            for c, w in N.items():
-                nv = row.get(c, 0) - b * w
-                if nv:
-                    if heap is not None and c not in row:
-                        heappush(heap, -c)
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-            if row:
-                d = gcd(*row.values())
-                if d != 1:
-                    row = {c: w // d for c, w in row.items()}
-        return None
-
-    def _eliminate_generic(self, row: dict) -> int | None:
-        f = self.field
-        pivots = self.pivots
-        row = {c: v for c, v in row.items() if not f.is_zero(v)}
-        heap = None
-        while row:
-            if heap is None and len(row) < HEAP_FROM:
-                lead = max(row)
-            else:
-                if heap is None:
-                    heap = [-c for c in row]
-                    heapify(heap)
-                lead = -heappop(heap)
-                if lead not in row:
-                    continue
-            v = row.pop(lead)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = f.inv(v)
-                pivots[lead] = {c: f.mul(w, inv) for c, w in row.items()}
-                return lead
-            for c, w in piv.items():
-                nv = f.sub(row.get(c, f.zero), f.mul(v, w))
-                if f.is_zero(nv):
-                    row.pop(c, None)
-                else:
-                    if heap is not None and c not in row:
-                        heappush(heap, -c)
-                    row[c] = nv
-        return None
 
 
 def _rref(field: Domain, rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
@@ -306,7 +275,7 @@ def modular_image(field: Domain, build: Callable) -> tuple[PrimeField, object] |
 def _echelon_rank(field: Domain, matrix: list[list]) -> int:
     """Rank of a dense matrix through SparseEchelon.  Column j enters at
     index ``ncols - 1 - j``, so the leftmost column is eliminated first, as
-    in ``_rref``, and zero entries are dropped, as the GF(p) loop needs."""
+    in ``_rref``, and zero entries are dropped, as the GF(p) branch needs."""
     if not matrix:
         return 0
     last = len(matrix[0]) - 1

@@ -53,9 +53,7 @@ from fractions import Fraction
 from .freeproduct import (
     P, Q, T, AlgebraElement, Signature, Word, idempotent, word_str,
 )
-from .linalg import (
-    SparseEchelon, _echelon_rank, _rref, dense_rank, modular_image,
-)
+from .linalg import SparseEchelon, _echelon_rank, _rref, modular_image
 from .quotient import on_quadric
 from .scalars import (
     DegenerateSpecialization, Domain, ExtensionField, FunctionField, PolyRingDomain,
@@ -1117,12 +1115,12 @@ def evaluation_rank(basis, rho: RepMatrices) -> int:
     drop under a ring map, so an image of full rank min(|basis|, 18) is the
     exact rank.  A short image, a letter entry that is not l-integral, or a
     field with no image (GF(p) and its extensions) takes the exact rows
-    through ``dense_rank``."""
+    through ``_echelon_rank``, with no second image check."""
     full = min(len(basis), 18)
     image = image_evaluation_rows(basis, rho)
     if image is not None and _echelon_rank(*image) == full:
         return full
-    return dense_rank(rho.field, _evaluation_rows(rho.field, basis, rho))
+    return _echelon_rank(rho.field, _evaluation_rows(rho.field, basis, rho))
 
 
 def algebra_map_checks(X: AlgebraElement, rho: RepMatrices) -> tuple:

@@ -1,6 +1,7 @@
 import heapq
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -252,29 +253,29 @@ def test_bareiss_determinant_matches_the_permutation_expansion(case):
     assert f.is_zero(det) == (_sparse_rank(f, m) < len(m))
 
 
-# --- the reduction loops against a loop that always takes leads off a heap ----
+# --- the reduction loop against a loop that always takes leads off a heap -------
 
 class HeapEchelon:
     """A reduction loop that takes every lead off a heap: the columns wait
     in a heap of negated indices, and a popped column that was cancelled in
-    the meantime is skipped.  Kept as the oracle for SparseEchelon's loops,
-    which take a lead by max(row) while the row is short.  It runs on
+    the meantime is skipped.  Kept as the oracle for SparseEchelon's loop,
+    which takes a lead by max(row) while the row is short.  It runs on
     Domain operations only; on GF(p) they give the same residues as the int
-    loop."""
+    branch."""
 
     def __init__(self, field):
         self.field = field
         self.pivots = {}
 
     def add_row(self, row):
-        return self._eliminate(row, None)
+        return self._reduce(row, None)
 
     def reduce(self, row):
         out = {}
-        self._eliminate(row, out)
+        self._reduce(row, out)
         return out
 
-    def _eliminate(self, row, out):
+    def _reduce(self, row, out):
         f = self.field
         row = {c: v for c, v in row.items() if not f.is_zero(v)}
         heap = [-c for c in row]
@@ -318,8 +319,8 @@ def row_sequences(draw):
     combinations: an earlier row plus multiples of one to three more,
     which may be combinations themselves, so cancellations are common.  A
     short row reduced by long pivot rows fills in past HEAP_FROM, so the
-    loops take leads by max(row), switch to the heap midway, or start on
-    it."""
+    loop takes leads by max(row), switches to the heap midway, or starts
+    on it."""
     f = HEAP_FIELDS[draw(st.sampled_from(sorted(HEAP_FIELDS)))]
     small = st.integers(-2, 2)
     if isinstance(f, ExtensionField):
@@ -366,7 +367,7 @@ def test_echelon_matches_the_heap_loop(case):
 @pytest.mark.parametrize("name", sorted(HEAP_FIELDS))
 def test_rows_that_fill_in_switch_to_the_heap(name, monkeypatch):
     # long pivot rows first, then short rows that each reduce through them
-    # and fill in past HEAP_FROM entries: every loop takes its first leads
+    # and fill in past HEAP_FROM entries: every field takes its first leads
     # by max(row) and the rest off the heap, and installs the pivot rows the
     # heap loop does, keys in order
     f = HEAP_FIELDS[name]
@@ -389,7 +390,7 @@ def test_rows_that_fill_in_switch_to_the_heap(name, monkeypatch):
     assert heaps[0] >= len(short) // 2
 
 
-# --- the fraction-free QQ loop against the generic loop -----------------------
+# --- the fraction-free QQ branch against the Domain branch ----------------------
 
 _big = st.integers(-10**30, 10**30)
 _rational = st.one_of(
@@ -436,6 +437,11 @@ def test_fraction_free_loop_matches_the_generic_loop_over_qq(case):
         # equal values and the same key order in every pivot row
         assert all(list(ech.pivots[c].items()) == list(oracle.pivots[c].items())
                    for c in ech.pivots)
+        # each integer copy is the primitive multiple L * pivots[lead], L > 0
+        for lead, (L, N) in ech._int_pivots.items():
+            assert L > 0 and gcd(L, *N.values()) == 1
+            assert list(N) == list(ech.pivots[lead])
+            assert all(Fraction(w, L) == ech.pivots[lead][c] for c, w in N.items())
     for row in rows + probes:
         assert list(ech.reduce(dict(row)).items()) == list(oracle.reduce(dict(row)).items())
 
@@ -454,12 +460,29 @@ def test_fraction_free_loop_installs_normalized_fraction_rows():
     assert ech.pivots[2] == {0: Fraction(1)}
 
 
+def test_fraction_free_loop_installs_a_primitive_row_after_steps_that_divide_nothing():
+    # every pivot row is an integer row (L = 1), so no step multiplies the
+    # row or divides it by its content; the row left, {1: -2, 0: 6}, has
+    # content 2 and a negative lead, and installs as the primitive (1, {0: -3})
+    ech = SparseEchelon(QQ)
+    assert ech.add_row({3: Fraction(1), 0: Fraction(1)}) == 3
+    assert ech.add_row({2: Fraction(1), 0: Fraction(-1)}) == 2
+    assert ech._int_pivots == {3: (1, {0: 1}), 2: (1, {0: -1})}
+    assert ech.add_row({3: Fraction(1), 2: Fraction(1), 1: Fraction(-2), 0: Fraction(6)}) == 1
+    assert ech._int_pivots[1] == (1, {0: -3})
+    assert ech.pivots[1] == {0: Fraction(-3)}
+
+
 def test_fraction_free_loop_keeps_its_integers_within_the_hadamard_bound(monkeypatch):
-    # Every reduced row, divided by its content, is a primitive vector of
+    # A reduced row divided by its content is a primitive vector of
     # (k+1)-minors of the input rows, so its entries, and those of the
-    # primitive pivot rows, are below the Hadamard bound H.  An update
-    # a * row - b * N then stays below 2 H^2.  Without the content division
-    # the row would be multiplied by every lead it meets.
+    # primitive pivot rows, are below the Hadamard bound H.  The loop
+    # divides the row by its content after each step that multiplied it
+    # (a != 1); a step with a == 1 multiplies nothing and leaves the
+    # content it creates to the next division or to the install.  The
+    # widest integer handed to gcd stays within the bound 2 H^2 of an
+    # update a * row - b * N of primitive rows.  Without the content
+    # division the row would be multiplied by every lead it meets.
     import partabel.linalg as linalg
     widest = [0]
     real_gcd = linalg.gcd

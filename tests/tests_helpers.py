@@ -66,11 +66,12 @@ def solve_inverse(E, a):
 
 
 class GenericEchelon(SparseEchelon):
-    """An echelon whose rows go through the generic Domain loop whatever
-    the field: over QQ, the oracle for the fraction-free loop."""
+    """An echelon whose rows take the Domain branch of the loop whatever
+    the field: over QQ, the oracle for the fraction-free branch."""
 
-    def add_row(self, row):
-        return self._eliminate_generic(row)
+    def __init__(self, field):
+        super().__init__(field)
+        self._modp, self._qq = None, False
 
 
 def divisor_rational_roots(f):
