@@ -35,7 +35,9 @@ over QQ and its extensions first eliminates the matrix's image mod a prime
 l near 2^61, and the exact rows only when that image falls short of full
 rank.  Dense solves (``nullspace``, ``solve_linear``, the classifier's
 matrix inverse and the t*q rewrite) go through the one dense Gauss-Jordan
-routine, ``_rref``.
+routine, ``_rref``.  No determinant is taken here: the only ones partabel
+reads are 3 x 3, of the conic net and of a quadric cofactor, and
+``reptheory.det3`` expands them by cofactors.
 """
 
 from __future__ import annotations

@@ -638,8 +638,11 @@ class IdealSpan:
         if free and source is not None:
             ech.install(piv, source)
         else:
-            if top is not None:
-                row = {c + r: w for c, w in row.items()}
+            if top is not None:  # no comprehension: r would be a cell of every call
+                shifted = {}
+                for c, w in row.items():
+                    shifted[c + r] = w
+                row = shifted
             elif not row:
                 return False
             if self.track:

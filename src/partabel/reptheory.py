@@ -47,7 +47,7 @@ silently patched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 
 from .freeproduct import (
@@ -56,9 +56,9 @@ from .freeproduct import (
 from .linalg import SparseEchelon, _echelon_rank, _rref, modular_image
 from .quotient import on_quadric
 from .scalars import (
-    DegenerateSpecialization, Domain, ExtensionField, FunctionField, PolyRingDomain,
-    PrimeField, RationalFunction, UniPoly, add_term, bareiss_determinant,
-    base_field_roots, factor_cubic, gcd_univariate, sylvester_resultant,
+    DegenerateSpecialization, Domain, ExtensionField, FunctionField, PrimeField,
+    RationalFunction, UniPoly, add_term, base_field_roots, factor_cubic,
+    gcd_univariate,
 )
 
 SIG33 = Signature(3, 3)
@@ -87,14 +87,13 @@ def _tq_in_free_product(field: Domain, y: tuple) -> dict:
 
 @dataclass
 class TQRewrite:
-    """Solved rewrites t_i q_j -> span{1, t_a, q_a, t_a t_b, q_a t_b} and
-    the solve determinant.  The self-checks are computed when first read, so
-    a caller that only uses the rules does not pay for them."""
+    """Solved rewrites t_i q_j -> span{1, t_a, q_a, t_a t_b, q_a t_b}.  The
+    self-checks are computed when first read, so a caller that only uses
+    the rules does not pay for them."""
 
     field: Domain
     y: tuple
     rules: dict[Word, AlgebraElement]
-    determinant: object
 
     @cached_property
     def verified_in_free_product(self) -> bool:
@@ -126,34 +125,38 @@ class TQRewrite:
                 for w, c in sorted((self.rules[u] - ref[u]).terms.items())]
 
 
-def tq_rewrite(field: Domain, y: tuple) -> TQRewrite:
-    """Derive the four t_i q_j rewrites from the idempotent laws of p1, p2.
-
-    The laws p1^2 = p1, p2^2 = p2, p1 p2 = p2 p1 = 0, rewritten through
-    p1 = t1 + y2 q1 + y3 q2 and p2 = t2 - q1 - y1 q2, are linear in the four
-    unknown products t_i q_j; the system determinant is a rational multiple
-    of a power of d, so the solve is exact off the quadric."""
+def _tq_relations(field: Domain, y: tuple) -> list[AlgebraElement]:
+    """The idempotent laws p1^2 - p1, p2^2 - p2, p1 p2, p2 p1, rewritten
+    through p1 = t1 + y2 q1 + y3 q2 and p2 = t2 - q1 - y1 q2 as elements
+    over ``SIG_TQ``: linear in the four unknown products t_i q_j."""
     f = field
     y1, y2, y3 = y
-    if on_quadric(f, (f.one, *y)):
-        raise DegenerateSpecialization("chart point lies on the quadric (d = 0)")
     t1, t2, q1, q2 = (AlgebraElement.from_word(SIG_TQ, f, (g,)) for g in (T1, T2, Q1, Q2))
     p1 = t1 + q1.scale(y2) + q2.scale(y3)
     p2 = t2 - q1 - q2.scale(y1)
-    relations = [p1 * p1 - p1, p2 * p2 - p2, p1 * p2, p2 * p1]
+    return [p1 * p1 - p1, p2 * p2 - p2, p1 * p2, p2 * p1]
 
+
+def tq_rewrite(field: Domain, y: tuple) -> TQRewrite:
+    """Derive the four t_i q_j rewrites from the idempotent laws of p1, p2
+    (``_tq_relations``) by one Gauss-Jordan solve.  The 4 x 4 system in the
+    unknown products has determinant d^2 over QQ(y), d = y3 - y1*y2 (the
+    tests expand it), so the solve is exact off the quadric, which is
+    refused first."""
+    f = field
+    if on_quadric(f, (f.one, *y)):
+        raise DegenerateSpecialization("chart point lies on the quadric (d = 0)")
+    relations = _tq_relations(f, y)
     known_words = sorted({w for r in relations for w in r.terms} - set(UNKNOWN_WORDS))
-    matrix = [[r.terms.get(u, f.zero) for u in UNKNOWN_WORDS] for r in relations]
-    det = bareiss_determinant(f, matrix)
     # solve M * unknowns = rhs for every known-word column in one elimination
-    rows = [m + [f.neg(r.terms.get(w, f.zero)) for w in known_words]
-            for m, r in zip(matrix, relations)]
+    rows = [[r.terms.get(u, f.zero) for u in UNKNOWN_WORDS]
+            + [f.neg(r.terms.get(w, f.zero)) for w in known_words] for r in relations]
     solved, pivots = _rref(f, rows, 4)
     if len(pivots) < 4:
         raise DegenerateSpecialization("t*q system is singular at this point")
     rules = {u: AlgebraElement(SIG_TQ, f, dict(zip(known_words, solved[k][4:])))
              for k, u in enumerate(UNKNOWN_WORDS)}
-    return TQRewrite(f, y, rules, det)
+    return TQRewrite(f, y, rules)
 
 
 def reference_tq_rules(F: FunctionField) -> dict[Word, AlgebraElement]:
@@ -576,30 +579,21 @@ def determinantal_cubic(field: Domain, y: tuple,
     f = field
     tri = triple or conics(f, y)
     ms = tri.matrices()
-    evars = [{(1, 0, 0): f.one}, {(0, 1, 0): f.one}, {(0, 0, 1): f.one}]
-    entries = [[{} for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            acc: TernForm = {}
-            for k in range(3):
-                acc = tern_add(f, acc, tern_scale(f, evars[k], ms[k][i][j]))
-            entries[i][j] = acc
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    entries = [[{a: m[i][j] for a, m in zip(units, ms) if not f.is_zero(m[i][j])}
+                for j in range(3)] for i in range(3)]
+    neg_one = f.neg(f.one)
+    return det3(entries, partial(tern_add, f),
+                lambda a, b: tern_add(f, a, tern_scale(f, b, neg_one)), partial(tern_mul, f))
 
-    def t_det3(m):
-        def prod(*idx):
-            acc = {(0, 0, 0): f.one}
-            for (i, j) in idx:
-                acc = tern_mul(f, acc, m[i][j])
-            return acc
-        pos = tern_add(f, tern_add(f, prod((0, 0), (1, 1), (2, 2)),
-                                   prod((0, 1), (1, 2), (2, 0))),
-                       prod((0, 2), (1, 0), (2, 1)))
-        neg = tern_add(f, tern_add(f, prod((0, 2), (1, 1), (2, 0)),
-                                   prod((0, 0), (1, 2), (2, 1))),
-                       prod((0, 1), (1, 0), (2, 2)))
-        return tern_add(f, pos, tern_scale(f, neg, f.neg(f.one)))
 
-    return t_det3(entries)
+def det3(m, add, sub, mul):
+    """The determinant of a 3x3 matrix by cofactor expansion along its first
+    row, in the ring operations given: a field's, or those of ternary forms
+    over it (``determinantal_cubic``)."""
+    (a, b, c), (d, e, g), (h, i, j) = m
+    return add(sub(mul(a, sub(mul(e, j), mul(g, i))), mul(b, sub(mul(d, j), mul(g, h)))),
+               mul(c, sub(mul(d, i), mul(e, h))))
 
 
 # -- conic intersection over the degree-3 extension ---------------------------
@@ -617,7 +611,6 @@ class ExtensionSpec:
     modulus: UniPoly | None
     z1: object
     z2: object
-    discriminant: object
     disc_is_square: bool | None
     resultant_12: UniPoly
     resultant_13: UniPoly
@@ -627,20 +620,44 @@ class ExtensionSpec:
         return self.modulus.degree if self.modulus is not None else 1
 
 
-def _conic_as_z2poly(f: Domain, c: BivPoly):
-    """View a conic as a univariate polynomial in z2 whose coefficients are
-    polynomials in z1 (for resultant elimination of z2 first)."""
-    ring = PolyRingDomain(f)
+def _conic_as_z2poly(f: Domain, c: BivPoly) -> list[UniPoly]:
+    """A conic as a polynomial in z2 whose coefficients are polynomials in
+    z1 over f, constant term first (for eliminating z2 first)."""
     cols: dict[int, dict[int, object]] = {}
     for (i, j), v in c.items():
         cols.setdefault(j, {})[i] = v
-    maxj = max(cols, default=0)
     coeffs = []
-    for j in range(maxj + 1):
+    for j in range(max(cols, default=0) + 1):
         col = cols.get(j, {})
-        maxi = max(col, default=0)
-        coeffs.append(UniPoly(f, [col.get(i, f.zero) for i in range(maxi + 1)]))
-    return ring, UniPoly(ring, coeffs)
+        coeffs.append(UniPoly(f, [col.get(i, f.zero) for i in range(max(col, default=-1) + 1)]))
+    return coeffs
+
+
+def _z2_resultant(a: list[UniPoly], b: list[UniPoly]) -> UniPoly:
+    """Res_z2(c1, cj), the determinant of the Sylvester matrix with the rows
+    of c1 first, for conics given by their z2-coefficients a and b
+    (``_conic_as_z2poly``), written out for the z2-degree pairs that occur:
+    (2, 2) is (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1), (1, 2) is
+    a1^2 b0 - a0 a1 b1 + a0^2 b2 and (1, 0) is b0.  Each is the expansion
+    of that determinant, a polynomial identity in the coefficients.
+
+    These are all: c1 has z2-degree 2 iff y2*y3 != 0, and degree 1
+    otherwise; c2 has degree 2 iff y2 != 0, and 0 otherwise; c3 likewise
+    with y3.  So y2 = 0 gives (1, 0) and (1, 2) for (c1, c2) and (c1, c3),
+    y3 = 0 gives (1, 2) and (1, 0), and y2 = y3 = 0 lies on the quadric,
+    which ``intersect_conics`` refuses before any resultant.  Any other
+    pair raises ValueError."""
+    degrees = (len(a) - 1, len(b) - 1)
+    if degrees == (2, 2):
+        (a0, a1, a2), (b0, b1, b2) = a, b
+        c20 = a2 * b0 - a0 * b2
+        return c20 * c20 - (a2 * b1 - a1 * b2) * (a1 * b0 - a0 * b1)
+    if degrees == (1, 2):
+        (a0, a1), (b0, b1, b2) = a, b
+        return a1 * a1 * b0 - a0 * a1 * b1 + a0 * a0 * b2
+    if degrees == (1, 0):
+        return b[0]
+    raise ValueError(f"no conic resultant for z2-degrees {degrees}")
 
 
 def _conic_at_z1(c: BivPoly, ext: Domain, z1) -> UniPoly:
@@ -700,11 +717,8 @@ def intersect_conics(field: Domain, y: tuple) -> ExtensionSpec:
         raise DegenerateSpecialization(
             "chart lies on the quadric y3 = y1*y2, where the conics degenerate")
     tri = conics(f, y)
-    ring, p1 = _conic_as_z2poly(f, tri.c1)
-    _, p2 = _conic_as_z2poly(f, tri.c2)
-    _, p3 = _conic_as_z2poly(f, tri.c3)
-    r12 = sylvester_resultant(p1, p2)
-    r13 = sylvester_resultant(p1, p3)
+    p1, p2, p3 = (_conic_as_z2poly(f, c) for c in tri.all())
+    r12, r13 = _z2_resultant(p1, p2), _z2_resultant(p1, p3)
     if r12.is_zero() or r13.is_zero():
         raise DegenerateSpecialization("conics share a component at this point")
     fpoly = gcd_univariate(r12, r13)
@@ -742,11 +756,10 @@ def intersect_conics(field: Domain, y: tuple) -> ExtensionSpec:
     for c in tri.all():
         if not ext.is_zero(_conic_at_z1(c, ext, z1).evaluate(z2)):
             raise AssertionError("constructed point does not kill every conic")
-    disc = cubic_discriminant(f, fpoly)
     return ExtensionSpec(
         base=f, f_poly=fpoly, factor_degrees=[g.degree for g in factors],
         ext=ext, modulus=modulus, z1=z1, z2=z2,
-        discriminant=disc, disc_is_square=_is_square(f, disc),
+        disc_is_square=_is_square(f, cubic_discriminant(f, fpoly)),
         resultant_12=r12, resultant_13=r13,
     )
 
@@ -908,7 +921,8 @@ def split_determinantal_cubic(field: Domain, cubic: TernForm,
     if cofactor is None:
         return SplitReport(False, mode, [],
                            f"line over the {where} does not divide the cubic")
-    splits = lfield.is_zero(bareiss_determinant(lfield, _symmetric_matrix(lfield, cofactor)))
+    splits = lfield.is_zero(det3(_symmetric_matrix(lfield, cofactor),
+                                 lfield.add, lfield.sub, lfield.mul))
     return SplitReport(
         splits, mode, [line],
         f"line over the {where} divides the cubic; "

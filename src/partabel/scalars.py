@@ -92,10 +92,10 @@ class Domain:
 
     ``from_base(c)`` maps a value of the domain's base field into it.  A
     domain that is not built over another is its own base, so the default
-    is the identity; ``ExtensionField`` and ``PolyRingDomain`` embed c as a
-    constant.  A value computed over the base enters an extension through
-    this one call, whatever the degree: at degree 1 the working field is
-    the base field itself.
+    is the identity; ``ExtensionField`` embeds c as a constant.  A value
+    computed over the base enters an extension through this one call,
+    whatever the degree: at degree 1 the working field is the base field
+    itself.
     """
 
     name = "abstract"
@@ -921,126 +921,6 @@ def gcd_univariate(f: UniPoly, g: UniPoly) -> UniPoly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
-
-
-def sylvester_resultant(f: UniPoly, g: UniPoly):
-    """Resultant via the Sylvester matrix with the f-rows placed first.
-
-    Works over any integral domain, so it also serves polynomial-coefficient
-    elimination.  Convention is fixed: Res(z - a, z - b) = a - b.
-
-    Two quadratics, the case of every pair of conics, take the closed form
-    (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1): it is the expansion
-    of the 4 x 4 Sylvester determinant, a polynomial identity in the six
-    coefficients, so it returns the value Bareiss returns, with ring
-    operations only and no exact division.  Other degrees go through
-    fraction-free (Bareiss) elimination: their determinants have no
-    expansion short enough to be worth writing out, and they are rare.
-    """
-    if f.is_zero() and g.is_zero():
-        raise ValueError("resultant of two zero polynomials is undefined")
-    field = f.field
-    m, n = f.degree, g.degree
-    if m < 0 or n < 0:
-        # resultant with a zero polynomial: zero unless the other is constant
-        other = g if f.is_zero() else f
-        return field.one if other.degree == 0 else field.zero
-    if m == 0 and n == 0:
-        return field.one
-    if m == 0:
-        return _ring_pow(field, f.coeffs[0], n)
-    if n == 0:
-        return _ring_pow(field, g.coeffs[0], m)
-    if m == n == 2:
-        (a0, a1, a2), (b0, b1, b2) = f.coeffs, g.coeffs
-        mul, sub = field.mul, field.sub
-        c20 = sub(mul(a2, b0), mul(a0, b2))
-        return sub(mul(c20, c20), mul(sub(mul(a2, b1), mul(a1, b2)),
-                                      sub(mul(a1, b0), mul(a0, b1))))
-    size = m + n
-    rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(n):
-        rows.append([field.zero] * i + fc + [field.zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([field.zero] * i + gc + [field.zero] * (size - n - 1 - i))
-    return bareiss_determinant(field, rows)
-
-
-def _ring_pow(field: Domain, a, n: int):
-    out = field.one
-    for _ in range(n):
-        out = field.mul(out, a)
-    return out
-
-
-def bareiss_determinant(field: Domain, rows: list[list]):
-    """Fraction-free determinant over an integral domain.  Each division is
-    by a previous pivot, which divides exactly, so ``div`` need only be
-    exact on such inputs: a field's division, or ``PolyRingDomain``'s."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = field.one
-    for k in range(n - 1):
-        if field.is_zero(a[k][k]):
-            for i in range(k + 1, n):
-                if not field.is_zero(a[i][k]):
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return field.zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = field.sub(field.mul(a[i][j], a[k][k]),
-                                field.mul(a[i][k], a[k][j]))
-                a[i][j] = field.div(num, prev)
-            a[i][k] = field.zero
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else field.neg(det)
-
-
-class PolyRingDomain(Domain):
-    """Univariate polynomials over a field, viewed as an integral domain;
-    used for resultants with polynomial entries.  ``div`` is exact division,
-    which is all Bareiss needs; an inexact one raises."""
-
-    name = "polyring"
-
-    def __init__(self, base: Domain):
-        self.base = base
-
-    @property
-    def zero(self) -> UniPoly:
-        return UniPoly(self.base, [])
-
-    @property
-    def one(self) -> UniPoly:
-        return UniPoly(self.base, [self.base.one])
-
-    def from_int(self, n: int) -> UniPoly:
-        return UniPoly(self.base, [self.base.from_int(n)])
-
-    def is_zero(self, a: UniPoly) -> bool:
-        return a.is_zero()
-
-    def eq(self, a: UniPoly, b: UniPoly) -> bool:
-        return a == b
-
-    def from_base(self, c) -> UniPoly:
-        return UniPoly(self.base, [c])
-
-    def div(self, a: UniPoly, b: UniPoly) -> UniPoly:
-        q, r = a.divmod(b)
-        if not r.is_zero():
-            raise ArithmeticError("inexact polynomial division in Bareiss step")
-        return q
-
-    def fmt(self, a: UniPoly) -> str:
-        return repr(a)
 
 
 # ---------------------------------------------------------------------------

@@ -482,11 +482,16 @@ def test_exact_evaluation_rows_keep_the_pinned_bytes(command, force, tmp_path, m
     assert exact_rows
 
 
-def test_pinned_detcurve_at_a_linear_conic_chart_writes_no_report(tmp_path, capsys):
-    # y3 = 0: the one (1, 2) resultant goes through Bareiss, f has degree 2
+@pytest.mark.parametrize("chart", ["-5,-5,0", "2,0,3"])
+@pytest.mark.parametrize("command", ["detcurve", "rep", "rep --mode rational"],
+                         ids=["detcurve", "rep", "rep_rational"])
+def test_pinned_detcurve_at_a_linear_conic_chart_writes_no_report(command, chart, tmp_path,
+                                                                  capsys):
+    # y3 = 0 or y2 = 0: the first conic is linear in z2, so the resultants
+    # are the (1, 2) and (1, 0) closed forms, and f has degree 2
     out = tmp_path / "report.json"
-    assert main(["detcurve", "--chart=-5,-5,0", "--out", str(out)]) == 2
+    assert main(command.split() + [f"--chart={chart}", "--out", str(out)]) == 2
     assert capsys.readouterr().out == (
-        "FAIL detcurve: common-root polynomial has degree 2, expected 3; "
+        f"FAIL {command.split()[0]}: common-root polynomial has degree 2, expected 3; "
         "resample the specialization\n")
     assert not out.exists()

@@ -13,6 +13,7 @@ from partabel.freeproduct import (
     P, Q, AlgebraElement, Signature, commutator, concat_words, filtration_dim, idempotent,
     words_up_to,
 )
+from partabel.linalg import SparseEchelon
 from partabel.quotient import (
     ClosureFailure, ClosureTrace, IdealSpan, chart_in_field, closure_certificate, column_table,
     make_relation, on_quadric, reduction_coefficients, sigma_check,
@@ -416,6 +417,14 @@ def test_tail_pivot_criterion_row_count_at_the_infinite_point():
     span.extend_to_window(10)
     assert span.ech.rank - rank + zeros[0] == 8198
     assert span.ech.rank - rank == 8184
+
+
+def test_the_per_row_entry_points_build_no_closure_cell():
+    # before Python 3.12 a comprehension is a nested function, so a local it
+    # reads becomes a cell that every call builds; _feed runs once for each
+    # product of growth and add_row once for each row it does not install
+    assert IdealSpan._feed.__code__.co_cellvars == ()
+    assert SparseEchelon.add_row.__code__.co_cellvars == ()
 
 
 @pytest.mark.parametrize("point, per_window", [

@@ -4,13 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from partabel import reptheory, scalars
+from partabel import reptheory
 from partabel.linalg import _echelon_rank
 from partabel.quotient import chart_in_field, closure_certificate, make_relation
 from partabel.reptheory import (
-    P1, P2, Q1, Q2, T1, T2, _QUADRATIC_MONOMIALS, _base_point_join, _evaluation_rows,
-    _symmetric_matrix, _tern_divide_by_line, build_rho, character_value, chart_representation,
-    commutator_conic_consistency, compare_rho_to_reference, conics, determinantal_cubic,
+    P1, P2, Q1, Q2, T1, T2, UNKNOWN_WORDS, _QUADRATIC_MONOMIALS, _base_point_join,
+    _evaluation_rows, _symmetric_matrix, _tern_divide_by_line, _tq_relations, build_rho,
+    character_value, chart_representation, commutator_conic_consistency,
+    compare_rho_to_reference, conics, det3, determinantal_cubic,
     generated_matrix_algebra_dim, image_evaluation_rows, intersect_conics,
     irreducibility, letter_representation, mat_eq, mat_identity, mat_is_zero, mat_mul,
     mat_sub, split_determinantal_cubic, t_matrices, tern_mul, tq_rewrite, wedderburn_type,
@@ -18,11 +19,11 @@ from partabel.reptheory import (
 )
 from partabel.scalars import (
     DegenerateSpecialization, ExtensionField, FunctionField, PrimeField, QQ,
-    bareiss_determinant, factor_cubic, random_prime,
+    factor_cubic, random_prime,
 )
 from tests_helpers import (
-    biv_eval, irreducible_extension, relation_matrix_oracle, solve_divide_by_line,
-    split_dims_oracle,
+    biv_eval, irreducible_extension, permutation_determinant, relation_matrix_oracle,
+    solve_divide_by_line, split_dims_oracle,
 )
 
 Y_SAMPLE = (Fraction(2), Fraction(3), Fraction(7))
@@ -56,8 +57,10 @@ def _biv_eval_numeric(p, z1: complex, z2: complex) -> complex:
 # --- t*q rewriting -----------------------------------------------------------
 
 def test_tq_rewrite_symbolic_determinant_is_power_of_d():
-    rw = tq_rewrite(F3, F3.gens())
-    det = rw.determinant.reduce_full()
+    # the 4 x 4 system that tq_rewrite solves, by the Leibniz expansion
+    matrix = [[r.terms.get(u, F3.zero) for u in UNKNOWN_WORDS]
+              for r in _tq_relations(F3, F3.gens())]
+    det = permutation_determinant(F3, matrix).reduce_full()
     y1, y2, y3 = F3.gens()
     d = y3 - y1 * y2
     assert det == d * d  # unit multiple of a power of d (here exactly d^2)
@@ -207,10 +210,7 @@ def test_determinantal_cubic_equal_matrices_is_perfect_cube():
     tri = conics(QQ, Y_SAMPLE)
     same = type(tri)(QQ, tri.y, tri.c1, dict(tri.c1), dict(tri.c1))
     cubic = determinantal_cubic(QQ, Y_SAMPLE, same)
-    m1 = tri.matrices()[0]
-    det = (m1[0][0] * (m1[1][1] * m1[2][2] - m1[1][2] * m1[2][1])
-           - m1[0][1] * (m1[1][0] * m1[2][2] - m1[1][2] * m1[2][0])
-           + m1[0][2] * (m1[1][0] * m1[2][1] - m1[1][1] * m1[2][0]))
+    det = permutation_determinant(QQ, tri.matrices()[0])
     line = {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1), (0, 0, 1): Fraction(1)}
     expected = tern_mul(QQ, tern_mul(QQ, line, line), line)
     expected = {e: det * c for e, c in expected.items()}
@@ -221,11 +221,23 @@ def test_determinantal_cubic_a1_coefficient_is_det_m1():
     y1, y2, y3 = F3.gens()
     tri = conics(F3, (y1, y2, y3))
     cubic = determinantal_cubic(F3, (y1, y2, y3), tri)
-    m1 = tri.matrices()[0]
-    det = (m1[0][0] * (m1[1][1] * m1[2][2] - m1[1][2] * m1[2][1])
-           - m1[0][1] * (m1[1][0] * m1[2][2] - m1[1][2] * m1[2][0])
-           + m1[0][2] * (m1[1][0] * m1[2][1] - m1[1][1] * m1[2][0]))
-    assert cubic[(3, 0, 0)] == det
+    assert cubic[(3, 0, 0)] == permutation_determinant(F3, tri.matrices()[0])
+
+
+@pytest.mark.parametrize("text", ["2,3,7", "-5,-4,-4", "-8,-4,7", "-5,-3,-1", "-5,-5,0"])
+def test_determinantal_cubic_is_the_determinant_of_the_net(text):
+    # at sample points (a1, a2, a3) the cubic takes the Leibniz expansion of
+    # det(a1*M1 + a2*M2 + a3*M3)
+    y = chart(text)
+    tri = conics(QQ, y)
+    cubic = determinantal_cubic(QQ, y, tri)
+    rng = random.Random(text)
+    for _ in range(12):
+        a = [Fraction(rng.randint(-50, 50)) for _ in range(3)]
+        net = [[sum(c * m[i][j] for c, m in zip(a, tri.matrices())) for j in range(3)]
+               for i in range(3)]
+        value = sum(c * a[0] ** e[0] * a[1] ** e[1] * a[2] ** e[2] for e, c in cubic.items())
+        assert value == permutation_determinant(QQ, net)
 
 
 def test_split_constructed_product_of_lines():
@@ -238,7 +250,7 @@ def test_split_constructed_product_of_lines():
     # product of the other two, a degenerate quadric
     cofactor = _tern_divide_by_line(f, cubic, [Fraction(1), Fraction(1), Fraction(1)])
     assert cofactor == tern_mul(f, l1, l2)
-    assert bareiss_determinant(f, _symmetric_matrix(f, cofactor)) == 0
+    assert det3(_symmetric_matrix(f, cofactor), f.add, f.sub, f.mul) == 0
 
 
 def _exact_split(y):
@@ -386,22 +398,24 @@ def test_intersect_conics_takes_a_base_point_when_no_root_has_one(field):
                                            (field.zero, field.one))
 
 
-def test_intersect_conics_keeps_sylvester_bareiss_for_a_linear_conic(monkeypatch):
-    # at y3 = 0 the first conic is linear in z2; at (-5, -5, 0) the second
-    # is quadratic and the third constant in z2, so Res(c1, c2) is the one
-    # (1, 2) pair, a 3 x 3 Sylvester determinant by Bareiss, and Res(c1, c3)
-    # a power; f then has degree 2
-    sizes = []
-    bareiss = scalars.bareiss_determinant
+@pytest.mark.parametrize("text, degrees", [("-5,-5,0", [(1, 2), (1, 0)]),
+                                           ("2,0,3", [(1, 0), (1, 2)])],
+                         ids=["-5,-5,0", "2,0,3"])
+def test_intersect_conics_takes_the_linear_conic_resultants(text, degrees, monkeypatch):
+    # at y3 = 0 or y2 = 0 the first conic is linear in z2 and one of the
+    # others constant, so the two resultants are the (1, 2) and (1, 0)
+    # closed forms; f then has degree 2 at both charts
+    seen = []
+    resultant = reptheory._z2_resultant
 
-    def spy(field, rows):
-        sizes.append(len(rows))
-        return bareiss(field, rows)
+    def spy(a, b):
+        seen.append((len(a) - 1, len(b) - 1))
+        return resultant(a, b)
 
-    monkeypatch.setattr(scalars, "bareiss_determinant", spy)
+    monkeypatch.setattr(reptheory, "_z2_resultant", spy)
     with pytest.raises(DegenerateSpecialization, match="degree 2, expected 3"):
-        intersect_conics(QQ, chart("-5,-5,0"))
-    assert sizes == [3]
+        intersect_conics(QQ, chart(text))
+    assert seen == degrees
 
 
 def test_interssection_points_match_resultant_roots():

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from partabel import scalars
 from partabel.scalars import (
-    ExtensionField, FunctionField, PoleError, PolyRingDomain, Polynomial,
-    PrimeField, QQ, RationalFunction, UniPoly, _poly_powmod, add_term,
-    factor_cubic, gcd_univariate, is_probable_prime, poly_gcd,
-    prime_field_roots, random_prime, rational_roots, sylvester_resultant,
+    ExtensionField, FunctionField, PoleError, Polynomial, PrimeField, QQ,
+    RationalFunction, UniPoly, _poly_powmod, add_term, factor_cubic,
+    gcd_univariate, is_probable_prime, poly_gcd, prime_field_roots,
+    random_prime, rational_roots,
 )
+from partabel.reptheory import _z2_resultant
 from tests_helpers import (
-    divisor_rational_roots, irreducible_extension, permutation_determinant,
-    solve_inverse, sylvester_bareiss, sylvester_matrix,
+    PolyRing, divisor_rational_roots, irreducible_extension, permutation_determinant,
+    solve_inverse, sylvester_matrix,
 )
 
 
@@ -187,24 +188,35 @@ def test_poly_gcd_multivariate():
     assert poly_gcd(y1 * y2, y3) == one
 
 
+# --- the conic resultants (``reptheory._z2_resultant``) ------------------------
+# Res_z2 of two conics given by their z2-coefficients, polynomials in z1;
+# constant polynomials stand for coefficients in QQ or GF(p)
+
+def _constants(field, values):
+    return [UniPoly(field, [v]) for v in values]
+
+
 def test_resultant_examples():
-    z2m1 = UniPoly.from_ints(QQ, [-1, 0, 1])
-    zm1 = UniPoly.from_ints(QQ, [-1, 1])
-    assert sylvester_resultant(z2m1, zm1) == 0
-    a, b = Fraction(5), Fraction(-3)
-    res = sylvester_resultant(UniPoly(QQ, [-a, Fraction(1)]), UniPoly(QQ, [-b, Fraction(1)]))
-    assert res == a - b
-    # 4x4 Sylvester determinant, expanded by hand: 4
-    assert sylvester_resultant(UniPoly.from_ints(QQ, [1, 0, 1]), UniPoly.from_ints(QQ, [-1, 0, 1])) == 4
-    with pytest.raises(ValueError):
-        sylvester_resultant(UniPoly(QQ, []), UniPoly(QQ, []))
+    q = lambda *ns: _constants(QQ, [Fraction(n) for n in ns])
+    # Res(z^2 + 1, z^2 - 1), the 4 x 4 Sylvester determinant expanded by hand
+    assert _z2_resultant(q(1, 0, 1), q(-1, 0, 1)) == q(4)[0]
+    # Res(z - 5, z^2 - 3) = 5^2 - 3, and a common root gives 0
+    assert _z2_resultant(q(-5, 1), q(-3, 0, 1)) == q(22)[0]
+    assert _z2_resultant(q(-1, 1), q(-1, 0, 1)).is_zero()
+    # a line against a nonzero constant: the constant itself
+    assert _z2_resultant(q(2, 3), q(7)) == q(7)[0]
+    for a, b in [(q(1, 0, 1), q(-1, 1)), (q(2, 1), q(3, 1)), (q(1, 0, 1), q(1, 0, 0, 1)),
+                 (q(1, 0, 1), q(5)), (q(7), q(1, 0, 1))]:
+        with pytest.raises(ValueError):
+            _z2_resultant(a, b)
 
 
 def test_resultant_vanishes_iff_common_root():
+    # the pairs (2, 2) and (1, 2) over QQ, against the gcd over QQ
     rng = random.Random(17)
     for _ in range(40):
-        roots_f = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))]
-        roots_g = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))]
+        roots_f = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 2))]
+        roots_g = [Fraction(rng.randint(-4, 4)) for _ in range(2)]
         f = UniPoly(QQ, [Fraction(1)])
         for r in roots_f:
             f = f * UniPoly(QQ, [-r, Fraction(1)])
@@ -212,9 +224,9 @@ def test_resultant_vanishes_iff_common_root():
         for r in roots_g:
             g = g * UniPoly(QQ, [-r, Fraction(1)])
         share = bool(set(roots_f) & set(roots_g))
-        res = sylvester_resultant(f, g)
+        res = _z2_resultant(_constants(QQ, f.coeffs), _constants(QQ, g.coeffs))
         gcd = gcd_univariate(f, g)
-        assert (res == 0) == share
+        assert res.is_zero() == share
         assert (gcd.degree > 0) == share
 
 
@@ -231,84 +243,66 @@ def test_gcd_examples():
 
 
 def test_resultant_over_polynomial_ring():
-    ring = PolyRingDomain(QQ)
-    # f = z2^2 - z1, g = z2 - z1 as polynomials in z2 over QQ[z1]
     z1 = UniPoly.from_ints(QQ, [0, 1])
     one = UniPoly.from_ints(QQ, [1])
-    f = UniPoly(ring, [ring.zero - UniPoly(QQ, []) + z1.scale(Fraction(-1)), ring.zero, one])
-    g = UniPoly(ring, [z1.scale(Fraction(-1)), one])
-    res = sylvester_resultant(f, g)
-    # Res_z2(z2^2 - z1, z2 - z1) = z1^2 - z1
-    assert res == z1 * z1 - z1
+    zero = UniPoly(QQ, [])
+    # Res_z2(z2 - z1, z2^2 - z1) = z1^2 - z1
+    assert _z2_resultant([-z1, one], [-z1, zero, one]) == z1 * z1 - z1
+    # Res_z2(z2^2 - z1, z2^2 - 1) = (z1 - 1)^2
+    assert _z2_resultant([-z1, zero, one], [-one, zero, one]) == (z1 - one) * (z1 - one)
 
 
-# --- the closed-form resultant of two quadratics against Sylvester-Bareiss ----
-
-RESULTANT_RING = PolyRingDomain(QQ)
-RESULTANT_FIELDS = {"QQ": QQ, "GF(p)": PrimeField(2**61 - 1), "QQ[z1]": RESULTANT_RING}
+RESULTANT_BASES = {"QQ": QQ, "GF(p)": PrimeField(2**61 - 1), "QQ[z1]": QQ}
 
 
-def _ring_coeff(field, ints):
-    """A coefficient of the drawn field: the last integer, or over QQ[z1]
-    the polynomial with these integer coefficients."""
-    if field is RESULTANT_RING:
+def _ring_coeff(name, ints):
+    """A coefficient in z1 for the drawn case: the constant of the last
+    integer, or over QQ[z1] the polynomial with these integer coefficients."""
+    base = RESULTANT_BASES[name]
+    if name == "QQ[z1]":
         return UniPoly(QQ, [Fraction(c) for c in ints])
-    return field.from_int(ints[-1])
+    return UniPoly(base, [base.from_int(ints[-1])])
 
 
 @st.composite
-def _quadratic_pairs(draw):
-    """Two quadratics over QQ, GF(p) or QQ[z1], often with a zero middle or
-    constant coefficient, or a common root r: then each is (z - r)(a z + b)."""
-    name = draw(st.sampled_from(sorted(RESULTANT_FIELDS)))
-    field = RESULTANT_FIELDS[name]
+def _conic_pairs(draw):
+    """The z2-coefficients of two conics with z2-degrees (2, 2), (1, 2) or
+    (1, 0), over QQ, GF(p) or QQ[z1], often with a zero middle or constant
+    coefficient, or, when both have positive degree, a common root r: then
+    each is (z - r)(a z + b), or a (z - r) for the line."""
+    name = draw(st.sampled_from(sorted(RESULTANT_BASES)))
+    degrees = draw(st.sampled_from([(2, 2), (1, 2), (1, 0)]))
     any_c = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
     nonzero = any_c.filter(lambda ints: ints[-1] != 0)
-    common = draw(st.booleans())
-    r = _ring_coeff(field, draw(any_c))
+    common = degrees[1] > 0 and draw(st.booleans())
+    r = _ring_coeff(name, draw(any_c))
     polys = []
-    for _ in range(2):
-        if common:
-            a, b = _ring_coeff(field, draw(nonzero)), _ring_coeff(field, draw(any_c))
-            # (z - r)(a z + b) = a z^2 + (b - a r) z - b r
-            cs = [field.neg(field.mul(b, r)), field.sub(b, field.mul(a, r)), a]
+    for d in degrees:
+        a = _ring_coeff(name, draw(nonzero))
+        if common and d == 2:
+            b = _ring_coeff(name, draw(any_c))
+            cs = [-(b * r), b - a * r, a]   # (z - r)(a z + b)
+        elif common:
+            cs = [-(a * r), a]
         else:
-            cs = [_ring_coeff(field, draw(any_c)), _ring_coeff(field, draw(any_c)),
-                  _ring_coeff(field, draw(nonzero))]
-            for k in draw(st.sets(st.sampled_from([0, 1]))):
-                cs[k] = field.zero
-        polys.append(UniPoly(field, cs))
+            cs = [_ring_coeff(name, draw(any_c)) for _ in range(d)] + [a]
+            for k in draw(st.sets(st.integers(0, d - 1))) if d else ():
+                cs[k] = UniPoly(a.field, [])
+        polys.append(cs)
     return name, common, polys[0], polys[1]
 
 
 @settings(max_examples=300, deadline=None)
-@given(_quadratic_pairs())
-def test_closed_form_quadratic_resultant_matches_sylvester_bareiss(case):
-    name, common, f, g = case
-    field = RESULTANT_FIELDS[name]
-    assert f.degree == g.degree == 2
-    res = sylvester_resultant(f, g)
-    assert field.eq(res, sylvester_bareiss(f, g)), (name, f, g)
+@given(_conic_pairs())
+def test_closed_form_resultants_match_the_sylvester_expansion(case):
+    # the Leibniz expansion of the Sylvester matrix in z2 over k[z1]
+    name, common, a, b = case
+    ring = PolyRing(RESULTANT_BASES[name])
+    res = _z2_resultant(a, b)
+    assert res == permutation_determinant(
+        ring, sylvester_matrix(UniPoly(ring, a), UniPoly(ring, b))), (name, a, b)
     if common:
-        assert field.is_zero(res)
-
-
-@pytest.mark.parametrize("degrees", [(1, 2), (2, 1), (2, 3), (3, 3)],
-                         ids=["1_2", "2_1", "2_3", "3_3"])
-def test_other_degrees_keep_the_sylvester_determinant(degrees):
-    # the Bareiss path, which no (2, 2) pair takes any more, against the
-    # Leibniz expansion of the same Sylvester matrix over QQ[z1]
-    rng = random.Random(sum(degrees) * 31 + degrees[0])
-    for _ in range(4):
-        f, g = (UniPoly(RESULTANT_RING,
-                        [_ring_coeff(RESULTANT_RING, [rng.randint(-3, 3) for _ in range(3)])
-                         for _ in range(d)]
-                        + [_ring_coeff(RESULTANT_RING, [rng.randint(1, 3), rng.randint(-3, 3)])])
-                for d in degrees)
-        assert (f.degree, g.degree) == degrees
-        res = sylvester_resultant(f, g)
-        assert res == permutation_determinant(RESULTANT_RING, sylvester_matrix(f, g))
-        assert res == sylvester_bareiss(f, g)
+        assert res.is_zero()
 
 
 def test_rational_and_prime_roots():

@@ -7,7 +7,7 @@ from math import isqrt, lcm
 from partabel.freeproduct import EMPTY_WORD, P, Q, AlgebraElement, concat_words
 from partabel.linalg import SparseEchelon, _echelon_rank, _rref, solve_linear
 from partabel.reptheory import mat_add, mat_mul, mat_scale, mat_sub, tern_mul
-from partabel.scalars import ExtensionField, UniPoly, add_term, bareiss_determinant
+from partabel.scalars import Domain, ExtensionField, UniPoly, add_term
 
 
 def random_element(sig, field, rng, max_deg=4, terms=4):
@@ -114,19 +114,29 @@ def permutation_determinant(f, m):
 
 
 def sylvester_matrix(f, g):
-    """The Sylvester matrix of f and g of positive degrees, f-rows first."""
+    """The Sylvester matrix of f and g, f-rows first; f has positive degree
+    and g is nonzero, so (1, 0) gives the 1 x 1 matrix of g's constant."""
     field, m, n = f.field, f.degree, g.degree
     fc, gc = list(reversed(f.coeffs)), list(reversed(g.coeffs))
     return ([[field.zero] * i + fc + [field.zero] * (n - 1 - i) for i in range(n)]
             + [[field.zero] * i + gc + [field.zero] * (m - 1 - i) for i in range(m)])
 
 
-def sylvester_bareiss(f, g):
-    """The resultant as ``sylvester_resultant`` computed it for every pair of
-    positive degrees before two quadratics took the closed form: the
-    Sylvester determinant by fraction-free elimination.  The oracle for that
-    closed form."""
-    return bareiss_determinant(f.field, sylvester_matrix(f, g))
+class PolyRing(Domain):
+    """Univariate polynomials over a field as a ring, through ``UniPoly``'s
+    operators: enough for ``permutation_determinant`` of a matrix whose
+    entries are polynomials, such as a Sylvester matrix in z2 over k[z1]."""
+
+    def __init__(self, base):
+        self.base = base
+
+    @property
+    def zero(self):
+        return UniPoly(self.base, [])
+
+    @property
+    def one(self):
+        return UniPoly(self.base, [self.base.one])
 
 
 def solve_divide_by_line(f, cubic, line):
