@@ -17,7 +17,7 @@ from partabel.scalars import (
 )
 from partabel.reptheory import _z2_resultant
 from tests_helpers import (
-    PolyRing, divisor_rational_roots, irreducible_extension, permutation_determinant,
+    PolyRing, bareiss_determinant, divisor_rational_roots, irreducible_extension, permutation_determinant,
     solve_inverse, sylvester_matrix,
 )
 
@@ -303,6 +303,39 @@ def test_closed_form_resultants_match_the_sylvester_expansion(case):
         ring, sylvester_matrix(UniPoly(ring, a), UniPoly(ring, b))), (name, a, b)
     if common:
         assert res.is_zero()
+
+
+
+@settings(max_examples=150, deadline=None)
+@given(_conic_pairs().filter(lambda case: len(case[2]) == len(case[3]) == 3))
+def test_closed_form_quadratic_resultant_matches_sylvester_bareiss(case):
+    # the (2, 2) closed form against the fraction-free elimination of the
+    # same 4 x 4 Sylvester matrix over k[z1]
+    name, common, a, b = case
+    ring = PolyRing(RESULTANT_BASES[name])
+    res = _z2_resultant(a, b)
+    assert res == bareiss_determinant(
+        ring, sylvester_matrix(UniPoly(ring, a), UniPoly(ring, b))), (name, a, b)
+    if common:
+        assert res.is_zero()
+
+
+@pytest.mark.parametrize("degrees", [(1, 2)], ids=["1_2"])
+def test_other_degrees_keep_the_sylvester_determinant(degrees):
+    # the (1, 2) closed form against both the Leibniz expansion and the
+    # Bareiss elimination of the same 3 x 3 Sylvester matrix over QQ[z1]
+    ring = PolyRing(QQ)
+    rng = random.Random(sum(degrees) * 31 + degrees[0])
+    for _ in range(4):
+        a, b = ([UniPoly.from_ints(QQ, [rng.randint(-3, 3) for _ in range(3)])
+                 for _ in range(d)]
+                + [UniPoly.from_ints(QQ, [rng.randint(1, 3), rng.randint(-3, 3)])]
+                for d in degrees)
+        f, g = UniPoly(ring, a), UniPoly(ring, b)
+        assert (f.degree, g.degree) == degrees
+        res = _z2_resultant(a, b)
+        assert res == permutation_determinant(ring, sylvester_matrix(f, g))
+        assert res == bareiss_determinant(ring, sylvester_matrix(f, g))
 
 
 def test_rational_and_prime_roots():

@@ -113,6 +113,29 @@ def permutation_determinant(f, m):
     return total
 
 
+def bareiss_determinant(f, m):
+    """Oracle: the fraction-free (Bareiss) determinant over an integral
+    domain.  Each division is by the previous pivot, which divides exactly,
+    so ``f.div`` need only be exact on such inputs."""
+    a = [list(r) for r in m]
+    n = len(a)
+    sign = 1
+    prev = f.one
+    for k in range(n - 1):
+        if f.is_zero(a[k][k]):
+            swap = next((i for i in range(k + 1, n) if not f.is_zero(a[i][k])), None)
+            if swap is None:
+                return f.zero
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = f.div(f.sub(f.mul(a[i][j], a[k][k]), f.mul(a[i][k], a[k][j])), prev)
+            a[i][k] = f.zero
+        prev = a[k][k]
+    return a[n - 1][n - 1] if sign == 1 else f.neg(a[n - 1][n - 1])
+
+
 def sylvester_matrix(f, g):
     """The Sylvester matrix of f and g, f-rows first; f has positive degree
     and g is nonzero, so (1, 0) gives the 1 x 1 matrix of g's constant."""
@@ -124,8 +147,8 @@ def sylvester_matrix(f, g):
 
 class PolyRing(Domain):
     """Univariate polynomials over a field as a ring, through ``UniPoly``'s
-    operators: enough for ``permutation_determinant`` of a matrix whose
-    entries are polynomials, such as a Sylvester matrix in z2 over k[z1]."""
+    operators: enough for ``permutation_determinant`` and
+    ``bareiss_determinant`` of a matrix whose entries are polynomials, such as a Sylvester matrix in z2 over k[z1]."""
 
     def __init__(self, base):
         self.base = base
@@ -137,6 +160,14 @@ class PolyRing(Domain):
     @property
     def one(self):
         return UniPoly(self.base, [self.base.one])
+
+    def div(self, a, b):
+        """Exact division, all ``bareiss_determinant`` needs; an inexact
+        one raises."""
+        q, r = a.divmod(b)
+        if not r.is_zero():
+            raise ArithmeticError("inexact polynomial division")
+        return q
 
 
 def solve_divide_by_line(f, cubic, line):
