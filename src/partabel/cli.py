@@ -206,7 +206,7 @@ def cmd_conics(cfg, t0) -> int:
         "c1": _biv_json(QQ, tri.c1),
         "c2": _biv_json(QQ, tri.c2),
         "c3": _biv_json(QQ, tri.c3),
-        "commutator_consistency": {k: v for k, v in consistency.items() if k != "matches"},
+        "commutator_consistency": consistency,
         "rewrite_verified_in_free_product": rw.verified_in_free_product,
         "rewrite_reference_mismatches": rw.reference_mismatches,
     }

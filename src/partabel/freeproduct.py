@@ -256,8 +256,8 @@ class AlgebraElement:
         return all(self.field.eq(c, other.terms[w]) for w, c in self.terms.items())
 
     def __hash__(self) -> int:
-        # coefficients hash by value, and a RationalFunction hashes its
-        # reduced form, so elements that compare equal hash alike
+        # coefficients hash by value, a RationalFunction by what all its
+        # stored forms share, so elements that compare equal hash alike
         return hash((self.sig, frozenset(self.terms.items())))
 
     def substitute_letters(self, images: dict[Letter, "AlgebraElement"],

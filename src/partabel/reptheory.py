@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from fractions import Fraction
+from math import isqrt
 
 from .freeproduct import (
     P, Q, T, AlgebraElement, Signature, Word, idempotent, word_str,
@@ -56,9 +56,9 @@ from .freeproduct import (
 from .linalg import SparseEchelon, _echelon_rank, _rref, modular_image
 from .quotient import on_quadric
 from .scalars import (
-    DegenerateSpecialization, Domain, ExtensionField, FunctionField, PrimeField,
-    RationalFunction, UniPoly, add_term, base_field_roots, factor_cubic,
-    gcd_univariate,
+    DegenerateSpecialization, Domain, ExtensionField, FunctionField, Polynomial,
+    PrimeField, RationalField, RationalFunction, UniPoly, add_term,
+    base_field_roots, factor_cubic, gcd_univariate,
 )
 
 SIG33 = Signature(3, 3)
@@ -394,7 +394,7 @@ def compare_rho_to_reference(rho: RepMatrices) -> list[dict]:
                 if not diff.is_zero():
                     out.append({
                         "matrix": name, "entry": f"({i + 1},{j + 1})",
-                        "derived_minus_reference": repr(diff.reduce_full()),
+                        "derived_minus_reference": repr(diff),
                     })
     return out
 
@@ -489,43 +489,23 @@ def commutator_conic_consistency(symbolic_rho: RepMatrices) -> dict:
     t1, t2 = t_matrices(F, F.gens()[:3], symbolic_rho)
     comm = mat_sub(F, mat_mul(F, t1, t2), mat_mul(F, t2, t1))
 
-    def proportional(p: BivPoly, q: BivPoly):
+    def proportional(p: BivPoly, q: BivPoly) -> bool:
         if set(p) != set(q):
-            return None
+            return False
         m0 = next(iter(q))
         lam = p[m0] / q[m0]
-        if all(p[m] == lam * q[m] for m in q):
-            return lam
-        return None
+        return all(p[m] == lam * q[m] for m in q)
 
-    matches = []
-    all_proportional = True
-    seen = set()
-    for i in range(3):
-        for j in range(3):
-            e = comm[i][j]
-            if e.is_zero():
-                continue
-            biv = _as_biv_over_y(e)
-            hit = None
-            for name, c in named:
-                lam = proportional(biv, c)
-                if lam is not None:
-                    hit = {"entry": f"({i + 1},{j + 1})", "conic": name,
-                           "unit": repr(lam.reduce_full())}
-                    seen.add(name)
-                    break
-            if hit is None:
-                all_proportional = False
-                matches.append({"entry": f"({i + 1},{j + 1})", "conic": None})
-            else:
-                matches.append(hit)
+    entries = [_as_biv_over_y(e) for row in comm for e in row if not e.is_zero()]
+    hits = [next((name for name, c in named if proportional(biv, c)), None)
+            for biv in entries]
+    all_proportional = None not in hits
+    seen = set(hits) - {None}
     return {
-        "nonzero_entries": len(matches),
+        "nonzero_entries": len(entries),
         "entries_unit_multiples_of_conics": all_proportional,
         "all_three_conics_occur": seen == {"c1", "c2", "c3"},
         "equivalent": all_proportional and seen == {"c1", "c2", "c3"},
-        "matches": matches,
     }
 
 
@@ -533,18 +513,15 @@ def _as_biv_over_y(rf: RationalFunction) -> BivPoly:
     """Split a rational function in (y1,y2,y3,z1,z2) whose denominator is
     z-free into a polynomial in (z1,z2) with y-rational-function entries."""
     base = FunctionField(("y1", "y2", "y3"))
-    from .scalars import Polynomial
     den = rf.den
     if any(e[3] or e[4] for e in den.terms):
         raise ValueError("denominator involves z; cannot split")
     dpoly = Polynomial(base.vars, {e[:3]: c for e, c in den.terms.items()})
     out: BivPoly = {}
     for e, c in rf.num.terms.items():
-        zkey = (e[3], e[4])
-        ypoly = Polynomial(base.vars, {e[:3]: c})
-        piece = RationalFunction(ypoly, dpoly)
-        out[zkey] = out.get(zkey, base.zero) + piece
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        add_term(base, out, (e[3], e[4]),
+                 RationalFunction(Polynomial(base.vars, {e[:3]: c}), dpoly))
+    return out
 
 
 # -- ternary forms -----------------------------------------------------------
@@ -692,10 +669,8 @@ def _is_square(field: Domain, v) -> bool | None:
         return True
     if isinstance(field, PrimeField):
         return pow(v, (field.p - 1) // 2, field.p) == 1
-    if getattr(field, "name", "") == "rational":
-        fr = Fraction(v)
-        from math import isqrt
-        n, d = fr.numerator, fr.denominator
+    if isinstance(field, RationalField):
+        n, d = v.numerator, v.denominator
         if n < 0:
             return False
         return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d

@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import islice, zip_longest
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 
@@ -330,9 +330,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]
@@ -347,11 +344,7 @@ class Polynomial:
         self._check(other)
         t = dict(self.terms)
         for e, c in other.terms.items():
-            s = t.get(e, Fraction(0)) + c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
+            add_term(QQ, t, e, c)
         return Polynomial(self.vars, t)
 
     __radd__ = __add__
@@ -377,12 +370,7 @@ class Polynomial:
         t: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = t.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    t[e] = s
-                else:
-                    t.pop(e, None)
+                add_term(QQ, t, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return Polynomial(self.vars, t)
 
     __rmul__ = __mul__
@@ -426,18 +414,6 @@ class Polynomial:
             return Fraction(0)
         return acc
 
-    def content_and_primitive(self) -> tuple[Fraction, "Polynomial"]:
-        """Positive rational content; primitive part has integer coprime coeffs."""
-        if not self.terms:
-            return Fraction(0), self
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        cont = Fraction(num, den)
-        return cont, self * (1 / cont)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -460,138 +436,22 @@ class Polynomial:
         return s
 
 
-def _poly_divmod(num: Polynomial, den: Polynomial) -> Polynomial | None:
-    """Exact multivariate division by leading-term elimination, or None."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    q = Polynomial(num.vars)
-    r = num
-    de, dc = den.leading()
-    guard = 0
-    while not r.is_zero():
-        guard += 1
-        if guard > 10000:
-            return None
-        re, rc = r.leading()
-        e = tuple(a - b for a, b in zip(re, de))
-        if any(x < 0 for x in e):
-            return None
-        t = Polynomial(num.vars, {e: rc / dc})
-        q = q + t
-        r = r - t * den
-        if not r.is_zero() and _grlex_key(r.leading()[0]) >= _grlex_key(re):
-            return None
-    return q
-
-
-def _poly_gcd_univar_in(p: Polynomial, q: Polynomial, var_index: int) -> Polynomial:
-    """Primitive-PRS gcd treating var_index as the main variable."""
-    def lift(poly: Polynomial) -> dict[int, Polynomial]:
-        out: dict[int, Polynomial] = {}
-        for e, c in poly.terms.items():
-            k = e[var_index]
-            rest = tuple(x if i != var_index else 0 for i, x in enumerate(e))
-            out.setdefault(k, Polynomial(poly.vars))
-            out[k] = out[k] + Polynomial(poly.vars, {rest: c})
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    def drop(table: dict[int, Polynomial]) -> Polynomial:
-        acc = Polynomial(p.vars)
-        xvar = Polynomial.variable(p.vars, p.vars[var_index])
-        for k, coeff in table.items():
-            acc = acc + coeff * xvar**k
-        return acc
-
-    def content(table: dict[int, Polynomial]) -> Polynomial:
-        coeffs = list(table.values())
-        g = coeffs[0]
-        for c in coeffs[1:]:
-            g = poly_gcd(g, c)
-        return g
-
-    def degree(table) -> int:
-        return max(table, default=-1)
-
-    A, B = lift(p), lift(q)
-    if not A:
-        return q
-    if not B:
-        return p
-    contA, contB = content(A), content(B)
-    cont = poly_gcd(contA, contB)
-
-    def primitive(table, c):
-        return {k: _poly_divmod(v, c) for k, v in table.items()}
-
-    A = primitive(A, contA)
-    B = primitive(B, contB)
-    while True:
-        if degree(A) < degree(B):
-            A, B = B, A
-        if not B:
-            g = drop(A)
-            _, g = g.content_and_primitive()
-            return cont * g
-        # pseudo-remainder of A by B
-        dA, dB = degree(A), degree(B)
-        lb = B[dB]
-        R = dict(A)
-        for _ in range(dA - dB + 1):
-            dR = degree(R)
-            if dR < dB or not R:
-                break
-            lr = R[dR]
-            newR: dict[int, Polynomial] = {}
-            for k, v in R.items():
-                newR[k] = v * lb
-            for k, v in B.items():
-                shift = k + dR - dB
-                newR[shift] = newR.get(shift, Polynomial(p.vars)) - v * lr
-            R = {k: v for k, v in newR.items() if not v.is_zero()}
-        if R:
-            c = content(R)
-            R = primitive(R, c)
-        A, B = B, R
-
-
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Multivariate gcd over QQ (primitive PRS); result is primitive with
-    positive leading coefficient, up to that normalization."""
-    if p.is_zero():
-        g = q
-    elif q.is_zero():
-        g = p
-    elif p.is_constant() or q.is_constant():
-        return Polynomial.constant(p.vars, 1)
-    else:
-        main = None
-        for i in range(len(p.vars)):
-            if any(e[i] for e in p.terms) and any(e[i] for e in q.terms):
-                main = i
-                break
-        if main is None:
-            return Polynomial.constant(p.vars, 1)
-        g = _poly_gcd_univar_in(p, q, main)
-    if g.is_zero():
-        return g
-    _, g = g.content_and_primitive()
-    if g.leading()[1] < 0:
-        g = -g
-    return g
-
-
 class RationalFunction:
     """Quotient of multivariate polynomials over QQ.
 
-    Always normalized by integer content and common monomial factors, with
-    the denominator's leading coefficient scaled to 1.  Full multivariate
-    gcd reduction is available behind ``reduce_full``; equality never needs
-    it (cross-multiplication).
+    Normalized only by common monomial factors, with the denominator's
+    grlex leading coefficient scaled to 1; no gcd is divided out, so equal
+    functions may be stored in different forms.  Equality is decided by
+    cross-multiplication.  The hash reads what every form of one function
+    shares: from a/b == c/d, a*d == c*b, and grlex leading terms multiply,
+    so lc(a) == lc(c) (both denominators lead with 1) and lm(a) - lm(b) ==
+    lm(c) - lm(d).  The hash is of that coefficient and exponent
+    difference, and zero has its own.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial, den: Polynomial | None = None, full: bool = False):
+    def __init__(self, num: Polynomial, den: Polynomial | None = None):
         if den is None:
             den = Polynomial.constant(num.vars, 1)
         if den.is_zero():
@@ -608,13 +468,6 @@ class RationalFunction:
                 shift = lambda t: {tuple(a - b for a, b in zip(e, mins)): c for e, c in t.items()}
                 num = Polynomial(num.vars, shift(num.terms))
                 den = Polynomial(den.vars, shift(den.terms))
-            if full:
-                g = poly_gcd(num, den)
-                if not g.is_constant():
-                    num = _poly_divmod(num, g)
-                    den = _poly_divmod(den, g)
-                    if num is None or den is None:
-                        raise ArithmeticError("gcd does not divide the fraction exactly")
             _, lc = den.leading()
             if lc != 1:
                 num = num * (1 / lc)
@@ -689,12 +542,7 @@ class RationalFunction:
         return self._coerce(other) / self
 
     def __pow__(self, n: int):
-        if n < 0:
-            return (RationalFunction.constant(self.vars, 1) / self) ** (-n)
         return RationalFunction(self.num**n, self.den**n)
-
-    def inverse(self) -> "RationalFunction":
-        return RationalFunction.constant(self.vars, 1) / self
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -703,11 +551,10 @@ class RationalFunction:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self) -> int:
-        r = self.reduce_full()
-        return hash((r.num, r.den))
-
-    def reduce_full(self) -> "RationalFunction":
-        return RationalFunction(self.num, self.den, full=True)
+        if self.num.is_zero():
+            return hash(0)
+        (ne, nc), (de, _) = self.num.leading(), self.den.leading()
+        return hash((nc, tuple(a - b for a, b in zip(ne, de))))
 
     def evaluate(self, point: Sequence):
         den = self.den.evaluate(point)

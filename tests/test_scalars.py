@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partabel import scalars
+from partabel.freeproduct import P, AlgebraElement, Signature
 from partabel.scalars import (
-    ExtensionField, FunctionField, PoleError, Polynomial, PrimeField, QQ,
-    RationalFunction, UniPoly, _poly_powmod, add_term, factor_cubic,
-    gcd_univariate, is_probable_prime, poly_gcd, prime_field_roots,
-    random_prime, rational_roots,
+    ExtensionField, FunctionField, PoleError, PrimeField, QQ, UniPoly,
+    _poly_powmod, add_term, factor_cubic, gcd_univariate, is_probable_prime,
+    prime_field_roots, random_prime, rational_roots,
 )
 from partabel.reptheory import _z2_resultant
 from tests_helpers import (
@@ -154,38 +154,30 @@ def test_rational_function_normalization_and_equality():
     y1, y2, y3 = F.gens()
     a = (y1 * y2 - y2 * y3) / (y2 * y2)
     b = (y1 - y3) / y2
-    assert a == b  # cross-multiplication equality without full gcd
-    r = a.reduce_full()
-    assert r == b
-    assert repr(r) == repr(b.reduce_full())
+    assert a == b  # cross-multiplication equality, no gcd taken
+    assert repr(a) == repr(b)  # the common monomial factor y2 is divided out
     with pytest.raises(ZeroDivisionError):
         y1 / (y2 - y2)
 
 
-def test_full_reduction_raises_when_the_gcd_does_not_divide(monkeypatch):
-    # a gcd that divides the denominator but not the numerator must not
-    # leave a None numerator behind
-    import partabel.scalars as scalars
-    v = ("y1", "y2", "y3")
-    y1 = Polynomial.variable(v, "y1")
-    y2 = Polynomial.variable(v, "y2")
-    one = Polynomial.constant(v, 1)
-    monkeypatch.setattr(scalars, "poly_gcd", lambda p, q: y1 + one)
-    with pytest.raises(ArithmeticError):
-        RationalFunction(y2, y1 + one, full=True)
-
-
-def test_poly_gcd_multivariate():
-    v = ("y1", "y2", "y3")
-    y1 = Polynomial.variable(v, "y1")
-    y2 = Polynomial.variable(v, "y2")
-    y3 = Polynomial.variable(v, "y3")
-    one = Polynomial.constant(v, 1)
-    f = (y1 + y2) * (y3 - 1 * one) * (y3 - 1 * one)
-    g = (y1 + y2) * (y3 + y1)
-    d = poly_gcd(f, g)
-    assert d == (y1 + y2)
-    assert poly_gcd(y1 * y2, y3) == one
+def test_equal_rational_functions_in_unreduced_forms_hash_alike():
+    # a/b and (a*c)/(b*c) are one function, but no gcd is divided out, so
+    # most draws store them in forms that print apart; they must still
+    # compare and hash alike, bare and as coefficients of an algebra element
+    F = FunctionField(("y1", "y2", "y3"))
+    sig, w = Signature(3, 3), ((P, 1),)
+    apart = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        a, b, c = (F.random(rng) for _ in range(3))
+        if (b * c).is_zero():
+            continue
+        x, y = a / b, (a * c) / (b * c)
+        apart += repr(x) != repr(y)
+        assert x == y and hash(x) == hash(y)
+        ex, ey = AlgebraElement(sig, F, {w: x}), AlgebraElement(sig, F, {w: y})
+        assert ex == ey and hash(ex) == hash(ey)
+    assert apart >= 100
 
 
 # --- the conic resultants (``reptheory._z2_resultant``) ------------------------
