@@ -109,7 +109,7 @@ def cmd_dims(cfg, t0) -> int:
 def cmd_verify42(cfg, t0) -> int:
     results = {}
     ok = True
-    chart = cfg.chart or sample_generic_points(cfg.seed, 1)[0][1:]
+    chart = _chart(cfg)
     for label, field in _verify_fields(cfg):
         y = chart_in_field(field, chart)
         rel = make_relation(field, chart=y)
@@ -133,7 +133,7 @@ def _verify_fields(cfg):
 
 def cmd_bound(cfg, t0) -> int:
     field = _field_for(cfg)
-    rel = make_relation(field, point=_point_in(field, cfg))
+    rel = make_relation(field, point=chart_in_field(field, _point(cfg)))
     rep = stabilization_scan(rel, 2, cfg.nmax, slack=cfg.slack,
                              window_cap=cfg.window_cap, with_closure=False)
     per = {str(n): {k: row[k] for k in ("dim_ambient", "counted_rank", "quotient_bound")}
@@ -152,7 +152,7 @@ def _cap_summary(cfg, window: int, closure: str) -> str:
 
 def cmd_scan(cfg, t0) -> int:
     field = _field_for(cfg)
-    rel = make_relation(field, point=_point_in(field, cfg))
+    rel = make_relation(field, point=chart_in_field(field, _point(cfg)))
     rep = stabilization_scan(rel, 2, cfg.nmax, slack=cfg.slack,
                              window_cap=cfg.window_cap)
     results = rep.to_json(field)
@@ -170,10 +170,9 @@ def cmd_scan(cfg, t0) -> int:
 
 
 def cmd_classify(cfg, t0) -> int:
-    x = _explicit_point(cfg)
-    if x is None:
+    if not (cfg.point or cfg.chart):
         raise ValueError("classify needs --point x11,x12,x21,x22")
-    verdict = classify_p3(QQ, chart_in_field(QQ, x))
+    verdict = classify_p3(QQ, chart_in_field(QQ, _point(cfg)))
     return emit(cfg, "classify", verdict.to_json(), True,
                 f"verdict {verdict.tag}", t0)
 
@@ -193,7 +192,7 @@ def cmd_zcentral(cfg, t0) -> int:
 
 
 def cmd_conics(cfg, t0) -> int:
-    chart = cfg.chart or sample_generic_points(cfg.seed, 1)[0][1:]
+    chart = _chart(cfg)
     tri = conics(QQ, chart)
     F5 = FunctionField(("y1", "y2", "y3", "z1", "z2"))
     gens = F5.gens()
@@ -221,7 +220,7 @@ def _biv_json(field, poly):
 
 
 def cmd_detcurve(cfg, t0) -> int:
-    chart = cfg.chart or sample_generic_points(cfg.seed, 1)[0][1:]
+    chart = _chart(cfg)
     tri = conics(QQ, chart)
     cubic = determinantal_cubic(QQ, chart, tri)
     spec = intersect_conics(QQ, chart)
@@ -246,7 +245,7 @@ def cmd_detcurve(cfg, t0) -> int:
 
 
 def cmd_rep(cfg, t0) -> int:
-    chart = cfg.chart or sample_generic_points(cfg.seed, 1)[0][1:]
+    chart = _chart(cfg)
     field = _field_for(cfg)
     y = chart_in_field(field, chart)
     spec, rho = chart_representation(field, y)
@@ -282,24 +281,26 @@ def cmd_rep(cfg, t0) -> int:
 
 
 def cmd_wedderburn(cfg, t0) -> int:
-    x = _explicit_point(cfg) or sample_generic_points(cfg.seed, 1)[0]
-    rep = certify_point_multi(x, mode=cfg.mode, primes=cfg.primes, seed=cfg.seed,
+    rep = certify_point_multi(_point(cfg), mode=cfg.mode, primes=cfg.primes, seed=cfg.seed,
                               n_max=cfg.nmax, slack=cfg.slack, force=cfg.force,
                               over_extension=True)
     return emit(cfg, "wedderburn", rep, rep["verdict_ok"], rep["verdict"], t0)
 
 
-def _explicit_point(cfg):
-    if cfg.point:
-        return cfg.point
-    if cfg.chart:
-        return (Fraction(1),) + tuple(cfg.chart)
-    return None
+def _chart(cfg) -> tuple:
+    """--chart, or else the chart (y1, y2, y3) of the seeded sample point
+    (1 : y1 : y2 : y3)."""
+    return cfg.chart or sample_generic_points(cfg.seed, 1)[0][1:]
+
+
+def _point(cfg) -> tuple:
+    """--point, or else (1 : y1 : y2 : y3) for the chart ``_chart`` picks."""
+    return cfg.point or (Fraction(1),) + _chart(cfg)
 
 
 def cmd_theorem(cfg, t0) -> int:
-    explicit = _explicit_point(cfg)
-    pts = [explicit] if explicit else sample_generic_points(cfg.seed, cfg.count)
+    pts = ([_point(cfg)] if cfg.point or cfg.chart
+           else sample_generic_points(cfg.seed, cfg.count))
     jobs = [(x, cfg.mode, cfg.primes, cfg.seed, cfg.nmax, cfg.slack, cfg.force)
             for x in pts]
     if cfg.workers > 1 and len(jobs) > 1:
@@ -326,10 +327,6 @@ def _pool_map(fn, jobs, workers):
         print(f"worker pool unavailable ({exc}); running sequentially",
               file=sys.stderr)
         return [fn(j) for j in jobs]
-
-
-def _point_in(field, cfg):
-    return chart_in_field(field, _explicit_point(cfg) or sample_generic_points(cfg.seed, 1)[0])
 
 
 COMMANDS = {

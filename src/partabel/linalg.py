@@ -30,10 +30,11 @@ Both give the same leads, and the heap spares a rescan of a row that fills
 in, which made the lead search quadratic at generic points.  ``install``
 lets a caller that feeds many shifts of one row (``IdealSpan`` growth)
 install a shift whose lead is free as a shifted copy of an earlier one,
-with no elimination.  Every rank comes from SparseEchelon: ``dense_rank``
-over QQ and its extensions first eliminates the matrix's image mod a prime
-l near 2^61, and the exact rows only when that image falls short of full
-rank.  Dense solves (``nullspace``, ``solve_linear``, the classifier's
+with no elimination.  Every rank comes from SparseEchelon, through
+``image_first_rank``: over QQ it first eliminates the matrix's image mod
+l = 2^61 + 15, and builds and eliminates the exact rows only when that
+image falls short of full rank; over every other field it eliminates the
+exact rows.  Dense solves (``nullspace``, ``solve_linear``, the classifier's
 matrix inverse and the t*q rewrite) go through the one dense Gauss-Jordan
 routine, ``_rref``.  No determinant is taken here: the only ones partabel
 reads are 3 x 3, of the conic net and of a quadric cofactor, and
@@ -47,7 +48,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Callable
 
-from .scalars import Domain, PrimeField, RationalField
+from .scalars import _MODULAR_FIELD, Domain, PrimeField, RationalField
 
 # a row with this many entries takes its leads off a heap, a shorter one by
 # max(row), which costs less there (module doc); rows never go back
@@ -244,34 +245,37 @@ def _rref(field: Domain, rows: list[list], ncols: int) -> tuple[list[list], list
     return a, pivots
 
 
+def image_first_rank(field: Domain, full: int, image_rows: Callable,
+                     exact_rows: Callable) -> int:
+    """Rank of the matrix that ``exact_rows()`` builds over ``field``, at
+    most ``full``.  Over QQ it is first taken of ``image_rows(gf)``, the
+    rows mapped into gf = GF(l), l = 2^61 + 15, by n/d -> n d^-1
+    (``gf.from_fraction``), a ring map on the l-integral rationals.  A rank
+    can only drop under a ring map, so an image of rank ``full`` proves full
+    rank.  A short image, an l in a denominator (ZeroDivisionError) or any
+    other field takes ``_echelon_rank`` of the exact rows.  QQ(theta) has no
+    image: it would need a root of the modulus mod l, and its only ranks,
+    ``wedderburn``'s second lower bound, cost milliseconds exact."""
+    if isinstance(field, RationalField):
+        try:
+            rows = image_rows(_MODULAR_FIELD)
+        except ZeroDivisionError:  # l divides a denominator
+            rows = None
+        if rows is not None and _echelon_rank(_MODULAR_FIELD, rows) == full:
+            return full
+    return _echelon_rank(field, exact_rows())
+
+
 def dense_rank(field: Domain, matrix: list[list]) -> int:
-    """Rank of a dense matrix.  Over QQ and its extensions the rank is first
-    taken of the matrix's image over GF(l) (``Domain.modular_image``).  A
-    rank can only drop under a ring map, so an image of full rank
-    min(rows, cols) is the rank.  A shortfall, or an entry that is not
-    l-integral, leaves it to the exact elimination ``_echelon_rank``, which
-    callers expecting a deficient rank use directly."""
+    """Rank of a dense matrix, through ``image_first_rank``: the matrix's
+    image over GF(l) first when the field is QQ.  Callers expecting a
+    deficient rank use ``_echelon_rank`` directly."""
     if not matrix:
         return 0
-    full = min(len(matrix), len(matrix[0]))
-    image = modular_image(field, lambda h: [[h(v) for v in row] for row in matrix])
-    if image is not None and _echelon_rank(*image) == full:
-        return full
-    return _echelon_rank(field, matrix)
-
-
-def modular_image(field: Domain, build: Callable) -> tuple[PrimeField, object] | None:
-    """(GF(l), build(h)) for the field's map h onto GF(l)
-    (``Domain.modular_image``), or None when the field has no image or
-    ``build`` meets a value that is not l-integral."""
-    image = field.modular_image()
-    if image is None:
-        return None
-    gf, h = image
-    try:
-        return gf, build(h)
-    except ZeroDivisionError:
-        return None
+    return image_first_rank(
+        field, min(len(matrix), len(matrix[0])),
+        lambda gf: [[gf.from_fraction(v) for v in row] for row in matrix],
+        lambda: matrix)
 
 
 def _echelon_rank(field: Domain, matrix: list[list]) -> int:

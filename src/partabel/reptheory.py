@@ -30,10 +30,10 @@ quotient).  This module:
 * assembles the evaluation map onto nine characters plus the nine matrix
   coordinates of a representation, over k for rho_k or over the conic
   extension E for the induced one, whose rank is the dimension lower bound
-  that meets the closure certificate's upper bound; over QQ and QQ(theta)
-  the rank is taken first on rows built from the GF(l) image of the letter
-  matrices (``evaluation_rank``), and the exact rows are built only when
-  that image falls short.  At a point exact over k it reads the type
+  that meets the closure certificate's upper bound; over QQ the rank is
+  taken first on rows built from the GF(l) image of the letter matrices
+  (``evaluation_rank``), and the exact rows are built only when that image
+  falls short.  At a point exact over k it reads the type
   (center, trace form, idempotent splits, irreducibility) off that
   isomorphism (``wedderburn_type``); the exact Burnside span
   ``irreducibility`` serves the ``rep`` command, which has no closure.
@@ -53,7 +53,7 @@ from math import isqrt
 from .freeproduct import (
     P, Q, T, AlgebraElement, Signature, Word, idempotent, word_str,
 )
-from .linalg import SparseEchelon, _echelon_rank, _rref, modular_image
+from .linalg import SparseEchelon, _echelon_rank, _rref, image_first_rank
 from .quotient import on_quadric
 from .scalars import (
     DegenerateSpecialization, Domain, ExtensionField, FunctionField, Polynomial,
@@ -1081,35 +1081,20 @@ def _evaluation_rows(field: Domain, basis, rho: RepMatrices) -> list[list]:
     return rows
 
 
-def image_evaluation_rows(basis, rho: RepMatrices):
-    """(GF(l), the evaluation rows on ``basis`` over GF(l)) for the map h of
-    rho's field onto GF(l) (``Domain.modular_image``), or None when there is
-    no image or a letter entry is not l-integral.
-
-    h maps the four letter matrices of rho once, and the rows are built
-    from a ``RepMatrices`` over GF(l).  h is a ring map on l-integral
-    elements, so h(rho(w)) is the product of the letter images: the rows
-    are the image of the exact rows."""
-    image = modular_image(rho.field, lambda h: {
-        g: [[h(v) for v in row] for row in m] for g, m in rho.letters.items()})
-    if image is None:
-        return None
-    gf, letters = image
-    return gf, _evaluation_rows(gf, basis, RepMatrices(gf, letters))
-
-
 def evaluation_rank(basis, rho: RepMatrices) -> int:
-    """Rank over rho's field E of the evaluation matrix on ``basis``, taken
-    first on its GF(l) image (``image_evaluation_rows``).  A rank can only
-    drop under a ring map, so an image of full rank min(|basis|, 18) is the
-    exact rank.  A short image, a letter entry that is not l-integral, or a
-    field with no image (GF(p) and its extensions) takes the exact rows
-    through ``_echelon_rank``, with no second image check."""
-    full = min(len(basis), 18)
-    image = image_evaluation_rows(basis, rho)
-    if image is not None and _echelon_rank(*image) == full:
-        return full
-    return _echelon_rank(rho.field, _evaluation_rows(rho.field, basis, rho))
+    """Rank over rho's field of the evaluation matrix on ``basis``, through
+    ``image_first_rank``.  Over QQ the image rows are built from a
+    ``RepMatrices`` over GF(l) whose letters are rho's four letter matrices
+    mapped by h = ``gf.from_fraction``.  h is a ring map on l-integral
+    elements, so h(rho(w)) is the product of the letter images, and the
+    rows are the image of the exact rows ``_evaluation_rows``, which are
+    built only when the image falls short of full rank min(|basis|, 18)."""
+    def image_rows(gf):
+        letters = {g: [[gf.from_fraction(v) for v in row] for row in m]
+                   for g, m in rho.letters.items()}
+        return _evaluation_rows(gf, basis, RepMatrices(gf, letters))
+    return image_first_rank(rho.field, min(len(basis), 18), image_rows,
+                            lambda: _evaluation_rows(rho.field, basis, rho))
 
 
 def algebra_map_checks(X: AlgebraElement, rho: RepMatrices) -> tuple:

@@ -7,9 +7,9 @@ objects (``QQ``, ``PrimeField``, ``FunctionField``, ``ExtensionField``)
 provide construction, formatting and sampling.  Extensions
 compute on integer coordinates: a sum of products (``Domain.dot``) is
 reduced mod the modulus once, and a base-field scalar multiplies and
-inverts in the base field.  Rational roots come from Hensel lifting.
-QQ and its extensions map onto GF(l) for l near 2^61
-(``Domain.modular_image``), where full-rank checks run first.
+inverts in the base field.  Rational roots come from Hensel lifting,
+mod the first good prime l >= 2^61 + 15; QQ's full-rank checks run first
+on its image mod l = 2^61 + 15 (``linalg.image_first_rank``).
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial, reduce
-from itertools import islice, zip_longest
+from functools import lru_cache, reduce
+from itertools import zip_longest
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 class PoleError(ZeroDivisionError):
@@ -34,25 +34,28 @@ class DegenerateSpecialization(RuntimeError):
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
+# Miller-Rabin on the twelve bases of _SMALL_PRIMES finds every composite
+# below this bound (Sorenson and Webster 2015); partabel's primes are < 2^63
+_MILLER_RABIN_EXACT_BELOW = 318_665_857_834_031_151_167_461
+
+
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with fixed small bases plus 24 random ones, drawn from a
-    generator seeded by n, so the answer for n never varies."""
+    """Whether n is prime, proved for n < ``_MILLER_RABIN_EXACT_BELOW`` by
+    Miller-Rabin on the bases 2..37; a larger n with no factor among them
+    raises ValueError rather than go unproved."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n >= _MILLER_RABIN_EXACT_BELOW:
+        raise ValueError(f"primality of {n} is not proved by bases 2..37")
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    rng = random.Random(0xC0FFEE ^ n)
-    bases = _SMALL_PRIMES + [rng.randrange(2, n - 1) for _ in range(24)]
-    for a in bases:
-        a %= n
-        if a in (0, 1, n - 1):
-            continue
+    for a in _SMALL_PRIMES:  # n > 37, so no base is 0, 1 or -1 mod n
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -161,14 +164,6 @@ class Domain:
     def fmt(self, a) -> str:
         return str(a)
 
-    def modular_image(self) -> tuple[PrimeField, Callable] | None:
-        """(GF(l), h): a ring homomorphism h from the l-integral elements
-        onto GF(l), for the domains whose full-rank checks run on an image
-        (QQ and extensions of QQ); None for the others.  h raises
-        ZeroDivisionError on an element that is not l-integral.  A rank can
-        only drop under h, so an image of full rank proves full rank."""
-        return None
-
 
 def add_term(field: Domain, terms: dict, key, c) -> None:
     """``terms[key] += c`` in place, dropping the key when the sum is zero:
@@ -206,10 +201,6 @@ class RationalField(Domain):
     def random(self, rng: random.Random) -> Fraction:
         return Fraction(rng.randint(-50, 50), rng.randint(1, 20))
 
-    def modular_image(self) -> tuple[PrimeField, Callable]:
-        """n/d -> n d^-1 mod l = 2^61 + 15."""
-        return _MODULAR_FIELD, _MODULAR_FIELD.from_fraction
-
     def __repr__(self) -> str:
         return "QQ"
 
@@ -218,9 +209,9 @@ QQ = RationalField()
 
 
 class PrimeField(Domain):
-    """GF(p) on raw int residues in [0, p).  p is checked probabilistically
-    at construction and must stay below 2^62 so products fit machine-friendly
-    big-int fast paths."""
+    """GF(p) on raw int residues in [0, p).  p is proved prime at
+    construction (``is_probable_prime``) and must stay below 2^62 so
+    products fit machine-friendly big-int fast paths."""
 
     name = "prime"
 
@@ -394,6 +385,9 @@ class Polynomial:
             and self.terms == other.terms
 
     def __hash__(self) -> int:
+        z = (0,) * len(self.vars)
+        if self.terms.keys() <= {z}:  # a constant hashes as the int or Fraction it equals
+            return hash(self.terms.get(z, 0))
         return hash((self.vars, frozenset(self.terms.items())))
 
     def evaluate(self, point: Sequence):
@@ -446,7 +440,9 @@ class RationalFunction:
     shares: from a/b == c/d, a*d == c*b, and grlex leading terms multiply,
     so lc(a) == lc(c) (both denominators lead with 1) and lm(a) - lm(b) ==
     lm(c) - lm(d).  The hash is of that coefficient and exponent
-    difference, and zero has its own.
+    difference, or of the coefficient alone when the difference is 0, as it
+    is for a constant c, so that the function hashes as the int or Fraction
+    c it equals; zero hashes as 0.
     """
 
     __slots__ = ("num", "den")
@@ -554,7 +550,8 @@ class RationalFunction:
         if self.num.is_zero():
             return hash(0)
         (ne, nc), (de, _) = self.num.leading(), self.den.leading()
-        return hash((nc, tuple(a - b for a, b in zip(ne, de))))
+        shift = tuple(a - b for a, b in zip(ne, de))
+        return hash((nc, shift)) if any(shift) else hash(nc)
 
     def evaluate(self, point: Sequence):
         den = self.den.evaluate(point)
@@ -946,27 +943,6 @@ class ExtensionField(Domain):
                 parts.append(t if cs == "1" else f"({cs})*{t}")
         return " + ".join(parts)
 
-    def modular_image(self) -> tuple[PrimeField, Callable] | None:
-        return self._image
-
-    @cached_property
-    def _image(self) -> tuple[PrimeField, Callable] | None:
-        """Over QQ: a(t) -> a(r) mod l, with l the first prime >= 2^61 + 15
-        that divides no denominator of m and r the least root of m mod l.
-        It is a ring homomorphism because m is monic and l-integral and
-        m(r) = 0 mod l.  The walk tries ``_IMAGE_PRIMES`` primes and then
-        gives up (no image).  Over GF(p) there is none."""
-        if self._p is not None:
-            return None
-        ms, den = self._int_modulus, self._scale
-        for field in islice(_modular_fields(), _IMAGE_PRIMES):
-            ell = field.p
-            if den % ell:  # m mod l is D m mod l over the unit D
-                roots = prime_field_roots(field, UniPoly(field, [c % ell for c in ms]))
-                if roots:
-                    return field, partial(_residue_image, ell, roots[0])
-        return None
-
     def __repr__(self) -> str:
         return f"{self.base!r}[t]/({self.modulus!r})"
 
@@ -976,15 +952,6 @@ def _clear_denominators(cs) -> tuple[list[int], int]:
     cs[i] = ns[i] / D."""
     den = lcm(*[c.denominator for c in cs])
     return [c.numerator * (den // c.denominator) for c in cs], den
-
-
-def _residue_image(ell: int, r: int, a: UniPoly) -> int:
-    """a(r) mod l for a residue a over QQ; ZeroDivisionError when l divides
-    a denominator."""
-    ns, den = _clear_denominators(a.coeffs)
-    if den % ell == 0:
-        raise ZeroDivisionError("denominator vanishes mod l")
-    return _horner(ns, r) * pow(den, -1, ell) % ell
 
 
 def base_field_roots(base: Domain, f: UniPoly) -> list:
@@ -1000,15 +967,11 @@ def base_field_roots(base: Domain, f: UniPoly) -> list:
 # Root finding over QQ and GF(p)
 # ---------------------------------------------------------------------------
 
-# 2^61 + 15, the least prime above 2^61, where ``_modular_fields`` starts
-# the walk for rational_roots' Hensel prime and for the modular image of QQ
-# and of its extensions (``Domain.modular_image``).  It and (it - 1) / 2, the exponents
+# 2^61 + 15, the least prime above 2^61: the field of QQ's image
+# (``linalg.image_first_rank``), and where ``_modular_fields`` starts the
+# walk for rational_roots' Hensel prime.  It and (it - 1) / 2, the exponents
 # of prime_field_roots' square-and-multiply, have few one bits.
 _MODULAR_FIELD = PrimeField(2**61 + 15)
-
-# primes an extension of QQ tries for a root of its modulus; an irreducible
-# cubic has one mod at least a third of all primes (Chebotarev)
-_IMAGE_PRIMES = 16
 
 
 def _modular_fields():

@@ -455,21 +455,24 @@ def test_pinned_report_bytes(command, tmp_path, monkeypatch):
                                      "wedderburn --chart=-8,-4,7 --mode rational"])
 def test_exact_evaluation_rows_keep_the_pinned_bytes(command, force, tmp_path, monkeypatch):
     # when the GF(l) image of rho cannot prove full rank, the evaluation
-    # rows are built over E itself and eliminated there: same report bytes
-    from partabel import reptheory, scalars
-    if force == "short image":
-        image = reptheory.image_evaluation_rows
+    # rows are built over rho's field QQ itself and eliminated there: same
+    # report bytes
+    from partabel import linalg, reptheory, scalars
 
-        def short(basis, rho):
-            gf, rows = image(basis, rho)
-            return gf, rows[:-1] + [[gf.zero] * len(rows[0])]
-        monkeypatch.setattr(reptheory, "image_evaluation_rows", short)
-    else:
-        def not_integral(v):
-            raise ZeroDivisionError("denominator vanishes mod l")
-        got = None if force == "no image" else (scalars._MODULAR_FIELD, not_integral)
-        for cls in (scalars.RationalField, scalars.ExtensionField):
-            monkeypatch.setattr(cls, "modular_image", lambda self: got)
+    def short(gf, image_rows):
+        rows = image_rows(gf)
+        return rows[:-1] + [[gf.zero] * len(rows[0])]
+
+    def not_integral(gf, image_rows):
+        raise ZeroDivisionError("denominator vanishes mod l")
+
+    def forced(field, full, image_rows, exact_rows):
+        if force == "no image":
+            return linalg._echelon_rank(field, exact_rows())
+        alter = short if force == "short image" else not_integral
+        return linalg.image_first_rank(field, full, lambda gf: alter(gf, image_rows),
+                                       exact_rows)
+    monkeypatch.setattr(reptheory, "image_first_rank", forced)
     exact_rows = []
     rows = reptheory._evaluation_rows
 
@@ -479,7 +482,7 @@ def test_exact_evaluation_rows_keep_the_pinned_bytes(command, force, tmp_path, m
         return rows(field, basis, rho)
     monkeypatch.setattr(reptheory, "_evaluation_rows", spy)
     test_pinned_report_bytes(command, tmp_path, monkeypatch)
-    assert exact_rows
+    assert scalars.QQ in exact_rows
 
 
 @pytest.mark.parametrize("chart", ["-5,-5,0", "2,0,3"])

@@ -14,7 +14,7 @@ from partabel.linalg import (
 )
 from partabel.reptheory import det3
 from partabel.scalars import (
-    ExtensionField, PrimeField, QQ, UniPoly, prime_field_roots, random_prime,
+    ExtensionField, PrimeField, QQ, UniPoly, random_prime,
 )
 from tests_helpers import GenericEchelon, irreducible_extension, permutation_determinant
 
@@ -501,12 +501,11 @@ def test_fraction_free_loop_keeps_its_integers_within_the_hadamard_bound(monkeyp
     assert widest[0] <= 2 * hadamard.bit_length() + 1
 
 
-# --- full-rank checks on a GF(l) image ------------------------------------------
-# dense_rank over QQ and its extensions returns the rank of the matrix's image
-# mod l when that image has full rank, and the exact rank otherwise.  These
-# moduli make the image take each of its paths: one with a root mod
-# l0 = 2^61 + 15, one without (the walk goes on to the next primes), and one
-# with the coefficient 1/l0, not l0-integral (the walk skips l0).
+# --- full-rank checks on a GF(l) image -------------------------------------------
+# image_first_rank over QQ returns the rank of the matrix's image mod
+# l0 = 2^61 + 15 when that image has full rank, and the exact rank otherwise;
+# over every other field, QQ(theta) included, it is the exact rank.  The
+# extensions' moduli have a root mod l0, none, and the coefficient 1/l0.
 
 L0 = 2**61 + 15
 MODULI = {
@@ -518,20 +517,24 @@ EXTENSIONS = {name: ExtensionField(QQ, UniPoly(QQ, [Fraction(c) for c in cs]))
               for name, cs in MODULI.items()}
 
 
-def test_the_image_of_an_extension_sends_theta_to_a_root_mod_a_good_prime():
-    gf0 = PrimeField(L0)
-    assert prime_field_roots(gf0, UniPoly(gf0, [5, 1, 0, 1])) == []
-    for name, ext in EXTENSIONS.items():
-        gf, h = ext.modular_image()
-        ell = gf.p
-        assert (ell == L0) == (name == "root at l0"), name
-        r = h(ext.gen())
-        m = [c.numerator * pow(c.denominator, -1, ell) % ell for c in ext.modulus.coeffs]
-        assert sum(c * pow(r, i, ell) for i, c in enumerate(m)) % ell == 0, name
-    assert QQ.modular_image()[0].p == L0
+def test_only_qq_takes_a_rank_on_an_image_first():
+    m = [[1, 2], [3, 4]]
+    images, built = [], []
+
+    def image_rows(gf):
+        images.append(gf.p)
+        return [[gf.from_int(v) for v in row] for row in m]
+
+    def exact_rows(f):
+        return lambda: built.append(f) or [[f.from_int(v) for v in row] for row in m]
+    assert linalg.image_first_rank(QQ, 2, image_rows, exact_rows(QQ)) == 2
+    assert (images, built) == ([L0], [])
     gfp = PrimeField(random_prime(random.Random(4)))
-    assert gfp.modular_image() is None
-    assert irreducible_extension(gfp, 3).modular_image() is None
+    for f in [gfp, irreducible_extension(gfp, 3)] + list(EXTENSIONS.values()):
+        images.clear()
+        built.clear()
+        assert linalg.image_first_rank(f, 2, image_rows, exact_rows(f)) == 2
+        assert (images, built) == ([], [f]), f
 
 
 def test_theta_times_theta_squared_stays_rank_one():
@@ -546,11 +549,11 @@ def test_theta_times_theta_squared_stays_rank_one():
 
 def test_a_rank_drop_mod_l_falls_back_to_the_exact_rank():
     m = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(L0)]]
-    gf, h = QQ.modular_image()
-    assert _echelon_rank(gf, [[h(v) for v in row] for row in m]) == 1
+    gf = PrimeField(L0)
+    assert _echelon_rank(gf, [[gf.from_fraction(v) for v in row] for row in m]) == 1
     assert dense_rank(QQ, m) == 2
     for ext in EXTENSIONS.values():
-        ell = ext.from_int(ext.modular_image()[0].p)
+        ell = ext.from_int(L0)
         assert dense_rank(ext, [[ext.one, ext.zero], [ext.zero, ell]]) == 2
     # not l0-integral: no image at all
     assert dense_rank(QQ, [[Fraction(1, L0), Fraction(1)], [Fraction(1), Fraction(1)]]) == 2
@@ -571,8 +574,8 @@ _any_entry = st.one_of(
 def deficient_matrices(draw):
     """A domain (QQ or one of the extensions) and a product A B with inner
     dimension k, so of rank at most k; entries may be multiples of l0 or
-    have l0 in their denominators, and a row may be scaled by the prime of
-    the domain's image, which drops the image's rank but not the true one."""
+    have l0 in their denominators, and a row may be scaled by l0, which
+    drops the rank of QQ's image but not the true one."""
     name = draw(st.sampled_from(["QQ"] + sorted(EXTENSIONS)))
     f = QQ if name == "QQ" else EXTENSIONS[name]
     nrows, ncols, k = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 5))
@@ -595,7 +598,7 @@ def deficient_matrices(draw):
             out.append(acc)
         m.append(out)
     if draw(st.booleans()):
-        i, c = draw(st.integers(0, nrows - 1)), f.from_int(f.modular_image()[0].p)
+        i, c = draw(st.integers(0, nrows - 1)), f.from_int(L0)
         m[i] = [f.mul(c, v) for v in m[i]]
     return f, m
 

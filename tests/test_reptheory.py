@@ -12,7 +12,7 @@ from partabel.reptheory import (
     _evaluation_rows, _symmetric_matrix, _tern_divide_by_line, _tq_relations, build_rho,
     character_value, chart_representation, commutator_conic_consistency,
     compare_rho_to_reference, conics, det3, determinantal_cubic,
-    generated_matrix_algebra_dim, image_evaluation_rows, intersect_conics,
+    generated_matrix_algebra_dim, intersect_conics,
     irreducibility, letter_representation, mat_eq, mat_identity, mat_is_zero, mat_mul,
     mat_sub, split_determinantal_cubic, t_matrices, tern_mul, tq_rewrite, wedderburn_type,
     wedderburn_verify,
@@ -706,30 +706,33 @@ def test_rep_matrices_memoized_and_word_matrix_matches_letter_products():
         assert rho.word_matrix(w) is rho.word_matrix(w)
 
 
-# --- the evaluation rows on the GF(l) image of rho ------------------------------
+# --- the evaluation rows on the GF(l) image of rho_k --------------------------------
 
 def _rational_evaluation_cases():
-    """The criterion-3 points certified over QQ, then charts at extension
-    degrees 1, 2 and 3."""
+    """rho_k over QQ, read off the closure at the criterion-3 points
+    certified over QQ and at charts whose conic extensions have degrees 1,
+    2 and 3."""
     from partabel.pipeline import sample_generic_points
     charts = [x[1:] for x in sample_generic_points(301, 3)]
     charts += [chart(text) for text in ("-8,-4,7", "-5,-3,-1", "2,3,7")]
     for y in charts:
         cert, _ = closure_certificate(make_relation(QQ, chart=y))
-        spec, rho = chart_representation(QQ, y)
-        yield cert, spec.ext, rho
+        yield cert, letter_representation(cert)
 
 
-def test_the_image_rows_are_the_image_of_the_exact_rows_and_keep_their_rank():
-    degrees = []
-    for cert, ext, rho in _rational_evaluation_cases():
-        exact = _evaluation_rows(ext, cert.basis, rho)
-        gf, rows = image_evaluation_rows(cert.basis, rho)
-        _, h = ext.modular_image()
-        assert rows == [[h(v) for v in row] for row in exact]
-        assert _echelon_rank(gf, rows) == _echelon_rank(ext, exact) == 18
-        degrees.append(getattr(ext, "degree", 1))
-    assert degrees[-3:] == [1, 2, 3]
+def test_the_image_rows_are_the_image_of_the_exact_rows_and_keep_their_rank(monkeypatch):
+    gf = PrimeField(2**61 + 15)
+    calls = []
+    monkeypatch.setattr(reptheory, "image_first_rank", lambda *args: calls.append(args) or 18)
+    for cert, rho in _rational_evaluation_cases():
+        calls.clear()
+        assert reptheory.evaluation_rank(cert.basis, rho) == 18
+        ((field, full, image_rows, exact_rows),) = calls
+        assert (field, full) == (QQ, 18)
+        exact, rows = exact_rows(), image_rows(gf)
+        assert exact == _evaluation_rows(QQ, cert.basis, rho)
+        assert rows == [[gf.from_fraction(v) for v in row] for row in exact]
+        assert _echelon_rank(gf, rows) == _echelon_rank(QQ, exact) == 18
 
 
 def test_a_full_image_builds_no_exact_evaluation_rows(monkeypatch):
@@ -770,25 +773,24 @@ def test_burnside_span_is_nine_at_rational_sample_points():
 
 
 def test_prime_mode_never_builds_an_image(monkeypatch):
+    from partabel import linalg
     from partabel.pipeline import certify_point, extension_lower_bound, sample_generic_points
-    from partabel.scalars import Domain, ExtensionField, RationalField
-    calls = []
-    for cls in (Domain, RationalField, ExtensionField):
-        real = cls.modular_image
+    fields, images = [], []
+    real = linalg.image_first_rank
 
-        def spy(self, real=real):
-            out = real(self)
-            calls.append((self, out))
-            return out
-        monkeypatch.setattr(cls, "modular_image", spy)
+    def spy(field, full, image_rows, exact_rows):
+        fields.append(field)
+        return real(field, full, lambda gf: images.append(field) or image_rows(gf),
+                    exact_rows)
+    monkeypatch.setattr(linalg, "image_first_rank", spy)
+    monkeypatch.setattr(reptheory, "image_first_rank", spy)
     gf = PrimeField(random_prime(random.Random(29)))
     x = tuple(gf.from_fraction(c) for c in sample_generic_points(31, 1)[0])
     pc = certify_point(gf, x)
     assert pc.exact_dimension == 18
     # certify_point works over GF(p) alone; the conic extension GF(p)(theta)
     # enters only with the wedderburn command's second lower bound
-    assert calls and all(out is None and f is gf for f, out in calls)
-    calls.clear()
+    assert fields and all(f is gf for f in fields) and not images
+    fields.clear()
     assert extension_lower_bound(gf, pc)[1]
-    assert calls and all(out is None for _, out in calls)
-    assert any(isinstance(f, ExtensionField) for f, _ in calls)
+    assert any(isinstance(f, ExtensionField) for f in fields) and not images

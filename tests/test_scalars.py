@@ -3,6 +3,7 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from partabel import scalars
 from partabel.freeproduct import P, AlgebraElement, Signature
 from partabel.scalars import (
-    ExtensionField, FunctionField, PoleError, PrimeField, QQ, UniPoly,
+    ExtensionField, FunctionField, PoleError, Polynomial, PrimeField, QQ, UniPoly,
     _poly_powmod, add_term, factor_cubic, gcd_univariate, is_probable_prime,
     prime_field_roots, random_prime, rational_roots,
 )
@@ -30,6 +31,26 @@ def test_probable_prime_and_generation():
         p = random_prime(rng)
         assert 2**40 <= p < 2**62
         assert is_probable_prime(p)
+
+
+def test_miller_rabin_on_the_bases_2_to_37_is_exact():
+    # below 10^5 it agrees with a sieve of Eratosthenes; above, it rejects
+    # the least strong pseudoprimes to the bases 2..p for p = 7, ..., 23, and
+    # declines those to 2..37 and 2..41, past the bound where it is proved
+    n = 10**5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for d in range(2, isqrt(n) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytearray(len(range(d * d, n, d)))
+    assert [k for k in range(n) if is_probable_prime(k)] == [k for k in range(n) if sieve[k]]
+    for psp in (3215031751, 2152302898747, 3474749660383, 341550071728321,
+                3825123056546413051):
+        assert not is_probable_prime(psp)
+    for psp in (318665857834031151167461, 3317044064679887385961981):
+        with pytest.raises(ValueError):
+            is_probable_prime(psp)
+    assert not is_probable_prime(2 * 318665857834031151167461)  # its factor 2 is a proof
+    assert is_probable_prime(2**61 - 1) and is_probable_prime(2**61 + 15)
 
 
 def test_prime_field_basics():
@@ -178,6 +199,20 @@ def test_equal_rational_functions_in_unreduced_forms_hash_alike():
         ex, ey = AlgebraElement(sig, F, {w: x}), AlgebraElement(sig, F, {w: y})
         assert ex == ey and hash(ex) == hash(ey)
     assert apart >= 100
+
+
+def test_constant_functions_and_polynomials_hash_as_the_numbers_they_equal():
+    # equal values hash alike across int, Fraction, Polynomial and
+    # RationalFunction, so a set holds one of each pair
+    F = FunctionField(("y1", "y2", "y3"))
+    y1 = F.gen("y1")
+    cases = [
+        (F.from_int(3), 3), (Polynomial.constant(("y1",), 3), 3), ((2 * y1) / y1, 2),
+        ((2 * y1 + 2 * y1 * y1) / (y1 + y1 * y1), 2), (F.from_int(3) / 2, Fraction(3, 2)),
+        (F.zero, 0), (Polynomial(("y1",)), 0),
+    ]
+    for x, v in cases:
+        assert x == v and hash(x) == hash(v) and len({x, v}) == 1, (x, v)
 
 
 # --- the conic resultants (``reptheory._z2_resultant``) ------------------------
