@@ -37,4 +37,4 @@ e = w("p1.q2.p1").scale(Fraction(3, 2)) - w("q1")
 print("\ntext form:", e.to_text())
 
 # in k^2 * k^2 the element z = -p - q + pq + qp is central
-print("\ncentral element of k^2 * k^2:", central_element_check(QQ))
+print("\ncentral element of k^2 * k^2:", central_element_check())

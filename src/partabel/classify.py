@@ -404,16 +404,6 @@ def grassmann_chart(field: Domain, y: tuple) -> tuple[SubspacePresentation, tupl
     return V, point
 
 
-LINE_DEFS = {
-    "l1": ((2, 3), "x21 = x22 = 0"),
-    "l2": ((0, 1), "x11 = x12 = 0"),
-    "l3": (None, "x11 = x21, x12 = x22"),
-    "l1p": ((1, 3), "x12 = x22 = 0"),
-    "l2p": ((0, 2), "x11 = x21 = 0"),
-    "l3p": (None, "x11 = x12, x21 = x22"),
-}
-
-
 def lines_through(field: Domain, x: tuple) -> list[str]:
     f = field
     x11, x12, x21, x22 = x

@@ -185,7 +185,7 @@ def cmd_sigma(cfg, t0) -> int:
 
 
 def cmd_zcentral(cfg, t0) -> int:
-    rep = central_element_check(QQ)
+    rep = central_element_check()
     return emit(cfg, "zcentral", rep, rep["central"],
                 "z = -p-q+pq+qp commutes with both generators"
                 if rep["central"] else "central element check failed", t0)
@@ -288,9 +288,19 @@ def cmd_wedderburn(cfg, t0) -> int:
 
 
 def _chart(cfg) -> tuple:
-    """--chart, or else the chart (y1, y2, y3) of the seeded sample point
-    (1 : y1 : y2 : y3)."""
+    """--chart, or else the chart of --point, or else the chart (y1, y2, y3)
+    of the seeded sample point (1 : y1 : y2 : y3)."""
+    if cfg.point and not cfg.chart:
+        return _chart_of(cfg.point)
     return cfg.chart or sample_generic_points(cfg.seed, 1)[0][1:]
+
+
+def _chart_of(x: tuple) -> tuple:
+    """x/x11 for a --point x = (x11 : x12 : x21 : x22).  When x11 = 0 a swap
+    of the factors would give a chart, but that of another point."""
+    if not x[0]:
+        raise ValueError("--point has x11 = 0 and so no chart; give --chart")
+    return tuple(c / x[0] for c in x[1:])
 
 
 def _point(cfg) -> tuple:
@@ -377,9 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_ranges(cfg) -> None:
     """Reject option values that would make a certificate vacuous or
     meaningless: no points or no workers, degrees below 2, a negative slack,
-    a product window capped below the first closure window, or primes small
+    a product window capped below the first closure window, primes small
     enough to divide the constants of the pipeline, or repeated (two runs
-    over one prime would agree trivially)."""
+    over one prime would agree trivially), or a --point and a --chart that
+    name different points (one of them would be ignored)."""
     if cfg.count < 1:
         raise ValueError(f"--count must be at least 1, got {cfg.count}")
     if cfg.workers < 1:
@@ -395,6 +406,8 @@ def _check_ranges(cfg) -> None:
             raise ValueError(f"--primes entry {p} is not a prime in [2^31, 2^62)")
     if cfg.primes and len(set(cfg.primes)) < len(cfg.primes):
         raise ValueError(f"--primes repeats an entry: {cfg.primes}")
+    if cfg.point and cfg.chart and (not cfg.point[0] or _chart_of(cfg.point) != cfg.chart):
+        raise ValueError("--point and --chart name different points")
 
 
 def main(argv=None) -> int:

@@ -323,12 +323,12 @@ def commutator(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     return u * v - v * u
 
 
-def central_element_check(field: Domain = QQ) -> dict:
-    """In k^2 * k^2 the element z = -p - q + pq + qp is central; verify the
-    defining commutators vanish exactly in the free product."""
+def central_element_check() -> dict:
+    """In k^2 * k^2 over QQ the element z = -p - q + pq + qp is central;
+    verify the defining commutators vanish exactly in the free product."""
     sig = Signature(2, 2)
-    p = idempotent(sig, field, P, 1)
-    q = idempotent(sig, field, Q, 1)
+    p = idempotent(sig, QQ, P, 1)
+    q = idempotent(sig, QQ, Q, 1)
     z = -p - q + p * q + q * p
     zp = commutator(z, p)
     zq = commutator(z, q)

@@ -62,7 +62,7 @@ from .freeproduct import (
 )
 from .linalg import SparseEchelon
 from .scalars import (
-    Domain, DegenerateSpecialization, FunctionField, PrimeField,
+    Domain, DegenerateSpecialization, FunctionField, PrimeField, QQ,
     RationalFunction, add_term,
 )
 
@@ -902,15 +902,6 @@ class ClosureCertificate:
     def basis_index(self, w: Word) -> int:
         return self.basis.index(w)
 
-    def multiply(self, vec1: dict[int, object], vec2: dict[int, object]) -> dict[int, object]:
-        f = self.field
-        out: dict[int, object] = {}
-        for i, ci in vec1.items():
-            for j, cj in vec2.items():
-                for k, ck in self.structure_constants[i][j].items():
-                    add_term(f, out, k, f.mul(f.mul(ci, cj), ck))
-        return out
-
     def is_commutative(self) -> bool:
         f = self.field
         n = len(self.basis)
@@ -919,21 +910,6 @@ class ClosureCertificate:
                 a, b = self.structure_constants[i][j], self.structure_constants[j][i]
                 if set(a) != set(b) or not all(f.eq(a[k], b[k]) for k in a):
                     return False
-        return True
-
-    def associativity_spot_check(self, trials: int = 100, seed: int = 7) -> bool:
-        rng = random.Random(seed)
-        f = self.field
-        n = len(self.basis)
-        for _ in range(trials):
-            i, j, k = (rng.randrange(n) for _ in range(3))
-            ei, ej, ek = ({i: f.one}, {j: f.one}, {k: f.one})
-            left = self.multiply(self.multiply(ei, ej), ek)
-            right = self.multiply(ei, self.multiply(ej, ek))
-            if set(left) != set(right):
-                return False
-            if not all(f.eq(left[c], right[c]) for c in left):
-                return False
         return True
 
     def to_json(self) -> dict:
@@ -1009,16 +985,12 @@ def _try_closure(span: IdealSpan, n: int):
 class ClosureTrace:
     """What a closure learned at one point: pivot-giving products of its
     span, packed, in feed order, and the degree and window at which the
-    certificate closed.  ``of`` keeps the span's whole ``trace``; ``pruned``
-    keeps only the products that a replay's closure reads."""
+    certificate closed.  ``pruned`` keeps only the products of the span's
+    ``trace`` that a replay's closure reads."""
 
     products: array
     degree: int
     window: int
-
-    @classmethod
-    def of(cls, cert: "ClosureCertificate", span: IdealSpan) -> "ClosureTrace":
-        return cls(span.trace, cert.degree, cert.window)
 
     @classmethod
     def pruned(cls, cert: "ClosureCertificate", span: IdealSpan) -> "ClosureTrace":
@@ -1330,11 +1302,11 @@ class SigmaAction:
         return elem.substitute_letters(sub, coeff_map=lambda c: self._ev(c, imgs))
 
 
-def sigma_check(field: FunctionField | None = None) -> dict:
+def sigma_check() -> dict:
     """Exact symbolic verification of the symmetry identities:
     sigma1(X) = (1/y2) X, sigma2(X) = -X, and the group relations
     sigma1^2 = sigma2^2 = (sigma1 sigma2)^3 = id on (y1, y2, y3)."""
-    F = field or FunctionField(("y1", "y2", "y3"))
+    F = FunctionField(("y1", "y2", "y3"))
     y1, y2, y3 = F.gens()
     act = SigmaAction(F)
     rel = make_relation(F, chart=(y1, y2, y3))
@@ -1376,10 +1348,11 @@ def chart_in_field(field: Domain, y: tuple) -> tuple:
 
 
 def random_offquadric_chart(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
-    """Small random rational chart triple with y3 != y1*y2 (off the quadric)."""
+    """Small random rational chart triple off the quadric: ``on_quadric``
+    fails at (1 : y1 : y2 : y3)."""
     while True:
         y = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
-        if any(y) and y[2] != y[0] * y[1]:
+        if any(y) and not on_quadric(QQ, (QQ.one,) + y):
             return y
 
 

@@ -548,14 +548,12 @@ def tern_scale(f: Domain, a: TernForm, c) -> TernForm:
     return {e: f.mul(v, c) for e, v in a.items()}
 
 
-def determinantal_cubic(field: Domain, y: tuple,
-                        triple: ConicTriple | None = None) -> TernForm:
-    """det(a1*M1 + a2*M2 + a3*M3) for the homogenized conic matrices: a
-    ternary cubic in (a1, a2, a3) whose zero locus parametrizes the
-    degenerate conics of the net."""
+def determinantal_cubic(field: Domain, y: tuple, triple: ConicTriple) -> TernForm:
+    """det(a1*M1 + a2*M2 + a3*M3) for the homogenized conic matrices of
+    ``triple`` = ``conics(field, y)``: a ternary cubic in (a1, a2, a3) whose
+    zero locus parametrizes the degenerate conics of the net."""
     f = field
-    tri = triple or conics(f, y)
-    ms = tri.matrices()
+    ms = triple.matrices()
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     entries = [[{a: m[i][j] for a, m in zip(units, ms) if not f.is_zero(m[i][j])}
                 for j in range(3)] for i in range(3)]

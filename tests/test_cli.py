@@ -225,6 +225,32 @@ def test_zero_denominator_is_a_usage_error(args, capsys):
     assert "Traceback" not in err
 
 
+def test_a_chart_command_takes_the_chart_of_its_point(tmp_path):
+    # --point x runs a chart command at x/x11, the chart of x itself
+    code, by_point = run_cli(["detcurve", "--point", "2,4,6,14"], tmp_path, "p.json")
+    assert code == 0
+    _, by_chart = run_cli(["detcurve", "--chart", "2,3,7"], tmp_path, "c.json")
+    assert by_point["results"] == by_chart["results"]
+    code, rep = run_cli(["classify", "--point", "2,4,6,14", "--chart", "2,3,7"], tmp_path)
+    assert code == 0 and rep["config"]["point"] == ["2", "4", "6", "14"]
+
+
+@pytest.mark.parametrize("args, message", [
+    # x11 = 0: the chart of a swapped point would be another point's chart
+    (["detcurve", "--point", "0,1,2,3"], "--chart"),
+    (["rep", "--point", "0,1,2,3"], "--chart"),
+    # one of two points would be dropped without a word
+    (["theorem", "--point", "1,2,3,7", "--chart", "2,3,5"], "different points"),
+    (["detcurve", "--point", "1,2,3,7", "--chart", "2,3,5"], "different points"),
+    (["wedderburn", "--point", "0,1,2,3", "--chart", "1,2,3"], "different points"),
+])
+def test_a_point_without_a_chart_or_two_different_points_exit_1(args, message, capsys):
+    assert main(args) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("usage error:") and message in out.err
+    assert "PASS" not in out.out
+
+
 @pytest.mark.parametrize("args, option", [
     (["scan", "--window-cap", "1"], "--window-cap"),
     (["scan", "--window-cap", "-2"], "--window-cap"),

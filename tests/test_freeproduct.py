@@ -165,7 +165,7 @@ def test_word_order_is_graded_and_stable():
 
 
 def test_central_element():
-    rep = central_element_check(QQ)
+    rep = central_element_check()
     assert rep["central"]
     assert rep["z_squared_commutes_with_p"]
 

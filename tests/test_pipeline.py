@@ -182,7 +182,8 @@ def test_replayed_closure_matches_full_growth_over_two_primes_and_qq(monkeypatch
     for x in points:
         for f in (gf1, gf2, QQ):
             cert, span = closure_certificate(make_relation(f, point=_in(f, x)))
-            learned[x, f] = (ClosureTrace.of(cert, span), ClosureTrace.pruned(cert, span))
+            learned[x, f] = (ClosureTrace(span.trace, cert.degree, cert.window),
+                            ClosureTrace.pruned(cert, span))
             assert len(learned[x, f][1].products) < len(learned[x, f][0].products)
     for x, other in zip(points, points[1:] + points[:1]):
         # the same point at the other domain, then another point of the
@@ -351,7 +352,7 @@ def test_exact_dimension_needs_the_evaluation_map_to_kill_the_relation(monkeypat
     x = _in(f, (1, 2, 3, 7))
     cert, span = closure_certificate(make_relation(f, point=x))
     grows = _count_calls(monkeypatch, IdealSpan, "extend_to_window")
-    pc = certify_point(f, x, trace=ClosureTrace.of(cert, span))
+    pc = certify_point(f, x, trace=ClosureTrace(span.trace, cert.degree, cert.window))
     assert grows  # the replay was dropped and the window grown
     assert pc.lower_bound == pc.upper_bound == 18
     assert pc.exact_dimension is None
@@ -377,7 +378,7 @@ def test_a_point_without_rho_k_gets_no_verdict(monkeypatch):
     cert, span = closure_certificate(make_relation(f, point=x))
     grows = _count_calls(monkeypatch, IdealSpan, "extend_to_window")
     with pytest.raises(DegenerateSpecialization, match="3-dimensional"):
-        certify_point(f, x, trace=ClosureTrace.of(cert, span))
+        certify_point(f, x, trace=ClosureTrace(span.trace, cert.degree, cert.window))
     assert grows
     rep = theorem_point_worker(((F(1), F(2), F(3), F(7)), "prime", None, 5, 8, 4, False))
     assert not rep["verdict_ok"] and rep["runs"] == []
@@ -416,18 +417,16 @@ def test_certify_point_runs_no_conic_stage(monkeypatch):
     x = (1, 2, 3, 7)
     for f in (QQ, PrimeField(seeded_primes(5)[0])):
         grown = certify_point(f, _in(f, x))
+        cert = grown.certificate
         replayed = certify_point(f, _in(f, x),
-                                 trace=ClosureTrace.of(grown.certificate, grown.span))
+                                 trace=ClosureTrace(grown.span.trace, cert.degree, cert.window))
         assert grown.exact_dimension == replayed.exact_dimension == 18
         with pytest.raises(AssertionError, match="conic stage"):
             pipeline.extension_lower_bound(f, grown)
 
 
-def test_an_exact_point_builds_no_structure_table(monkeypatch):
-    # at an exact point commutative is read off the evaluation isomorphism
-    # over k, and rho_k comes from the letter action alone, so certify_point
-    # never builds the table, over GF(p) or over QQ; a point that is not
-    # exact reads it
+def _spy_on_the_structure_table(monkeypatch) -> list:
+    """The certificates whose structure table is built from now on."""
     built = []
     table = ClosureCertificate.__dict__["structure_constants"].func
 
@@ -437,6 +436,15 @@ def test_an_exact_point_builds_no_structure_table(monkeypatch):
     cached = cached_property(spy)
     cached.__set_name__(ClosureCertificate, "structure_constants")
     monkeypatch.setattr(ClosureCertificate, "structure_constants", cached)
+    return built
+
+
+def test_an_exact_point_builds_no_structure_table(monkeypatch):
+    # at an exact point commutative is read off the evaluation isomorphism
+    # over k, and rho_k comes from the letter action alone, so certify_point
+    # never builds the table, over GF(p) or over QQ; a point that is not
+    # exact reads it
+    built = _spy_on_the_structure_table(monkeypatch)
     x = (1, 2, 3, 7)
     for f in (QQ, PrimeField(seeded_primes(5)[0])):
         pc = certify_point(f, _in(f, x))
@@ -447,3 +455,31 @@ def test_an_exact_point_builds_no_structure_table(monkeypatch):
     pc = certify_point(QQ, _in(QQ, x))
     assert pc.exact_dimension is None and not pc.commutative
     assert built
+
+
+QUADRIC_POINTS = [(1, 2, 2, 4), (1, 3, 5, 15), (2, 3, 4, 6)]
+
+
+def test_an_exact_quadric_point_proves_its_table_without_building_it(monkeypatch):
+    # the nine characters prove S_x = k^9 at an exact quadric point, so
+    # commutativity and associativity are read off that isomorphism, over
+    # QQ and over GF(p), and no structure table is built
+    built = _spy_on_the_structure_table(monkeypatch)
+    for f in (QQ, PrimeField(seeded_primes(5)[0])):
+        for x in QUADRIC_POINTS:
+            rep = certify_quadric_point(f, _in(f, x))
+            assert rep["exact_dimension"] == rep["character_rank"] == 9
+            assert rep["commutative"] is rep["associative_spot_check"] is True
+    assert built == []
+
+
+def test_a_short_character_rank_proves_nothing_at_a_quadric_point(monkeypatch):
+    # below |B| the characters prove no isomorphism, so neither the
+    # dimension nor commutativity nor associativity is claimed
+    rank = pipeline.dense_rank
+    monkeypatch.setattr(pipeline, "dense_rank", lambda f, rows: rank(f, rows) - 1)
+    for x in QUADRIC_POINTS:
+        rep = certify_quadric_point(QQ, _in(QQ, x))
+        assert (rep["upper_bound"], rep["character_rank"]) == (9, 8)
+        assert [rep[k] for k in ("exact_dimension", "commutative",
+                                 "associative_spot_check")] == [None] * 3

@@ -20,10 +20,11 @@ from partabel.quotient import (
     spanning_monomials_rank, stabilization_scan, standard_generator_rank,
     verify_reduction_identity,
 )
+from partabel.reptheory import letter_representation
 from partabel.scalars import FunctionField, PrimeField, QQ, add_term, random_prime
 from tests_helpers import (
-    GenericEchelon, bottom_up_normal_forms, extend_by_word_tuples, random_element,
-    split_dims_oracle, word_tuple_row,
+    GenericEchelon, bottom_up_normal_forms, evaluation_oracle, extend_by_word_tuples,
+    random_element, split_dims_oracle, word_tuple_row,
 )
 
 SIG = Signature(3, 3)
@@ -525,7 +526,8 @@ def test_closure_certificate_generic():
     cert, span = closure_certificate(rel)
     assert cert.dimension_bound == 18
     assert not cert.is_commutative()
-    assert cert.associativity_spot_check(100)
+    # the table is that of k^9 (+) M3(k), associative, on every pair
+    assert evaluation_oracle(cert, letter_representation(cert)) == (18, True)
     assert split_dims_oracle(cert) == (6, 6, 6)
     listed = spanning_monomials_rank(cert, span)
     assert listed == {"listed": 19, "rank": 18, "dependencies": 1}
@@ -538,7 +540,8 @@ def test_closure_certificate_quadric_point():
     cert, _ = closure_certificate(rel)
     assert cert.dimension_bound == 9
     assert cert.is_commutative()
-    assert cert.associativity_spot_check(50)
+    # the table is that of k^9, associative, on every pair
+    assert evaluation_oracle(cert) == (9, True)
 
 
 def test_scan_generic_reaches_18():
@@ -690,7 +693,7 @@ def test_a_scan_without_a_closure_reads_the_span_the_closure_grew(monkeypatch):
 def _generic_trace(field):
     rel = make_relation(field, chart=chart_in_field(field, GENERIC_CHART))
     cert, span = closure_certificate(rel)
-    return ClosureTrace.of(cert, span)
+    return ClosureTrace(span.trace, cert.degree, cert.window)
 
 
 def _same_certificate(a, b):

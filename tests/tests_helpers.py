@@ -6,7 +6,7 @@ from math import isqrt, lcm
 
 from partabel.freeproduct import EMPTY_WORD, P, Q, AlgebraElement, concat_words
 from partabel.linalg import SparseEchelon, _echelon_rank, _rref, solve_linear
-from partabel.reptheory import mat_add, mat_mul, mat_scale, mat_sub, tern_mul
+from partabel.reptheory import mat_add, mat_identity, mat_mul, mat_scale, mat_sub, tern_mul
 from partabel.scalars import Domain, ExtensionField, UniPoly, add_term
 
 
@@ -263,14 +263,62 @@ def split_dims_oracle(cert):
     """Ranks of left multiplication by p1, p2 and 1 - p1 - p2 on the
     certified basis, read from the structure constants: the dimensions of
     p_i * S that the pipeline reads off the evaluation isomorphism."""
-    f, n = cert.field, cert.dimension_bound
+    f, n, table = cert.field, cert.dimension_bound, cert.structure_constants
     i1, i2, unit = (cert.basis_index(w) for w in (((P, 1),), ((P, 2),), EMPTY_WORD))
     p3 = {unit: f.one, i1: f.neg(f.one), i2: f.neg(f.one)}
     dims = []
     for p in ({i1: f.one}, {i2: f.one}, p3):
-        images = [cert.multiply(p, {j: f.one}) for j in range(n)]
-        dims.append(_echelon_rank(f, [[b.get(k, f.zero) for k in range(n)] for b in images]))
+        rows = []
+        for j in range(n):
+            image = {}  # p * b_j
+            for i, c in p.items():
+                for k, t in table[i][j].items():
+                    add_term(f, image, k, f.mul(c, t))
+            rows.append([image.get(k, f.zero) for k in range(n)])
+        dims.append(_echelon_rank(f, rows))
     return tuple(dims)
+
+
+def evaluation_oracle(cert, rho=None):
+    """The rank of the evaluation map phi on the certified basis B, and
+    whether phi is multiplicative on the whole structure table T:
+    phi(T[i][j]) = phi(b_i) phi(b_j) for every i and j.  phi is the nine
+    characters chi_(a,b), and with ``rho`` (rho_k of ``letter_representation``)
+    also rho's matrices, products taken in k^9 (+) M3(k).  With rank |B|,
+    phi is injective, so this proves exhaustively that T is the table of
+    k^9, or of k^9 (+) M3(k); no triple is sampled."""
+    f, n = cert.field, cert.dimension_bound
+    chars = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+
+    def evaluate(word):  # the nine character values, then rho(word) row by row
+        values = [f.one if all(i == (a if tag == P else b) for tag, i in word) else f.zero
+                  for a, b in chars]
+        if rho is None:
+            return values
+        m = mat_identity(f)
+        for letter in word:
+            m = mat_mul(f, m, rho.letters[letter])
+        return values + [c for row in m for c in row]
+
+    def times(u, v):  # the product of k^9 (+) M3(k)
+        out = [f.mul(a, b) for a, b in zip(u[:9], v[:9])]
+        if rho is None:
+            return out
+        mu, mv = ([w[9 + 3 * r:12 + 3 * r] for r in range(3)] for w in (u, v))
+        return out + [c for row in mat_mul(f, mu, mv) for c in row]
+
+    def phi(vec):
+        acc = [f.zero] * len(images[0])
+        for k, c in vec.items():
+            acc = [f.add(a, f.mul(c, b)) for a, b in zip(acc, images[k])]
+        return acc
+
+    images = [evaluate(w) for w in cert.basis]
+    table = cert.structure_constants
+    multiplicative = all(all(f.eq(a, b) for a, b in zip(phi(table[i][j]),
+                                                         times(images[i], images[j])))
+                         for i in range(n) for j in range(n))
+    return _echelon_rank(f, images), multiplicative
 
 
 def relation_matrix_oracle(f, rho, y):
